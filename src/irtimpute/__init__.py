@@ -13,6 +13,7 @@ from .data import (
     CategoricalDataset,
     ColumnSchema,
     DiscretizationMap,
+    apply_discretization,
     discretize,
     discretize_dataset,
     emit_csv,
@@ -81,7 +82,6 @@ from .models import (
     pattern_loglik,
     pattern_score,
     prob_2pl,
-    prob_grm_boundary,
     prob_grm_categories,
     prob_nrm_categories,
 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import dataclasses
 import logging
 import os
 import sys
@@ -33,7 +33,7 @@ from .data import (
     MISSING,
     CategoricalDataset,
     ColumnSchema,
-    DiscretizationMap,
+    apply_discretization,
     discretize_dataset,
     emit_csv,
     load_csv,
@@ -266,12 +266,8 @@ def _missing_tokens(config: RunConfig) -> tuple[str, ...]:
 
 def _load_inputs(config: RunConfig, path: str
                  ) -> tuple[tuple[ColumnSchema, ...], CategoricalDataset]:
-    try:
-        schemas = load_schema(config.schema)
-        data = load_csv(path, schemas, _missing_tokens(config))
-    except OSError as exc:
-        raise DataError(str(exc)) from None
-    return schemas, data
+    schemas = load_schema(config.schema)
+    return schemas, load_csv(path, schemas, _missing_tokens(config))
 
 
 def _check_column(schemas, name: str, flag: str) -> ColumnSchema:
@@ -289,10 +285,10 @@ def _resolved_fit_options(config: RunConfig) -> dict:
     }
 
 
-def _fit_on(data: CategoricalDataset, options: dict
-            ) -> tuple[FittedModel, dict[str, DiscretizationMap]]:
-    """Discretize continuous features if present, then fit."""
-    maps: dict[str, DiscretizationMap] = {}
+def _fit_on(data: CategoricalDataset, options: dict) -> FittedModel:
+    """Discretize continuous features if present, then fit; the model
+    keeps the cut points."""
+    maps = {}
     if any(data.schemas[j].kind == "continuous"
            for j in data.feature_indices):
         data, maps = discretize_dataset(data, options["bins"])
@@ -308,59 +304,8 @@ def _fit_on(data: CategoricalDataset, options: dict
     )
     logger.info("fitting %d cases with seed %d", data.n_rows,
                 options["seed"])
-    return fit(data, fit_config), maps
-
-
-def _attach_maps(path: str, maps: dict[str, DiscretizationMap]) -> None:
-    """Record the fit-time discretization inside the model file."""
-    payload = json.loads(Path(path).read_text())
-    payload["discretization"] = [
-        {"column": mapping.column, "cuts": list(mapping.cuts),
-         "labels": list(mapping.labels)}
-        for _, mapping in sorted(maps.items())
-    ]
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _load_model_and_maps(path: str
-                         ) -> tuple[FittedModel, dict[str, DiscretizationMap]]:
-    try:
-        model = load_model(path)
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(str(exc)) from None
-    maps = {}
-    for entry in payload.get("discretization", ()):
-        mapping = DiscretizationMap(entry["column"], tuple(entry["cuts"]),
-                                    tuple(entry["labels"]))
-        maps[mapping.column] = mapping
-    return model, maps
-
-
-def _model_view(data: CategoricalDataset,
-                maps: dict[str, DiscretizationMap]) -> CategoricalDataset:
-    """Apply stored discretizations so the data matches the model columns."""
-    if not maps:
-        return data
-    cells = np.array(data.cells, copy=True)
-    schemas = list(data.schemas)
-    for name, mapping in maps.items():
-        j = data.column_index(name)
-        schema = data.schemas[j]
-        if schema.kind != "continuous":
-            raise DataError(
-                f"column {name!r} is {schema.kind}, but the model "
-                "discretized a continuous column of that name"
-            )
-        col = cells[:, j]
-        observed = col != MISSING
-        binned = np.full(col.shape, float(MISSING))
-        binned[observed] = mapping.apply(col[observed]).astype(np.float64)
-        cells[:, j] = binned
-        schemas[j] = ColumnSchema(name, "ordinal", arity=mapping.bins,
-                                  labels=mapping.labels, role=schema.role)
-    return CategoricalDataset(tuple(schemas), cells)
+    return dataclasses.replace(fit(data, fit_config),
+                               discretization=tuple(maps.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +314,8 @@ def _model_view(data: CategoricalDataset,
 
 def cmd_fit(config: RunConfig) -> int:
     _, data = _load_inputs(config, config.data)
-    model, maps = _fit_on(data, _resolved_fit_options(config))
+    model = _fit_on(data, _resolved_fit_options(config))
     save_model(model, config.out)
-    _attach_maps(config.out, maps)
     sys.stdout.write(diagnostics_report(model))
     return 0
 
@@ -387,13 +331,12 @@ def cmd_impute(config: RunConfig) -> int:
         )
     _, data = _load_inputs(config, config.data)
     if config.model:
-        model, maps = _load_model_and_maps(config.model)
+        model = load_model(config.model)
     else:
-        model, maps = _fit_on(data, _resolved_fit_options(config))
+        model = _fit_on(data, _resolved_fit_options(config))
         if config.save_model:
             save_model(model, config.save_model)
-            _attach_maps(config.save_model, maps)
-    view = _model_view(data, maps)
+    view = apply_discretization(data, model.discretization)
     result = impute_dataset(view, model)
 
     # write imputed codes back into the original column types; bin codes
@@ -432,10 +375,7 @@ def _write_probabilities(path: str, view: CategoricalDataset, result) -> None:
 
 
 def cmd_inject(config: RunConfig) -> int:
-    try:
-        schemas = load_schema(config.schema)
-    except OSError as exc:
-        raise DataError(str(exc)) from None
+    schemas = load_schema(config.schema)
     _check_column(schemas, config.target, "--target")
     if config.mechanism == "mcar":
         if config.seed is None:
@@ -449,10 +389,7 @@ def cmd_inject(config: RunConfig) -> int:
             raise UsageError("mar injection is deterministic; --seed "
                              "applies to mcar only")
         _check_column(schemas, config.conditional, "--conditional")
-    try:
-        data = load_csv(config.data, schemas, _missing_tokens(config))
-    except OSError as exc:
-        raise DataError(str(exc)) from None
+    data = load_csv(config.data, schemas, _missing_tokens(config))
 
     if config.mechanism == "mcar":
         logger.info("mcar injection with seed %d", config.seed)
@@ -479,14 +416,11 @@ def cmd_mcar_test(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    try:
-        schemas = load_schema(config.schema)
-        tokens = tuple(config.missing_tokens.split(","))
-        truth = load_csv(config.truth, schemas, tokens)
-        holed = load_csv(config.with_missing, schemas, tokens)
-        imputed = load_csv(config.imputed, schemas, tokens)
-    except OSError as exc:
-        raise DataError(str(exc)) from None
+    schemas = load_schema(config.schema)
+    tokens = _missing_tokens(config)
+    truth = load_csv(config.truth, schemas, tokens)
+    holed = load_csv(config.with_missing, schemas, tokens)
+    imputed = load_csv(config.imputed, schemas, tokens)
     if not truth.n_rows == holed.n_rows == imputed.n_rows:
         raise DataError("the three datasets must have the same rows")
 
@@ -546,10 +480,7 @@ def _majority_fill(view: CategoricalDataset, target: str,
 def cmd_bench(config: RunConfig) -> int:
     fractions = _parse_fractions(config.fractions)
     mechanisms = _parse_mechanisms(config.mechanisms)
-    try:
-        schemas = load_schema(config.schema)
-    except OSError as exc:
-        raise DataError(str(exc)) from None
+    schemas = load_schema(config.schema)
     target_schema = _check_column(schemas, config.target, "--target")
     if not target_schema.is_categorical or target_schema.role != "feature":
         raise UsageError("--target must be a categorical feature column")
@@ -557,10 +488,7 @@ def cmd_bench(config: RunConfig) -> int:
         if config.conditional is None:
             raise UsageError("mar benchmarking needs --conditional")
         _check_column(schemas, config.conditional, "--conditional")
-    try:
-        truth = load_csv(config.data, schemas, _missing_tokens(config))
-    except OSError as exc:
-        raise DataError(str(exc)) from None
+    truth = load_csv(config.data, schemas, _missing_tokens(config))
 
     options = _resolved_fit_options(config)
     little_rows = []
@@ -583,10 +511,10 @@ def cmd_bench(config: RunConfig) -> int:
             little = littles_test(
                 injected.to_numeric(injected.feature_indices))
 
-            model, maps = _fit_on(injected, options)
-            view = _model_view(injected, maps)
+            model = _fit_on(injected, options)
+            view = apply_discretization(injected, model.discretization)
             result = impute_dataset(view, model)
-            truth_view = _model_view(truth, maps)
+            truth_view = apply_discretization(truth, model.discretization)
             scored = score_cells(truth_view, result.completed, result.mask)
             baseline = score_cells(
                 truth_view, _majority_fill(view, config.target, result.mask),
@@ -658,6 +586,9 @@ def main(argv=None) -> int:
         kind = {3: "numerical"}.get(exc.exit_code, "data")
         print(f"error: {kind}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable/unwritable file
+        print(f"error: data: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -438,23 +438,45 @@ def discretize_dataset(
     for each converted column.  Missing cells stay missing; cut points come
     from the observed values only.
     """
-    cells = np.array(data.cells, copy=True)
-    schemas = list(data.schemas)
     maps: dict[str, DiscretizationMap] = {}
     for j, schema in enumerate(data.schemas):
         if schema.kind != "continuous" or schema.role != "feature":
             continue
-        col = cells[:, j]
+        col = data.cells[:, j]
         observed = col != MISSING
         if not observed.any():
             raise DataError(f"column {schema.name!r} has no observed values")
-        mapping, codes = discretize(col[observed], bins, column=schema.name)
-        new_col = np.full(col.shape, float(MISSING))
-        new_col[observed] = codes.astype(np.float64)
-        cells[:, j] = new_col
-        schemas[j] = ColumnSchema(
-            schema.name, "ordinal", arity=bins, labels=mapping.labels,
-            role=schema.role,
-        )
-        maps[schema.name] = mapping
-    return CategoricalDataset(tuple(schemas), cells), maps
+        maps[schema.name], _ = discretize(col[observed], bins,
+                                          column=schema.name)
+    return apply_discretization(data, tuple(maps.values())), maps
+
+
+def apply_discretization(
+    data: CategoricalDataset,
+    maps: tuple[DiscretizationMap, ...],
+) -> CategoricalDataset:
+    """Bin each mapped continuous column with its stored cut points.
+
+    Mapped columns become ordinal with the map's labels; missing cells stay
+    missing.  Returns ``data`` itself when there are no maps.
+    """
+    if not maps:
+        return data
+    cells = np.array(data.cells, copy=True)
+    schemas = list(data.schemas)
+    for mapping in maps:
+        j = data.column_index(mapping.column)
+        schema = data.schemas[j]
+        if schema.kind != "continuous":
+            raise DataError(
+                f"column {schema.name!r} is {schema.kind}, but the model "
+                "discretized a continuous column of that name"
+            )
+        col = cells[:, j]
+        observed = col != MISSING
+        binned = np.full(col.shape, float(MISSING))
+        binned[observed] = mapping.apply(col[observed]).astype(np.float64)
+        cells[:, j] = binned
+        schemas[j] = ColumnSchema(schema.name, "ordinal", arity=mapping.bins,
+                                  labels=mapping.labels, role=schema.role)
+    return CategoricalDataset(tuple(schemas), cells)

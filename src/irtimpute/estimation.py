@@ -25,9 +25,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import norm
 
-from .data import CategoricalDataset, ColumnSchema
+from .data import CategoricalDataset, DiscretizationMap
 from .errors import (
-    CodeOutOfRange,
     DataError,
     EmptyCategory,
     InsufficientData,
@@ -40,17 +39,14 @@ from .models import (
     GradedItem,
     ItemModel,
     NominalItem,
-    grad_log_probs,
+    _check_code,
     item_from_dict,
     item_param_vector,
     item_to_dict,
     log_category_probs,
 )
 
-SLOPE_BOUNDS = (1e-3, 50.0)
-LOCATION_BOUND = 50.0
 COUNT_FLOOR = 1e-10
-_GAP_MIN = 1e-6
 
 MODEL_FORMAT = "irtimpute-model"
 MODEL_VERSION = 1
@@ -137,6 +133,7 @@ class FittedModel:
     final_loglik: float
     loglik_trace: tuple[float, ...]
     clamp_events: tuple[str, ...] = ()
+    discretization: tuple[DiscretizationMap, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -148,12 +145,6 @@ class ThetaEstimate:
 # ---------------------------------------------------------------------------
 # Vectorized likelihood core
 # ---------------------------------------------------------------------------
-
-def _log_prob_tables(items: tuple[ItemModel, ...], nodes: np.ndarray
-                     ) -> list[np.ndarray]:
-    """Per item, the (grid size, categories) table of log probabilities."""
-    return [log_category_probs(nodes, item) for item in items]
-
 
 def _case_log_joint(codes: np.ndarray, tables: list[np.ndarray],
                     log_weights: np.ndarray) -> np.ndarray:
@@ -192,6 +183,15 @@ def _posteriors_and_loglik(log_joint: np.ndarray
         )
     posterior /= total
     return posterior, case_loglik
+
+
+def _posterior(codes: np.ndarray, items: tuple[ItemModel, ...],
+               grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-case posterior over the grid and marginal log-likelihood."""
+    nodes = grid.node_array()
+    tables = [log_category_probs(nodes, item) for item in items]
+    log_joint = _case_log_joint(codes, tables, np.log(grid.weight_array()))
+    return _posteriors_and_loglik(log_joint)
 
 
 def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
@@ -242,11 +242,7 @@ def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
 
 def _e_step_core(codes: np.ndarray, items: tuple[ItemModel, ...],
                  grid: QuadratureGrid) -> EStepResult:
-    nodes = grid.node_array()
-    log_w = np.log(grid.weight_array())
-    tables = _log_prob_tables(items, nodes)
-    log_joint = _case_log_joint(codes, tables, log_w)
-    posterior, case_loglik = _posteriors_and_loglik(log_joint)
+    posterior, case_loglik = _posterior(codes, items, grid)
     counts = []
     for i, item in enumerate(items):
         col = codes[:, i]
@@ -267,85 +263,16 @@ def _e_step_core(codes: np.ndarray, items: tuple[ItemModel, ...],
 # ---------------------------------------------------------------------------
 # M-step: Newton–Raphson with step-halving in a constraint-free space
 # ---------------------------------------------------------------------------
-#
-# Optimization coordinates per family ("x-space"):
-#   2pl:  [log a, b]
-#   grm:  [log a, b_1, log(b_2 - b_1), ..., log(b_{m-1} - b_{m-2})]
-#   nrm:  [a_1..a_{m-1}, c_1..c_{m-1}]
-# Slope positivity and boundary ordering hold by construction; the parameter
-# boxes are enforced by projecting each iterate.
+# Each family's x-space and parameter boxes live on its class in ``models``.
 
-def _to_x(item: ItemModel) -> np.ndarray:
-    p = item.params
-    if isinstance(p, Binary2PL):
-        return np.array([np.log(p.a), p.b])
-    if isinstance(p, GradedItem):
-        bs = np.asarray(p.boundaries)
-        return np.concatenate([[np.log(p.a), bs[0]], np.log(np.diff(bs))])
-    return item_param_vector(p)
-
-
-def _from_x(item: ItemModel, x: np.ndarray) -> ItemModel:
-    p = item.params
-    if isinstance(p, Binary2PL):
-        return ItemModel(item.column, Binary2PL(float(np.exp(x[0])), float(x[1])))
-    if isinstance(p, GradedItem):
-        bs = x[1] + np.concatenate([[0.0], np.cumsum(np.exp(x[2:]))])
-        return ItemModel(
-            item.column, GradedItem(float(np.exp(x[0])), tuple(bs))
-        )
-    m = len(p.slopes)
-    return ItemModel(item.column, NominalItem(
-        (0.0, *x[: m - 1]), (0.0, *x[m - 1:])
-    ))
-
-
-def _clamp_x(item: ItemModel, x: np.ndarray) -> np.ndarray:
-    """Project an iterate into the parameter boxes, preserving structure."""
-    p = item.params
-    x = np.array(x, dtype=np.float64)
-    if isinstance(p, Binary2PL):
-        x[0] = np.clip(x[0], np.log(SLOPE_BOUNDS[0]), np.log(SLOPE_BOUNDS[1]))
-        x[1] = np.clip(x[1], -LOCATION_BOUND, LOCATION_BOUND)
-        return x
-    if isinstance(p, GradedItem):
-        x[0] = np.clip(x[0], np.log(SLOPE_BOUNDS[0]), np.log(SLOPE_BOUNDS[1]))
-        bs = x[1] + np.concatenate([[0.0], np.cumsum(np.exp(x[2:]))])
-        bs = np.clip(bs, -LOCATION_BOUND, LOCATION_BOUND)
-        # clipping can collapse neighbors; restore a strict minimal gap
-        for j in range(1, bs.size):
-            bs[j] = max(bs[j], bs[j - 1] + _GAP_MIN)
-        x[1] = bs[0]
-        x[2:] = np.log(np.diff(bs))
-        return x
-    return np.clip(x, -LOCATION_BOUND, LOCATION_BOUND)
-
-
-def _chain_gradient(item: ItemModel, x: np.ndarray, g_nat: np.ndarray
-                    ) -> np.ndarray:
-    """Natural-space gradient pulled back to x-space."""
-    p = item.params
-    if isinstance(p, Binary2PL):
-        return np.array([np.exp(x[0]) * g_nat[0], g_nat[1]])
-    if isinstance(p, GradedItem):
-        g_b = g_nat[1:]
-        # every boundary moves with b_1; boundary j moves with gap k<=j
-        suffix = np.cumsum(g_b[::-1])[::-1]
-        return np.concatenate([
-            [np.exp(x[0]) * g_nat[0], suffix[0]],
-            np.exp(x[2:]) * suffix[1:],
-        ])
-    return g_nat
-
-
-def _make_objective(item: ItemModel, r: np.ndarray, nodes: np.ndarray):
+def _make_objective(params, r: np.ndarray, nodes: np.ndarray):
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        candidate = _from_x(item, x)
-        logpi = log_category_probs(nodes, candidate)
+        candidate = params.from_x(x)
+        logpi = candidate.log_probs(nodes)
         f = float(np.sum(r * logpi))
-        _, d_params = grad_log_probs(candidate.params, nodes)
+        _, d_params = candidate.grad(nodes)
         g_nat = np.einsum("qk,qkp->p", r, d_params)
-        return f, _chain_gradient(item, x, g_nat)
+        return f, params.chain_gradient(x, g_nat)
 
     return fg
 
@@ -417,21 +344,6 @@ def _at_bound(x: np.ndarray, clamp) -> bool:
     return False
 
 
-def _bound_events(item: ItemModel) -> list[str]:
-    events = []
-    p = item.params
-    if isinstance(p, (Binary2PL, GradedItem)):
-        if p.a <= SLOPE_BOUNDS[0] or p.a >= SLOPE_BOUNDS[1]:
-            events.append(f"{item.column}: slope clamped at {p.a:g}")
-        locs = [p.b] if isinstance(p, Binary2PL) else list(p.boundaries)
-    else:
-        locs = list(p.slopes[1:]) + list(p.intercepts[1:])
-    if any(abs(v) >= LOCATION_BOUND for v in locs):
-        events.append(f"{item.column}: location clamped at magnitude "
-                      f"{LOCATION_BOUND:g}")
-    return events
-
-
 def m_step_item(item: ItemModel, expected_counts: np.ndarray,
                 grid: QuadratureGrid, config: FitConfig | None = None
                 ) -> ItemModel:
@@ -459,14 +371,15 @@ def _m_step(item: ItemModel, expected_counts: np.ndarray,
             "expected count"
         )
     r = np.maximum(r, COUNT_FLOOR)
-    fg = _make_objective(item, r, grid.node_array())
+    params = item.params
+    fg = _make_objective(params, r, grid.node_array())
     x = _newton_maximize(
-        fg, lambda v: _clamp_x(item, v), _to_x(item),
+        fg, params.clamp_x, params.to_x(),
         config.newton_max_iter, config.newton_tol,
         context=f"item {item.column!r}",
     )
-    updated = _from_x(item, x)
-    return updated, _bound_events(updated)
+    updated = params.from_x(x)
+    return ItemModel(item.column, updated), updated.bound_events(item.column)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +466,7 @@ def _canonicalize_orientation(items: tuple[ItemModel, ...]
     positive-slope constraint; when none are present, orient the fit so the
     summed slopes are nonnegative.
     """
-    if not items or not all(isinstance(i.params, NominalItem) for i in items):
+    if not items or not all(i.family == "nrm" for i in items):
         return items
     total = sum(sum(item.params.slopes) for item in items)
     if total >= 0:
@@ -616,9 +529,10 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
 # EAP scoring
 # ---------------------------------------------------------------------------
 
-def _eap_from_log_joint(log_joint: np.ndarray, nodes: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    posterior, _ = _posteriors_and_loglik(log_joint)
+def _eap(codes: np.ndarray, model: FittedModel
+         ) -> tuple[np.ndarray, np.ndarray]:
+    posterior, _ = _posterior(codes, model.items, model.grid)
+    nodes = model.grid.node_array()
     means = posterior @ nodes
     second = posterior @ (nodes ** 2)
     variances = np.maximum(second - means ** 2, 0.0)
@@ -633,27 +547,15 @@ def eap_score(pattern, model: FittedModel) -> ThetaEstimate:
             f"pattern has {pattern.size} entries for {len(model.items)} items"
         )
     for code, item in zip(pattern, model.items):
-        if code < -1 or code >= item.n_categories:
-            raise CodeOutOfRange(
-                f"code {int(code)} out of range for column {item.column!r}"
-            )
-    nodes = model.grid.node_array()
-    tables = _log_prob_tables(model.items, nodes)
-    log_joint = _case_log_joint(pattern[None, :], tables,
-                                np.log(model.grid.weight_array()))
-    means, sds = _eap_from_log_joint(log_joint, nodes)
+        _check_code(int(code), item)
+    means, sds = _eap(pattern[None, :], model)
     return ThetaEstimate(float(means[0]), float(sds[0]))
 
 
 def eap_scores(data: CategoricalDataset, model: FittedModel
                ) -> tuple[np.ndarray, np.ndarray]:
     """EAP mean and posterior SD for every case in the dataset."""
-    codes = _codes_matrix(data, model.items)
-    nodes = model.grid.node_array()
-    tables = _log_prob_tables(model.items, nodes)
-    log_joint = _case_log_joint(codes, tables,
-                                np.log(model.grid.weight_array()))
-    return _eap_from_log_joint(log_joint, nodes)
+    return _eap(_codes_matrix(data, model.items), model)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +575,12 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         "final_loglik": model.final_loglik,
         "loglik_trace": list(model.loglik_trace),
         "clamp_events": list(model.clamp_events),
+        "discretization": [
+            {"column": mapping.column, "cuts": list(mapping.cuts),
+             "labels": list(mapping.labels)}
+            for mapping in sorted(model.discretization,
+                                  key=lambda mapping: mapping.column)
+        ],
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -680,9 +588,10 @@ def save_model(model: FittedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FittedModel:
+    """Read a :func:`save_model` file (no ``discretization`` key: none)."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: not a model file")
@@ -702,21 +611,17 @@ def load_model(path: str | Path) -> FittedModel:
             final_loglik=float(payload["final_loglik"]),
             loglik_trace=tuple(float(v) for v in payload["loglik_trace"]),
             clamp_events=tuple(str(v) for v in payload["clamp_events"]),
+            discretization=tuple(
+                DiscretizationMap(entry["column"],
+                                  tuple(float(v) for v in entry["cuts"]),
+                                  tuple(entry["labels"]))
+                for entry in payload.get("discretization", ())
+            ),
         )
     except KeyError as exc:
         raise DataError(f"{path}: model file missing key {exc}") from None
-
-
-def _format_params(item: ItemModel) -> str:
-    p = item.params
-    if isinstance(p, Binary2PL):
-        return f"a={p.a:.6f} b={p.b:.6f}"
-    if isinstance(p, GradedItem):
-        bs = " ".join(f"{b:.6f}" for b in p.boundaries)
-        return f"a={p.a:.6f} b=[{bs}]"
-    sl = " ".join(f"{v:.6f}" for v in p.slopes)
-    ic = " ".join(f"{v:.6f}" for v in p.intercepts)
-    return f"a=[{sl}] c=[{ic}]"
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file ({exc})") from None
 
 
 def diagnostics_report(model: FittedModel) -> str:
@@ -730,7 +635,8 @@ def diagnostics_report(model: FittedModel) -> str:
         f"items: {len(model.items)}",
     ]
     for item in model.items:
-        lines.append(f"  {item.column} ({item.family}): {_format_params(item)}")
+        lines.append(
+            f"  {item.column} ({item.family}): {item.params.describe()}")
     if model.clamp_events:
         lines.append("clamping events:")
         lines.extend(f"  {event}" for event in model.clamp_events)

@@ -36,11 +36,19 @@ def impute_cell(theta: float, item: ItemModel) -> tuple[int, np.ndarray]:
     follow :func:`impute_binary_cell` (an exact 0.5 imputes 1).
     """
     probs = category_probs(theta, item)
-    if item.n_categories == 2:
-        code = impute_binary_cell(float(probs[1]))
-    else:
-        code = int(np.argmax(probs))
-    return code, probs
+    return int(_decide(probs)), probs
+
+
+def _decide(probs) -> np.ndarray:
+    """Imputed code for each probability vector along the last axis.
+
+    Binary items take 1 when P(1) >= 0.5; wider items take the argmax,
+    lowest code on ties.
+    """
+    probs = np.asarray(probs)
+    if probs.shape[-1] == 2:
+        return (probs[..., 1] >= 0.5).astype(np.int64)
+    return np.argmax(probs, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -70,16 +78,10 @@ class ImputedDataset:
                     f"cell ({row}, {col}): {len(probs)} probabilities for "
                     f"arity {arity}"
                 )
-            code = int(value)
-            top = int(np.argmax(probs))
-            if arity == 2:
-                expected = 1 if probs[1] >= 0.5 else 0
-            else:
-                expected = top
-            if code != expected:
+            if int(value) != int(_decide(probs)):
                 raise DataError(
-                    f"cell ({row}, {col}): stored code {code} does not match "
-                    "its probability vector"
+                    f"cell ({row}, {col}): stored code {int(value)} does not "
+                    "match its probability vector"
                 )
 
 
@@ -119,11 +121,7 @@ def impute_dataset(data: CategoricalDataset, model: FittedModel
         if rows.size == 0:
             continue
         probs = category_probs(means[rows], item)
-        if item.n_categories == 2:
-            codes = (probs[:, 1] >= 0.5).astype(np.float64)
-        else:
-            codes = np.argmax(probs, axis=1).astype(np.float64)
-        cells[rows, j] = codes
+        cells[rows, j] = _decide(probs)
         for idx, row in enumerate(rows):
             filled[(int(row), j)] = probs[idx]
     for position in sorted(filled):

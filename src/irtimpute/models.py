@@ -11,6 +11,16 @@ constant anywhere):
 * nominal divide-by-total model: ``P(k | t) = softmax_k(a_k * t + c_k)``
   with category 0 anchored at ``a_0 = c_0 = 0``
 
+Each family is one frozen parameter class that owns every rule differing
+by family: ``family``/``kind``/``n_categories``; ``probs``, ``log_probs``
+and their analytic derivatives ``grad``; the flat ``vector``/
+``with_vector``; the M-step's unconstrained coordinates ``to_x``/
+``from_x``, their projection onto the parameter boxes ``clamp_x`` and the
+gradient pull-back ``chain_gradient``; ``bound_events`` for parameters
+resting on a box edge; ``to_dict``/``from_dict`` and ``describe``.  The
+module-level functions (:func:`category_probs`, :func:`item_to_dict`, ...)
+are one-line calls to these methods.
+
 Probability evaluation is overflow-safe for arbitrarily large logits
 (sign-split logistic, max-subtracted softmax).  Log-probabilities are
 computed directly in log space so that tail categories stay accurate far
@@ -19,7 +29,7 @@ into the extremes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit, log_expit
@@ -33,7 +43,6 @@ __all__ = [
     "ItemModel",
     "PatternScore",
     "prob_2pl",
-    "prob_grm_boundary",
     "prob_grm_categories",
     "prob_nrm_categories",
     "category_probs",
@@ -44,8 +53,24 @@ __all__ = [
     "item_with_params",
     "item_to_dict",
     "item_from_dict",
-    "family_for_kind",
 ]
+
+# Parameter boxes the M-step projects every iterate into.
+SLOPE_BOUNDS = (1e-3, 50.0)
+LOCATION_BOUND = 50.0
+_GAP_MIN = 1e-6
+
+# Every routine that views an item as a flat vector uses the same layout:
+#   2pl:  [a, b]
+#   grm:  [a, b_1, ..., b_{m-1}]
+#   nrm:  [a_1, ..., a_{m-1}, c_1, ..., c_{m-1}]   (anchored zeros excluded)
+#
+# The M-step's unconstrained coordinates ("x-space"):
+#   2pl:  [log a, b]
+#   grm:  [log a, b_1, log(b_2 - b_1), ..., log(b_{m-1} - b_{m-2})]
+#   nrm:  [a_1..a_{m-1}, c_1..c_{m-1}]
+# Slope positivity and boundary ordering hold by construction; the parameter
+# boxes are enforced by projecting each iterate.
 
 
 def _check_finite(name: str, values) -> None:
@@ -53,21 +78,98 @@ def _check_finite(name: str, values) -> None:
         raise DataError(f"{name} must be finite")
 
 
+def _bound_events(column: str, slope: float | None, locations) -> list[str]:
+    events = []
+    if slope is not None and (slope <= SLOPE_BOUNDS[0]
+                              or slope >= SLOPE_BOUNDS[1]):
+        events.append(f"{column}: slope clamped at {slope:g}")
+    if any(abs(v) >= LOCATION_BOUND for v in locations):
+        events.append(f"{column}: location clamped at magnitude "
+                      f"{LOCATION_BOUND:g}")
+    return events
+
+
+class _Serialized:
+    """Model-file form: one key per dataclass field, tuples as lists."""
+
+    def to_dict(self) -> dict:
+        values = (getattr(self, f.name) for f in fields(self))
+        return {f.name: list(v) if isinstance(v, tuple) else v
+                for f, v in zip(fields(self), values)}
+
+    @classmethod
+    def from_dict(cls, entry: dict):
+        return cls(*(entry[f.name] for f in fields(cls)))
+
+
 @dataclass(frozen=True)
-class Binary2PL:
+class Binary2PL(_Serialized):
     """Slope ``a > 0`` and location ``b`` of a binary item."""
 
     a: float
     b: float
+
+    family = "2pl"
+    kind = "binary"
+    n_categories = 2
 
     def __post_init__(self) -> None:
         _check_finite("2PL parameters", [self.a, self.b])
         if self.a <= 0:
             raise DataError(f"2PL slope must be positive, got {self.a}")
 
+    def probs(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        z = self.a * (theta[..., None] - self.b)
+        return np.concatenate([expit(-z), expit(z)], axis=-1)
+
+    def log_probs(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        z = self.a * (theta[..., None] - self.b)
+        return np.concatenate([log_expit(-z), log_expit(z)], axis=-1)
+
+    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+        z = self.a * (theta - self.b)
+        prob1 = expit(z)
+        # d log P(k)/dz = k - P(1); chain through z = a (theta - b)
+        resid = np.stack([-prob1, 1.0 - prob1], axis=1)
+        d_theta = self.a * resid
+        d_params = np.empty((theta.shape[0], 2, 2))
+        d_params[:, :, 0] = resid * (theta - self.b)[:, None]
+        d_params[:, :, 1] = -self.a * resid
+        return d_theta, d_params
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.a, self.b])
+
+    def with_vector(self, vector: np.ndarray) -> Binary2PL:
+        return Binary2PL(float(vector[0]), float(vector[1]))
+
+    def to_x(self) -> np.ndarray:
+        return np.array([np.log(self.a), self.b])
+
+    def from_x(self, x: np.ndarray) -> Binary2PL:
+        return Binary2PL(float(np.exp(x[0])), float(x[1]))
+
+    def clamp_x(self, x: np.ndarray) -> np.ndarray:
+        x = np.array(x, dtype=np.float64)
+        x[0] = np.clip(x[0], np.log(SLOPE_BOUNDS[0]), np.log(SLOPE_BOUNDS[1]))
+        x[1] = np.clip(x[1], -LOCATION_BOUND, LOCATION_BOUND)
+        return x
+
+    def chain_gradient(self, x: np.ndarray, g_nat: np.ndarray) -> np.ndarray:
+        return np.array([np.exp(x[0]) * g_nat[0], g_nat[1]])
+
+    def bound_events(self, column: str) -> list[str]:
+        return _bound_events(column, self.a, [self.b])
+
+    def describe(self) -> str:
+        return f"a={self.a:.6f} b={self.b:.6f}"
+
 
 @dataclass(frozen=True)
-class GradedItem:
+class GradedItem(_Serialized):
     """Slope ``a > 0`` and strictly increasing boundary locations.
 
     ``m - 1`` boundaries define ``m`` ordered categories.
@@ -75,6 +177,9 @@ class GradedItem:
 
     a: float
     boundaries: tuple[float, ...]
+
+    family = "grm"
+    kind = "ordinal"
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -91,144 +196,33 @@ class GradedItem:
                 f"{self.boundaries}"
             )
 
-
-@dataclass(frozen=True)
-class NominalItem:
-    """Per-category slopes and intercepts, category 0 anchored at zero."""
-
-    slopes: tuple[float, ...]
-    intercepts: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slopes", tuple(float(v) for v in self.slopes))
-        object.__setattr__(
-            self, "intercepts", tuple(float(v) for v in self.intercepts)
-        )
-        _check_finite("nominal parameters", (*self.slopes, *self.intercepts))
-        if len(self.slopes) != len(self.intercepts):
-            raise DataError("slopes and intercepts must have equal length")
-        if len(self.slopes) < 2:
-            raise DataError("nominal item needs at least two categories")
-        if self.slopes[0] != 0.0 or self.intercepts[0] != 0.0:
-            raise DataError("category 0 must be anchored at slope 0, intercept 0")
-
-
-ItemParams = Binary2PL | GradedItem | NominalItem
-
-_FAMILY_BY_TYPE = {Binary2PL: "2pl", GradedItem: "grm", NominalItem: "nrm"}
-_KIND_TO_FAMILY = {"binary": "2pl", "ordinal": "grm", "nominal": "nrm"}
-
-
-def family_for_kind(kind: str) -> str:
-    """Model family fitted to a column kind (binary/ordinal/nominal)."""
-    try:
-        return _KIND_TO_FAMILY[kind]
-    except KeyError:
-        raise DataError(f"no item family models columns of kind {kind!r}") from None
-
-
-@dataclass(frozen=True)
-class ItemModel:
-    """A fitted (or hand-set) item: a column name plus family parameters."""
-
-    column: str
-    params: ItemParams
-
-    @property
-    def family(self) -> str:
-        return _FAMILY_BY_TYPE[type(self.params)]
-
     @property
     def n_categories(self) -> int:
-        p = self.params
-        if isinstance(p, Binary2PL):
-            return 2
-        if isinstance(p, GradedItem):
-            return len(p.boundaries) + 1
-        return len(p.slopes)
+        return len(self.boundaries) + 1
 
+    def _pstar(self, theta: np.ndarray) -> np.ndarray:
+        """Boundary probabilities with the fixed end columns 1 and 0 attached.
 
-# ---------------------------------------------------------------------------
-# Probability functions
-# ---------------------------------------------------------------------------
+        Shape ``theta.shape + (m + 1,)``.
+        """
+        z = self.a * (theta[..., None] - np.asarray(self.boundaries))
+        pstar = np.empty(theta.shape + (len(self.boundaries) + 2,))
+        pstar[..., 0] = 1.0
+        pstar[..., -1] = 0.0
+        pstar[..., 1:-1] = expit(z)
+        return pstar
 
-def prob_2pl(theta, a: float, b: float):
-    """P(u = 1 | theta) for a binary two-parameter logistic item."""
-    theta = np.asarray(theta, dtype=np.float64)
-    out = expit(a * (theta - b))
-    return float(out) if out.ndim == 0 else out
-
-
-def prob_grm_boundary(theta, a: float, b_k: float):
-    """Boundary curve P(X >= k | theta) = sigmoid(a * (theta - b_k))."""
-    theta = np.asarray(theta, dtype=np.float64)
-    out = expit(a * (theta - b_k))
-    return float(out) if out.ndim == 0 else out
-
-
-def _grm_pstar(theta: np.ndarray, item: GradedItem) -> np.ndarray:
-    """Boundary probabilities with the fixed end columns 1 and 0 attached.
-
-    Shape ``theta.shape + (m + 1,)``.
-    """
-    z = item.a * (theta[..., None] - np.asarray(item.boundaries))
-    pstar = np.empty(theta.shape + (len(item.boundaries) + 2,))
-    pstar[..., 0] = 1.0
-    pstar[..., -1] = 0.0
-    pstar[..., 1:-1] = expit(z)
-    return pstar
-
-
-def prob_grm_categories(theta, item: GradedItem):
-    """Category probabilities of a graded item; shape ``(..., m)``.
-
-    Adjacent boundary differences: nonnegative by monotonicity of the
-    logistic, summing to 1 exactly up to float addition.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    pstar = _grm_pstar(theta, item)
-    return pstar[..., :-1] - pstar[..., 1:]
-
-
-def prob_nrm_categories(theta, item: NominalItem):
-    """Category probabilities of a nominal item; shape ``(..., m)``."""
-    theta = np.asarray(theta, dtype=np.float64)
-    logits = (
-        theta[..., None] * np.asarray(item.slopes)
-        + np.asarray(item.intercepts)
-    )
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
-
-
-def category_probs(theta, item: ItemModel | ItemParams):
-    """Probability of every category at ``theta``; shape ``(..., m)``."""
-    p = item.params if isinstance(item, ItemModel) else item
-    if isinstance(p, Binary2PL):
+    def probs(self, theta) -> np.ndarray:
+        # Adjacent boundary differences: nonnegative by monotonicity of the
+        # logistic, summing to 1 exactly up to float addition.
         theta = np.asarray(theta, dtype=np.float64)
-        z = p.a * (theta[..., None] - p.b)
-        return np.concatenate([expit(-z), expit(z)], axis=-1)
-    if isinstance(p, GradedItem):
-        return prob_grm_categories(theta, p)
-    return prob_nrm_categories(theta, p)
+        pstar = self._pstar(theta)
+        return pstar[..., :-1] - pstar[..., 1:]
 
-
-def log_category_probs(theta, item: ItemModel | ItemParams):
-    """``log`` of :func:`category_probs`, evaluated directly in log space.
-
-    A category whose probability underflows to zero yields ``-inf`` rather
-    than a spurious finite value.
-    """
-    p = item.params if isinstance(item, ItemModel) else item
-    theta = np.asarray(theta, dtype=np.float64)
-    if isinstance(p, Binary2PL):
-        z = p.a * (theta[..., None] - p.b)
-        return np.concatenate([log_expit(-z), log_expit(z)], axis=-1)
-    if isinstance(p, GradedItem):
-        bs = np.asarray(p.boundaries)
-        z = p.a * (theta[..., None] - bs)
+    def log_probs(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        bs = np.asarray(self.boundaries)
+        z = self.a * (theta[..., None] - bs)
         m = len(bs) + 1
         out = np.empty(theta.shape + (m,))
         out[..., 0] = log_expit(-z[..., 0])
@@ -244,49 +238,238 @@ def log_category_probs(theta, item: ItemModel | ItemParams):
                     log_expit(x) + log_expit(-y) + np.log1p(-np.exp(y - x))
                 )
         return out
-    logits = (
-        theta[..., None] * np.asarray(p.slopes) + np.asarray(p.intercepts)
-    )
-    # Log-softmax: after the row maximum is subtracted the normalizer is
-    # log(1 + rest), which logaddexp keeps exact even when rest is far below
-    # machine epsilon, so the dominant category's value does not round to 0.
-    logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.logaddexp.reduce(logits, axis=-1, keepdims=True)
-    return logits
+
+    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+        T = theta.shape[0]
+        bs = np.asarray(self.boundaries)
+        m = len(bs) + 1
+        pstar = self._pstar(theta)
+        pi = pstar[:, :-1] - pstar[:, 1:]
+        # density of each boundary curve, with flat virtual boundaries at
+        # the ends (s_0 = s_m = 0)
+        s = pstar * (1.0 - pstar)
+        s[:, 0] = 0.0
+        s[:, -1] = 0.0
+        tb = np.zeros((T, m + 1))
+        tb[:, 1:-1] = (theta[:, None] - bs) * s[:, 1:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_pi = np.where(pi > 0, 1.0 / np.maximum(pi, 1e-300), 0.0)
+        d_theta = self.a * (s[:, :-1] - s[:, 1:]) * inv_pi
+        d_params = np.zeros((T, m, m))
+        d_params[:, :, 0] = (tb[:, :-1] - tb[:, 1:]) * inv_pi
+        ks = np.arange(1, m)
+        # d pi_k / d b_j is nonzero only for j = k (-a s_j) and j = k+1 (+a s_j)
+        d_params[:, ks, ks] = -self.a * s[:, 1:-1] * inv_pi[:, 1:]
+        d_params[:, ks - 1, ks] = self.a * s[:, 1:-1] * inv_pi[:, :-1]
+        return d_theta, d_params
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.a, *self.boundaries])
+
+    def with_vector(self, vector: np.ndarray) -> GradedItem:
+        return GradedItem(float(vector[0]), tuple(vector[1:]))
+
+    def to_x(self) -> np.ndarray:
+        bs = np.asarray(self.boundaries)
+        return np.concatenate([[np.log(self.a), bs[0]], np.log(np.diff(bs))])
+
+    @staticmethod
+    def _x_boundaries(x: np.ndarray) -> np.ndarray:
+        return x[1] + np.concatenate([[0.0], np.cumsum(np.exp(x[2:]))])
+
+    def from_x(self, x: np.ndarray) -> GradedItem:
+        return GradedItem(float(np.exp(x[0])), tuple(self._x_boundaries(x)))
+
+    def clamp_x(self, x: np.ndarray) -> np.ndarray:
+        x = np.array(x, dtype=np.float64)
+        x[0] = np.clip(x[0], np.log(SLOPE_BOUNDS[0]), np.log(SLOPE_BOUNDS[1]))
+        bs = np.clip(self._x_boundaries(x), -LOCATION_BOUND, LOCATION_BOUND)
+        # clipping can collapse neighbors; restore a strict minimal gap
+        for j in range(1, bs.size):
+            bs[j] = max(bs[j], bs[j - 1] + _GAP_MIN)
+        x[1] = bs[0]
+        x[2:] = np.log(np.diff(bs))
+        return x
+
+    def chain_gradient(self, x: np.ndarray, g_nat: np.ndarray) -> np.ndarray:
+        g_b = g_nat[1:]
+        # every boundary moves with b_1; boundary j moves with gap k<=j
+        suffix = np.cumsum(g_b[::-1])[::-1]
+        return np.concatenate([
+            [np.exp(x[0]) * g_nat[0], suffix[0]],
+            np.exp(x[2:]) * suffix[1:],
+        ])
+
+    def bound_events(self, column: str) -> list[str]:
+        return _bound_events(column, self.a, self.boundaries)
+
+    def describe(self) -> str:
+        bs = " ".join(f"{b:.6f}" for b in self.boundaries)
+        return f"a={self.a:.6f} b=[{bs}]"
+
+
+@dataclass(frozen=True)
+class NominalItem(_Serialized):
+    """Per-category slopes and intercepts, category 0 anchored at zero."""
+
+    slopes: tuple[float, ...]
+    intercepts: tuple[float, ...]
+
+    family = "nrm"
+    kind = "nominal"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slopes", tuple(float(v) for v in self.slopes))
+        object.__setattr__(
+            self, "intercepts", tuple(float(v) for v in self.intercepts)
+        )
+        _check_finite("nominal parameters", (*self.slopes, *self.intercepts))
+        if len(self.slopes) != len(self.intercepts):
+            raise DataError("slopes and intercepts must have equal length")
+        if len(self.slopes) < 2:
+            raise DataError("nominal item needs at least two categories")
+        if self.slopes[0] != 0.0 or self.intercepts[0] != 0.0:
+            raise DataError("category 0 must be anchored at slope 0, intercept 0")
+
+    @property
+    def n_categories(self) -> int:
+        return len(self.slopes)
+
+    def _logits(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        return (
+            theta[..., None] * np.asarray(self.slopes)
+            + np.asarray(self.intercepts)
+        )
+
+    def probs(self, theta) -> np.ndarray:
+        logits = self._logits(theta)
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+        return logits
+
+    def log_probs(self, theta) -> np.ndarray:
+        logits = self._logits(theta)
+        # Log-softmax: after the row maximum is subtracted the normalizer is
+        # log(1 + rest), which logaddexp keeps exact even when rest is far
+        # below machine epsilon, so the dominant category's value does not
+        # round to 0.
+        logits -= logits.max(axis=-1, keepdims=True)
+        logits -= np.logaddexp.reduce(logits, axis=-1, keepdims=True)
+        return logits
+
+    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+        slopes = np.asarray(self.slopes)
+        m = len(slopes)
+        pi = self.probs(theta)
+        d_theta = slopes[None, :] - (pi @ slopes)[:, None]
+        delta = np.eye(m)[None, :, 1:] - pi[:, None, 1:]
+        d_params = np.concatenate([theta[:, None, None] * delta, delta], axis=2)
+        return d_theta, d_params
+
+    def vector(self) -> np.ndarray:
+        return np.array([*self.slopes[1:], *self.intercepts[1:]])
+
+    def with_vector(self, vector: np.ndarray) -> NominalItem:
+        m = len(self.slopes)
+        return NominalItem((0.0, *vector[: m - 1]), (0.0, *vector[m - 1:]))
+
+    # nominal parameters are unconstrained: x-space is the flat vector
+    to_x = vector
+    from_x = with_vector
+
+    def clamp_x(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(np.array(x, dtype=np.float64),
+                       -LOCATION_BOUND, LOCATION_BOUND)
+
+    def chain_gradient(self, x: np.ndarray, g_nat: np.ndarray) -> np.ndarray:
+        return g_nat
+
+    def bound_events(self, column: str) -> list[str]:
+        return _bound_events(column, None, self.vector())
+
+    def describe(self) -> str:
+        sl = " ".join(f"{v:.6f}" for v in self.slopes)
+        ic = " ".join(f"{v:.6f}" for v in self.intercepts)
+        return f"a=[{sl}] c=[{ic}]"
+
+
+ItemParams = Binary2PL | GradedItem | NominalItem
+
+_CLASS_BY_FAMILY = {cls.family: cls for cls in (Binary2PL, GradedItem,
+                                                NominalItem)}
+
+
+@dataclass(frozen=True)
+class ItemModel:
+    """A fitted (or hand-set) item: a column name plus family parameters."""
+
+    column: str
+    params: ItemParams
+
+    @property
+    def family(self) -> str:
+        return self.params.family
+
+    @property
+    def n_categories(self) -> int:
+        return self.params.n_categories
+
+
+def _params(item: ItemModel | ItemParams) -> ItemParams:
+    return item.params if isinstance(item, ItemModel) else item
+
+
+# ---------------------------------------------------------------------------
+# Probability functions
+# ---------------------------------------------------------------------------
+
+def prob_2pl(theta, a: float, b: float):
+    """P(u = 1 | theta) for a binary two-parameter logistic item."""
+    theta = np.asarray(theta, dtype=np.float64)
+    out = expit(a * (theta - b))
+    return float(out) if out.ndim == 0 else out
+
+
+def prob_grm_categories(theta, item: GradedItem):
+    """Category probabilities of a graded item; shape ``(..., m)``."""
+    return item.probs(theta)
+
+
+def prob_nrm_categories(theta, item: NominalItem):
+    """Category probabilities of a nominal item; shape ``(..., m)``."""
+    return item.probs(theta)
+
+
+def category_probs(theta, item: ItemModel | ItemParams):
+    """Probability of every category at ``theta``; shape ``(..., m)``."""
+    return _params(item).probs(theta)
+
+
+def log_category_probs(theta, item: ItemModel | ItemParams):
+    """``log`` of :func:`category_probs`, evaluated directly in log space.
+
+    A category whose probability underflows to zero yields ``-inf`` rather
+    than a spurious finite value.
+    """
+    return _params(item).log_probs(theta)
 
 
 # ---------------------------------------------------------------------------
 # Free-parameter vectors
-#
-# Every routine that views an item as a flat vector uses the same layout:
-#   2pl:  [a, b]
-#   grm:  [a, b_1, ..., b_{m-1}]
-#   nrm:  [a_1, ..., a_{m-1}, c_1, ..., c_{m-1}]   (anchored zeros excluded)
 # ---------------------------------------------------------------------------
 
 def item_param_vector(item: ItemModel | ItemParams) -> np.ndarray:
-    p = item.params if isinstance(item, ItemModel) else item
-    if isinstance(p, Binary2PL):
-        return np.array([p.a, p.b])
-    if isinstance(p, GradedItem):
-        return np.array([p.a, *p.boundaries])
-    return np.array([*p.slopes[1:], *p.intercepts[1:]])
+    return _params(item).vector()
 
 
 def item_with_params(item: ItemModel, vector: np.ndarray) -> ItemModel:
     """Rebuild an item of the same family/column from a flat vector."""
     vector = np.asarray(vector, dtype=np.float64)
-    p = item.params
-    if isinstance(p, Binary2PL):
-        params: ItemParams = Binary2PL(float(vector[0]), float(vector[1]))
-    elif isinstance(p, GradedItem):
-        params = GradedItem(float(vector[0]), tuple(vector[1:]))
-    else:
-        m = len(p.slopes)
-        params = NominalItem(
-            (0.0, *vector[: m - 1]), (0.0, *vector[m - 1 :])
-        )
-    return ItemModel(item.column, params)
+    return ItemModel(item.column, item.params.with_vector(vector))
 
 
 # ---------------------------------------------------------------------------
@@ -327,47 +510,7 @@ def grad_log_probs(
     ``log P(category k | theta_t)`` with respect to theta and to the item's
     parameter vector (layout of :func:`item_param_vector`).
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    T = theta.shape[0]
-    if isinstance(params, Binary2PL):
-        z = params.a * (theta - params.b)
-        prob1 = expit(z)
-        # d log P(k)/dz = k - P(1); chain through z = a (theta - b)
-        resid = np.stack([-prob1, 1.0 - prob1], axis=1)
-        d_theta = params.a * resid
-        d_params = np.empty((T, 2, 2))
-        d_params[:, :, 0] = resid * (theta - params.b)[:, None]
-        d_params[:, :, 1] = -params.a * resid
-        return d_theta, d_params
-    if isinstance(params, GradedItem):
-        bs = np.asarray(params.boundaries)
-        m = len(bs) + 1
-        pstar = _grm_pstar(theta, params)
-        pi = pstar[:, :-1] - pstar[:, 1:]
-        # density of each boundary curve, with flat virtual boundaries at
-        # the ends (s_0 = s_m = 0)
-        s = pstar * (1.0 - pstar)
-        s[:, 0] = 0.0
-        s[:, -1] = 0.0
-        tb = np.zeros((T, m + 1))
-        tb[:, 1:-1] = (theta[:, None] - bs) * s[:, 1:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_pi = np.where(pi > 0, 1.0 / np.maximum(pi, 1e-300), 0.0)
-        d_theta = params.a * (s[:, :-1] - s[:, 1:]) * inv_pi
-        d_params = np.zeros((T, m, m))
-        d_params[:, :, 0] = (tb[:, :-1] - tb[:, 1:]) * inv_pi
-        ks = np.arange(1, m)
-        # d pi_k / d b_j is nonzero only for j = k (-a s_j) and j = k+1 (+a s_j)
-        d_params[:, ks, ks] = -params.a * s[:, 1:-1] * inv_pi[:, 1:]
-        d_params[:, ks - 1, ks] = params.a * s[:, 1:-1] * inv_pi[:, :-1]
-        return d_theta, d_params
-    slopes = np.asarray(params.slopes)
-    m = len(slopes)
-    pi = prob_nrm_categories(theta, params)
-    d_theta = slopes[None, :] - (pi @ slopes)[:, None]
-    delta = np.eye(m)[None, :, 1:] - pi[:, None, 1:]
-    d_params = np.concatenate([theta[:, None, None] * delta, delta], axis=2)
-    return d_theta, d_params
+    return params.grad(theta)
 
 
 @dataclass(frozen=True)
@@ -408,30 +551,17 @@ def pattern_score(
 # ---------------------------------------------------------------------------
 
 def item_to_dict(item: ItemModel) -> dict:
-    p = item.params
-    if isinstance(p, Binary2PL):
-        body: dict = {"a": p.a, "b": p.b}
-    elif isinstance(p, GradedItem):
-        body = {"a": p.a, "boundaries": list(p.boundaries)}
-    else:
-        body = {"slopes": list(p.slopes), "intercepts": list(p.intercepts)}
-    return {"column": item.column, "family": item.family, **body}
+    return {"column": item.column, "family": item.family,
+            **item.params.to_dict()}
 
 
 def item_from_dict(entry: dict) -> ItemModel:
     try:
         family = entry["family"]
         column = entry["column"]
-        if family == "2pl":
-            params: ItemParams = Binary2PL(entry["a"], entry["b"])
-        elif family == "grm":
-            params = GradedItem(entry["a"], tuple(entry["boundaries"]))
-        elif family == "nrm":
-            params = NominalItem(
-                tuple(entry["slopes"]), tuple(entry["intercepts"])
-            )
-        else:
+        if family not in _CLASS_BY_FAMILY:
             raise DataError(f"unknown item family {family!r}")
+        params = _CLASS_BY_FAMILY[family].from_dict(entry)
     except KeyError as exc:
         raise DataError(f"item entry missing key {exc}") from None
     return ItemModel(column, params)

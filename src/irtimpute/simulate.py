@@ -21,8 +21,6 @@ from .models import (
 
 __all__ = ["simulate_items", "simulate_responses", "simulate_dataset"]
 
-_FAMILY_TO_KIND = {"2pl": "binary", "grm": "ordinal", "nrm": "nominal"}
-
 
 def simulate_items(
     family: str,
@@ -39,7 +37,7 @@ def simulate_items(
     free slopes come from the slope range and free intercepts from the
     location range (category 0 stays anchored at zero).
     """
-    if family not in _FAMILY_TO_KIND:
+    if family not in ("2pl", "grm", "nrm"):
         raise DataError(f"unknown family {family!r}")
     items = []
     for i in range(n_items):
@@ -95,7 +93,7 @@ def simulate_dataset(
     thetas = rng.standard_normal(n_cases)
     codes = simulate_responses(items, thetas, rng)
     schemas = tuple(
-        ColumnSchema(item.column, _FAMILY_TO_KIND[item.family],
+        ColumnSchema(item.column, item.params.kind,
                      arity=item.n_categories)
         for item in items
     )

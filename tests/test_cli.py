@@ -1,5 +1,7 @@
 """End-to-end command-line runs: exit codes, files written, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from irtimpute.data import (
     load_schema,
 )
 from irtimpute.errors import NumericalFailure, UsageError
-from irtimpute.estimation import load_model
+from irtimpute.estimation import load_model, save_model
 from irtimpute.simulate import simulate_dataset, simulate_items
 
 
@@ -207,6 +209,70 @@ class TestFitCommand:
         assert run(args + ["--out", tmp_path / "b.json"]) == 0
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
+
+    def test_library_save_reproduces_cli_model_file(self, corpus, holed,
+                                                   tmp_path):
+        out = tmp_path / "model.json"
+        assert run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                    "--out", out]) == 0
+        model = load_model(out)
+        assert [m.column for m in model.discretization] == ["wear"]
+        again = tmp_path / "again.json"
+        save_model(model, again)
+        assert again.read_bytes() == out.read_bytes()
+
+
+class TestDataErrorBoundary:
+    """Unreadable, unwritable or malformed files exit 2 with one line."""
+
+    @pytest.fixture
+    def model_file(self, corpus, holed, tmp_path):
+        out = tmp_path / "model.json"
+        assert run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                    "--out", out]) == 0
+        return out
+
+    @staticmethod
+    def assert_one_data_error(rc, capsys):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: data: ")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload: payload["items"][0].update(a="oops"),
+        lambda payload: payload["items"][0].update(boundaries=5),
+        lambda payload: payload["discretization"][0].pop("cuts"),
+    ], ids=["slope-string", "boundaries-number", "cuts-missing"])
+    def test_corrupted_model_file(self, corpus, holed, model_file, tmp_path,
+                                  capsys, corrupt):
+        payload = json.loads(model_file.read_text())
+        corrupt(payload)
+        model_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run(["impute", "--data", holed, "--schema", corpus / "truth.cols",
+                  "--model", model_file, "--out", tmp_path / "out.csv"])
+        self.assert_one_data_error(rc, capsys)
+
+    def test_data_file_not_utf8(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((corpus / "truth.csv").read_bytes() + b"\xff\xfe\n")
+        rc = run(["mcar-test", "--data", bad, "--schema", corpus / "truth.cols"])
+        self.assert_one_data_error(rc, capsys)
+
+    def test_unwritable_model_out(self, corpus, holed, tmp_path, capsys):
+        rc = run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                  "--out", tmp_path / "absent-dir" / "m.json"])
+        self.assert_one_data_error(rc, capsys)
+
+    def test_unwritable_probabilities(self, corpus, holed, model_file,
+                                      tmp_path, capsys):
+        capsys.readouterr()
+        rc = run(["impute", "--data", holed, "--schema", corpus / "truth.cols",
+                  "--model", model_file, "--out", tmp_path / "out.csv",
+                  "--probabilities", tmp_path / "absent-dir" / "p.csv"])
+        self.assert_one_data_error(rc, capsys)
 
 
 class TestImputeCommand:

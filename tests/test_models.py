@@ -30,7 +30,6 @@ from irtimpute.models import (
     pattern_loglik,
     pattern_score,
     prob_2pl,
-    prob_grm_boundary,
     prob_grm_categories,
     prob_nrm_categories,
 )
@@ -73,7 +72,7 @@ class TestBinary2PL:
 class TestGradedModel:
     def test_boundary_known_value(self):
         # sigmoid(1.5 * (0 - -0.5)) = sigmoid(0.75)
-        assert_allclose(prob_grm_boundary(0.0, a=1.5, b_k=-0.5),
+        assert_allclose(prob_2pl(0.0, a=1.5, b=-0.5),
                         0.679178699175393, rtol=1e-15)
 
     def test_category_known_values(self):
@@ -101,7 +100,7 @@ class TestGradedModel:
         probs = prob_grm_categories(thetas, item)
         for k, b_k in enumerate(item.boundaries, start=1):
             tail = probs[:, k:].sum(axis=-1)
-            assert_allclose(tail, prob_grm_boundary(thetas, item.a, b_k),
+            assert_allclose(tail, prob_2pl(thetas, item.a, b_k),
                             atol=1e-12)
 
     def test_expected_category_nondecreasing_in_theta(self):
@@ -282,3 +281,41 @@ class TestSerialization:
     def test_unknown_family_rejected(self):
         with pytest.raises(DataError):
             item_from_dict({"column": "c", "family": "rasch", "a": 1.0})
+
+
+class TestFamilyProtocol:
+    """The per-family methods the M-step and the model file rely on."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_vector_and_dict_round_trips(self, family):
+        params = random_item(np.random.default_rng(47), family, m=4).params
+        assert params.family == family
+        assert params.n_categories == params.probs(0.0).shape[-1]
+        assert params.with_vector(params.vector()) == params
+        assert type(params).from_dict(params.to_dict()) == params
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_x_space_round_trip_and_interior_clamp(self, family):
+        params = random_item(np.random.default_rng(53), family, m=5).params
+        x = params.to_x()
+        assert_allclose(params.from_x(x).vector(), params.vector(),
+                        rtol=1e-13, atol=1e-15)
+        assert_allclose(params.clamp_x(x), x, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chain_gradient_matches_central_differences(self, family):
+        rng = np.random.default_rng(59)
+        params = random_item(rng, family, m=4).params
+        nodes = np.linspace(-4.0, 4.0, 21)
+        r = rng.uniform(0.1, 5.0, size=(nodes.size, params.n_categories))
+        x = params.to_x()
+
+        def objective(v):
+            return float(np.sum(r * params.from_x(v).log_probs(nodes)))
+
+        _, d_params = params.from_x(x).grad(nodes)
+        got = params.chain_gradient(x, np.einsum("qk,qkp->p", r, d_params))
+        h = 1e-6
+        fd = np.array([(objective(x + h * e) - objective(x - h * e)) / (2 * h)
+                       for e in np.eye(x.size)])
+        assert np.all(np.abs(got - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))

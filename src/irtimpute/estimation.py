@@ -11,6 +11,21 @@ grid carrying standard-normal prior weights.  Fitting alternates:
   constraints (positive slopes, ordered boundaries, anchored zero category)
   cannot be violated.
 
+The E-step is two sparse products.  The code matrix is encoded once per fit
+as a CSR design ``X`` of shape cases × (1 + ΣK): column 0 holds ones, then
+each item has a block of one-hot columns, one per category, and a missing
+cell has no entry in its item's block.  Stacking the log prior weights on
+the transposed per-item log-probability tables gives ``L`` of shape
+(1 + ΣK) × nodes, so ``X @ L`` is every case's log prior plus log pattern
+likelihood, and ``X.T @ posterior`` holds every item's expected counts
+(block by block) with the node masses in row 0.  Scipy adds each output
+row's terms one at a time in index order, starting from zero: the prior
+first and then the items in order, or the cases in order.  That is the
+order of a plain per-item loop, so the products match such a loop bit for
+bit, and no BLAS thread count can change them.  An absent entry is never
+multiplied, so a log-probability of ``-inf`` on a category a case did not
+give cannot turn into ``0 × -inf = nan``.
+
 Convergence is declared on the maximum absolute parameter change, not the
 log-likelihood change.  Scoring is the posterior mean (and SD) of the trait
 on the same grid; missing cells simply drop out of the pattern likelihood.
@@ -23,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.stats import norm
 
 from .data import CategoricalDataset, DiscretizationMap
@@ -146,21 +162,34 @@ class ThetaEstimate:
 # Vectorized likelihood core
 # ---------------------------------------------------------------------------
 
-def _case_log_joint(codes: np.ndarray, tables: list[np.ndarray],
-                    log_weights: np.ndarray) -> np.ndarray:
-    """(cases, nodes) matrix of log prior + log pattern likelihood.
+def _design(codes: np.ndarray, items: tuple[ItemModel, ...]) -> csr_array:
+    """One-hot design matrix: cases × (1 + total categories).
 
-    ``codes`` is an integer matrix aligned with the tables; -1 marks a
-    missing cell, which contributes nothing to the sum.
+    ``codes`` is an integer matrix aligned with ``items``; -1 marks a
+    missing cell, which gets no entry.  Each row's column indices increase,
+    so products add the prior first and then the items in order.
     """
+    sizes = [item.n_categories for item in items]
+    starts = np.cumsum([1, *sizes])
     n = codes.shape[0]
-    total = np.tile(log_weights, (n, 1))
-    for i, table in enumerate(tables):
-        col = codes[:, i]
-        observed = col >= 0
-        if observed.any():
-            total[observed] += table[:, col[observed]].T
-    return total
+    columns = np.column_stack([np.zeros(n, np.int64), codes + starts[:-1]])
+    present = np.column_stack([np.ones(n, bool), codes >= 0])
+    indices = columns[present]
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    return csr_array((np.ones(indices.size), indices, indptr),
+                     shape=(n, int(starts[-1])))
+
+
+def _log_table(items: tuple[ItemModel, ...], grid: QuadratureGrid
+               ) -> np.ndarray:
+    """Log prior weights over the items' transposed log-probability tables.
+
+    Shape (1 + total categories, nodes), matching the columns of
+    :func:`_design`.
+    """
+    nodes = grid.node_array()
+    return np.vstack([np.log(grid.weight_array())[None, :],
+                      *(log_category_probs(nodes, item).T for item in items)])
 
 
 def _posteriors_and_loglik(log_joint: np.ndarray
@@ -185,13 +214,10 @@ def _posteriors_and_loglik(log_joint: np.ndarray
     return posterior, case_loglik
 
 
-def _posterior(codes: np.ndarray, items: tuple[ItemModel, ...],
-               grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+def _posterior(x: csr_array, log_table: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Per-case posterior over the grid and marginal log-likelihood."""
-    nodes = grid.node_array()
-    tables = [log_category_probs(nodes, item) for item in items]
-    log_joint = _case_log_joint(codes, tables, np.log(grid.weight_array()))
-    return _posteriors_and_loglik(log_joint)
+    return _posteriors_and_loglik(x @ log_table)
 
 
 def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
@@ -236,25 +262,26 @@ def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
             f"items are bound to {[i.column for i in items]!r} but the "
             f"feature columns are {feature_names!r}"
         )
-    codes = _codes_matrix(data, tuple(items))
-    return _e_step_core(codes, tuple(items), grid)
+    items = tuple(items)
+    return _e_step_core(_design(_codes_matrix(data, items), items), items,
+                        grid)
 
 
-def _e_step_core(codes: np.ndarray, items: tuple[ItemModel, ...],
+def _e_step_core(x: csr_array, items: tuple[ItemModel, ...],
                  grid: QuadratureGrid) -> EStepResult:
-    posterior, case_loglik = _posterior(codes, items, grid)
+    posterior, case_loglik = _posterior(x, _log_table(items, grid))
+    # x.T is the CSC view of the same arrays; its product also adds each
+    # output row's terms in case order.
+    totals = x.T @ posterior
     counts = []
-    for i, item in enumerate(items):
-        col = codes[:, i]
-        r = np.zeros((grid.size, item.n_categories))
-        for k in range(item.n_categories):
-            rows = col == k
-            if rows.any():
-                r[:, k] = posterior[rows].sum(axis=0)
-        counts.append(r)
+    start = 1
+    for item in items:
+        stop = start + item.n_categories
+        counts.append(np.ascontiguousarray(totals[start:stop].T))
+        start = stop
     return EStepResult(
         expected_counts=tuple(counts),
-        node_masses=posterior.sum(axis=0),
+        node_masses=totals[0],
         marginal_loglik=float(case_loglik.sum()),
         posteriors=posterior,
     )
@@ -486,14 +513,14 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
     _check_fit_preconditions(data)
     grid = build_grid(config.grid_size, config.grid_range)
     items = _initial_items(data, config)
-    codes = _codes_matrix(data, items)
+    x = _design(_codes_matrix(data, items), items)
     trace: list[float] = []
     clamp_events: list[str] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
         iterations += 1
-        es = _e_step_core(codes, items, grid)
+        es = _e_step_core(x, items, grid)
         trace.append(es.marginal_loglik)
         new_items = []
         events: list[str] = []
@@ -512,7 +539,7 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
             converged = True
             break
     items = _canonicalize_orientation(items)
-    final = _e_step_core(codes, items, grid)
+    final = _e_step_core(x, items, grid)
     trace.append(final.marginal_loglik)
     return FittedModel(
         items=items,
@@ -531,7 +558,8 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
 
 def _eap(codes: np.ndarray, model: FittedModel
          ) -> tuple[np.ndarray, np.ndarray]:
-    posterior, _ = _posterior(codes, model.items, model.grid)
+    posterior, _ = _posterior(_design(codes, model.items),
+                              _log_table(model.items, model.grid))
     nodes = model.grid.node_array()
     means = posterior @ nodes
     second = posterior @ (nodes ** 2)

@@ -78,12 +78,20 @@ def _check_finite(name: str, values) -> None:
         raise DataError(f"{name} must be finite")
 
 
+# A parameter clipped to a box edge in x-space comes back through exp (and,
+# for graded boundaries, a cumsum of gaps) a few ulps off the edge, on
+# either side: exp(log(50.0)) is 49.99999999999999.  Within this relative
+# tolerance a value counts as pressed against the edge.
+_EDGE_RTOL = 64 * np.finfo(np.float64).eps
+
+
 def _bound_events(column: str, slope: float | None, locations) -> list[str]:
     events = []
-    if slope is not None and (slope <= SLOPE_BOUNDS[0]
-                              or slope >= SLOPE_BOUNDS[1]):
+    if slope is not None and (
+            slope <= SLOPE_BOUNDS[0] * (1.0 + _EDGE_RTOL)
+            or slope >= SLOPE_BOUNDS[1] * (1.0 - _EDGE_RTOL)):
         events.append(f"{column}: slope clamped at {slope:g}")
-    if any(abs(v) >= LOCATION_BOUND for v in locations):
+    if any(abs(v) >= LOCATION_BOUND * (1.0 - _EDGE_RTOL) for v in locations):
         events.append(f"{column}: location clamped at magnitude "
                       f"{LOCATION_BOUND:g}")
     return events

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from irtimpute.estimation import _posteriors_and_loglik
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
@@ -11,6 +12,7 @@ from irtimpute.models import (
     NominalItem,
     item_param_vector,
     item_with_params,
+    log_category_probs,
     pattern_loglik,
 )
 
@@ -78,3 +80,31 @@ def finite_difference_score(pattern, items, theta, h=1e-5):
             grad[p] = (f_hi - f_lo) / (2 * h)
         d_items.append(grad)
     return d_theta, d_items
+
+
+def dense_e_step(codes, items, grid):
+    """Per-item dense E-step loop (bit-for-bit reference for the sparse core).
+
+    ``codes`` is the case × item code matrix, -1 for a missing cell.  The log
+    joint starts from the log prior and adds the items in order; each
+    category's counts sum the posterior rows of the cases that gave it, in
+    case order.  Returns ``(posteriors, counts, node_masses, loglik)``.
+    """
+    nodes = grid.node_array()
+    total = np.tile(np.log(grid.weight_array()), (codes.shape[0], 1))
+    for i, item in enumerate(items):
+        col = codes[:, i]
+        observed = col >= 0
+        if observed.any():
+            table = log_category_probs(nodes, item)
+            total[observed] += table[:, col[observed]].T
+    posterior, case_loglik = _posteriors_and_loglik(total)
+    counts = []
+    for i, item in enumerate(items):
+        r = np.zeros((grid.size, item.n_categories))
+        for k in range(item.n_categories):
+            rows = codes[:, i] == k
+            if rows.any():
+                r[:, k] = posterior[rows].sum(axis=0)
+        counts.append(r)
+    return posterior, counts, posterior.sum(axis=0), float(case_loglik.sum())

@@ -1,10 +1,15 @@
 """End-to-end command-line runs: exit codes, files written, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irtimpute
 from irtimpute.cli import _expand_config, _read_config, main
 from irtimpute.data import (
     MISSING,
@@ -220,6 +225,32 @@ class TestFitCommand:
         again = tmp_path / "again.json"
         save_model(model, again)
         assert again.read_bytes() == out.read_bytes()
+
+    def test_model_file_independent_of_blas_thread_count(self, tmp_path):
+        rng = np.random.default_rng(71)
+        items = (simulate_items("2pl", 2, rng, name_prefix="b")
+                 + simulate_items("grm", 2, rng, n_categories=4,
+                                  name_prefix="g")
+                 + simulate_items("nrm", 2, rng, n_categories=3,
+                                  name_prefix="n"))
+        data = simulate_dataset(items, 300, seed=72)
+        cells = data.cells.copy()
+        cells[rng.uniform(size=cells.shape) < 0.15] = MISSING
+        emit_csv(data.with_cells(cells), tmp_path / "d.csv")
+        (tmp_path / "d.cols").write_text(format_schema(data.schemas))
+        src = str(Path(irtimpute.__file__).resolve().parents[1])
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model-{threads}.json"
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "irtimpute.cli", "fit",
+                 "--data", str(tmp_path / "d.csv"),
+                 "--schema", str(tmp_path / "d.cols"), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=60)
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
 
 class TestDataErrorBoundary:

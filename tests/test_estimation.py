@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import random_item
+from helpers import dense_e_step, random_item
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
 from irtimpute.errors import (
     CodeOutOfRange,
@@ -25,6 +25,8 @@ from irtimpute.estimation import (
     FitConfig,
     FittedModel,
     QuadratureGrid,
+    _design,
+    _posterior,
     _posteriors_and_loglik,
     build_grid,
     diagnostics_report,
@@ -174,6 +176,64 @@ class TestEStep:
             with pytest.raises(NumericalFailure):
                 _posteriors_and_loglik(log_joint)
 
+
+class TestSparseEStep:
+    def test_bit_identical_to_dense_loop(self):
+        # 2PL, graded and nominal items; 20 % of cells missing and the last
+        # row missing everywhere
+        rng = np.random.default_rng(17)
+        items = (
+            ItemModel("u", random_item(rng, "2pl").params),
+            ItemModel("v", random_item(rng, "grm", m=4).params),
+            ItemModel("w", random_item(rng, "nrm", m=3).params),
+        )
+        schemas = (ColumnSchema("u", "binary"),
+                   ColumnSchema("v", "ordinal", arity=4),
+                   ColumnSchema("w", "nominal", arity=3))
+        codes = np.column_stack([rng.integers(item.n_categories, size=2000)
+                                 for item in items])
+        codes[rng.uniform(size=codes.shape) < 0.2] = MISSING
+        codes[-1] = MISSING
+        data = CategoricalDataset(schemas, codes.astype(float))
+        grid = build_grid()
+        result = e_step(data, items, grid)
+        posts, counts, masses, loglik = dense_e_step(codes, items, grid)
+        assert_array_equal(result.posteriors, posts)
+        assert len(result.expected_counts) == len(counts)
+        for got, want in zip(result.expected_counts, counts):
+            assert_array_equal(got, want)
+        assert_array_equal(result.node_masses, masses)
+        assert result.marginal_loglik == loglik
+
+    @staticmethod
+    def posterior_with_impossible_categories(codes):
+        """Core posterior for two binary items whose log table holds -inf.
+
+        Item 0's category 0 is impossible below the middle node and item 1's
+        category 1 is impossible everywhere.  Warnings are errors.
+        """
+        grid = build_grid()
+        table = np.full((5, grid.size), np.log(0.5))
+        table[0] = np.log(grid.weight_array())
+        table[1, : grid.size // 2] = -np.inf
+        table[4] = -np.inf
+        items = (ItemModel("u", Binary2PL(1.0, 0.0)),
+                 ItemModel("v", Binary2PL(1.0, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _posterior(_design(codes, items), table)
+
+    def test_unobserved_minus_inf_leaves_posterior_finite(self):
+        codes = np.array([[1, MISSING], [1, 0], [MISSING, MISSING]])
+        posterior, loglik = self.posterior_with_impossible_categories(codes)
+        assert np.all(np.isfinite(posterior))
+        assert np.all(np.isfinite(loglik))
+        assert_allclose(posterior[2], build_grid().weight_array(), atol=1e-15)
+
+    def test_observed_minus_inf_everywhere_raises(self):
+        with pytest.raises(NumericalFailure):
+            self.posterior_with_impossible_categories(
+                np.array([[1, 0], [0, 1]]))
 
 class TestMStep:
     def test_stationary_counts_leave_parameters_unchanged(self):

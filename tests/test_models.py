@@ -319,3 +319,32 @@ class TestFamilyProtocol:
         fd = np.array([(objective(x + h * e) - objective(x - h * e)) / (2 * h)
                        for e in np.eye(x.size)])
         assert np.all(np.abs(got - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
+
+    @staticmethod
+    def projected(params):
+        """The parameters after the M-step's box projection in x-space."""
+        return params.from_x(params.clamp_x(params.to_x()))
+
+    @pytest.mark.parametrize("params", [
+        Binary2PL(60.0, 0.0), Binary2PL(1e-4, 0.0),
+        GradedItem(60.0, (-1.0, 0.5)), GradedItem(1e-4, (-1.0, 0.5)),
+    ], ids=["2pl-steep", "2pl-flat", "grm-steep", "grm-flat"])
+    def test_slope_outside_box_reports_slope_clamp(self, params):
+        clamped = self.projected(params)
+        assert clamped.bound_events("z") == [
+            f"z: slope clamped at {clamped.a:g}"]
+
+    @pytest.mark.parametrize("params", [
+        Binary2PL(1.0, 70.0),
+        GradedItem(1.0, (-20.0, 0.0, 60.0)),
+        NominalItem((0.0, 60.0), (0.0, 1.0)),
+        NominalItem((0.0, 1.0), (0.0, -70.0)),
+    ], ids=["2pl", "grm", "nrm-slope", "nrm-intercept"])
+    def test_location_outside_box_reports_location_clamp(self, params):
+        assert self.projected(params).bound_events("z") == [
+            "z: location clamped at magnitude 50"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_interior_values_report_no_clamp(self, family):
+        params = random_item(np.random.default_rng(67), family, m=4).params
+        assert self.projected(params).bound_events("z") == []

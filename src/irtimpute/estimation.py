@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .data import CategoricalDataset, DiscretizationMap
 from .errors import (
@@ -113,7 +113,7 @@ def build_grid(size: int = 61, grid_range: tuple[float, float] = (-6.0, 6.0)
     if not lo < hi:
         raise DataError(f"invalid grid range [{lo}, {hi}]")
     nodes = np.linspace(lo, hi, size)
-    weights = norm.pdf(nodes)
+    weights = np.exp(-nodes**2 / 2.0) / np.sqrt(2 * np.pi)
     weights /= weights.sum()
     return QuadratureGrid(tuple(nodes), tuple(weights))
 
@@ -433,10 +433,10 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
         if schema.kind == "binary":
             p0 = float(np.clip(proportions[0], 1e-3, 1 - 1e-3))
             items.append(ItemModel(schema.name,
-                                   Binary2PL(1.0, float(norm.ppf(p0)))))
+                                   Binary2PL(1.0, float(ndtri(p0)))))
         elif schema.kind == "ordinal":
             cum = np.clip(np.cumsum(proportions)[:-1], 1e-3, 1 - 1e-3)
-            bs = norm.ppf(cum)
+            bs = ndtri(cum)
             for k in range(1, bs.size):
                 bs[k] = max(bs[k], bs[k - 1] + 1e-3)
             items.append(ItemModel(schema.name, GradedItem(1.0, tuple(bs))))

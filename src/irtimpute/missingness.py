@@ -11,6 +11,21 @@ likelihood estimates under multivariate normality; a small p-value rejects
 the completely-at-random hypothesis.  Category codes enter as plain
 numbers, a deliberate approximation for categorical data (the test is a
 mean-comparison screen, not a distributional fit).
+
+Rows are grouped once: ``np.unique`` over the bit-packed observed masks
+gives every row its pattern (exact for any column count), and the rows are
+sorted by pattern.  The EM and the statistic then walk the patterns in
+blocks of ``_BLOCK``.  Per block, one batched ``np.linalg.solve`` runs on
+the covariance masked to each pattern's observed rows and columns, with 1
+on the diagonal of its missing columns; the right-hand sides are the
+pattern's missing columns, padded to the block's widest.  In the EM this
+gives every pattern's regression of its missing columns on its observed
+ones, applied to the block's rows by one sparse product with a
+block-diagonal design; in the statistic it gives each pattern's
+Mahalanobis term.  If a block's batched solve finds a singular matrix, that
+block is solved again pattern by pattern with a ridge retry, and a block
+that stays singular raises ``SingularCovariance``.  No temporary holds more
+than one block's patterns × p² values or rows × p values.
 """
 
 from __future__ import annotations
@@ -19,7 +34,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.sparse import csr_array
+from scipy.special import chdtrc
 
 from .data import MISSING, CategoricalDataset
 from .errors import DataError, SingularCovariance
@@ -101,6 +117,11 @@ def inject_mar(data: CategoricalDataset, target: str, conditional: str,
 # Little's MCAR test
 # ---------------------------------------------------------------------------
 
+# patterns per batched solve: bounds each per-pattern temporary to this many
+# p × p matrices
+_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class LittleTestResult:
     statistic: float
@@ -125,41 +146,115 @@ def _solve_observed(cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-def _em_normal(y: np.ndarray, tol: float, max_iter: int,
-               patterns: list[tuple[np.ndarray, np.ndarray]]
+def _solve_patterns(cov: np.ndarray, observed: np.ndarray, rhs: np.ndarray,
+                    what: str) -> np.ndarray:
+    """Solve ``cov[O, O] @ x[O] = rhs[O]`` for every pattern's observed set O.
+
+    ``observed`` is patterns × p and ``rhs`` patterns × p × k, zero in the
+    rows of missing columns.  One batched solve runs on ``cov`` masked to
+    each pattern's observed rows and columns with 1 on the diagonal of its
+    missing columns, so ``x`` is zero in those rows.  If any matrix of the
+    batch is singular, each pattern is solved alone by ``_solve_observed``,
+    which keeps its ridge retry and its error.
+    """
+    padded = np.where(observed[:, :, None] & observed[:, None, :], cov, 0.0)
+    diagonal = np.arange(cov.shape[0])
+    padded[:, diagonal, diagonal] += ~observed
+    try:
+        return np.linalg.solve(padded, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    solved = np.zeros_like(rhs)
+    for g, mask in enumerate(observed):
+        idx = np.flatnonzero(mask)
+        solved[g, idx] = _solve_observed(cov[np.ix_(idx, idx)], rhs[g, idx],
+                                         what)
+    return solved
+
+
+class _EMBlock:
+    """One block of patterns, each with a missing column, for the E-step.
+
+    ``filled`` holds the block's rows sorted by pattern with 0 at missing
+    entries, ``observed`` the patterns' masks and ``counts`` their row
+    counts.  Everything that does not change between EM iterations is built
+    here once.
+    """
+
+    def __init__(self, filled: np.ndarray, observed: np.ndarray,
+                 counts: np.ndarray) -> None:
+        n_rows, p = filled.shape
+        n_missing = p - observed.sum(axis=1)
+        valid = np.arange(n_missing.max()) < n_missing[:, None]
+        self.filled = filled
+        self.observed = observed
+        # each pattern's missing columns in column order, then padding
+        self.missing = np.argsort(observed, axis=1, kind="stable")[
+            :, :valid.shape[1]]
+        self.cross_mask = observed[:, :, None] & valid[:, None, :]
+        self.weights = counts[:, None, None] * (valid[:, :, None]
+                                                & valid[:, None, :])
+        self.pattern = np.repeat(np.arange(counts.size), counts)
+        row_observed = observed[self.pattern]
+        self.row_missing = ~row_observed
+        self.row_valid = valid[self.pattern]
+        # block-diagonal design: a row's observed values sit in the p
+        # columns of its own pattern, so one product applies every
+        # pattern's regression to its own rows
+        rows, cols = np.nonzero(row_observed)
+        indptr = np.concatenate(([0], np.cumsum(row_observed.sum(axis=1))))
+        self.design = csr_array(
+            (filled[rows, cols], self.pattern[rows] * p + cols, indptr),
+            shape=(n_rows, counts.size * p))
+
+    def accumulate(self, mean: np.ndarray, cov: np.ndarray,
+                   sum1: np.ndarray, sum2: np.ndarray) -> None:
+        """Add the block's completed sums and residual covariance."""
+        # cov[O, M] of every pattern, padded to the block's widest M
+        cross = cov[:, self.missing].transpose(1, 0, 2) * self.cross_mask
+        coef = _solve_patterns(cov, self.observed, cross, "EM step")
+        shift = mean[self.missing] - np.einsum("j,gjc->gc", mean, coef)
+        predicted = (self.design @ coef.reshape(-1, coef.shape[2])
+                     + shift[self.pattern])
+        completed = self.filled.copy()
+        completed[self.row_missing] = predicted[self.row_valid]
+        sum1 += completed.sum(axis=0)
+        sum2 += completed.T @ completed
+        square = (self.missing[:, :, None], self.missing[:, None, :])
+        resid_cov = cov[square] - cross.transpose(0, 2, 1) @ coef
+        np.add.at(sum2, square, self.weights * resid_cov)
+
+
+def _em_normal(y: np.ndarray, filled: np.ndarray, observed: np.ndarray,
+               starts: np.ndarray, tol: float, max_iter: int
                ) -> tuple[np.ndarray, np.ndarray]:
-    """ML mean and covariance of a normal model with missing entries."""
+    """ML mean and covariance of a normal model with missing entries.
+
+    The rows of ``y`` (NaN where missing) and ``filled`` (0 there) are
+    sorted by pattern: pattern g observes ``observed[g]`` and owns rows
+    ``starts[g]:starts[g + 1]``.
+    """
     n, p = y.shape
     mean = np.nanmean(y, axis=0)
     variance = np.nanvar(y, axis=0)
     variance = np.where(variance > 0, variance, 1.0)
     cov = np.diag(variance)
+    # the fully observed pattern, if any, sorts last; its rows need no
+    # regression, so their sums are the same in every iteration
+    regressed = len(observed) - int(observed[-1].all())
+    complete = filled[starts[regressed]:]
+    complete_sum1 = complete.sum(axis=0)
+    complete_sum2 = complete.T @ complete
+    blocks = []
+    for lo in range(0, regressed, _BLOCK):
+        hi = min(lo + _BLOCK, regressed)
+        blocks.append(_EMBlock(filled[starts[lo]:starts[hi]], observed[lo:hi],
+                               np.diff(starts[lo:hi + 1])))
     for _ in range(max_iter):
-        sum1 = np.zeros(p)
-        sum2 = np.zeros((p, p))
-        for observed, rows in patterns:
-            block = y[rows]
-            miss = ~observed
-            if miss.any():
-                obs_idx = np.flatnonzero(observed)
-                mis_idx = np.flatnonzero(miss)
-                coef = _solve_observed(
-                    cov[np.ix_(obs_idx, obs_idx)],
-                    cov[np.ix_(obs_idx, mis_idx)],
-                    "EM step",
-                )
-                centered = block[:, obs_idx] - mean[obs_idx]
-                predicted = mean[mis_idx] + centered @ coef
-                resid_cov = (cov[np.ix_(mis_idx, mis_idx)]
-                             - cov[np.ix_(mis_idx, obs_idx)] @ coef)
-                completed = np.empty_like(block)
-                completed[:, obs_idx] = block[:, obs_idx]
-                completed[:, mis_idx] = predicted
-                sum2[np.ix_(mis_idx, mis_idx)] += len(rows) * resid_cov
-            else:
-                completed = block
-            sum1 += completed.sum(axis=0)
-            sum2 += completed.T @ completed
+        sum1 = complete_sum1.copy()
+        sum2 = complete_sum2.copy()
+        for block in blocks:
+            block.accumulate(mean, cov, sum1, sum2)
         new_mean = sum1 / n
         new_cov = sum2 / n - np.outer(new_mean, new_mean)
         new_cov = 0.5 * (new_cov + new_cov.T)
@@ -194,29 +289,31 @@ def littles_test(y: np.ndarray, em_tol: float = 1e-6,
         empty = int(np.flatnonzero(~observed.any(axis=0))[0])
         raise DataError(f"column {empty} has no observed values")
 
-    # group rows by missingness pattern, first-appearance order
-    pattern_rows: dict[bytes, list[int]] = {}
-    for i, row in enumerate(observed):
-        pattern_rows.setdefault(row.tobytes(), []).append(i)
-    patterns = [
-        (np.frombuffer(key, dtype=bool), np.asarray(rows))
-        for key, rows in pattern_rows.items()
-    ]
-    if len(patterns) == 1:
+    # one pattern index per row; packed bytes keep the key exact for any p
+    _, first, inverse, counts = np.unique(
+        np.packbits(observed, axis=1), axis=0, return_index=True,
+        return_inverse=True, return_counts=True)
+    if counts.size == 1:
         return LittleTestResult(0.0, 0, 1.0, 1)
+    patterns = observed[first]
+    order = np.argsort(inverse.ravel(), kind="stable")
+    y = y[order]
+    filled = np.where(observed[order], y, 0.0)
+    starts = np.concatenate(([0], np.cumsum(counts)))
 
-    mean, cov = _em_normal(y, em_tol, em_max_iter, patterns)
+    mean, cov = _em_normal(y, filled, patterns, starts, em_tol, em_max_iter)
 
+    means = np.add.reduceat(filled, starts[:-1], axis=0) / counts[:, None]
+    diff = np.where(patterns, means - mean, 0.0)
     statistic = 0.0
-    df = -y.shape[1]
-    for pattern, rows in patterns:
-        obs_idx = np.flatnonzero(pattern)
-        df += obs_idx.size
-        diff = y[np.ix_(rows, obs_idx)].mean(axis=0) - mean[obs_idx]
-        solved = _solve_observed(cov[np.ix_(obs_idx, obs_idx)], diff,
-                                 "test statistic")
-        statistic += rows.size * float(diff @ solved)
+    for lo in range(0, counts.size, _BLOCK):
+        block = diff[lo:lo + _BLOCK]
+        solved = _solve_patterns(cov, patterns[lo:lo + _BLOCK],
+                                 block[:, :, None], "test statistic")
+        statistic += float(counts[lo:lo + _BLOCK]
+                           @ np.einsum("gj,gj->g", block, solved[:, :, 0]))
+    df = int(patterns.sum()) - y.shape[1]
     if df <= 0:
-        return LittleTestResult(float(statistic), 0, 1.0, len(patterns))
-    p_value = float(chi2.sf(statistic, df))
-    return LittleTestResult(float(statistic), int(df), p_value, len(patterns))
+        return LittleTestResult(float(statistic), 0, 1.0, counts.size)
+    p_value = float(chdtrc(df, statistic))
+    return LittleTestResult(float(statistic), df, p_value, counts.size)

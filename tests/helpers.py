@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.stats import chi2
 
 from irtimpute.estimation import _posteriors_and_loglik
+from irtimpute.missingness import LittleTestResult, _solve_observed
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
@@ -108,3 +110,86 @@ def dense_e_step(codes, items, grid):
                 r[:, k] = posterior[rows].sum(axis=0)
         counts.append(r)
     return posterior, counts, posterior.sum(axis=0), float(case_loglik.sum())
+
+
+def _em_normal_loop(y, tol, max_iter, patterns):
+    """Per-pattern EM of a normal model with missing entries (reference)."""
+    n, p = y.shape
+    mean = np.nanmean(y, axis=0)
+    variance = np.nanvar(y, axis=0)
+    variance = np.where(variance > 0, variance, 1.0)
+    cov = np.diag(variance)
+    for _ in range(max_iter):
+        sum1 = np.zeros(p)
+        sum2 = np.zeros((p, p))
+        for observed, rows in patterns:
+            block = y[rows]
+            miss = ~observed
+            if miss.any():
+                obs_idx = np.flatnonzero(observed)
+                mis_idx = np.flatnonzero(miss)
+                coef = _solve_observed(
+                    cov[np.ix_(obs_idx, obs_idx)],
+                    cov[np.ix_(obs_idx, mis_idx)],
+                    "EM step",
+                )
+                centered = block[:, obs_idx] - mean[obs_idx]
+                predicted = mean[mis_idx] + centered @ coef
+                resid_cov = (cov[np.ix_(mis_idx, mis_idx)]
+                             - cov[np.ix_(mis_idx, obs_idx)] @ coef)
+                completed = np.empty_like(block)
+                completed[:, obs_idx] = block[:, obs_idx]
+                completed[:, mis_idx] = predicted
+                sum2[np.ix_(mis_idx, mis_idx)] += len(rows) * resid_cov
+            else:
+                completed = block
+            sum1 += completed.sum(axis=0)
+            sum2 += completed.T @ completed
+        new_mean = sum1 / n
+        new_cov = sum2 / n - np.outer(new_mean, new_mean)
+        new_cov = 0.5 * (new_cov + new_cov.T)
+        change = max(float(np.max(np.abs(new_mean - mean))),
+                     float(np.max(np.abs(new_cov - cov))))
+        mean, cov = new_mean, new_cov
+        if change < tol:
+            break
+    return mean, cov
+
+
+def littles_test_loop(y, em_tol=1e-6, em_max_iter=200):
+    """Little's test with one Python step per pattern (reference).
+
+    Rows are grouped by a per-row dict in first-appearance order, and the
+    EM and the statistic solve each pattern's observed block on its own.
+    Input checks are left to ``littles_test``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    observed = ~np.isnan(y)
+    keep = observed.any(axis=1)
+    y = y[keep]
+    observed = observed[keep]
+    pattern_rows = {}
+    for i, row in enumerate(observed):
+        pattern_rows.setdefault(row.tobytes(), []).append(i)
+    patterns = [
+        (np.frombuffer(key, dtype=bool), np.asarray(rows))
+        for key, rows in pattern_rows.items()
+    ]
+    if len(patterns) == 1:
+        return LittleTestResult(0.0, 0, 1.0, 1)
+
+    mean, cov = _em_normal_loop(y, em_tol, em_max_iter, patterns)
+
+    statistic = 0.0
+    df = -y.shape[1]
+    for pattern, rows in patterns:
+        obs_idx = np.flatnonzero(pattern)
+        df += obs_idx.size
+        diff = y[np.ix_(rows, obs_idx)].mean(axis=0) - mean[obs_idx]
+        solved = _solve_observed(cov[np.ix_(obs_idx, obs_idx)], diff,
+                                 "test statistic")
+        statistic += rows.size * float(diff @ solved)
+    if df <= 0:
+        return LittleTestResult(float(statistic), 0, 1.0, len(patterns))
+    p_value = float(chi2.sf(statistic, df))
+    return LittleTestResult(float(statistic), int(df), p_value, len(patterns))

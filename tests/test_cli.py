@@ -253,6 +253,17 @@ class TestFitCommand:
         assert models[0] == models[1]
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a CLI start-up; scipy.special serves instead
+    src = str(Path(irtimpute.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, irtimpute.cli; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True, timeout=60)
+    assert out.stdout == "False\n"
+
+
 class TestDataErrorBoundary:
     """Unreadable, unwritable or malformed files exit 2 with one line."""
 
@@ -424,6 +435,25 @@ class TestMcarTestCommand:
         out = capsys.readouterr().out
         assert "patterns: 1" in out
         assert "p-value: 1" in out
+
+    def test_singular_covariance_exits_three(self, tmp_path, capsys):
+        # column c is always code 0, and rows 0-4 observe only c
+        rng = np.random.default_rng(8)
+        schemas = tuple(ColumnSchema(name, "binary") for name in "abc")
+        cells = np.column_stack([rng.integers(0, 2, (60, 2)),
+                                 np.zeros(60)]).astype(float)
+        cells[:5, :2] = MISSING
+        cells[5:20, 0] = MISSING
+        emit_csv(CategoricalDataset(schemas, cells), tmp_path / "d.csv")
+        (tmp_path / "d.cols").write_text(format_schema(schemas))
+        rc = run(["mcar-test", "--data", tmp_path / "d.csv",
+                  "--schema", tmp_path / "d.cols"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: numerical: EM step: observed-block covariance is "
+            "singular even after ridge regularization"]
 
 
 class TestBenchCommand:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.stats import norm
 
 from helpers import dense_e_step, random_item
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
@@ -67,6 +68,16 @@ class TestBuildGrid:
     def test_weighted_node_mean_is_zero(self):
         grid = build_grid()
         assert abs(grid.weight_array() @ grid.node_array()) <= 1e-12
+
+    @pytest.mark.parametrize("size", [11, 41, 61, 101])
+    @pytest.mark.parametrize("grid_range", [(-6.0, 6.0), (-4.0, 4.0),
+                                            (-5.0, 3.5)])
+    def test_weights_equal_scipy_normal_pdf(self, size, grid_range):
+        # bit for bit, or every model file changes
+        weights = norm.pdf(np.linspace(*grid_range, size))
+        weights /= weights.sum()
+        assert_array_equal(build_grid(size, grid_range).weight_array(),
+                           weights)
 
     def test_invalid_inputs(self):
         with pytest.raises(DataError):

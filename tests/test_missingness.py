@@ -11,9 +11,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import chi2
 
+from helpers import littles_test_loop
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
 from irtimpute.errors import DataError, SingularCovariance
 from irtimpute.missingness import (
+    _BLOCK,
     LittleTestResult,
     _solve_observed,
     inject_mar,
@@ -228,3 +230,66 @@ class TestLittlesTest:
     def test_singular_solver_raises_after_ridge(self):
         with pytest.raises(SingularCovariance):
             _solve_observed(np.zeros((2, 2)), np.ones(2), "test")
+
+    def test_zero_column_observed_alone_raises(self):
+        # the pattern that observes only the zero column has a zero
+        # observed-block covariance, which no ridge can fix
+        y = zero_column_matrix()
+        y[:5, :-1] = np.nan
+        with pytest.raises(SingularCovariance,
+                           match="^EM step: observed-block covariance is "
+                                 "singular even after ridge regularization$"):
+            littles_test(y)
+
+
+def code_matrix(seed, n, p, rate):
+    """Seeded category codes 0-3 driven by one trait; NaN where missing."""
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=(n, 1))
+    y = np.digitize(0.8 * theta + rng.normal(size=(n, p)),
+                    [-1.0, 0.0, 1.0]).astype(float)
+    y[rng.random(y.shape) < rate] = np.nan
+    return y
+
+
+def zero_column_matrix():
+    """Four code columns, 30 % missing, then a fully observed zero column.
+
+    Every row observes a code column, so no row observes the zero column
+    alone.
+    """
+    y = code_matrix(5, 600, 4, 0.3)
+    y[np.isnan(y).all(axis=1), 0] = 1.0
+    return np.column_stack([y, np.zeros(len(y))])
+
+
+class TestBlockedLittlesTest:
+    """The blocked test against the per-pattern loop in ``helpers``."""
+
+    @staticmethod
+    def assert_matches_loop(y):
+        result = littles_test(y)
+        expected = littles_test_loop(y)
+        assert result.df == expected.df
+        assert result.n_patterns == expected.n_patterns
+        assert_allclose(result.statistic, expected.statistic, rtol=1e-10)
+        assert_allclose(result.p_value, expected.p_value, rtol=1e-10)
+        return result
+
+    @pytest.mark.parametrize("seed, rate", [(1, 0.1), (2, 0.3)])
+    def test_more_patterns_than_one_block(self, seed, rate):
+        n = 1500 if rate < 0.2 else 600
+        result = self.assert_matches_loop(code_matrix(seed, n, 14, rate))
+        assert result.n_patterns > _BLOCK
+
+    def test_seventy_columns(self):
+        # patterns that differ only past column 62 must stay apart
+        result = self.assert_matches_loop(code_matrix(3, 300, 70, 0.05))
+        assert result.n_patterns > _BLOCK
+
+    def test_zero_column_takes_the_ridge(self):
+        # every observed block holds the zero column's zero row, so each
+        # batched solve fails and each pattern is solved with a ridge
+        result = self.assert_matches_loop(zero_column_matrix())
+        assert np.isfinite(result.statistic)
+        assert result.df > 0

@@ -24,8 +24,8 @@ ones, applied to the block's rows by one sparse product with a
 block-diagonal design; in the statistic it gives each pattern's
 Mahalanobis term.  If a block's batched solve finds a singular matrix, that
 block is solved again pattern by pattern with a ridge retry, and a block
-that stays singular raises ``SingularCovariance``.  No temporary holds more
-than one block's patterns × p² values or rows × p values.
+that stays singular raises ``SingularCovariance``.  Temporaries stay
+within one block: nothing is sized patterns × p² or rows × p × k.
 """
 
 from __future__ import annotations
@@ -240,7 +240,8 @@ def _em_normal(y: np.ndarray, filled: np.ndarray, observed: np.ndarray,
     variance = np.where(variance > 0, variance, 1.0)
     cov = np.diag(variance)
     # the fully observed pattern, if any, sorts last; its rows need no
-    # regression, so their sums are the same in every iteration
+    # regression (so no solve that could fail), and their sums are the same
+    # in every iteration
     regressed = len(observed) - int(observed[-1].all())
     complete = filled[starts[regressed]:]
     complete_sum1 = complete.sum(axis=0)

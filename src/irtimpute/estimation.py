@@ -113,6 +113,7 @@ def build_grid(size: int = 61, grid_range: tuple[float, float] = (-6.0, 6.0)
     if not lo < hi:
         raise DataError(f"invalid grid range [{lo}, {hi}]")
     nodes = np.linspace(lo, hi, size)
+    # scipy.stats.norm.pdf's own formula: the same weights, bit for bit
     weights = np.exp(-nodes**2 / 2.0) / np.sqrt(2 * np.pi)
     weights /= weights.sum()
     return QuadratureGrid(tuple(nodes), tuple(weights))

@@ -6,10 +6,14 @@ grid carrying standard-normal prior weights.  Fitting alternates:
 * E-step: each case's posterior over grid nodes (prior weight times the
   pattern likelihood, normalized), accumulated into expected response
   counts per item, node, and category;
-* M-step: per-item Newton–Raphson with step-halving on the expected
+* M-step: projected Fisher scoring with step-halving on the expected
   complete-data log-likelihood, in a parameterization where the structural
   constraints (positive slopes, ordered boundaries, anchored zero category)
-  cannot be violated.
+  cannot be violated.  The Newton matrix is the expected information
+  (Bock & Aitkin 1981); coordinates pressed out of the parameter box are
+  held, as in Bertsekas's projected Newton.  Items that share a kernel and
+  a category count take one stacked Newton, but every item converges,
+  halves its step and fails on its own.
 
 The E-step is two sparse products.  The code matrix is encoded once per fit
 as a CSR design ``X`` of shape cases × (1 + ΣK): column 0 holds ones, then
@@ -289,108 +293,159 @@ def _e_step_core(x: csr_array, items: tuple[ItemModel, ...],
 
 
 # ---------------------------------------------------------------------------
-# M-step: Newton–Raphson with step-halving in a constraint-free space
+# M-step: projected Fisher scoring, one stacked Newton per kernel and size
 # ---------------------------------------------------------------------------
-# Each family's x-space and parameter boxes live on its class in ``models``.
+# Items that share a kernel (``models``: cumulative or softmax) and a
+# category count are solved together on arrays of shape
+# items × nodes × categories × coordinates.  Every reduction runs per item,
+# in a fixed order and outside BLAS, so an item's update depends neither on
+# the other items of its group nor on the BLAS thread count.
 
-def _make_objective(params, r: np.ndarray, nodes: np.ndarray):
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        candidate = params.from_x(x)
-        logpi = candidate.log_probs(nodes)
-        f = float(np.sum(r * logpi))
-        _, d_params = candidate.grad(nodes)
-        g_nat = np.einsum("qk,qkp->p", r, d_params)
-        return f, params.chain_gradient(x, g_nat)
-
-    return fg
+_PROBE = 1e-9
 
 
-def _fd_hessian(fg, x: np.ndarray) -> np.ndarray:
-    n = x.size
-    hess = np.empty((n, n))
-    for p in range(n):
-        h = 1e-6 * max(1.0, abs(float(x[p])))
-        probe = np.zeros(n)
-        probe[p] = h
-        _, g_hi = fg(x + probe)
-        _, g_lo = fg(x - probe)
-        hess[:, p] = (g_hi - g_lo) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
+def _objective(kernel, x: np.ndarray, r: np.ndarray, nodes: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective, x-space gradient and expected information per item.
+
+    ``r`` holds the floored expected counts, items × nodes × categories.
+    The information is I = Σ_q N_q Σ_k π_qk d_qk d_qkᵀ, with N_q the count
+    total at node q and d_qk the x-space derivative of log π_qk.  It is
+    minus the Hessian of the objective when r = N π.
+    """
+    log_pi, d = kernel.score(x, nodes)
+    f = (r * log_pi).reshape(len(x), -1).sum(axis=1)
+    g = np.einsum("iqk,iqkp->ip", r, d)
+    weights = r.sum(axis=2, keepdims=True) * np.exp(log_pi)
+    info = np.einsum("iqk,iqkp,iqkr->ipr", weights, d, d)
+    return f, g, info
 
 
-def _newton_maximize(fg, clamp, x0: np.ndarray, max_iter: int, tol: float,
-                     context: str) -> np.ndarray:
-    x = clamp(x0)
-    f, g = fg(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        raise NumericalFailure(f"{context}: non-finite objective at start")
-    for _ in range(max_iter):
-        scale = max(1.0, abs(f))
-        if np.max(np.abs(g)) <= tol * scale:
+def _held(kernel, x: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Coordinates the parameter box holds against a move in ``direction``.
+
+    Each coordinate is probed on its own, a small step along the sign of
+    its ``direction``; it is held when the projection undoes at least half
+    of the probe.
+    """
+    step = _PROBE * np.maximum(1.0, np.abs(x)) * np.sign(direction)
+    probes = x[:, None, :] + step[:, :, None] * np.eye(x.shape[1])
+    moved = np.diagonal(kernel.clamp(probes), axis1=1, axis2=2) - x
+    return moved * np.sign(direction) < 0.5 * np.abs(step)
+
+
+def _solve_free(info: np.ndarray, g: np.ndarray, held: np.ndarray
+                ) -> np.ndarray:
+    """Newton direction on the free coordinates, zero on the held ones.
+
+    NaN for an item whose reduced system is singular.
+    """
+    free = ~held
+    n, p = g.shape
+    a = np.where(free[:, :, None] & free[:, None, :], info, 0.0)
+    a[:, range(p), range(p)] += held
+    b = (g * free)[:, :, None]
+    try:
+        return np.linalg.solve(a, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        delta = np.full((n, p), np.nan)
+        for i in range(n):
+            try:
+                delta[i] = np.linalg.solve(a[i], b[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return delta
+
+
+def _projected_direction(kernel, x: np.ndarray, info: np.ndarray,
+                         g: np.ndarray) -> np.ndarray:
+    """Projected Newton direction per item, or a scaled ascent step.
+
+    A coordinate is held when the box stops it along its gradient or
+    along the Newton direction.  The solve is repeated until the direction
+    moves no coordinate the box stops.
+    """
+    held = _held(kernel, x, g)
+    while True:
+        delta = _solve_free(info, g, held)
+        more = _held(kernel, x, delta) & ~held
+        if not more.any():
             break
-        hess = _fd_hessian(fg, x)
-        delta = None
-        try:
-            candidate = np.linalg.solve(-hess, g)
-            if np.all(np.isfinite(candidate)) and float(g @ candidate) > 0:
-                delta = candidate
-        except np.linalg.LinAlgError:
-            delta = None
-        if delta is None:
-            # fall back to a conservatively scaled ascent step
-            curvature = max(1.0, float(np.abs(np.diag(hess)).max()))
-            delta = g / curvature
+        held |= more
+    ascent = np.all(np.isfinite(delta), axis=1) & ((g * delta).sum(axis=1) > 0)
+    # fall back to a conservatively scaled ascent step
+    curvature = np.maximum(
+        1.0, np.abs(np.diagonal(info, axis1=1, axis2=2)).max(axis=1))
+    return np.where(ascent[:, None], delta, g / curvature[:, None])
+
+
+def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
+                     nodes: np.ndarray, max_iter: int, tol: float,
+                     columns: list[str]) -> np.ndarray:
+    """Projected Newton with the expected information, one row per item.
+
+    Coordinates the parameter box stops are held before each step
+    (Bertsekas's projected Newton); step-halving, convergence and failure
+    are decided per item.
+    """
+    x = kernel.clamp(x0)
+    f, g, info = _objective(kernel, x, r, nodes)
+    bad = ~(np.isfinite(f) & np.all(np.isfinite(g), axis=1))
+    if bad.any():
+        raise NumericalFailure(
+            f"item {columns[np.argmax(bad)]!r}: non-finite objective at start")
+    active = np.arange(len(x))
+    for _ in range(max_iter):
+        scale = np.maximum(1.0, np.abs(f[active]))
+        active = active[~(np.abs(g[active]).max(axis=1) <= tol * scale)]
+        if not active.size:
+            break
+        delta = _projected_direction(kernel, x[active], info[active],
+                                     g[active])
         step = 1.0
-        improved = False
+        trying = np.arange(active.size)
         for _ in range(60):
-            x_new = clamp(x + step * delta)
-            f_new, g_new = fg(x_new)
-            if np.isfinite(f_new) and f_new > f:
-                x, f, g = x_new, f_new, g_new
-                improved = True
+            rows = active[trying]
+            x_new = kernel.clamp(x[rows] + step * delta[trying])
+            f_new, g_new, info_new = _objective(kernel, x_new, r[rows], nodes)
+            up = np.isfinite(f_new) & (f_new > f[rows])
+            done = rows[up]
+            x[done], f[done], g[done], info[done] = (
+                x_new[up], f_new[up], g_new[up], info_new[up])
+            trying = trying[~up]
+            if not trying.size:
                 break
             step *= 0.5
-        if not improved:
-            # flat to machine precision along every probe: either we are at
-            # the optimum (possibly pressed against a bound) or genuinely
-            # stuck with a large gradient
-            if np.max(np.abs(g)) > 1e3 * tol * scale and not _at_bound(x, clamp):
+        # flat to machine precision along every probe: either at the
+        # optimum (possibly pressed against a bound) or genuinely stuck
+        # with a large gradient
+        for i in active[trying]:
+            gmax = np.max(np.abs(g[i]))
+            if (gmax > 1e3 * tol * max(1.0, abs(f[i]))
+                    and not _at_bound(kernel, x[i:i + 1])):
                 raise NewtonDiverged(
-                    f"{context}: no improving step with gradient "
-                    f"{np.max(np.abs(g)):.3e}"
-                )
-            break
+                    f"item {columns[i]!r}: no improving step with gradient "
+                    f"{gmax:.3e}")
+        active = np.delete(active, trying)
     return x
 
 
-def _at_bound(x: np.ndarray, clamp) -> bool:
-    """True when the projection is actively holding some coordinate."""
-    for sign in (1.0, -1.0):
-        probe = x + sign * 1e-9
-        if np.any(np.abs(clamp(probe) - probe) > 1e-12):
-            return True
-    return False
+def _at_bound(kernel, x: np.ndarray) -> bool:
+    """True when the projection holds some coordinate in some direction."""
+    ones = np.ones_like(x)
+    return bool(np.any(_held(kernel, x, ones) | _held(kernel, x, -ones)))
 
 
-def m_step_item(item: ItemModel, expected_counts: np.ndarray,
-                grid: QuadratureGrid, config: FitConfig | None = None
-                ) -> ItemModel:
-    """Improve one item's parameters against its expected counts."""
-    updated, _ = _m_step(item, expected_counts, grid, config or FitConfig())
-    return updated
-
-
-def _m_step(item: ItemModel, expected_counts: np.ndarray,
-            grid: QuadratureGrid, config: FitConfig
-            ) -> tuple[ItemModel, list[str]]:
+def _floored_counts(item: ItemModel, expected_counts: np.ndarray,
+                    grid: QuadratureGrid) -> np.ndarray:
     r = np.asarray(expected_counts, dtype=np.float64)
     if r.shape != (grid.size, item.n_categories):
         raise DataError(
             f"expected counts for {item.column!r} must have shape "
             f"{(grid.size, item.n_categories)}, got {r.shape}"
         )
-    if np.any(r < 0):
-        raise DataError("expected counts must be nonnegative")
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise DataError("expected counts must be finite and nonnegative")
     totals = r.sum(axis=0)
     zeros = np.flatnonzero(totals == 0)
     if zeros.size:
@@ -398,16 +453,43 @@ def _m_step(item: ItemModel, expected_counts: np.ndarray,
             f"column {item.column!r}: category {int(zeros[0])} has zero "
             "expected count"
         )
-    r = np.maximum(r, COUNT_FLOOR)
-    params = item.params
-    fg = _make_objective(params, r, grid.node_array())
-    x = _newton_maximize(
-        fg, params.clamp_x, params.to_x(),
-        config.newton_max_iter, config.newton_tol,
-        context=f"item {item.column!r}",
-    )
-    updated = params.from_x(x)
-    return ItemModel(item.column, updated), updated.bound_events(item.column)
+    return np.maximum(r, COUNT_FLOOR)
+
+
+def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid,
+            config: FitConfig) -> tuple[tuple[ItemModel, ...], list[str]]:
+    """Improve every item against its expected counts.
+
+    Returns the updated items and the clamp events of their parameters.
+    """
+    counts = [_floored_counts(item, r, grid)
+              for item, r in zip(items, expected_counts)]
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault((item.params.kernel, item.n_categories), []).append(i)
+    x = [None] * len(items)
+    for (kernel, _), members in groups.items():
+        solved = _newton_maximize(
+            kernel, np.array([items[i].params.to_x() for i in members]),
+            np.array([counts[i] for i in members]), grid.node_array(),
+            config.newton_max_iter, config.newton_tol,
+            [items[i].column for i in members])
+        for i, row in zip(members, solved):
+            x[i] = row
+    updated = tuple(ItemModel(item.column, item.params.from_x(row))
+                    for item, row in zip(items, x))
+    events = [event for item in updated
+              for event in item.params.bound_events(item.column)]
+    return updated, events
+
+
+def m_step_item(item: ItemModel, expected_counts: np.ndarray,
+                grid: QuadratureGrid, config: FitConfig | None = None
+                ) -> ItemModel:
+    """Improve one item's parameters against its expected counts."""
+    (updated,), _ = _m_step((item,), (expected_counts,), grid,
+                            config or FitConfig())
+    return updated
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +605,14 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
         iterations += 1
         es = _e_step_core(x, items, grid)
         trace.append(es.marginal_loglik)
-        new_items = []
-        events: list[str] = []
-        for i, item in enumerate(items):
-            updated, item_events = _m_step(item, es.expected_counts[i],
-                                           grid, config)
-            new_items.append(updated)
-            events.extend(item_events)
+        # keep the final iteration's active clamps
+        new_items, clamp_events = _m_step(items, es.expected_counts, grid,
+                                          config)
         delta = max(
             float(np.max(np.abs(item_param_vector(new) - item_param_vector(old))))
             for new, old in zip(new_items, items)
         )
-        items = tuple(new_items)
-        clamp_events = events  # keep the final iteration's active clamps
+        items = new_items
         if delta < config.tol:
             converged = True
             break

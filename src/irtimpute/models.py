@@ -15,11 +15,18 @@ Each family is one frozen parameter class that owns every rule differing
 by family: ``family``/``kind``/``n_categories``; ``probs``, ``log_probs``
 and their analytic derivatives ``grad``; the flat ``vector``/
 ``with_vector``; the M-step's unconstrained coordinates ``to_x``/
-``from_x``, their projection onto the parameter boxes ``clamp_x`` and the
-gradient pull-back ``chain_gradient``; ``bound_events`` for parameters
-resting on a box edge; ``to_dict``/``from_dict`` and ``describe``.  The
-module-level functions (:func:`category_probs`, :func:`item_to_dict`, ...)
-are one-line calls to these methods.
+``from_x``; ``bound_events`` for parameters resting on a box edge;
+``to_dict``/``from_dict`` and ``describe``.  The module-level functions
+(:func:`category_probs`, :func:`item_to_dict`, ...) are one-line calls to
+these methods.
+
+Each family also names its ``kernel``, which holds the M-step's rules on
+stacked arrays (items × nodes × categories × coordinates): log-probabilities
+with their derivatives, the pull-back to x-space and the projection onto
+the parameter boxes.  There are two kernels.  Binary and graded items share
+the cumulative one, because a binary item is a graded item with one
+boundary; nominal items use the softmax one.  A family's ``grad`` is a
+one-row call of its kernel's derivatives.
 
 Probability evaluation is overflow-safe for arbitrarily large logits
 (sign-split logistic, max-subtracted softmax).  Log-probabilities are
@@ -97,6 +104,175 @@ def _bound_events(column: str, slope: float | None, locations) -> list[str]:
     return events
 
 
+def _cumulative_log_probs(z: np.ndarray) -> np.ndarray:
+    """Log category probabilities from boundary logits ``z`` (..., m - 1)."""
+    m = z.shape[-1] + 1
+    out = np.empty(z.shape[:-1] + (m,))
+    out[..., 0] = log_expit(-z[..., 0])
+    out[..., m - 1] = log_expit(z[..., m - 2])
+    if m > 2:
+        # log(sigmoid(x) - sigmoid(y)) for x > y, rearranged so each
+        # factor is evaluated in log space:
+        #   sigmoid(x) - sigmoid(y) = sigmoid(x) sigmoid(-y) (1 - e^(y-x))
+        x = z[..., :-1]
+        y = z[..., 1:]
+        with np.errstate(divide="ignore"):
+            out[..., 1:-1] = (
+                log_expit(x) + log_expit(-y) + np.log1p(-np.exp(y - x))
+            )
+    return out
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, computed in place.
+
+    After the row maximum is subtracted the normalizer is log(1 + rest),
+    which logaddexp keeps exact even when rest is far below machine
+    epsilon, so the dominant category's value does not round to 0.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.logaddexp.reduce(logits, axis=-1, keepdims=True)
+    return logits
+
+
+class _Kernel:
+    """The stacked M-step rules of the families that share one kernel.
+
+    Every method takes arrays with the items on the leading axes and the
+    x-space coordinates (or natural parameters) on the last axis, so one
+    call serves a single item or a stack of them:
+
+    * ``natural(X)``: the natural parameter arrays of x-space points;
+    * ``derivatives(*natural, theta)``: log-probabilities, shape
+      (n, T, m), with their derivatives in theta, (n, T, m), and in the
+      flat parameter vector, (n, T, m, P), of ``n`` items at ``T`` points;
+    * ``chain(X, G)``: derivatives ``G`` (..., P) in the flat parameters
+      carried to x-space at ``X`` (the transposed Jacobian);
+    * ``clamp(X)``: the projection onto the parameter boxes.
+    """
+
+    @classmethod
+    def score(cls, X: np.ndarray, nodes: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Log-probabilities (n, Q, m) and x-space derivatives (n, Q, m, P)."""
+        log_pi, _, d_params = cls.derivatives(*cls.natural(X), nodes)
+        return log_pi, cls.chain(X[:, None, None, :], d_params)
+
+
+class _Cumulative(_Kernel):
+    """Binary and graded items: boundary curves ``sigmoid(a (t - b_j))``.
+
+    A binary item is a graded item with one boundary: the same x-space
+    ``[log a, b_1, log(b_2 - b_1), ...]``, box and log-probabilities.
+    """
+
+    @staticmethod
+    def boundaries(X: np.ndarray) -> np.ndarray:
+        gaps = np.cumsum(np.exp(X[..., 2:]), axis=-1)
+        zero = np.zeros(X.shape[:-1] + (1,))
+        return X[..., 1:2] + np.concatenate([zero, gaps], axis=-1)
+
+    @classmethod
+    def natural(cls, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.exp(X[..., 0]), cls.boundaries(X)
+
+    @staticmethod
+    def derivatives(a: np.ndarray, bs: np.ndarray, theta: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t = theta[None, :, None] - bs[:, None, :]
+        a = a[:, None, None]
+        z = a * t
+        log_pi = _cumulative_log_probs(z)
+        pi = np.exp(log_pi)
+        # 0 where a probability underflowed to 0
+        inv_pi = np.where(pi > 0, 1.0 / np.maximum(pi, 1e-300), 0.0)
+        m = log_pi.shape[-1]
+        # density of each boundary curve, with flat virtual boundaries at
+        # the ends (s_0 = s_m = 0)
+        s = np.zeros(z.shape[:-1] + (m + 1,))
+        s[..., 1:-1] = expit(z) * expit(-z)
+        ts = np.zeros_like(s)
+        ts[..., 1:-1] = t * s[..., 1:-1]
+        d_theta = a * (s[..., :-1] - s[..., 1:]) * inv_pi
+        d_params = np.zeros(z.shape[:-1] + (m, m))
+        d_params[..., 0] = (ts[..., :-1] - ts[..., 1:]) * inv_pi
+        ks = np.arange(1, m)
+        # d pi_k / d b_j is nonzero only for j = k (-a s_j) and j = k+1 (+a s_j)
+        d_params[..., ks, ks] = -a * s[..., 1:-1] * inv_pi[..., 1:]
+        d_params[..., ks - 1, ks] = a * s[..., 1:-1] * inv_pi[..., :-1]
+        return log_pi, d_theta, d_params
+
+    @staticmethod
+    def chain(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        # every boundary moves with b_1; boundary j moves with gap k <= j
+        suffix = np.cumsum(G[..., :0:-1], axis=-1)[..., ::-1]
+        out = np.empty(np.broadcast_shapes(X.shape, G.shape))
+        out[..., 0] = np.exp(X[..., 0]) * G[..., 0]
+        out[..., 1] = suffix[..., 0]
+        out[..., 2:] = np.exp(X[..., 2:]) * suffix[..., 1:]
+        return out
+
+    @classmethod
+    def clamp(cls, X: np.ndarray) -> np.ndarray:
+        X = np.array(X, dtype=np.float64)
+        X[..., 0] = np.clip(X[..., 0], np.log(SLOPE_BOUNDS[0]),
+                            np.log(SLOPE_BOUNDS[1]))
+        bs = np.clip(cls.boundaries(X), -LOCATION_BOUND, LOCATION_BOUND)
+        # clipping can collapse neighbors; restore a strict minimal gap
+        for j in range(1, bs.shape[-1]):
+            bs[..., j] = np.maximum(bs[..., j], bs[..., j - 1] + _GAP_MIN)
+        X[..., 1] = bs[..., 0]
+        X[..., 2:] = np.log(np.diff(bs, axis=-1))
+        return X
+
+
+class _Softmax(_Kernel):
+    """Nominal items: ``softmax_k(a_k t + c_k)``, category 0 anchored.
+
+    The parameters are unconstrained: x-space is the flat vector.
+    """
+
+    @staticmethod
+    def natural(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        half = X.shape[-1] // 2
+        zero = np.zeros(X.shape[:-1] + (1,))
+        return (np.concatenate([zero, X[..., :half]], axis=-1),
+                np.concatenate([zero, X[..., half:]], axis=-1))
+
+    @staticmethod
+    def derivatives(slopes: np.ndarray, intercepts: np.ndarray,
+                    theta: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        slopes = slopes[:, None, :]
+        log_pi = _log_softmax(theta[None, :, None] * slopes
+                              + intercepts[:, None, :])
+        pi = np.exp(log_pi)
+        d_theta = slopes - (pi * slopes).sum(axis=-1, keepdims=True)
+        m = log_pi.shape[-1]
+        delta = np.eye(m)[:, 1:] - pi[..., None, 1:]
+        d_params = np.concatenate([theta[None, :, None, None] * delta, delta],
+                                  axis=-1)
+        return log_pi, d_theta, d_params
+
+    @staticmethod
+    def chain(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return G
+
+    @staticmethod
+    def clamp(X: np.ndarray) -> np.ndarray:
+        return np.clip(np.array(X, dtype=np.float64),
+                       -LOCATION_BOUND, LOCATION_BOUND)
+
+
+def _grad(kernel: type[_Kernel], natural: tuple, theta
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """One item's ``grad``: a one-row call of its kernel's derivatives."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    _, d_theta, d_params = kernel.derivatives(
+        *(np.asarray(v, dtype=np.float64)[None] for v in natural), theta)
+    return d_theta[0], d_params[0]
+
+
 class _Serialized:
     """Model-file form: one key per dataclass field, tuples as lists."""
 
@@ -120,6 +296,7 @@ class Binary2PL(_Serialized):
     family = "2pl"
     kind = "binary"
     n_categories = 2
+    kernel = _Cumulative
 
     def __post_init__(self) -> None:
         _check_finite("2PL parameters", [self.a, self.b])
@@ -133,20 +310,10 @@ class Binary2PL(_Serialized):
 
     def log_probs(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
-        z = self.a * (theta[..., None] - self.b)
-        return np.concatenate([log_expit(-z), log_expit(z)], axis=-1)
+        return _cumulative_log_probs(self.a * (theta[..., None] - self.b))
 
     def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        z = self.a * (theta - self.b)
-        prob1 = expit(z)
-        # d log P(k)/dz = k - P(1); chain through z = a (theta - b)
-        resid = np.stack([-prob1, 1.0 - prob1], axis=1)
-        d_theta = self.a * resid
-        d_params = np.empty((theta.shape[0], 2, 2))
-        d_params[:, :, 0] = resid * (theta - self.b)[:, None]
-        d_params[:, :, 1] = -self.a * resid
-        return d_theta, d_params
+        return _grad(self.kernel, (self.a, (self.b,)), theta)
 
     def vector(self) -> np.ndarray:
         return np.array([self.a, self.b])
@@ -159,15 +326,6 @@ class Binary2PL(_Serialized):
 
     def from_x(self, x: np.ndarray) -> Binary2PL:
         return Binary2PL(float(np.exp(x[0])), float(x[1]))
-
-    def clamp_x(self, x: np.ndarray) -> np.ndarray:
-        x = np.array(x, dtype=np.float64)
-        x[0] = np.clip(x[0], np.log(SLOPE_BOUNDS[0]), np.log(SLOPE_BOUNDS[1]))
-        x[1] = np.clip(x[1], -LOCATION_BOUND, LOCATION_BOUND)
-        return x
-
-    def chain_gradient(self, x: np.ndarray, g_nat: np.ndarray) -> np.ndarray:
-        return np.array([np.exp(x[0]) * g_nat[0], g_nat[1]])
 
     def bound_events(self, column: str) -> list[str]:
         return _bound_events(column, self.a, [self.b])
@@ -188,6 +346,7 @@ class GradedItem(_Serialized):
 
     family = "grm"
     kind = "ordinal"
+    kernel = _Cumulative
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -208,69 +367,24 @@ class GradedItem(_Serialized):
     def n_categories(self) -> int:
         return len(self.boundaries) + 1
 
-    def _pstar(self, theta: np.ndarray) -> np.ndarray:
-        """Boundary probabilities with the fixed end columns 1 and 0 attached.
-
-        Shape ``theta.shape + (m + 1,)``.
-        """
+    def probs(self, theta) -> np.ndarray:
+        # Adjacent boundary differences: nonnegative by monotonicity of the
+        # logistic, summing to 1 exactly up to float addition.
+        theta = np.asarray(theta, dtype=np.float64)
         z = self.a * (theta[..., None] - np.asarray(self.boundaries))
         pstar = np.empty(theta.shape + (len(self.boundaries) + 2,))
         pstar[..., 0] = 1.0
         pstar[..., -1] = 0.0
         pstar[..., 1:-1] = expit(z)
-        return pstar
-
-    def probs(self, theta) -> np.ndarray:
-        # Adjacent boundary differences: nonnegative by monotonicity of the
-        # logistic, summing to 1 exactly up to float addition.
-        theta = np.asarray(theta, dtype=np.float64)
-        pstar = self._pstar(theta)
         return pstar[..., :-1] - pstar[..., 1:]
 
     def log_probs(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         bs = np.asarray(self.boundaries)
-        z = self.a * (theta[..., None] - bs)
-        m = len(bs) + 1
-        out = np.empty(theta.shape + (m,))
-        out[..., 0] = log_expit(-z[..., 0])
-        out[..., m - 1] = log_expit(z[..., m - 2])
-        if m > 2:
-            # log(sigmoid(x) - sigmoid(y)) for x > y, rearranged so each
-            # factor is evaluated in log space:
-            #   sigmoid(x) - sigmoid(y) = sigmoid(x) sigmoid(-y) (1 - e^(y-x))
-            x = z[..., :-1]
-            y = z[..., 1:]
-            with np.errstate(divide="ignore"):
-                out[..., 1:-1] = (
-                    log_expit(x) + log_expit(-y) + np.log1p(-np.exp(y - x))
-                )
-        return out
+        return _cumulative_log_probs(self.a * (theta[..., None] - bs))
 
     def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        T = theta.shape[0]
-        bs = np.asarray(self.boundaries)
-        m = len(bs) + 1
-        pstar = self._pstar(theta)
-        pi = pstar[:, :-1] - pstar[:, 1:]
-        # density of each boundary curve, with flat virtual boundaries at
-        # the ends (s_0 = s_m = 0)
-        s = pstar * (1.0 - pstar)
-        s[:, 0] = 0.0
-        s[:, -1] = 0.0
-        tb = np.zeros((T, m + 1))
-        tb[:, 1:-1] = (theta[:, None] - bs) * s[:, 1:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_pi = np.where(pi > 0, 1.0 / np.maximum(pi, 1e-300), 0.0)
-        d_theta = self.a * (s[:, :-1] - s[:, 1:]) * inv_pi
-        d_params = np.zeros((T, m, m))
-        d_params[:, :, 0] = (tb[:, :-1] - tb[:, 1:]) * inv_pi
-        ks = np.arange(1, m)
-        # d pi_k / d b_j is nonzero only for j = k (-a s_j) and j = k+1 (+a s_j)
-        d_params[:, ks, ks] = -self.a * s[:, 1:-1] * inv_pi[:, 1:]
-        d_params[:, ks - 1, ks] = self.a * s[:, 1:-1] * inv_pi[:, :-1]
-        return d_theta, d_params
+        return _grad(self.kernel, (self.a, self.boundaries), theta)
 
     def vector(self) -> np.ndarray:
         return np.array([self.a, *self.boundaries])
@@ -282,32 +396,9 @@ class GradedItem(_Serialized):
         bs = np.asarray(self.boundaries)
         return np.concatenate([[np.log(self.a), bs[0]], np.log(np.diff(bs))])
 
-    @staticmethod
-    def _x_boundaries(x: np.ndarray) -> np.ndarray:
-        return x[1] + np.concatenate([[0.0], np.cumsum(np.exp(x[2:]))])
-
     def from_x(self, x: np.ndarray) -> GradedItem:
-        return GradedItem(float(np.exp(x[0])), tuple(self._x_boundaries(x)))
-
-    def clamp_x(self, x: np.ndarray) -> np.ndarray:
-        x = np.array(x, dtype=np.float64)
-        x[0] = np.clip(x[0], np.log(SLOPE_BOUNDS[0]), np.log(SLOPE_BOUNDS[1]))
-        bs = np.clip(self._x_boundaries(x), -LOCATION_BOUND, LOCATION_BOUND)
-        # clipping can collapse neighbors; restore a strict minimal gap
-        for j in range(1, bs.size):
-            bs[j] = max(bs[j], bs[j - 1] + _GAP_MIN)
-        x[1] = bs[0]
-        x[2:] = np.log(np.diff(bs))
-        return x
-
-    def chain_gradient(self, x: np.ndarray, g_nat: np.ndarray) -> np.ndarray:
-        g_b = g_nat[1:]
-        # every boundary moves with b_1; boundary j moves with gap k<=j
-        suffix = np.cumsum(g_b[::-1])[::-1]
-        return np.concatenate([
-            [np.exp(x[0]) * g_nat[0], suffix[0]],
-            np.exp(x[2:]) * suffix[1:],
-        ])
+        return GradedItem(float(np.exp(x[0])),
+                          tuple(self.kernel.boundaries(x)))
 
     def bound_events(self, column: str) -> list[str]:
         return _bound_events(column, self.a, self.boundaries)
@@ -326,6 +417,7 @@ class NominalItem(_Serialized):
 
     family = "nrm"
     kind = "nominal"
+    kernel = _Softmax
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slopes", tuple(float(v) for v in self.slopes))
@@ -359,24 +451,10 @@ class NominalItem(_Serialized):
         return logits
 
     def log_probs(self, theta) -> np.ndarray:
-        logits = self._logits(theta)
-        # Log-softmax: after the row maximum is subtracted the normalizer is
-        # log(1 + rest), which logaddexp keeps exact even when rest is far
-        # below machine epsilon, so the dominant category's value does not
-        # round to 0.
-        logits -= logits.max(axis=-1, keepdims=True)
-        logits -= np.logaddexp.reduce(logits, axis=-1, keepdims=True)
-        return logits
+        return _log_softmax(self._logits(theta))
 
     def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        slopes = np.asarray(self.slopes)
-        m = len(slopes)
-        pi = self.probs(theta)
-        d_theta = slopes[None, :] - (pi @ slopes)[:, None]
-        delta = np.eye(m)[None, :, 1:] - pi[:, None, 1:]
-        d_params = np.concatenate([theta[:, None, None] * delta, delta], axis=2)
-        return d_theta, d_params
+        return _grad(self.kernel, (self.slopes, self.intercepts), theta)
 
     def vector(self) -> np.ndarray:
         return np.array([*self.slopes[1:], *self.intercepts[1:]])
@@ -388,13 +466,6 @@ class NominalItem(_Serialized):
     # nominal parameters are unconstrained: x-space is the flat vector
     to_x = vector
     from_x = with_vector
-
-    def clamp_x(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.array(x, dtype=np.float64),
-                       -LOCATION_BOUND, LOCATION_BOUND)
-
-    def chain_gradient(self, x: np.ndarray, g_nat: np.ndarray) -> np.ndarray:
-        return g_nat
 
     def bound_events(self, column: str) -> list[str]:
         return _bound_events(column, None, self.vector())

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import chi2
 
-from irtimpute.estimation import _posteriors_and_loglik
+from irtimpute.errors import NewtonDiverged, NumericalFailure
+from irtimpute.estimation import (
+    FitConfig,
+    _floored_counts,
+    _posteriors_and_loglik,
+)
 from irtimpute.missingness import LittleTestResult, _solve_observed
 from irtimpute.models import (
     Binary2PL,
@@ -110,6 +115,102 @@ def dense_e_step(codes, items, grid):
                 r[:, k] = posterior[rows].sum(axis=0)
         counts.append(r)
     return posterior, counts, posterior.sum(axis=0), float(case_loglik.sum())
+
+
+def reference_objective(params, r, nodes):
+    """Objective and x-space gradient of one item built from each candidate."""
+    def fg(x):
+        candidate = params.from_x(x)
+        f = float(np.sum(r * candidate.log_probs(nodes)))
+        _, d_params = candidate.grad(nodes)
+        return f, params.kernel.chain(x, np.einsum("qk,qkp->p", r, d_params))
+
+    return fg
+
+
+def fd_hessian(fg, x):
+    """Central differences of the gradient, symmetrized."""
+    n = x.size
+    hess = np.empty((n, n))
+    for p in range(n):
+        h = 1e-6 * max(1.0, abs(float(x[p])))
+        probe = np.zeros(n)
+        probe[p] = h
+        _, g_hi = fg(x + probe)
+        _, g_lo = fg(x - probe)
+        hess[:, p] = (g_hi - g_lo) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
+
+
+def _reference_at_bound(x, clamp):
+    for sign in (1.0, -1.0):
+        probe = x + sign * 1e-9
+        if np.any(np.abs(clamp(probe) - probe) > 1e-12):
+            return True
+    return False
+
+
+def reference_newton(fg, clamp, x0, max_iter, tol, context):
+    """Per-item Newton with the finite-difference Hessian (reference)."""
+    x = clamp(x0)
+    f, g = fg(x)
+    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+        raise NumericalFailure(f"{context}: non-finite objective at start")
+    for _ in range(max_iter):
+        scale = max(1.0, abs(f))
+        if np.max(np.abs(g)) <= tol * scale:
+            break
+        hess = fd_hessian(fg, x)
+        delta = None
+        try:
+            candidate = np.linalg.solve(-hess, g)
+            if np.all(np.isfinite(candidate)) and float(g @ candidate) > 0:
+                delta = candidate
+        except np.linalg.LinAlgError:
+            delta = None
+        if delta is None:
+            curvature = max(1.0, float(np.abs(np.diag(hess)).max()))
+            delta = g / curvature
+        step = 1.0
+        improved = False
+        for _ in range(60):
+            x_new = clamp(x + step * delta)
+            f_new, g_new = fg(x_new)
+            if np.isfinite(f_new) and f_new > f:
+                x, f, g = x_new, f_new, g_new
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            if (np.max(np.abs(g)) > 1e3 * tol * scale
+                    and not _reference_at_bound(x, clamp)):
+                raise NewtonDiverged(
+                    f"{context}: no improving step with gradient "
+                    f"{np.max(np.abs(g)):.3e}"
+                )
+            break
+    return x
+
+
+def reference_m_step(items, expected_counts, grid, config=None):
+    """The finite-difference Newton M-step, one item at a time (reference).
+
+    Same signature and result shape as ``estimation._m_step``.
+    """
+    config = config or FitConfig()
+    nodes = grid.node_array()
+    updated = []
+    for item, counts in zip(items, expected_counts):
+        params = item.params
+        r = _floored_counts(item, counts, grid)
+        x = reference_newton(
+            reference_objective(params, r, nodes), params.kernel.clamp,
+            params.to_x(), config.newton_max_iter, config.newton_tol,
+            context=f"item {item.column!r}")
+        updated.append(ItemModel(item.column, params.from_x(x)))
+    events = [event for item in updated
+              for event in item.params.bound_events(item.column)]
+    return tuple(updated), events
 
 
 def _em_normal_loop(y, tol, max_iter, patterns):

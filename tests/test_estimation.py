@@ -1,6 +1,7 @@
 """Grid construction, EM fitting, EAP scoring, model persistence.
 
-Expected-count oracles are brute-force per-case loops; EAP oracles use a
+Expected-count oracles are brute-force per-case loops; the M-step's oracle
+is the per-item finite-difference Newton in ``helpers``; EAP oracles use a
 10,001-node dense grid; recovery targets were confirmed by pilot runs and
 frozen (seeds recorded with each test).
 """
@@ -12,7 +13,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
-from helpers import dense_e_step, random_item
+from helpers import (
+    dense_e_step,
+    fd_hessian,
+    random_item,
+    reference_m_step,
+    reference_objective,
+)
+from irtimpute import estimation
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
 from irtimpute.errors import (
     CodeOutOfRange,
@@ -27,6 +35,8 @@ from irtimpute.estimation import (
     FittedModel,
     QuadratureGrid,
     _design,
+    _m_step,
+    _objective,
     _posterior,
     _posteriors_and_loglik,
     build_grid,
@@ -286,6 +296,24 @@ class TestMStep:
             after = np.sum(floored * log_category_probs(nodes, updated))
             assert after >= before - 1e-9
 
+    @pytest.mark.parametrize("family", ("2pl", "grm", "nrm"))
+    def test_random_counts_reach_the_reference_optimum(self, family):
+        # counts no item fits drive slopes down and locations to the box
+        # edge; the projected steps must not stall short of the optimum the
+        # finite-difference Newton M-step finds
+        grid = build_grid()
+        nodes = grid.node_array()
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            item = random_item(rng, family, m=int(rng.integers(2, 6)))
+            counts = rng.gamma(1.0, 5.0, size=(grid.size, item.n_categories))
+            floored = np.maximum(counts, 1e-10)
+            (want,), _ = reference_m_step((item,), (counts,), grid)
+            got = np.sum(floored * log_category_probs(
+                nodes, m_step_item(item, counts, grid)))
+            best = np.sum(floored * log_category_probs(nodes, want))
+            assert got >= best - 1e-12 * abs(best)
+
     def test_empty_category_rejected(self):
         grid = build_grid()
         counts = np.ones((grid.size, 2))
@@ -298,6 +326,49 @@ class TestMStep:
         with pytest.raises(DataError):
             m_step_item(ItemModel("u", Binary2PL(1.0, 0.0)),
                         np.ones((grid.size, 3)), grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        grid = build_grid()
+        counts = np.ones((grid.size, 2))
+        counts[5, 1] = bad
+        with pytest.raises(DataError, match="must be finite and nonnegative"):
+            m_step_item(ItemModel("u", Binary2PL(1.0, 0.0)), counts, grid)
+
+    @pytest.mark.parametrize("family, m", [
+        ("2pl", 2), *(("grm", m) for m in range(2, 6)),
+        *(("nrm", m) for m in range(2, 6))])
+    def test_information_is_minus_hessian_at_stationary_counts(self, family,
+                                                              m):
+        # r = N pi makes the expected information the observed one
+        grid = build_grid()
+        nodes = grid.node_array()
+        params = random_item(np.random.default_rng(113), family, m=m).params
+        r = 300.0 * grid.weight_array()[:, None] * params.probs(nodes)
+        x = params.to_x()
+        _, _, info = _objective(params.kernel, x[None], r[None], nodes)
+        hess = fd_hessian(reference_objective(params, r, nodes), x)
+        assert_allclose(info[0], -hess, rtol=1e-7)
+
+    def test_stacked_items_update_as_if_alone(self):
+        # every family and category count, several items per group; one
+        # item has all its count mass at one node
+        grid = build_grid()
+        rng = np.random.default_rng(127)
+        items, counts = [], []
+        for i in range(24):
+            family = ("2pl", "grm", "nrm")[i % 3]
+            m = 2 if family == "2pl" else int(rng.integers(2, 6))
+            items.append(ItemModel(f"i{i:02d}",
+                                   random_item(rng, family, m=m).params))
+            counts.append(rng.gamma(1.0, 5.0, size=(grid.size, m)))
+        counts[7] = np.zeros_like(counts[7])
+        counts[7][40] = rng.uniform(1.0, 20.0, size=items[7].n_categories)
+        together, _ = _m_step(tuple(items), counts, grid, FitConfig())
+        for item, r, got in zip(items, counts, together):
+            alone = m_step_item(item, r, grid)
+            assert_array_equal(item_param_vector(got),
+                               item_param_vector(alone))
 
 
 class TestFit:
@@ -312,6 +383,21 @@ class TestFit:
         true_b = np.array([it.params.b for it in items])
         est_b = np.array([it.params.b for it in fitted.items])
         assert np.corrcoef(true_b, est_b)[0, 1] > 0.9
+
+    def test_noise_columns_reach_the_reference_optimum(self, monkeypatch):
+        # two columns that ignore the trait pull their slopes toward the
+        # box edge; the fit must end no lower than with the per-item
+        # finite-difference Newton M-step
+        rng = np.random.default_rng(133)
+        items = simulate_items("grm", 6, rng, n_categories=4)
+        data = simulate_dataset(items, 1500, seed=134)
+        cells = np.array(data.cells)
+        cells[:, 4:] = rng.integers(0, 4, size=(1500, 2))
+        data = data.with_cells(cells)
+        got = fit(data, FitConfig(seed=0)).final_loglik
+        monkeypatch.setattr(estimation, "_m_step", reference_m_step)
+        want = fit(data, FitConfig(seed=0)).final_loglik
+        assert got >= want - 1e-8 * abs(want)
 
     def test_loglik_trace_nondecreasing(self):
         rng = np.random.default_rng(73)

@@ -300,7 +300,7 @@ class TestFamilyProtocol:
         x = params.to_x()
         assert_allclose(params.from_x(x).vector(), params.vector(),
                         rtol=1e-13, atol=1e-15)
-        assert_allclose(params.clamp_x(x), x, rtol=1e-13, atol=1e-15)
+        assert_allclose(params.kernel.clamp(x), x, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_chain_gradient_matches_central_differences(self, family):
@@ -314,7 +314,7 @@ class TestFamilyProtocol:
             return float(np.sum(r * params.from_x(v).log_probs(nodes)))
 
         _, d_params = params.from_x(x).grad(nodes)
-        got = params.chain_gradient(x, np.einsum("qk,qkp->p", r, d_params))
+        got = params.kernel.chain(x, np.einsum("qk,qkp->p", r, d_params))
         h = 1e-6
         fd = np.array([(objective(x + h * e) - objective(x - h * e)) / (2 * h)
                        for e in np.eye(x.size)])
@@ -323,7 +323,7 @@ class TestFamilyProtocol:
     @staticmethod
     def projected(params):
         """The parameters after the M-step's box projection in x-space."""
-        return params.from_x(params.clamp_x(params.to_x()))
+        return params.from_x(params.kernel.clamp(params.to_x()))
 
     @pytest.mark.parametrize("params", [
         Binary2PL(60.0, 0.0), Binary2PL(1e-4, 0.0),

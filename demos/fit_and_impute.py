@@ -59,10 +59,13 @@ print(f"all-missing pattern: trait {blank.eap_mean:+.2f} "
 result = impute_dataset(holed, model)
 print(f"\nimputed {len(result.mask)} cells; first three with their "
       "category probabilities:")
-for (row, col), probs in list(zip(result.mask, result.probabilities))[:3]:
+# result.mask holds (row, column) positions; each row of
+# result.probabilities is NaN past its column's category count
+for (row, col), probs in zip(result.mask[:3].tolist(),
+                             result.probabilities[:3]):
     filled = int(result.completed.cells[row, col])
     print(f"  case {row:4d} -> category {filled}   "
-          f"p = {np.round(probs, 3)}")
+          f"p = {np.round(probs[~np.isnan(probs)], 3)}")
 
 print()
 print(report_text(score(truth, result)))

@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import math
 import os
 import sys
 import warnings
@@ -341,13 +342,9 @@ def cmd_impute(config: RunConfig) -> int:
 
     # write imputed codes back into the original column types; bin codes
     # for a discretized column have no continuous value to restore
-    out_cells = np.array(data.cells, copy=True)
-    unrestored = 0
-    for (row, col) in result.mask:
-        if data.schemas[col].is_categorical:
-            out_cells[row, col] = result.completed.cells[row, col]
-        else:
-            unrestored += 1
+    categorical = np.array([schema.is_categorical for schema in data.schemas])
+    out_cells = np.where(categorical, result.completed.cells, data.cells)
+    unrestored = int(np.count_nonzero(~categorical[result.mask[:, 1]]))
     if unrestored:
         warnings.warn(
             f"{unrestored} missing continuous cells stay missing: the model "
@@ -362,16 +359,18 @@ def cmd_impute(config: RunConfig) -> int:
 
 
 def _write_probabilities(path: str, view: CategoricalDataset, result) -> None:
-    widest = max((len(p) for p in result.probabilities), default=0)
+    names = [schema.name for schema in view.schemas]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["case", "column"]
-                        + [f"p{k}" for k in range(widest)])
-        for (row, col), probs in zip(result.mask, result.probabilities):
-            record = [row, view.schemas[col].name]
-            record += [repr(float(p)) for p in probs]
-            record += [""] * (widest - len(probs))
-            writer.writerow(record)
+        writer.writerow(["case", "column"] + [
+            f"p{k}" for k in range(result.probabilities.shape[1])])
+        # one row's list at a time: listing the whole matrix at once costs
+        # more memory than the matrix itself
+        writer.writerows(
+            [row, names[col],
+             *("" if math.isnan(p) else repr(p) for p in probs.tolist())]
+            for (row, col), probs in zip(result.mask.tolist(),
+                                         result.probabilities))
 
 
 def cmd_inject(config: RunConfig) -> int:
@@ -424,23 +423,17 @@ def cmd_evaluate(config: RunConfig) -> int:
     if not truth.n_rows == holed.n_rows == imputed.n_rows:
         raise DataError("the three datasets must have the same rows")
 
-    mask = []
-    unscoreable = 0
-    for j, schema in enumerate(schemas):
-        if not schema.is_categorical:
-            continue
-        for i in np.flatnonzero(holed.cells[:, j] == MISSING):
-            if truth.cells[i, j] == MISSING:
-                unscoreable += 1
-            else:
-                mask.append((int(i), int(j)))
+    blanked = ((holed.cells == MISSING)
+               & np.array([schema.is_categorical for schema in schemas]))
+    unscoreable = int(np.count_nonzero(blanked & (truth.cells == MISSING)))
+    mask = np.argwhere(blanked & (truth.cells != MISSING))
     if unscoreable:
         warnings.warn(
             f"{unscoreable} blanked cells are missing in the truth too and "
             "cannot be scored",
             stacklevel=2,
         )
-    report = score_cells(truth, imputed, tuple(sorted(mask)))
+    report = score_cells(truth, imputed, mask)
     sys.stdout.write(report_text(report))
     return 0
 
@@ -464,7 +457,7 @@ def _parse_mechanisms(text: str) -> tuple[str, ...]:
 
 
 def _majority_fill(view: CategoricalDataset, target: str,
-                   mask: tuple[tuple[int, int], ...]) -> CategoricalDataset:
+                   mask: np.ndarray) -> CategoricalDataset:
     """Complete the view by writing the observed modal code everywhere."""
     codes = view.codes(target)
     observed = codes[codes >= 0]
@@ -472,8 +465,7 @@ def _majority_fill(view: CategoricalDataset, target: str,
     assert arity is not None
     mode = int(np.argmax(np.bincount(observed, minlength=arity)))
     cells = np.array(view.cells, copy=True)
-    for row, col in mask:
-        cells[row, col] = float(mode)
+    cells[mask[:, 0], mask[:, 1]] = float(mode)
     return view.with_cells(cells)
 
 

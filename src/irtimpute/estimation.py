@@ -60,9 +60,6 @@ from .models import (
     ItemModel,
     NominalItem,
     _check_code,
-    item_from_dict,
-    item_param_vector,
-    item_to_dict,
     log_category_probs,
 )
 
@@ -358,14 +355,13 @@ def _solve_free(info: np.ndarray, g: np.ndarray, held: np.ndarray
 
 
 def _projected_direction(kernel, x: np.ndarray, info: np.ndarray,
-                         g: np.ndarray) -> np.ndarray:
+                         g: np.ndarray, held: np.ndarray) -> np.ndarray:
     """Projected Newton direction per item, or a scaled ascent step.
 
-    A coordinate is held when the box stops it along its gradient or
-    along the Newton direction.  The solve is repeated until the direction
-    moves no coordinate the box stops.
+    A coordinate is held when the box stops it along its gradient (the
+    given ``held``) or along the Newton direction.  The solve is repeated
+    until the direction moves no coordinate the box stops.
     """
-    held = _held(kernel, x, g)
     while True:
         delta = _solve_free(info, g, held)
         more = _held(kernel, x, delta) & ~held
@@ -397,11 +393,14 @@ def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
     active = np.arange(len(x))
     for _ in range(max_iter):
         scale = np.maximum(1.0, np.abs(f[active]))
-        active = active[~(np.abs(g[active]).max(axis=1) <= tol * scale)]
+        # converge on the projected gradient: a held coordinate cannot move
+        held = _held(kernel, x[active], g[active])
+        going = ~(np.abs(g[active] * ~held).max(axis=1) <= tol * scale)
+        active, held = active[going], held[going]
         if not active.size:
             break
         delta = _projected_direction(kernel, x[active], info[active],
-                                     g[active])
+                                     g[active], held)
         step = 1.0
         trying = np.arange(active.size)
         for _ in range(60):
@@ -609,7 +608,7 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
         new_items, clamp_events = _m_step(items, es.expected_counts, grid,
                                           config)
         delta = max(
-            float(np.max(np.abs(item_param_vector(new) - item_param_vector(old))))
+            float(np.max(np.abs(new.params.vector() - old.params.vector())))
             for new, old in zip(new_items, items)
         )
         items = new_items
@@ -675,7 +674,7 @@ def save_model(model: FittedModel, path: str | Path) -> None:
         "version": MODEL_VERSION,
         "grid": {"nodes": list(model.grid.nodes),
                  "weights": list(model.grid.weights)},
-        "items": [item_to_dict(item) for item in model.items],
+        "items": [item.to_dict() for item in model.items],
         "converged": model.converged,
         "iterations": model.iterations,
         "final_loglik": model.final_loglik,
@@ -708,7 +707,7 @@ def load_model(path: str | Path) -> FittedModel:
     try:
         grid = QuadratureGrid(tuple(payload["grid"]["nodes"]),
                               tuple(payload["grid"]["weights"]))
-        items = tuple(item_from_dict(entry) for entry in payload["items"])
+        items = tuple(ItemModel.from_dict(entry) for entry in payload["items"])
         return FittedModel(
             items=items,
             grid=grid,

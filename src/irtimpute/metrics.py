@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import MISSING, CategoricalDataset
 from .errors import DataError
-from .impute import ImputedDataset
+from .impute import ImputedDataset, _positions, _raise_first_bad
 
 __all__ = ["CategoryScore", "ImputationReport", "score", "score_cells",
            "report_text"]
@@ -41,56 +41,52 @@ class ImputationReport:
     macro_categories: tuple[int, ...]
 
 
-def _safe_ratio(numerator: float, denominator: float) -> float:
-    return numerator / denominator if denominator > 0 else 0.0
+def _safe_ratio(numerator, denominator: np.ndarray) -> np.ndarray:
+    return np.divide(numerator, denominator, out=np.zeros(len(denominator)),
+                     where=denominator > 0)
 
 
 def score_cells(truth: CategoricalDataset, completed: CategoricalDataset,
-                mask: tuple[tuple[int, int], ...]) -> ImputationReport:
-    """Score a completed dataset against truth over the given cells."""
+                mask) -> ImputationReport:
+    """Score a completed dataset against truth over the given cells.
+
+    ``mask`` holds the (row, column) positions: a sequence of pairs or an
+    ``(n, 2)`` integer array.
+    """
     if truth.schemas != completed.schemas:
         raise DataError("truth and completed datasets have different schemas")
     if truth.n_rows != completed.n_rows:
         raise DataError("truth and completed datasets have different sizes")
-    if not mask:
+    mask, inside, rows, cols = _positions(mask, truth.cells.shape)
+    if not len(mask):
         raise DataError("no imputed cells to score")
-    arity = 0
-    for row, col in mask:
-        schema = truth.schemas[col]
-        if not schema.is_categorical:
-            raise DataError(
-                f"cell ({row}, {col}) is in a non-categorical column"
-            )
-        assert schema.arity is not None
-        arity = max(arity, schema.arity)
-        if truth.cells[row, col] == MISSING:
-            raise DataError(f"cell ({row}, {col}) is missing in the truth")
-        if completed.cells[row, col] == MISSING:
-            raise DataError(f"cell ({row}, {col}) was not imputed")
+    arities = np.array([schema.arity or 0 for schema in truth.schemas])[cols]
+    true_codes = truth.cells[rows, cols]
+    imputed_codes = completed.cells[rows, cols]
+    _raise_first_bad(mask, [
+        (~inside, lambda i: " is outside the dataset"),
+        (arities == 0, lambda i: " is in a non-categorical column"),
+        (true_codes == MISSING, lambda i: " is missing in the truth"),
+        (imputed_codes == MISSING, lambda i: " was not imputed"),
+    ])
 
-    confusion = np.zeros((arity, arity), dtype=np.int64)
-    for row, col in mask:
-        true_code = int(truth.cells[row, col])
-        imputed_code = int(completed.cells[row, col])
-        confusion[true_code, imputed_code] += 1
+    arity = int(arities.max())
+    pairs = (arity * true_codes + imputed_codes).astype(np.int64)
+    confusion = np.bincount(pairs, minlength=arity ** 2).reshape(arity, arity)
 
-    per_category = []
-    for k in range(arity):
-        precision = _safe_ratio(confusion[k, k], confusion[:, k].sum())
-        recall = _safe_ratio(confusion[k, k], confusion[k].sum())
-        f1 = _safe_ratio(2 * precision * recall, precision + recall)
-        per_category.append(CategoryScore(precision, recall, f1))
-
-    present = tuple(int(k) for k in range(arity) if confusion[k].sum() > 0)
-    macro_f1 = float(np.mean([per_category[k].f1 for k in present]))
-    micro_f1 = float(np.trace(confusion) / len(mask))
+    hits = np.diag(confusion)
+    support = confusion.sum(axis=1)
+    precision = _safe_ratio(hits, confusion.sum(axis=0))
+    recall = _safe_ratio(hits, support)
+    f1 = _safe_ratio(2 * precision * recall, precision + recall)
     return ImputationReport(
         confusion=confusion,
-        per_category=tuple(per_category),
-        macro_f1=macro_f1,
-        micro_f1=micro_f1,
+        per_category=tuple(map(CategoryScore, precision.tolist(),
+                               recall.tolist(), f1.tolist())),
+        macro_f1=float(np.mean(f1[support > 0])),
+        micro_f1=float(hits.sum() / len(mask)),
         cell_count=len(mask),
-        macro_categories=present,
+        macro_categories=tuple(np.flatnonzero(support > 0).tolist()),
     )
 
 

@@ -17,8 +17,8 @@ and their analytic derivatives ``grad``; the flat ``vector``/
 ``with_vector``; the M-step's unconstrained coordinates ``to_x``/
 ``from_x``; ``bound_events`` for parameters resting on a box edge;
 ``to_dict``/``from_dict`` and ``describe``.  The module-level functions
-(:func:`category_probs`, :func:`item_to_dict`, ...) are one-line calls to
-these methods.
+(:func:`category_probs`, :func:`log_category_probs`, ...) are one-line
+calls to these methods.
 
 Each family also names its ``kernel``, which holds the M-step's rules on
 stacked arrays (items × nodes × categories × coordinates): log-probabilities
@@ -56,10 +56,6 @@ __all__ = [
     "log_category_probs",
     "pattern_loglik",
     "pattern_score",
-    "item_param_vector",
-    "item_with_params",
-    "item_to_dict",
-    "item_from_dict",
 ]
 
 # Parameter boxes the M-step projects every iterate into.
@@ -497,6 +493,22 @@ class ItemModel:
     def n_categories(self) -> int:
         return self.params.n_categories
 
+    def to_dict(self) -> dict:
+        """Model-file entry: column and family keys plus the parameters."""
+        return {"column": self.column, "family": self.family,
+                **self.params.to_dict()}
+
+    @classmethod
+    def from_dict(cls, entry: dict) -> ItemModel:
+        try:
+            family, column = entry["family"], entry["column"]
+            if family not in _CLASS_BY_FAMILY:
+                raise DataError(f"unknown item family {family!r}")
+            params = _CLASS_BY_FAMILY[family].from_dict(entry)
+        except KeyError as exc:
+            raise DataError(f"item entry missing key {exc}") from None
+        return cls(column, params)
+
 
 def _params(item: ItemModel | ItemParams) -> ItemParams:
     return item.params if isinstance(item, ItemModel) else item
@@ -538,20 +550,6 @@ def log_category_probs(theta, item: ItemModel | ItemParams):
 
 
 # ---------------------------------------------------------------------------
-# Free-parameter vectors
-# ---------------------------------------------------------------------------
-
-def item_param_vector(item: ItemModel | ItemParams) -> np.ndarray:
-    return _params(item).vector()
-
-
-def item_with_params(item: ItemModel, vector: np.ndarray) -> ItemModel:
-    """Rebuild an item of the same family/column from a flat vector."""
-    vector = np.asarray(vector, dtype=np.float64)
-    return ItemModel(item.column, item.params.with_vector(vector))
-
-
-# ---------------------------------------------------------------------------
 # Pattern likelihood and analytic score
 # ---------------------------------------------------------------------------
 
@@ -587,7 +585,7 @@ def grad_log_probs(
     Returns ``(d_theta, d_params)`` with shapes ``(T, m)`` and ``(T, m, P)``
     where ``P`` is the free-parameter count: the gradient of
     ``log P(category k | theta_t)`` with respect to theta and to the item's
-    parameter vector (layout of :func:`item_param_vector`).
+    parameter vector (layout of the family's ``vector``).
     """
     return params.grad(theta)
 
@@ -597,8 +595,8 @@ class PatternScore:
     """Analytic gradient of a pattern's log-likelihood.
 
     ``theta`` is the derivative with respect to the trait; ``items`` holds
-    one gradient vector per item (parameter layout of
-    :func:`item_param_vector`), zero for items with a missing response.
+    one gradient vector per item (parameter layout of the family's
+    ``vector``), zero for items with a missing response.
     """
 
     theta: float
@@ -615,32 +613,11 @@ def pattern_score(
     for code, item in zip(pattern, items, strict=True):
         code = int(code)
         _check_code(code, item)
-        n_free = item_param_vector(item).shape[0]
         if code == -1:
-            grads.append(np.zeros(n_free))
+            grads.append(np.zeros_like(item.params.vector()))
             continue
         d_theta, d_params = grad_log_probs(item.params, theta_arr)
         total_dtheta += float(d_theta[0, code])
         grads.append(d_params[0, code].copy())
     return PatternScore(total_dtheta, tuple(grads))
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def item_to_dict(item: ItemModel) -> dict:
-    return {"column": item.column, "family": item.family,
-            **item.params.to_dict()}
-
-
-def item_from_dict(entry: dict) -> ItemModel:
-    try:
-        family = entry["family"]
-        column = entry["column"]
-        if family not in _CLASS_BY_FAMILY:
-            raise DataError(f"unknown item family {family!r}")
-        params = _CLASS_BY_FAMILY[family].from_dict(entry)
-    except KeyError as exc:
-        raise DataError(f"item entry missing key {exc}") from None
-    return ItemModel(column, params)

@@ -17,8 +17,6 @@ from irtimpute.models import (
     GradedItem,
     ItemModel,
     NominalItem,
-    item_param_vector,
-    item_with_params,
     log_category_probs,
     pattern_loglik,
 )
@@ -73,16 +71,16 @@ def finite_difference_score(pattern, items, theta, h=1e-5):
                - pattern_loglik(pattern, items, theta - h)) / (2 * h)
     d_items = []
     for idx, item in enumerate(items):
-        vec = item_param_vector(item)
+        vec = item.params.vector()
         grad = np.zeros_like(vec)
         for p in range(vec.size):
             hi, lo = vec.copy(), vec.copy()
             hi[p] += h
             lo[p] -= h
             up = list(items)
-            up[idx] = item_with_params(item, hi)
+            up[idx] = ItemModel(item.column, item.params.with_vector(hi))
             f_hi = pattern_loglik(pattern, tuple(up), theta)
-            up[idx] = item_with_params(item, lo)
+            up[idx] = ItemModel(item.column, item.params.with_vector(lo))
             f_lo = pattern_loglik(pattern, tuple(up), theta)
             grad[p] = (f_hi - f_lo) / (2 * h)
         d_items.append(grad)

@@ -55,7 +55,6 @@ from irtimpute.models import (
     ItemModel,
     NominalItem,
     category_probs,
-    item_param_vector,
     log_category_probs,
     pattern_loglik,
 )
@@ -265,8 +264,8 @@ class TestMStep:
             item = random_item(np.random.default_rng(61), family, m=4)
             counts = masses[:, None] * category_probs(nodes, item)
             updated = m_step_item(item, counts, grid)
-            assert_allclose(item_param_vector(updated),
-                            item_param_vector(item), atol=1e-6)
+            assert_allclose(updated.params.vector(),
+                            item.params.vector(), atol=1e-6)
 
     def test_step_function_counts_push_toward_step(self):
         # all mass above theta=0 answers 1, all mass below answers 0: the
@@ -281,6 +280,33 @@ class TestMStep:
         updated = m_step_item(item, counts, grid)
         assert updated.params.a > item.params.a
         assert abs(updated.params.b) < abs(item.params.b)
+
+    def test_optimum_pressed_against_the_box_converges_at_once(
+            self, monkeypatch):
+        # the step-function counts drive the slope to its box edge; started
+        # at that optimum, the held slope's gradient must not keep the
+        # Newton loop halving its step
+        grid = build_grid()
+        nodes = grid.node_array()
+        masses = 500.0 * grid.weight_array()
+        counts = np.zeros((grid.size, 2))
+        counts[nodes > 0, 1] = masses[nodes > 0]
+        counts[nodes <= 0, 0] = masses[nodes <= 0]
+        optimum = m_step_item(ItemModel("u", Binary2PL(1.0, 0.7)), counts,
+                              grid)
+        assert optimum.params.bound_events("u")
+        calls = []
+        objective = estimation._objective
+
+        def counted(*args):
+            calls.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(estimation, "_objective", counted)
+        again = m_step_item(optimum, counts, grid)
+        assert len(calls) < 10
+        assert_allclose(again.params.vector(), optimum.params.vector(),
+                        rtol=1e-12)
 
     @pytest.mark.parametrize("family", ("2pl", "grm", "nrm"))
     def test_objective_never_decreases(self, family):
@@ -367,8 +393,8 @@ class TestMStep:
         together, _ = _m_step(tuple(items), counts, grid, FitConfig())
         for item, r, got in zip(items, counts, together):
             alone = m_step_item(item, r, grid)
-            assert_array_equal(item_param_vector(got),
-                               item_param_vector(alone))
+            assert_array_equal(got.params.vector(),
+                               alone.params.vector())
 
 
 class TestFit:
@@ -416,7 +442,7 @@ class TestFit:
         two = fit(data, FitConfig(seed=3))
         assert one.loglik_trace == two.loglik_trace
         for a, b in zip(one.items, two.items):
-            assert_array_equal(item_param_vector(a), item_param_vector(b))
+            assert_array_equal(a.params.vector(), b.params.vector())
 
     def test_all_missing_row_changes_nothing(self):
         rng = np.random.default_rng(83)
@@ -427,7 +453,7 @@ class TestFit:
         base = fit(data, FitConfig(seed=0))
         more = fit(augmented, FitConfig(seed=0))
         for a, b in zip(base.items, more.items):
-            assert_allclose(item_param_vector(a), item_param_vector(b),
+            assert_allclose(a.params.vector(), b.params.vector(),
                             atol=1e-10)
 
     def test_unobserved_category(self):

@@ -133,6 +133,22 @@ class TestImputedDataset:
         with pytest.raises(DataError, match="does not match"):
             ImputedDataset(bad, ((1, 0),), (np.array([0.5, 0.5]),))
 
+    def test_positions_outside_the_dataset_rejected(self):
+        for position in ((-1, 1), (5, 1), (0, 3)):
+            with pytest.raises(DataError, match=r"outside the dataset"):
+                ImputedDataset(self.completed(), (position,),
+                               (np.array([0.1, 0.2, 0.7]),))
+
+    def test_first_bad_cell_in_mask_order_names_the_error(self):
+        # cell (0, 1) fails only the code check and cell (1, 0) is
+        # missing; the error names whichever the mask lists first
+        with pytest.raises(DataError, match=r"cell \(0, 1\): stored code 2"):
+            ImputedDataset(self.completed(), ((0, 1), (1, 0)),
+                           (np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.6])))
+        with pytest.raises(DataError, match=r"cell \(1, 0\) left missing"):
+            ImputedDataset(self.completed(), ((1, 0), (0, 1)),
+                           (np.array([0.4, 0.6]), np.array([0.5, 0.3, 0.2])))
+
 
 class TestImputeDataset:
     def test_fills_every_modeled_cell(self):
@@ -142,7 +158,7 @@ class TestImputeDataset:
 
     def test_mask_is_row_major_and_complete(self):
         result = impute_dataset(tiny_dataset(), tiny_model())
-        assert result.mask == ((0, 1), (1, 0), (3, 0), (3, 1))
+        assert result.mask.tolist() == [[0, 1], [1, 0], [3, 0], [3, 1]]
 
     def test_observed_cells_untouched(self):
         data = tiny_dataset()
@@ -161,7 +177,9 @@ class TestImputeDataset:
         data = tiny_dataset()
         result = impute_dataset(data, tiny_model())
         arities = {0: 2, 1: 3}
-        for (row, col), probs in zip(result.mask, result.probabilities):
+        for (row, col), probs in zip(result.mask.tolist(),
+                                     result.probabilities):
+            probs = probs[~np.isnan(probs)]
             assert len(probs) == arities[col]
             assert_allclose(probs.sum(), 1.0, atol=1e-12)
             assert data.cells[row, col] == MISSING
@@ -173,13 +191,16 @@ class TestImputeDataset:
         for col, item in ((0, model.items[0]), (1, model.items[1])):
             expected_code, expected_probs = impute_cell(0.0, item)
             assert result.completed.cells[3, col] == expected_code
-            idx = result.mask.index((3, col))
-            assert_allclose(result.probabilities[idx], expected_probs,
+            idx = result.mask.tolist().index([3, col])
+            probs = result.probabilities[idx]
+            assert_allclose(probs[~np.isnan(probs)], expected_probs,
                             atol=1e-9)
 
     def test_codes_agree_with_probability_vectors(self):
         result = impute_dataset(tiny_dataset(), tiny_model())
-        for (row, col), probs in zip(result.mask, result.probabilities):
+        for (row, col), probs in zip(result.mask.tolist(),
+                                     result.probabilities):
+            probs = probs[~np.isnan(probs)]
             code = int(result.completed.cells[row, col])
             if len(probs) == 2:
                 assert code == (1 if probs[1] >= 0.5 else 0)
@@ -192,8 +213,8 @@ class TestImputeDataset:
         items = (ItemModel("u", Binary2PL(1.0, 0.0)),)
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
         result = impute_dataset(data, model)
-        assert result.mask == ()
-        assert result.probabilities == ()
+        assert result.mask.tolist() == []
+        assert result.probabilities.tolist() == []
         assert_array_equal(result.completed.cells, data.cells)
 
     def test_arity_mismatch_rejected(self):

@@ -121,6 +121,29 @@ class TestScoreCells:
         with pytest.raises(DataError, match="not imputed"):
             score_cells(full, holed, ((0, 0),))
 
+    def test_positions_outside_the_dataset_rejected(self):
+        truth, completed, _ = binary_pair([1, 0, 1], [1, 0, 1])
+        for position in ((-1, 0), (5, 0), (0, 1)):
+            with pytest.raises(DataError,
+                               match=rf"cell \({position[0]}, "
+                                     rf"{position[1]}\) is outside"):
+                score_cells(truth, completed, (position,))
+
+    def test_tuple_and_array_masks_agree(self):
+        schemas = (
+            ColumnSchema("u", "binary"),
+            ColumnSchema("v", "ordinal", arity=4),
+        )
+        truth = CategoricalDataset(
+            schemas, np.array([[1.0, 3.0], [0.0, 2.0], [1.0, 1.0]]))
+        completed = CategoricalDataset(
+            schemas, np.array([[1.0, 3.0], [1.0, 0.0], [1.0, 1.0]]))
+        pairs = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1))
+        from_tuple = score_cells(truth, completed, pairs)
+        from_array = score_cells(truth, completed, np.array(pairs))
+        assert_array_equal(from_array.confusion, from_tuple.confusion)
+        assert report_text(from_array) == report_text(from_tuple)
+
     def test_continuous_cell_rejected(self):
         schemas = (ColumnSchema("u", "binary"), ColumnSchema("z", "continuous"))
         truth = CategoricalDataset(schemas, np.array([[1.0, 2.5]]))

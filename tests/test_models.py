@@ -22,10 +22,6 @@ from irtimpute.models import (
     ItemModel,
     NominalItem,
     category_probs,
-    item_from_dict,
-    item_param_vector,
-    item_to_dict,
-    item_with_params,
     log_category_probs,
     pattern_loglik,
     pattern_score,
@@ -259,16 +255,17 @@ class TestParamVectors:
     def test_roundtrip(self, family):
         rng = np.random.default_rng(41)
         item = random_item(rng, family, m=5)
-        rebuilt = item_with_params(item, item_param_vector(item))
+        rebuilt = ItemModel(item.column,
+                            item.params.with_vector(item.params.vector()))
         assert rebuilt == item
 
     def test_layouts(self):
-        assert item_param_vector(Binary2PL(1.5, -0.2)).tolist() == [1.5, -0.2]
-        assert item_param_vector(GradedItem(2.0, (-1.0, 1.0))).tolist() == \
+        assert Binary2PL(1.5, -0.2).vector().tolist() == [1.5, -0.2]
+        assert GradedItem(2.0, (-1.0, 1.0)).vector().tolist() == \
             [2.0, -1.0, 1.0]
-        assert item_param_vector(
-            NominalItem((0.0, 0.5, 1.0), (0.0, -0.3, 0.7))
-        ).tolist() == [0.5, 1.0, -0.3, 0.7]
+        assert NominalItem(
+            (0.0, 0.5, 1.0), (0.0, -0.3, 0.7)
+        ).vector().tolist() == [0.5, 1.0, -0.3, 0.7]
 
 
 class TestSerialization:
@@ -276,11 +273,11 @@ class TestSerialization:
     def test_dict_roundtrip(self, family):
         rng = np.random.default_rng(43)
         item = ItemModel("col", random_item(rng, family, m=4).params)
-        assert item_from_dict(item_to_dict(item)) == item
+        assert ItemModel.from_dict(item.to_dict()) == item
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DataError):
-            item_from_dict({"column": "c", "family": "rasch", "a": 1.0})
+            ItemModel.from_dict({"column": "c", "family": "rasch", "a": 1.0})
 
 
 class TestFamilyProtocol:

@@ -82,8 +82,6 @@ from .models import (
     pattern_loglik,
     pattern_score,
     prob_2pl,
-    prob_grm_categories,
-    prob_nrm_categories,
 )
 from .simulate import simulate_dataset, simulate_items, simulate_responses
 

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,7 @@ from .impute import impute_dataset
 from .metrics import report_text, score_cells
 from .missingness import inject_mar, inject_mcar, littles_test
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 logger = logging.getLogger("irtimpute")
 
@@ -66,20 +65,6 @@ _FIT_DEFAULTS = {
     "tol": 1e-4,
     "seed": 0,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One command plus its merged options (config file under flags)."""
-
-    command: str
-    options: dict
-
-    def __getattr__(self, name: str):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +246,14 @@ def build_parser() -> _Parser:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _missing_tokens(config: RunConfig) -> tuple[str, ...]:
-    return tuple(config.missing_tokens.split(","))
+def _missing_tokens(args: argparse.Namespace) -> tuple[str, ...]:
+    return tuple(args.missing_tokens.split(","))
 
 
-def _load_inputs(config: RunConfig, path: str
+def _load_inputs(args: argparse.Namespace, path: str
                  ) -> tuple[tuple[ColumnSchema, ...], CategoricalDataset]:
-    schemas = load_schema(config.schema)
-    return schemas, load_csv(path, schemas, _missing_tokens(config))
+    schemas = load_schema(args.schema)
+    return schemas, load_csv(path, schemas, _missing_tokens(args))
 
 
 def _check_column(schemas, name: str, flag: str) -> ColumnSchema:
@@ -278,24 +263,20 @@ def _check_column(schemas, name: str, flag: str) -> ColumnSchema:
     raise UsageError(f"{flag}: no column named {name!r} in the schema")
 
 
-def _resolved_fit_options(config: RunConfig) -> dict:
+def _resolved_fit_options(args: argparse.Namespace) -> dict:
     return {
-        key: default if config.options.get(key) is None
-        else config.options[key]
+        key: default if getattr(args, key) is None else getattr(args, key)
         for key, default in _FIT_DEFAULTS.items()
     }
 
 
 def _fit_on(data: CategoricalDataset, options: dict) -> FittedModel:
-    """Discretize continuous features if present, then fit; the model
-    keeps the cut points."""
-    maps = {}
-    if any(data.schemas[j].kind == "continuous"
-           for j in data.feature_indices):
-        data, maps = discretize_dataset(data, options["bins"])
-        for mapping in maps.values():
-            logger.info("discretized %r into %d bins, cuts %s",
-                        mapping.column, mapping.bins, list(mapping.cuts))
+    """Discretize continuous features, then fit; the model keeps the cut
+    points."""
+    data, maps = discretize_dataset(data, options["bins"])
+    for mapping in maps.values():
+        logger.info("discretized %r into %d bins, cuts %s",
+                    mapping.column, mapping.bins, list(mapping.cuts))
     fit_config = FitConfig(
         grid_size=options["grid_size"],
         grid_range=(options["grid_lo"], options["grid_hi"]),
@@ -313,30 +294,30 @@ def _fit_on(data: CategoricalDataset, options: dict) -> FittedModel:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(config: RunConfig) -> int:
-    _, data = _load_inputs(config, config.data)
-    model = _fit_on(data, _resolved_fit_options(config))
-    save_model(model, config.out)
+def cmd_fit(args: argparse.Namespace) -> int:
+    _, data = _load_inputs(args, args.data)
+    model = _fit_on(data, _resolved_fit_options(args))
+    save_model(model, args.out)
     sys.stdout.write(diagnostics_report(model))
     return 0
 
 
-def cmd_impute(config: RunConfig) -> int:
+def cmd_impute(args: argparse.Namespace) -> int:
     fit_flags = [key for key in _FIT_DEFAULTS
-                 if config.options.get(key) is not None]
-    if config.model and (fit_flags or config.save_model):
+                 if getattr(args, key) is not None]
+    if args.model and (fit_flags or args.save_model):
         culprit = fit_flags[0] if fit_flags else "save-model"
         raise UsageError(
             f"--{culprit.replace('_', '-')} only applies when fitting; "
             "it cannot modify the model loaded via --model"
         )
-    _, data = _load_inputs(config, config.data)
-    if config.model:
-        model = load_model(config.model)
+    _, data = _load_inputs(args, args.data)
+    if args.model:
+        model = load_model(args.model)
     else:
-        model = _fit_on(data, _resolved_fit_options(config))
-        if config.save_model:
-            save_model(model, config.save_model)
+        model = _fit_on(data, _resolved_fit_options(args))
+        if args.save_model:
+            save_model(model, args.save_model)
     view = apply_discretization(data, model.discretization)
     result = impute_dataset(view, model)
 
@@ -351,9 +332,9 @@ def cmd_impute(config: RunConfig) -> int:
             "imputes their bins, not their values",
             stacklevel=2,
         )
-    emit_csv(data.with_cells(out_cells), config.out)
-    if config.probabilities:
-        _write_probabilities(config.probabilities, view, result)
+    emit_csv(data.with_cells(out_cells), args.out)
+    if args.probabilities:
+        _write_probabilities(args.probabilities, view, result)
     print(f"imputed {len(result.mask)} cells")
     return 0
 
@@ -373,38 +354,38 @@ def _write_probabilities(path: str, view: CategoricalDataset, result) -> None:
                                          result.probabilities))
 
 
-def cmd_inject(config: RunConfig) -> int:
-    schemas = load_schema(config.schema)
-    _check_column(schemas, config.target, "--target")
-    if config.mechanism == "mcar":
-        if config.seed is None:
+def cmd_inject(args: argparse.Namespace) -> int:
+    schemas = load_schema(args.schema)
+    _check_column(schemas, args.target, "--target")
+    if args.mechanism == "mcar":
+        if args.seed is None:
             raise UsageError("mcar injection needs --seed")
-        if config.conditional or config.direction:
+        if args.conditional or args.direction:
             raise UsageError("--conditional/--direction are mar-only flags")
     else:
-        if config.conditional is None:
+        if args.conditional is None:
             raise UsageError("mar injection needs --conditional")
-        if config.seed is not None:
+        if args.seed is not None:
             raise UsageError("mar injection is deterministic; --seed "
                              "applies to mcar only")
-        _check_column(schemas, config.conditional, "--conditional")
-    data = load_csv(config.data, schemas, _missing_tokens(config))
+        _check_column(schemas, args.conditional, "--conditional")
+    data = load_csv(args.data, schemas, _missing_tokens(args))
 
-    if config.mechanism == "mcar":
-        logger.info("mcar injection with seed %d", config.seed)
-        out = inject_mcar(data, config.target, config.fraction, config.seed)
+    if args.mechanism == "mcar":
+        logger.info("mcar injection with seed %d", args.seed)
+        out = inject_mcar(data, args.target, args.fraction, args.seed)
     else:
-        out = inject_mar(data, config.target, config.conditional,
-                         config.fraction, config.direction or "top")
-    emit_csv(out, config.out)
-    removed = int(np.sum(out.cells[:, data.column_index(config.target)]
+        out = inject_mar(data, args.target, args.conditional,
+                         args.fraction, args.direction or "top")
+    emit_csv(out, args.out)
+    removed = int(np.sum(out.cells[:, data.column_index(args.target)]
                          == MISSING))
-    print(f"removed {removed} cells from column {config.target!r}")
+    print(f"removed {removed} cells from column {args.target!r}")
     return 0
 
 
-def cmd_mcar_test(config: RunConfig) -> int:
-    _, data = _load_inputs(config, config.data)
+def cmd_mcar_test(args: argparse.Namespace) -> int:
+    _, data = _load_inputs(args, args.data)
     result = littles_test(data.to_numeric(data.feature_indices))
     print("Little's MCAR test")
     print(f"statistic: {result.statistic:.6f}")
@@ -414,12 +395,12 @@ def cmd_mcar_test(config: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    schemas = load_schema(config.schema)
-    tokens = _missing_tokens(config)
-    truth = load_csv(config.truth, schemas, tokens)
-    holed = load_csv(config.with_missing, schemas, tokens)
-    imputed = load_csv(config.imputed, schemas, tokens)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    schemas = load_schema(args.schema)
+    tokens = _missing_tokens(args)
+    truth = load_csv(args.truth, schemas, tokens)
+    holed = load_csv(args.with_missing, schemas, tokens)
+    imputed = load_csv(args.imputed, schemas, tokens)
     if not truth.n_rows == holed.n_rows == imputed.n_rows:
         raise DataError("the three datasets must have the same rows")
 
@@ -469,20 +450,20 @@ def _majority_fill(view: CategoricalDataset, target: str,
     return view.with_cells(cells)
 
 
-def cmd_bench(config: RunConfig) -> int:
-    fractions = _parse_fractions(config.fractions)
-    mechanisms = _parse_mechanisms(config.mechanisms)
-    schemas = load_schema(config.schema)
-    target_schema = _check_column(schemas, config.target, "--target")
+def cmd_bench(args: argparse.Namespace) -> int:
+    fractions = _parse_fractions(args.fractions)
+    mechanisms = _parse_mechanisms(args.mechanisms)
+    schemas = load_schema(args.schema)
+    target_schema = _check_column(schemas, args.target, "--target")
     if not target_schema.is_categorical or target_schema.role != "feature":
         raise UsageError("--target must be a categorical feature column")
     if "mar" in mechanisms:
-        if config.conditional is None:
+        if args.conditional is None:
             raise UsageError("mar benchmarking needs --conditional")
-        _check_column(schemas, config.conditional, "--conditional")
-    truth = load_csv(config.data, schemas, _missing_tokens(config))
+        _check_column(schemas, args.conditional, "--conditional")
+    truth = load_csv(args.data, schemas, _missing_tokens(args))
 
-    options = _resolved_fit_options(config)
+    options = _resolved_fit_options(args)
     little_rows = []
     f1_rows = []
     cell_index = 0
@@ -491,13 +472,13 @@ def cmd_bench(config: RunConfig) -> int:
             seed = options["seed"] + cell_index
             cell_index += 1
             if mechanism == "mcar":
-                injected = inject_mcar(truth, config.target, fraction, seed)
+                injected = inject_mcar(truth, args.target, fraction, seed)
                 logger.info("cell %d: mcar %g seed %d", cell_index, fraction,
                             seed)
             else:
-                injected = inject_mar(truth, config.target,
-                                      config.conditional, fraction,
-                                      config.direction)
+                injected = inject_mar(truth, args.target,
+                                      args.conditional, fraction,
+                                      args.direction)
                 logger.info("cell %d: mar %g (deterministic)", cell_index,
                             fraction)
             little = littles_test(
@@ -509,7 +490,7 @@ def cmd_bench(config: RunConfig) -> int:
             truth_view = apply_discretization(truth, model.discretization)
             scored = score_cells(truth_view, result.completed, result.mask)
             baseline = score_cells(
-                truth_view, _majority_fill(view, config.target, result.mask),
+                truth_view, _majority_fill(view, args.target, result.mask),
                 result.mask)
 
             cells = len(result.mask)
@@ -524,8 +505,8 @@ def cmd_bench(config: RunConfig) -> int:
 
     lines = [
         "imputation benchmark",
-        f"target: {config.target}",
-        f"conditional: {config.conditional or '-'}",
+        f"target: {args.target}",
+        f"conditional: {args.conditional or '-'}",
         f"mechanisms: {' '.join(mechanisms)}",
         f"fractions: {' '.join(f'{f:g}' for f in fractions)}",
         f"base seed: {options['seed']}",
@@ -543,8 +524,8 @@ def cmd_bench(config: RunConfig) -> int:
         *f1_rows,
     ]
     text = "\n".join(lines) + "\n"
-    if config.out:
-        Path(config.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -568,9 +549,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(_expand_config(raw))
-        options = {key: value for key, value in vars(args).items()
-                   if key not in ("command", "config")}
-        return _COMMANDS[args.command](RunConfig(args.command, options))
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ loader rejects such files rather than corrupt them silently.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,17 @@ KINDS = ("binary", "ordinal", "nominal", "continuous")
 ROLES = ("feature", "id", "excluded")
 
 _CATEGORICAL_KINDS = frozenset({"binary", "ordinal", "nominal"})
+
+
+def _fields_equal(self, other) -> bool:
+    """``==`` for a dataclass with array fields: arrays compare by value,
+    NaN equal to NaN (the generated ``__eq__`` would raise on them)."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name))
+             for f in fields(self))
+    return all(np.array_equal(a, b, equal_nan=True)
+               if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,8 @@ class CategoricalDataset:
 
     schemas: tuple[ColumnSchema, ...]
     cells: np.ndarray = field(repr=False)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         schemas = tuple(self.schemas)
@@ -327,15 +340,11 @@ def load_csv(
     return CategoricalDataset(tuple(schemas), cells)
 
 
-def emit_csv(
-    data: CategoricalDataset,
-    path: str | Path,
-    missing_token: str = "",
-) -> None:
+def emit_csv(data: CategoricalDataset, path: str | Path) -> None:
     """Write a dataset back to CSV; inverse of :func:`load_csv`.
 
     Categorical cells are written as their labels, continuous cells with
-    ``repr`` (shortest round-trip form), missing cells as ``missing_token``.
+    ``repr`` (shortest round-trip form), missing cells as empty cells.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -345,7 +354,7 @@ def emit_csv(
             for j, schema in enumerate(data.schemas):
                 value = data.cells[i, j]
                 if value == MISSING:
-                    record.append(missing_token)
+                    record.append("")
                 elif schema.is_categorical:
                     assert schema.labels is not None
                     record.append(schema.labels[int(value)])
@@ -392,7 +401,6 @@ class DiscretizationMap:
 def discretize(
     values: np.ndarray,
     bins: int = 4,
-    strategy: str = "quantile",
     column: str = "x",
 ) -> tuple[DiscretizationMap, np.ndarray]:
     """Quantile-bin a continuous vector into ``bins`` ordinal codes.
@@ -402,8 +410,6 @@ def discretize(
     :class:`~irtimpute.errors.DegenerateColumn` when the values cannot
     support ``bins`` distinct bins.
     """
-    if strategy != "quantile":
-        raise DataError(f"unknown discretization strategy {strategy!r}")
     if bins < 2:
         raise DataError("bins must be >= 2")
     values = np.asarray(values, dtype=np.float64)

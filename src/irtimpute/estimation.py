@@ -65,6 +65,11 @@ from .models import (
 
 COUNT_FLOOR = 1e-10
 
+# Each M-step's Newton: iteration cap and projected-gradient tolerance
+# (relative to the objective's magnitude).
+NEWTON_MAX_ITER = 20
+NEWTON_TOL = 1e-8
+
 MODEL_FORMAT = "irtimpute-model"
 MODEL_VERSION = 1
 
@@ -126,20 +131,14 @@ class FitConfig:
     grid_range: tuple[float, float] = (-6.0, 6.0)
     max_iter: int = 500
     tol: float = 1e-4
-    newton_max_iter: int = 20
-    newton_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid_size < 11:
-            raise DataError("grid size must be at least 11")
-        if self.tol <= 0 or self.newton_tol <= 0:
-            raise DataError("tolerances must be positive")
-        if self.max_iter < 1 or self.newton_max_iter < 1:
-            raise DataError("iteration caps must be at least 1")
-        lo, hi = self.grid_range
-        if not lo < hi:
-            raise DataError(f"invalid grid range [{lo}, {hi}]")
+        # the grid's size and range are checked by build_grid
+        if self.tol <= 0:
+            raise DataError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise DataError("iteration cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -376,8 +375,7 @@ def _projected_direction(kernel, x: np.ndarray, info: np.ndarray,
 
 
 def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
-                     nodes: np.ndarray, max_iter: int, tol: float,
-                     columns: list[str]) -> np.ndarray:
+                     nodes: np.ndarray, columns: list[str]) -> np.ndarray:
     """Projected Newton with the expected information, one row per item.
 
     Coordinates the parameter box stops are held before each step
@@ -391,11 +389,11 @@ def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
         raise NumericalFailure(
             f"item {columns[np.argmax(bad)]!r}: non-finite objective at start")
     active = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         scale = np.maximum(1.0, np.abs(f[active]))
         # converge on the projected gradient: a held coordinate cannot move
         held = _held(kernel, x[active], g[active])
-        going = ~(np.abs(g[active] * ~held).max(axis=1) <= tol * scale)
+        going = ~(np.abs(g[active] * ~held).max(axis=1) <= NEWTON_TOL * scale)
         active, held = active[going], held[going]
         if not active.size:
             break
@@ -420,7 +418,7 @@ def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
         # with a large gradient
         for i in active[trying]:
             gmax = np.max(np.abs(g[i]))
-            if (gmax > 1e3 * tol * max(1.0, abs(f[i]))
+            if (gmax > 1e3 * NEWTON_TOL * max(1.0, abs(f[i]))
                     and not _at_bound(kernel, x[i:i + 1])):
                 raise NewtonDiverged(
                     f"item {columns[i]!r}: no improving step with gradient "
@@ -455,8 +453,8 @@ def _floored_counts(item: ItemModel, expected_counts: np.ndarray,
     return np.maximum(r, COUNT_FLOOR)
 
 
-def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid,
-            config: FitConfig) -> tuple[tuple[ItemModel, ...], list[str]]:
+def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid
+            ) -> tuple[tuple[ItemModel, ...], list[str]]:
     """Improve every item against its expected counts.
 
     Returns the updated items and the clamp events of their parameters.
@@ -471,7 +469,6 @@ def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid,
         solved = _newton_maximize(
             kernel, np.array([items[i].params.to_x() for i in members]),
             np.array([counts[i] for i in members]), grid.node_array(),
-            config.newton_max_iter, config.newton_tol,
             [items[i].column for i in members])
         for i, row in zip(members, solved):
             x[i] = row
@@ -483,11 +480,9 @@ def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid,
 
 
 def m_step_item(item: ItemModel, expected_counts: np.ndarray,
-                grid: QuadratureGrid, config: FitConfig | None = None
-                ) -> ItemModel:
+                grid: QuadratureGrid) -> ItemModel:
     """Improve one item's parameters against its expected counts."""
-    (updated,), _ = _m_step((item,), (expected_counts,), grid,
-                            config or FitConfig())
+    (updated,), _ = _m_step((item,), (expected_counts,), grid)
     return updated
 
 
@@ -592,8 +587,8 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
         ) -> FittedModel:
     """Fit all feature columns by EM over the quadrature grid."""
     config = config or FitConfig()
-    _check_fit_preconditions(data)
     grid = build_grid(config.grid_size, config.grid_range)
+    _check_fit_preconditions(data)
     items = _initial_items(data, config)
     x = _design(_codes_matrix(data, items), items)
     trace: list[float] = []
@@ -605,8 +600,7 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
         es = _e_step_core(x, items, grid)
         trace.append(es.marginal_loglik)
         # keep the final iteration's active clamps
-        new_items, clamp_events = _m_step(items, es.expected_counts, grid,
-                                          config)
+        new_items, clamp_events = _m_step(items, es.expected_counts, grid)
         delta = max(
             float(np.max(np.abs(new.params.vector() - old.params.vector())))
             for new, old in zip(new_items, items)

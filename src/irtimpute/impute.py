@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MISSING, CategoricalDataset
+from .data import MISSING, CategoricalDataset, _fields_equal
 from .errors import DataError
 from .estimation import FittedModel, eap_scores
 from .models import ItemModel, category_probs
@@ -97,6 +97,8 @@ class ImputedDataset:
     completed: CategoricalDataset
     mask: np.ndarray
     probabilities: np.ndarray = field(repr=False)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         cells = self.completed.cells

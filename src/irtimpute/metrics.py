@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MISSING, CategoricalDataset
+from .data import MISSING, CategoricalDataset, _fields_equal
 from .errors import DataError
 from .impute import ImputedDataset, _positions, _raise_first_bad
 
@@ -39,6 +39,8 @@ class ImputationReport:
     micro_f1: float
     cell_count: int
     macro_categories: tuple[int, ...]
+
+    __eq__ = _fields_equal
 
 
 def _safe_ratio(numerator, denominator: np.ndarray) -> np.ndarray:

@@ -121,6 +121,11 @@ def inject_mar(data: CategoricalDataset, target: str, conditional: str,
 # p × p matrices
 _BLOCK = 256
 
+# The EM of the normal model stops when no mean or covariance entry moves
+# by EM_TOL, or after EM_MAX_ITER iterations.
+EM_TOL = 1e-6
+EM_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class LittleTestResult:
@@ -226,8 +231,7 @@ class _EMBlock:
 
 
 def _em_normal(y: np.ndarray, filled: np.ndarray, observed: np.ndarray,
-               starts: np.ndarray, tol: float, max_iter: int
-               ) -> tuple[np.ndarray, np.ndarray]:
+               starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ML mean and covariance of a normal model with missing entries.
 
     The rows of ``y`` (NaN where missing) and ``filled`` (0 there) are
@@ -251,7 +255,7 @@ def _em_normal(y: np.ndarray, filled: np.ndarray, observed: np.ndarray,
         hi = min(lo + _BLOCK, regressed)
         blocks.append(_EMBlock(filled[starts[lo]:starts[hi]], observed[lo:hi],
                                np.diff(starts[lo:hi + 1])))
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         sum1 = complete_sum1.copy()
         sum2 = complete_sum2.copy()
         for block in blocks:
@@ -262,13 +266,12 @@ def _em_normal(y: np.ndarray, filled: np.ndarray, observed: np.ndarray,
         change = max(float(np.max(np.abs(new_mean - mean))),
                      float(np.max(np.abs(new_cov - cov))))
         mean, cov = new_mean, new_cov
-        if change < tol:
+        if change < EM_TOL:
             break
     return mean, cov
 
 
-def littles_test(y: np.ndarray, em_tol: float = 1e-6,
-                 em_max_iter: int = 200) -> LittleTestResult:
+def littles_test(y: np.ndarray) -> LittleTestResult:
     """Little's completely-at-random test on a numeric matrix.
 
     ``y`` holds one row per case with NaN marking missing entries.  Rows
@@ -302,7 +305,7 @@ def littles_test(y: np.ndarray, em_tol: float = 1e-6,
     filled = np.where(observed[order], y, 0.0)
     starts = np.concatenate(([0], np.cumsum(counts)))
 
-    mean, cov = _em_normal(y, filled, patterns, starts, em_tol, em_max_iter)
+    mean, cov = _em_normal(y, filled, patterns, starts)
 
     means = np.add.reduceat(filled, starts[:-1], axis=0) / counts[:, None]
     diff = np.where(patterns, means - mean, 0.0)

@@ -12,13 +12,15 @@ constant anywhere):
   with category 0 anchored at ``a_0 = c_0 = 0``
 
 Each family is one frozen parameter class that owns every rule differing
-by family: ``family``/``kind``/``n_categories``; ``probs``, ``log_probs``
-and their analytic derivatives ``grad``; the flat ``vector``/
-``with_vector``; the M-step's unconstrained coordinates ``to_x``/
-``from_x``; ``bound_events`` for parameters resting on a box edge;
-``to_dict``/``from_dict`` and ``describe``.  The module-level functions
-(:func:`category_probs`, :func:`log_category_probs`, ...) are one-line
-calls to these methods.
+by family: ``family``/``kind``/``n_categories``; ``log_probs`` and their
+analytic derivatives ``grad``; the flat ``vector``/``with_vector``; the
+M-step's unconstrained coordinates ``to_x``/``from_x``; ``bound_events``
+for parameters resting on a box edge; and ``describe``.  The families
+share ``to_dict``/``from_dict`` and ``probs``, which is the exponential of
+``log_probs``: the E-step, EAP scoring, the M-step and the imputed cells'
+probability vectors all read one likelihood.  The module-level :func:`category_probs` and
+:func:`log_category_probs` are one-line calls to these methods, and
+:func:`prob_2pl` is the plain binary curve.
 
 Each family also names its ``kernel``, which holds the M-step's rules on
 stacked arrays (items × nodes × categories × coordinates): log-probabilities
@@ -28,10 +30,11 @@ the cumulative one, because a binary item is a graded item with one
 boundary; nominal items use the softmax one.  A family's ``grad`` is a
 one-row call of its kernel's derivatives.
 
-Probability evaluation is overflow-safe for arbitrarily large logits
-(sign-split logistic, max-subtracted softmax).  Log-probabilities are
-computed directly in log space so that tail categories stay accurate far
-into the extremes.
+Log-probabilities are computed directly in log space (``log_expit``, a
+max-subtracted log-softmax), so they cannot overflow and tail categories
+stay accurate far into the extremes.  A graded category's probability is
+not the difference of two boundary curves, which loses every digit once
+both curves round to 1.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ __all__ = [
     "ItemModel",
     "PatternScore",
     "prob_2pl",
-    "prob_grm_categories",
-    "prob_nrm_categories",
     "category_probs",
     "log_category_probs",
     "pattern_loglik",
@@ -269,8 +270,13 @@ def _grad(kernel: type[_Kernel], natural: tuple, theta
     return d_theta[0], d_params[0]
 
 
-class _Serialized:
-    """Model-file form: one key per dataclass field, tuples as lists."""
+class _Family:
+    """Rules every family shares: probabilities from ``log_probs`` and the
+    model-file form (one key per dataclass field, tuples as lists)."""
+
+    def probs(self, theta) -> np.ndarray:
+        """Category probabilities at ``theta``; shape ``(..., m)``."""
+        return np.exp(self.log_probs(theta))
 
     def to_dict(self) -> dict:
         values = (getattr(self, f.name) for f in fields(self))
@@ -283,7 +289,7 @@ class _Serialized:
 
 
 @dataclass(frozen=True)
-class Binary2PL(_Serialized):
+class Binary2PL(_Family):
     """Slope ``a > 0`` and location ``b`` of a binary item."""
 
     a: float
@@ -298,11 +304,6 @@ class Binary2PL(_Serialized):
         _check_finite("2PL parameters", [self.a, self.b])
         if self.a <= 0:
             raise DataError(f"2PL slope must be positive, got {self.a}")
-
-    def probs(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        z = self.a * (theta[..., None] - self.b)
-        return np.concatenate([expit(-z), expit(z)], axis=-1)
 
     def log_probs(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
@@ -331,7 +332,7 @@ class Binary2PL(_Serialized):
 
 
 @dataclass(frozen=True)
-class GradedItem(_Serialized):
+class GradedItem(_Family):
     """Slope ``a > 0`` and strictly increasing boundary locations.
 
     ``m - 1`` boundaries define ``m`` ordered categories.
@@ -362,17 +363,6 @@ class GradedItem(_Serialized):
     @property
     def n_categories(self) -> int:
         return len(self.boundaries) + 1
-
-    def probs(self, theta) -> np.ndarray:
-        # Adjacent boundary differences: nonnegative by monotonicity of the
-        # logistic, summing to 1 exactly up to float addition.
-        theta = np.asarray(theta, dtype=np.float64)
-        z = self.a * (theta[..., None] - np.asarray(self.boundaries))
-        pstar = np.empty(theta.shape + (len(self.boundaries) + 2,))
-        pstar[..., 0] = 1.0
-        pstar[..., -1] = 0.0
-        pstar[..., 1:-1] = expit(z)
-        return pstar[..., :-1] - pstar[..., 1:]
 
     def log_probs(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
@@ -405,7 +395,7 @@ class GradedItem(_Serialized):
 
 
 @dataclass(frozen=True)
-class NominalItem(_Serialized):
+class NominalItem(_Family):
     """Per-category slopes and intercepts, category 0 anchored at zero."""
 
     slopes: tuple[float, ...]
@@ -432,22 +422,10 @@ class NominalItem(_Serialized):
     def n_categories(self) -> int:
         return len(self.slopes)
 
-    def _logits(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        return (
-            theta[..., None] * np.asarray(self.slopes)
-            + np.asarray(self.intercepts)
-        )
-
-    def probs(self, theta) -> np.ndarray:
-        logits = self._logits(theta)
-        logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
-        return logits
-
     def log_probs(self, theta) -> np.ndarray:
-        return _log_softmax(self._logits(theta))
+        theta = np.asarray(theta, dtype=np.float64)
+        return _log_softmax(theta[..., None] * np.asarray(self.slopes)
+                            + np.asarray(self.intercepts))
 
     def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
         return _grad(self.kernel, (self.slopes, self.intercepts), theta)
@@ -525,18 +503,11 @@ def prob_2pl(theta, a: float, b: float):
     return float(out) if out.ndim == 0 else out
 
 
-def prob_grm_categories(theta, item: GradedItem):
-    """Category probabilities of a graded item; shape ``(..., m)``."""
-    return item.probs(theta)
-
-
-def prob_nrm_categories(theta, item: NominalItem):
-    """Category probabilities of a nominal item; shape ``(..., m)``."""
-    return item.probs(theta)
-
-
 def category_probs(theta, item: ItemModel | ItemParams):
-    """Probability of every category at ``theta``; shape ``(..., m)``."""
+    """Probability of every category at ``theta``; shape ``(..., m)``.
+
+    The exponential of :func:`log_category_probs`, the values the fit uses.
+    """
     return _params(item).probs(theta)
 
 

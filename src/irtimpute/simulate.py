@@ -21,40 +21,43 @@ from .models import (
 
 __all__ = ["simulate_items", "simulate_responses", "simulate_dataset"]
 
+# Uniform ranges of the drawn slopes and locations.
+SLOPE_RANGE = (0.8, 2.0)
+LOCATION_RANGE = (-2.0, 2.0)
+
 
 def simulate_items(
     family: str,
     n_items: int,
     rng: np.random.Generator,
     n_categories: int = 4,
-    slope_range: tuple[float, float] = (0.8, 2.0),
-    location_range: tuple[float, float] = (-2.0, 2.0),
     name_prefix: str = "item",
 ) -> tuple[ItemModel, ...]:
     """Random items with slopes and locations drawn uniformly.
 
-    Graded boundaries are sorted draws from the location range; nominal
-    free slopes come from the slope range and free intercepts from the
-    location range (category 0 stays anchored at zero).
+    Slopes come from ``SLOPE_RANGE`` and locations from ``LOCATION_RANGE``.
+    Graded boundaries are sorted location draws; nominal free slopes are
+    slope draws and free intercepts location draws (category 0 stays
+    anchored at zero).
     """
     if family not in ("2pl", "grm", "nrm"):
         raise DataError(f"unknown family {family!r}")
     items = []
     for i in range(n_items):
-        a = float(rng.uniform(*slope_range))
+        a = float(rng.uniform(*SLOPE_RANGE))
         if family == "2pl":
             params: Binary2PL | GradedItem | NominalItem = Binary2PL(
-                a, float(rng.uniform(*location_range))
+                a, float(rng.uniform(*LOCATION_RANGE))
             )
         elif family == "grm":
-            bs = np.sort(rng.uniform(*location_range, size=n_categories - 1))
+            bs = np.sort(rng.uniform(*LOCATION_RANGE, size=n_categories - 1))
             # keep boundaries separated so every category carries real mass
             for k in range(1, bs.size):
                 bs[k] = max(bs[k], bs[k - 1] + 0.15)
             params = GradedItem(a, tuple(bs))
         else:
-            slopes = (0.0, *rng.uniform(*slope_range, size=n_categories - 1))
-            intercepts = (0.0, *rng.uniform(*location_range,
+            slopes = (0.0, *rng.uniform(*SLOPE_RANGE, size=n_categories - 1))
+            intercepts = (0.0, *rng.uniform(*LOCATION_RANGE,
                                             size=n_categories - 1))
             params = NominalItem(slopes, intercepts)
         items.append(ItemModel(f"{name_prefix}{i:02d}", params))

@@ -7,7 +7,8 @@ from scipy.stats import chi2
 
 from irtimpute.errors import NewtonDiverged, NumericalFailure
 from irtimpute.estimation import (
-    FitConfig,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     _floored_counts,
     _posteriors_and_loglik,
 )
@@ -190,12 +191,11 @@ def reference_newton(fg, clamp, x0, max_iter, tol, context):
     return x
 
 
-def reference_m_step(items, expected_counts, grid, config=None):
+def reference_m_step(items, expected_counts, grid):
     """The finite-difference Newton M-step, one item at a time (reference).
 
     Same signature and result shape as ``estimation._m_step``.
     """
-    config = config or FitConfig()
     nodes = grid.node_array()
     updated = []
     for item, counts in zip(items, expected_counts):
@@ -203,7 +203,7 @@ def reference_m_step(items, expected_counts, grid, config=None):
         r = _floored_counts(item, counts, grid)
         x = reference_newton(
             reference_objective(params, r, nodes), params.kernel.clamp,
-            params.to_x(), config.newton_max_iter, config.newton_tol,
+            params.to_x(), NEWTON_MAX_ITER, NEWTON_TOL,
             context=f"item {item.column!r}")
         updated.append(ItemModel(item.column, params.from_x(x)))
     events = [event for item in updated

@@ -308,6 +308,15 @@ class TestDataErrorBoundary:
                   "--out", tmp_path / "absent-dir" / "m.json"])
         self.assert_one_data_error(rc, capsys)
 
+    def test_grid_smaller_than_eleven_nodes(self, corpus, holed, tmp_path,
+                                           capsys):
+        rc = run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                  "--grid-size", 5, "--out", tmp_path / "m.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: data: grid size must be at least 11\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_unwritable_probabilities(self, corpus, holed, model_file,
                                       tmp_path, capsys):
         capsys.readouterr()

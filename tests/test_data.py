@@ -242,8 +242,6 @@ class TestDiscretize:
 
     def test_rejects_unknown_strategy_and_bad_input(self):
         with pytest.raises(DataError):
-            discretize(np.arange(10.0), bins=4, strategy="width")
-        with pytest.raises(DataError):
             discretize(np.array([1.0, np.nan, 2.0]), bins=2)
         with pytest.raises(DataError):
             discretize(np.arange(10.0), bins=1)

@@ -390,7 +390,7 @@ class TestMStep:
             counts.append(rng.gamma(1.0, 5.0, size=(grid.size, m)))
         counts[7] = np.zeros_like(counts[7])
         counts[7][40] = rng.uniform(1.0, 20.0, size=items[7].n_categories)
-        together, _ = _m_step(tuple(items), counts, grid, FitConfig())
+        together, _ = _m_step(tuple(items), counts, grid)
         for item, r, got in zip(items, counts, together):
             alone = m_step_item(item, r, grid)
             assert_array_equal(got.params.vector(),

@@ -1,11 +1,14 @@
 """Imputed-cell scoring: confusion matrix, per-category F1, macro/micro."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
 from irtimpute.errors import DataError
+from irtimpute.impute import ImputedDataset
 from irtimpute.metrics import report_text, score_cells
 
 
@@ -160,3 +163,32 @@ class TestReportText:
         assert "macro F1: 0.500000 over categories [0, 1]" in text
         assert text.endswith("\n")
         assert "1 0.500000 0.500000 0.500000 2" in text
+
+
+def _dataset(last=2):
+    schemas = (ColumnSchema("u", "binary"),
+               ColumnSchema("v", "ordinal", arity=3))
+    return CategoricalDataset(schemas, np.array([[1.0, 1.0], [1.0, last]]))
+
+
+def _imputed(low=0.1):
+    # the binary cell's row is NaN past its two probabilities
+    return ImputedDataset(_dataset(), ((0, 0), (1, 1)),
+                          ([0.3, 0.7], [low, 0.2, 0.7]))
+
+
+def _report(extra=0):
+    report = score_cells(_dataset(), _dataset(), ((0, 0), (1, 1)))
+    confusion = report.confusion.copy()
+    confusion[0, 0] += extra
+    return dataclasses.replace(report, confusion=confusion)
+
+
+@pytest.mark.parametrize("make, changed", [
+    (_dataset, 0.0),
+    (_imputed, 0.05),
+    (_report, 1),
+], ids=["dataset", "imputed", "report"])
+def test_array_fields_compare_by_value(make, changed):
+    assert make() == make()
+    assert make() != make(changed)

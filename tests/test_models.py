@@ -4,6 +4,8 @@ Expected numbers were computed independently (closed-form logistic and
 softmax arithmetic) before being frozen here.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,8 +28,6 @@ from irtimpute.models import (
     pattern_loglik,
     pattern_score,
     prob_2pl,
-    prob_grm_categories,
-    prob_nrm_categories,
 )
 
 FAMILIES = ("2pl", "grm", "nrm")
@@ -76,7 +76,7 @@ class TestGradedModel:
         # sigmoid(1), sigmoid(0), sigmoid(-1); categories are the
         # successive differences starting from 1 and ending at 0.
         item = GradedItem(1.0, (-1.0, 0.0, 1.0))
-        probs = prob_grm_categories(0.0, item)
+        probs = category_probs(0.0, item)
         expected = [0.2689414213699951, 0.2310585786300049,
                     0.2310585786300049, 0.2689414213699951]
         assert_allclose(probs, expected, rtol=1e-14)
@@ -86,14 +86,14 @@ class TestGradedModel:
         thetas = np.linspace(-6, 6, 41)
         for m in (2, 3, 5, 8):
             item = random_item(rng, "grm", m=m)
-            probs = prob_grm_categories(thetas, item.params)
+            probs = category_probs(thetas, item.params)
             assert np.all(probs >= 0)
             assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_boundaries_recoverable_from_categories(self):
         item = GradedItem(1.4, (-0.8, 0.3, 1.1))
         thetas = np.linspace(-4, 4, 17)
-        probs = prob_grm_categories(thetas, item)
+        probs = category_probs(thetas, item)
         for k, b_k in enumerate(item.boundaries, start=1):
             tail = probs[:, k:].sum(axis=-1)
             assert_allclose(tail, prob_2pl(thetas, item.a, b_k),
@@ -104,7 +104,7 @@ class TestGradedModel:
         thetas = np.linspace(-6, 6, 121)
         for _ in range(20):
             item = random_item(rng, "grm", m=int(rng.integers(3, 7)))
-            probs = prob_grm_categories(thetas, item.params)
+            probs = category_probs(thetas, item.params)
             expected = probs @ np.arange(probs.shape[1])
             assert np.all(np.diff(expected) > -1e-12)
 
@@ -119,7 +119,7 @@ class TestNominalModel:
     def test_known_values(self):
         # softmax of (0, 1*1 + 0.5, 2*1 - 1) = softmax(0, 1.5, 1)
         item = NominalItem((0.0, 1.0, 2.0), (0.0, 0.5, -1.0))
-        probs = prob_nrm_categories(1.0, item)
+        probs = category_probs(1.0, item)
         expected = [0.12195165230972885, 0.5465493872661796,
                     0.3314989604240915]
         assert_allclose(probs, expected, rtol=1e-14)
@@ -129,7 +129,7 @@ class TestNominalModel:
         thetas = np.linspace(-6, 6, 41)
         for m in (2, 3, 5, 8):
             item = random_item(rng, "nrm", m=m)
-            probs = prob_nrm_categories(thetas, item.params)
+            probs = category_probs(thetas, item.params)
             assert np.all(probs >= 0)
             assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -142,7 +142,7 @@ class TestNominalModel:
             a = rng.uniform(0.2, 3.0)
             b = rng.uniform(-3.0, 3.0)
             item = NominalItem((0.0, a), (0.0, -a * b))
-            assert_allclose(prob_nrm_categories(thetas, item)[:, 1],
+            assert_allclose(category_probs(thetas, item)[:, 1],
                             prob_2pl(thetas, a=a, b=b), atol=1e-12)
 
     def test_anchor_required(self):
@@ -184,6 +184,40 @@ class TestLogProbs:
         for z in (-60.0, -45.0, 40.0, 55.0):
             logs = log_category_probs(b + z / a, item)
             assert_allclose(logs, [log_expit(-z), log_expit(z)], rtol=1e-12)
+
+
+class TestOneProbabilityPath:
+    """Category probabilities are the exponential of the fit's
+    log-probabilities."""
+
+    @pytest.mark.parametrize("params", [
+        Binary2PL(1.3, -0.4),
+        GradedItem(0.9, (0.2,)),
+        GradedItem(1.7, (-1.2, 0.1, 0.9)),
+        NominalItem((0.0, 1.4), (0.0, -0.3)),
+        NominalItem((0.0, -0.8, 1.1, 2.0), (0.0, 0.5, -0.7, 0.2)),
+    ], ids=["2pl", "grm-2", "grm-4", "nrm-2", "nrm-4"])
+    @pytest.mark.parametrize("theta", [0.37, np.linspace(-8, 8, 33)],
+                             ids=["scalar", "array"])
+    def test_probs_are_exp_of_log_probs(self, params, theta):
+        item = ItemModel("x", params)
+        want = np.exp(log_category_probs(theta, item))
+        np.testing.assert_array_equal(category_probs(theta, item), want)
+        np.testing.assert_array_equal(category_probs(theta, params), want)
+
+    @pytest.mark.parametrize("theta", [6, 8, 10])
+    def test_graded_tail_matches_exact_arithmetic(self, theta):
+        # sigmoid(z_1) - sigmoid(z_2) in 60 digits; a difference of two
+        # doubles that both round near 1 would lose most of them
+        a, bounds = 4, (-1, 1)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            star = [Decimal(1)] + [
+                1 / (1 + (-Decimal(a * (theta - b))).exp()) for b in bounds
+            ] + [Decimal(0)]
+            exact = [float(star[k] - star[k + 1]) for k in range(3)]
+        got = category_probs(float(theta), GradedItem(4.0, (-1.0, 1.0)))
+        assert_allclose(got, exact, rtol=1e-12, atol=0)
 
 
 class TestPatternLoglik:

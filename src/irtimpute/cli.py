@@ -18,10 +18,8 @@ Failures print one ``error: <kind>: <message>`` line to stderr.  Set the
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
-import math
 import os
 import sys
 import warnings
@@ -34,10 +32,13 @@ from .data import (
     CategoricalDataset,
     ColumnSchema,
     apply_discretization,
+    atomic_write,
     discretize_dataset,
     emit_csv,
     load_csv,
     load_schema,
+    _float_text,
+    _write_csv_blocks,
 )
 from .errors import DataError, IrtImputeError, UsageError
 from .estimation import (
@@ -340,18 +341,17 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
 
 def _write_probabilities(path: str, view: CategoricalDataset, result) -> None:
-    names = [schema.name for schema in view.schemas]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["case", "column"] + [
-            f"p{k}" for k in range(result.probabilities.shape[1])])
-        # one row's list at a time: listing the whole matrix at once costs
-        # more memory than the matrix itself
-        writer.writerows(
-            [row, names[col],
-             *("" if math.isnan(p) else repr(p) for p in probs.tolist())]
-            for (row, col), probs in zip(result.mask.tolist(),
-                                         result.probabilities))
+    names = np.array([schema.name for schema in view.schemas], dtype=object)
+
+    def columns(rows: slice) -> list:
+        mask = result.mask[rows]
+        return [mask[:, 0].tolist(), names[mask[:, 1]],
+                *(_float_text(p, np.isnan(p))
+                  for p in result.probabilities[rows].T)]
+
+    header = ["case", "column"] + [
+        f"p{k}" for k in range(result.probabilities.shape[1])]
+    _write_csv_blocks(path, header, len(result.mask), columns)
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
@@ -525,7 +525,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_write(args.out) as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     return 0

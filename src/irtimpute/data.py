@@ -6,12 +6,24 @@ columns (binary / ordinal / nominal) store exact integer category codes
 sentinel ``-1`` in every column.  Because the sentinel lives in-band, a
 continuous column may not contain a legitimate value of exactly ``-1``; the
 loader rejects such files rather than corrupt them silently.
+
+CSV files are read and written in blocks of ``_BLOCK`` rows, a column at a
+time: each distinct token of a categorical column is parsed once, and labels
+are written by indexing an array of them with the codes.  On bad input the
+loader raises the first error in row-major order; a row with the wrong number
+of fields fails before any of its cells is read.  Every file is written to a
+temporary file first and then moved over its target.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import os
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +42,17 @@ ROLES = ("feature", "id", "excluded")
 
 _CATEGORICAL_KINDS = frozenset({"binary", "ordinal", "nominal"})
 
+# rows per block read or written by the CSV functions
+_BLOCK = 8192
+
 
 def _fields_equal(self, other) -> bool:
     """``==`` for a dataclass with array fields: arrays compare by value,
-    NaN equal to NaN (the generated ``__eq__`` would raise on them)."""
+    NaN equal to NaN (the generated ``__eq__`` would raise on them).
+
+    Classes using it pass ``eq=False`` to ``@dataclass``, which then adds no
+    ``__hash__``, so they stay unhashable instead of hashing their arrays.
+    """
     if other.__class__ is not self.__class__:
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name))
@@ -102,7 +121,7 @@ class ColumnSchema:
         return self.kind in _CATEGORICAL_KINDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalDataset:
     """Immutable (schemas, cells) pair with the invariants enforced.
 
@@ -276,14 +295,15 @@ def load_csv(
     equal to one of ``missing_tokens`` (after stripping whitespace) load as
     missing.  Categorical cells must match a declared label; continuous cells
     must parse as finite floats and may not equal the -1 sentinel.
+
+    Records are read in blocks of ``_BLOCK`` rows and converted a column at a
+    time; the first error in row-major order is raised, and a row with the
+    wrong number of fields fails before any cell of that row is read.
     """
-    label_maps = [
-        {label: code for code, label in enumerate(s.labels)} if s.is_categorical
-        else None
-        for s in schemas
-    ]
-    missing = frozenset(missing_tokens)
-    rows: list[list[float]] = []
+    lookups = [_CellLookup(schema, frozenset(missing_tokens))
+               for schema in schemas]
+    n_cols = len(schemas)
+    blocks = [np.empty((0, n_cols))]
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -296,48 +316,84 @@ def load_csv(
                 f"{path}: header {header!r} does not match schema columns "
                 f"{expected!r}"
             )
-        for rownum, record in enumerate(reader, start=2):
-            if len(record) != len(schemas):
+        first_row = 2
+        for records in iter(lambda: list(islice(reader, _BLOCK)), []):
+            lengths = np.fromiter(map(len, records), np.intp, len(records))
+            ragged = np.flatnonzero(lengths != n_cols)
+            # the records before the first one with a wrong field count
+            whole = records[:ragged[0]] if ragged.size else records
+            block = np.empty((len(whole), n_cols))
+            for j, (lookup, column) in enumerate(zip(lookups, zip(*whole))):
+                read = (lookup.__getitem__ if lookup.codes is not None
+                        else lookup.parse)
+                block[:, j] = np.fromiter(map(read, column), np.float64,
+                                          len(whole))
+            bad = np.argwhere(np.isnan(block))
+            if bad.size:
+                i, j = bad[0]
+                lookups[j].value(whole[i][j], f"{path}:{first_row + i}")
+            if ragged.size:
+                i = ragged[0]
                 raise DataError(
-                    f"{path}:{rownum}: {len(record)} fields, expected "
-                    f"{len(schemas)}"
+                    f"{path}:{first_row + i}: {lengths[i]} fields, expected "
+                    f"{n_cols}"
                 )
-            parsed = []
-            for schema, label_map, text in zip(schemas, label_maps, record):
-                cell = text.strip()
-                if cell in missing:
-                    parsed.append(float(MISSING))
-                    continue
-                if label_map is not None:
-                    if cell not in label_map:
-                        raise UnknownLabel(
-                            f"{path}:{rownum}: {cell!r} is not a label of "
-                            f"column {schema.name!r}"
-                        )
-                    parsed.append(float(label_map[cell]))
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{rownum}: {cell!r} is not numeric "
-                            f"(column {schema.name!r})"
-                        ) from None
-                    if not np.isfinite(value):
-                        raise DataError(
-                            f"{path}:{rownum}: non-finite value in column "
-                            f"{schema.name!r}"
-                        )
-                    if value == MISSING:
-                        raise DataError(
-                            f"{path}:{rownum}: continuous value -1 collides "
-                            f"with the missing sentinel (column "
-                            f"{schema.name!r})"
-                        )
-                    parsed.append(value)
-            rows.append(parsed)
-    cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(schemas))
-    return CategoricalDataset(tuple(schemas), cells)
+            blocks.append(block)
+            first_row += len(records)
+    return CategoricalDataset(tuple(schemas), np.concatenate(blocks))
+
+
+class _CellLookup(dict):
+    """Raw token -> cell value of one column, NaN for a bad token.
+
+    Indexing caches each distinct token, so a categorical column parses it
+    once; continuous columns call :meth:`parse` directly, since their tokens
+    rarely repeat.
+    """
+
+    def __init__(self, schema: ColumnSchema, missing: frozenset) -> None:
+        super().__init__()
+        self.schema = schema
+        self.missing = missing
+        self.codes = ({label: float(code)
+                       for code, label in enumerate(schema.labels)}
+                      if schema.is_categorical else None)
+
+    def value(self, text: str, where: str = "") -> float:
+        """One raw cell's value, or the error for it that names ``where``."""
+        cell = text.strip()
+        if cell in self.missing:
+            return float(MISSING)
+        name = self.schema.name
+        if self.codes is not None:
+            if cell not in self.codes:
+                raise UnknownLabel(
+                    f"{where}: {cell!r} is not a label of column {name!r}")
+            return self.codes[cell]
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataError(
+                f"{where}: {cell!r} is not numeric (column {name!r})"
+            ) from None
+        if not math.isfinite(value):
+            raise DataError(f"{where}: non-finite value in column {name!r}")
+        if value == MISSING:
+            raise DataError(
+                f"{where}: continuous value -1 collides with the missing "
+                f"sentinel (column {name!r})"
+            )
+        return value
+
+    def parse(self, text: str) -> float:
+        try:
+            return self.value(text)
+        except DataError:
+            return math.nan
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = self.parse(text)
+        return value
 
 
 def emit_csv(data: CategoricalDataset, path: str | Path) -> None:
@@ -346,21 +402,59 @@ def emit_csv(data: CategoricalDataset, path: str | Path) -> None:
     Categorical cells are written as their labels, continuous cells with
     ``repr`` (shortest round-trip form), missing cells as empty cells.
     """
-    with open(path, "w", newline="") as handle:
+    labels = [np.array((*schema.labels, ""), dtype=object)
+              if schema.is_categorical else None for schema in data.schemas]
+
+    def columns(rows: slice) -> list:
+        cells = data.cells[rows]
+        return [
+            names[cells[:, j].astype(np.intp)] if names is not None
+            else _float_text(cells[:, j], cells[:, j] == MISSING)
+            for j, names in enumerate(labels)
+        ]
+
+    _write_csv_blocks(path, [s.name for s in data.schemas], data.n_rows,
+                      columns)
+
+
+def _float_text(values: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """``repr`` of each value as an object array, ``""`` where ``blank``."""
+    text = np.array(list(map(repr, values.tolist())), dtype=object)
+    text[blank] = ""
+    return text
+
+
+def _write_csv_blocks(path: str | Path, header: list[str], n_rows: int,
+                      columns: Callable[[slice], list]) -> None:
+    """Write ``header`` and then ``n_rows`` rows, ``_BLOCK`` at a time.
+
+    ``columns(rows)`` returns one sequence of cell values per CSV column for
+    the rows in the slice ``rows``.  The file is written atomically.
+    """
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([s.name for s in data.schemas])
-        for i in range(data.n_rows):
-            record = []
-            for j, schema in enumerate(data.schemas):
-                value = data.cells[i, j]
-                if value == MISSING:
-                    record.append("")
-                elif schema.is_categorical:
-                    assert schema.labels is not None
-                    record.append(schema.labels[int(value)])
-                else:
-                    record.append(repr(float(value)))
-            writer.writerow(record)
+        writer.writerow(header)
+        for start in range(0, n_rows, _BLOCK):
+            writer.writerows(zip(*columns(slice(start, start + _BLOCK))))
+
+
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None):
+    """Open a text file that replaces ``path`` only once it is complete.
+
+    Writes go to a temporary file beside ``path``, which ``os.replace``
+    moves over the target when the block exits normally; on an error the
+    temporary file is removed and the old target is left as it was.
+    """
+    path = os.fspath(path)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", newline=newline) as handle:
+            yield handle
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.special import ndtri
 
-from .data import CategoricalDataset, DiscretizationMap
+from .data import CategoricalDataset, DiscretizationMap, atomic_write
 from .errors import (
     DataError,
     EmptyCategory,
@@ -681,7 +681,7 @@ def save_model(model: FittedModel, path: str | Path) -> None:
                                   key=lambda mapping: mapping.column)
         ],
     }
-    with open(path, "w") as handle:
+    with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

@@ -83,7 +83,7 @@ def _padded(rows) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputedDataset:
     """A completed dataset plus what was filled in and how confidently.
 

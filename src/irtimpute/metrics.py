@@ -29,7 +29,7 @@ class CategoryScore:
     f1: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputationReport:
     """Confusion matrix (true x imputed) and derived scores."""
 

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 from scipy.stats import chi2
 
-from irtimpute.errors import NewtonDiverged, NumericalFailure
+from irtimpute.data import MISSING, CategoricalDataset
+from irtimpute.errors import (
+    DataError,
+    NewtonDiverged,
+    NumericalFailure,
+    UnknownLabel,
+)
 from irtimpute.estimation import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -292,3 +301,100 @@ def littles_test_loop(y, em_tol=1e-6, em_max_iter=200):
         return LittleTestResult(float(statistic), 0, 1.0, len(patterns))
     p_value = float(chi2.sf(statistic, df))
     return LittleTestResult(float(statistic), int(df), p_value, len(patterns))
+
+
+def load_csv_loop(path, schemas, missing_tokens=("", "-1")):
+    """``load_csv`` converting one cell at a time, row by row (reference)."""
+    label_maps = [
+        {label: code for code, label in enumerate(s.labels)} if s.is_categorical
+        else None
+        for s in schemas
+    ]
+    missing = frozenset(missing_tokens)
+    rows: list[list[float]] = []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        expected = [s.name for s in schemas]
+        if [h.strip() for h in header] != expected:
+            raise DataError(
+                f"{path}: header {header!r} does not match schema columns "
+                f"{expected!r}"
+            )
+        for rownum, record in enumerate(reader, start=2):
+            if len(record) != len(schemas):
+                raise DataError(
+                    f"{path}:{rownum}: {len(record)} fields, expected "
+                    f"{len(schemas)}"
+                )
+            parsed = []
+            for schema, label_map, text in zip(schemas, label_maps, record):
+                cell = text.strip()
+                if cell in missing:
+                    parsed.append(float(MISSING))
+                    continue
+                if label_map is not None:
+                    if cell not in label_map:
+                        raise UnknownLabel(
+                            f"{path}:{rownum}: {cell!r} is not a label of "
+                            f"column {schema.name!r}"
+                        )
+                    parsed.append(float(label_map[cell]))
+                else:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{rownum}: {cell!r} is not numeric "
+                            f"(column {schema.name!r})"
+                        ) from None
+                    if not np.isfinite(value):
+                        raise DataError(
+                            f"{path}:{rownum}: non-finite value in column "
+                            f"{schema.name!r}"
+                        )
+                    if value == MISSING:
+                        raise DataError(
+                            f"{path}:{rownum}: continuous value -1 collides "
+                            f"with the missing sentinel (column "
+                            f"{schema.name!r})"
+                        )
+                    parsed.append(value)
+            rows.append(parsed)
+    cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(schemas))
+    return CategoricalDataset(tuple(schemas), cells)
+
+
+def emit_csv_loop(data, path):
+    """``emit_csv`` writing one cell at a time, row by row (reference)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([s.name for s in data.schemas])
+        for i in range(data.n_rows):
+            record = []
+            for j, schema in enumerate(data.schemas):
+                value = data.cells[i, j]
+                if value == MISSING:
+                    record.append("")
+                elif schema.is_categorical:
+                    record.append(schema.labels[int(value)])
+                else:
+                    record.append(repr(float(value)))
+            writer.writerow(record)
+
+
+def write_probabilities_loop(path, view, result):
+    """The CLI's probability sidecar, one cell's row at a time (reference)."""
+    names = [schema.name for schema in view.schemas]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["case", "column"] + [
+            f"p{k}" for k in range(result.probabilities.shape[1])])
+        writer.writerows(
+            [row, names[col],
+             *("" if math.isnan(p) else repr(p) for p in probs.tolist())]
+            for (row, col), probs in zip(result.mask.tolist(),
+                                         result.probabilities))

@@ -5,12 +5,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import irtimpute
-from irtimpute.cli import _expand_config, _read_config, main
+from irtimpute import data as data_module
+from irtimpute.cli import (
+    _expand_config,
+    _read_config,
+    _write_probabilities,
+    main,
+)
 from irtimpute.data import (
     MISSING,
     CategoricalDataset,
@@ -23,6 +30,8 @@ from irtimpute.data import (
 from irtimpute.errors import NumericalFailure, UsageError
 from irtimpute.estimation import load_model, save_model
 from irtimpute.simulate import simulate_dataset, simulate_items
+
+from helpers import write_probabilities_loop
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +333,46 @@ class TestDataErrorBoundary:
                   "--model", model_file, "--out", tmp_path / "out.csv",
                   "--probabilities", tmp_path / "absent-dir" / "p.csv"])
         self.assert_one_data_error(rc, capsys)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_model_write_keeps_old_file(self, corpus, holed, tmp_path,
+                                               capsys, monkeypatch):
+        out = tmp_path / "m.json"
+        out.write_text("previous\n")
+
+        def dump_half(payload, handle, **kwargs):
+            handle.write("{")
+            raise OSError("disk gone")
+
+        monkeypatch.setattr("irtimpute.estimation.json.dump", dump_half)
+        rc = run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                  "--out", out])
+        self.assert_one_data_error(rc, capsys)
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+class TestProbabilitySidecar:
+    def test_matches_reference_over_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK", 5)
+        schemas = (ColumnSchema("b", "binary"),
+                   ColumnSchema("ord", "ordinal", arity=4),
+                   ColumnSchema("z", "continuous"),
+                   ColumnSchema("n", "nominal", arity=3))
+        view = CategoricalDataset(schemas, np.zeros((40, 4)))
+        rng = np.random.default_rng(11)
+        for n_cells in (0, 1, 5, 23):
+            rows = np.sort(rng.choice(40, size=n_cells, replace=False))
+            cols = rng.choice([0, 1, 3], size=n_cells)
+            arity = np.array([2, 4, 0, 3])[cols]
+            probs = rng.dirichlet(np.ones(4), size=n_cells)
+            probs[np.arange(4) >= arity[:, None]] = np.nan
+            result = SimpleNamespace(mask=np.column_stack([rows, cols]),
+                                     probabilities=probs.reshape(n_cells, 4))
+            _write_probabilities(tmp_path / "new.csv", view, result)
+            write_probabilities_loop(tmp_path / "old.csv", view, result)
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "old.csv").read_bytes())
 
 
 class TestImputeCommand:

@@ -1,13 +1,17 @@
 """Schema parsing, dataset validation, CSV round trips, discretization."""
 
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from irtimpute import data as data_module
 from irtimpute.data import (
     MISSING,
     CategoricalDataset,
     ColumnSchema,
+    atomic_write,
     discretize,
     discretize_dataset,
     emit_csv,
@@ -21,6 +25,8 @@ from irtimpute.errors import (
     DegenerateColumn,
     UnknownLabel,
 )
+
+from helpers import emit_csv_loop, load_csv_loop
 
 
 class TestColumnSchema:
@@ -149,6 +155,10 @@ class TestCategoricalDataset:
             CategoricalDataset(schemas, np.zeros((1, 2)))
 
 
+BINARY_U = (ColumnSchema("u", "binary"),)
+CONTINUOUS_X = (ColumnSchema("x", "continuous"),)
+
+
 class TestCsvRoundTrip:
     def test_roundtrip_preserves_everything(self, tmp_path):
         data = toy_dataset()
@@ -211,6 +221,222 @@ class TestCsvRoundTrip:
         path.write_text("x\nabc\n")
         with pytest.raises(DataError):
             load_csv(path, (ColumnSchema("x", "continuous"),))
+
+    @pytest.mark.parametrize("text, schemas, error, message", [
+        ("u\n1\n0\nmaybe\n", BINARY_U, UnknownLabel,
+         ":4: 'maybe' is not a label of column 'u'"),
+        ("x\n1.5\n abc \n", CONTINUOUS_X, DataError,
+         ":3: 'abc' is not numeric (column 'x')"),
+        ("x\ninf\n", CONTINUOUS_X, DataError,
+         ":2: non-finite value in column 'x'"),
+        ("x\n2\n3\n-1.0\n", CONTINUOUS_X, DataError,
+         ":4: continuous value -1 collides with the missing sentinel "
+         "(column 'x')"),
+        ("u,x\n0,1.5\n1\n", BINARY_U + CONTINUOUS_X, DataError,
+         ":3: 1 fields, expected 2"),
+        ("u,x\n0,1.5\n\n", BINARY_U + CONTINUOUS_X, DataError,
+         ":3: 0 fields, expected 2"),
+        ("u,x\n2,1.5\n1\n", BINARY_U + CONTINUOUS_X, UnknownLabel,
+         ":2: '2' is not a label of column 'u'"),
+        ("u,x\n0,1.5\n2\n", BINARY_U + CONTINUOUS_X, DataError,
+         ":3: 1 fields, expected 2"),
+    ], ids=["label", "numeric", "inf", "sentinel", "ragged", "blank-line",
+            "bad-before-ragged", "ragged-beats-own-cell"])
+    def test_errors_name_the_row(self, tmp_path, text, schemas, error,
+                                 message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(error) as caught:
+            load_csv(path, schemas)
+        assert type(caught.value) is error
+        assert str(caught.value) == f"{path}{message}"
+
+    def test_labels_that_need_quoting_roundtrip(self, tmp_path):
+        schemas = (ColumnSchema("s", "nominal",
+                                labels=("a,b", 'say "hi"', "plain")),
+                   ColumnSchema("x", "continuous"))
+        data = CategoricalDataset(schemas, np.array(
+            [[0, 0.5], [1, MISSING], [2, -2.0], [MISSING, 1e-300]]))
+        path = tmp_path / "q.csv"
+        emit_csv(data, path)
+        assert path.read_bytes() == (b's,x\r\n"a,b",0.5\r\n"say ""hi""",\r\n'
+                                     b"plain,-2.0\r\n,1e-300\r\n")
+        assert load_csv(path, schemas) == data
+
+    def test_crlf_line_ends_and_padded_cells(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b" u , x\r\n 1 , 2.5 \r\n\t0\t, -1 \r\n  ,3\r\n")
+        data = load_csv(path, BINARY_U + CONTINUOUS_X)
+        assert_array_equal(data.cells,
+                           [[1, 2.5], [0, MISSING], [MISSING, 3]])
+
+
+BLOCKED_SCHEMAS = (
+    ColumnSchema("u", "binary", labels=("no", "yes")),
+    ColumnSchema("v", "ordinal", labels=("lo", "mid", "hi")),
+    ColumnSchema("w", "nominal", labels=("a,b", "c", 'say "hi"', "d")),
+    ColumnSchema("x", "continuous"),
+    ColumnSchema("y", "continuous", role="excluded"),
+)
+BLOCKED_TOKENS = ("", "-1", "NA")
+BAD_TOKENS = {"label": "zz", "numeric": "abc", "inf": "inf",
+              "collision": "-1.0"}
+
+
+def _random_records(rng, n_rows):
+    """Valid CSV records over ``BLOCKED_SCHEMAS``: padded labels and floats,
+    every missing token of ``BLOCKED_TOKENS``."""
+    records = []
+    for _ in range(n_rows):
+        record = []
+        for schema in BLOCKED_SCHEMAS:
+            if rng.uniform() < 0.2:
+                token = str(rng.choice(BLOCKED_TOKENS))
+            elif schema.is_categorical:
+                token = schema.labels[rng.integers(schema.arity)]
+            else:
+                token = repr(float(rng.normal(0, 3)))
+            pad = " " * int(rng.integers(3))
+            record.append(pad + token + pad[:1])
+        records.append(record)
+    return records
+
+
+def _spoil(rng, records, kind):
+    """Put one fault of ``kind`` (a ``BAD_TOKENS`` key or "ragged") at a
+    random position."""
+    i = int(rng.integers(len(records)))
+    if kind == "ragged":
+        records[i] = records[i][:-1] if rng.uniform() < 0.5 \
+            else records[i] + ["0"]
+        return
+    columns = [j for j, s in enumerate(BLOCKED_SCHEMAS)
+               if s.is_categorical == (kind == "label")]
+    records[i][int(rng.choice(columns))] = f" {BAD_TOKENS[kind]} "
+
+
+def _write_records(path, records, line_end):
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator=line_end).writerows(
+            [[s.name for s in BLOCKED_SCHEMAS], *records])
+
+
+def _outcome(loader, path):
+    try:
+        return loader(path, BLOCKED_SCHEMAS, BLOCKED_TOKENS).cells
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockedCsv:
+    """The blocked loader and writer against the per-cell references, on
+    files several blocks long."""
+
+    BLOCK = 7
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK", self.BLOCK)
+
+    FAULT_SETS = [
+        (), ("label",), ("numeric",), ("inf",), ("collision",), ("ragged",),
+        ("ragged", "label"), ("numeric", "ragged"), ("collision", "label"),
+    ]
+
+    @pytest.mark.parametrize("faults", FAULT_SETS)
+    def test_load_matches_reference(self, tmp_path, faults):
+        rng = np.random.default_rng(self.FAULT_SETS.index(faults))
+        for trial in range(12):
+            n_rows = int(rng.integers(1, 6 * self.BLOCK))
+            records = _random_records(rng, n_rows)
+            for kind in faults:
+                _spoil(rng, records, kind)
+            path = tmp_path / f"t{trial}.csv"
+            _write_records(path, records, "\r\n" if trial % 2 else "\n")
+            expected = _outcome(load_csv_loop, path)
+            got = _outcome(load_csv, path)
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert_array_equal(got, expected)
+
+    def test_bad_cell_and_ragged_row_in_one_block(self, tmp_path):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for trial in range(60):
+            records = _random_records(rng, 4 * self.BLOCK)
+            block = int(rng.integers(4)) * self.BLOCK
+            bad, ragged = block + rng.integers(self.BLOCK, size=2)
+            kind = str(rng.choice(list(BAD_TOKENS)))
+            column = 0 if kind == "label" else 3
+            records[bad][column] = BAD_TOKENS[kind]
+            records[ragged] = records[ragged][:2]
+            seen.add(np.sign(bad - ragged))
+            path = tmp_path / f"t{trial}.csv"
+            _write_records(path, records, "\n")
+            expected = _outcome(load_csv_loop, path)
+            assert _outcome(load_csv, path) == expected
+            row = min(bad, ragged) + 2
+            assert expected[1].startswith(f"{path}:{row}: ")
+        assert seen == {-1, 0, 1}
+
+    def test_emit_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for n_rows in (0, 1, self.BLOCK, 5 * self.BLOCK + 3):
+            cells = np.empty((n_rows, len(BLOCKED_SCHEMAS)))
+            for j, schema in enumerate(BLOCKED_SCHEMAS):
+                if schema.is_categorical:
+                    cells[:, j] = rng.integers(-1, schema.arity, size=n_rows)
+                else:
+                    cells[:, j] = np.where(rng.uniform(size=n_rows) < 0.2,
+                                           MISSING,
+                                           rng.normal(0, 1e3, size=n_rows))
+            data = CategoricalDataset(BLOCKED_SCHEMAS, cells)
+            emit_csv(data, tmp_path / "new.csv")
+            emit_csv_loop(data, tmp_path / "old.csv")
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "old.csv").read_bytes())
+            assert load_csv(tmp_path / "new.csv", BLOCKED_SCHEMAS) == data
+
+
+class TestAtomicWrite:
+    def test_failed_writer_keeps_old_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as handle:
+                handle.write("new, half")
+                raise RuntimeError("interrupted")
+        assert target.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_emit_failing_mid_file(self, tmp_path, monkeypatch):
+        blocks = []
+        float_text = data_module._float_text
+
+        def fail_on_second_block(values, blank):
+            blocks.append(len(values))
+            if len(blocks) > 1:
+                raise RuntimeError("disk gone")
+            return float_text(values, blank)
+
+        monkeypatch.setattr(data_module, "_BLOCK", 1)
+        monkeypatch.setattr(data_module, "_float_text",
+                            fail_on_second_block)
+        target = tmp_path / "toy.csv"
+        target.write_text("previous\n")
+        with pytest.raises(RuntimeError):
+            emit_csv(toy_dataset(), target)
+        assert blocks == [1, 1]
+        assert target.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
+
+    def test_success_replaces_target(self, tmp_path):
+        target = tmp_path / "toy.csv"
+        target.write_text("previous\n")
+        emit_csv(toy_dataset(), target)
+        assert load_csv(target, toy_dataset().schemas) == toy_dataset()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
 
 
 class TestDiscretize:

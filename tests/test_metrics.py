@@ -1,5 +1,6 @@
 """Imputed-cell scoring: confusion matrix, per-category F1, macro/micro."""
 
+import collections.abc
 import dataclasses
 
 import numpy as np
@@ -192,3 +193,11 @@ def _report(extra=0):
 def test_array_fields_compare_by_value(make, changed):
     assert make() == make()
     assert make() != make(changed)
+
+
+@pytest.mark.parametrize("make", [_dataset, _imputed, _report],
+                         ids=["dataset", "imputed", "report"])
+def test_array_holders_are_unhashable(make):
+    assert not isinstance(make(), collections.abc.Hashable)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(make())

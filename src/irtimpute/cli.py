@@ -37,6 +37,7 @@ from .data import (
     emit_csv,
     load_csv,
     load_schema,
+    _csv_field,
     _float_text,
     _write_csv_blocks,
 )
@@ -341,13 +342,14 @@ def cmd_impute(args: argparse.Namespace) -> int:
 
 
 def _write_probabilities(path: str, view: CategoricalDataset, result) -> None:
-    names = np.array([schema.name for schema in view.schemas], dtype=object)
+    names = np.array([_csv_field(schema.name) for schema in view.schemas],
+                     dtype=object)
 
     def columns(rows: slice) -> list:
         mask = result.mask[rows]
-        return [mask[:, 0].tolist(), names[mask[:, 1]],
-                *(_float_text(p, np.isnan(p))
-                  for p in result.probabilities[rows].T)]
+        probs = result.probabilities[rows]
+        return [list(map(str, mask[:, 0].tolist())), names[mask[:, 1]],
+                *_float_text(probs, np.isnan(probs)).T]
 
     header = ["case", "column"] + [
         f"p{k}" for k in range(result.probabilities.shape[1])]

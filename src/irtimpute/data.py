@@ -18,12 +18,13 @@ temporary file first and then moved over its target.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -298,18 +299,21 @@ def load_csv(
 
     Records are read in blocks of ``_BLOCK`` rows and converted a column at a
     time; the first error in row-major order is raised, and a row with the
-    wrong number of fields fails before any cell of that row is read.
+    wrong number of fields fails before any cell of that row is read.  A file
+    without a quote or NUL character, whose lines all fit ``csv``'s field
+    limit, is split at line ends and commas, which reads it as
+    ``csv.reader`` does; any other file goes through ``csv.reader``.
     """
     lookups = [_CellLookup(schema, frozenset(missing_tokens))
                for schema in schemas]
     n_cols = len(schemas)
     blocks = [np.empty((0, n_cols))]
+    plain = _is_plain(path)
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        records = _plain_blocks(handle) if plain else _csv_blocks(handle)
+        header = next(records)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         expected = [s.name for s in schemas]
         if [h.strip() for h in header] != expected:
             raise DataError(
@@ -317,30 +321,71 @@ def load_csv(
                 f"{expected!r}"
             )
         first_row = 2
-        for records in iter(lambda: list(islice(reader, _BLOCK)), []):
-            lengths = np.fromiter(map(len, records), np.intp, len(records))
+        for lengths, columns in records:
             ragged = np.flatnonzero(lengths != n_cols)
-            # the records before the first one with a wrong field count
-            whole = records[:ragged[0]] if ragged.size else records
-            block = np.empty((len(whole), n_cols))
-            for j, (lookup, column) in enumerate(zip(lookups, zip(*whole))):
+            # the rows before the first one with a wrong field count
+            n = int(ragged[0]) if ragged.size else len(lengths)
+            block = np.empty((n, n_cols))
+            for j, (lookup, column) in enumerate(
+                    zip(lookups, columns(n, n_cols))):
                 read = (lookup.__getitem__ if lookup.codes is not None
                         else lookup.parse)
-                block[:, j] = np.fromiter(map(read, column), np.float64,
-                                          len(whole))
+                block[:, j] = np.fromiter(map(read, column), np.float64, n)
             bad = np.argwhere(np.isnan(block))
             if bad.size:
                 i, j = bad[0]
-                lookups[j].value(whole[i][j], f"{path}:{first_row + i}")
+                lookups[j].value(columns(n, n_cols)[j][i],
+                                 f"{path}:{first_row + i}")
             if ragged.size:
-                i = ragged[0]
                 raise DataError(
-                    f"{path}:{first_row + i}: {lengths[i]} fields, expected "
+                    f"{path}:{first_row + n}: {lengths[n]} fields, expected "
                     f"{n_cols}"
                 )
             blocks.append(block)
-            first_row += len(records)
+            first_row += len(lengths)
     return CategoricalDataset(tuple(schemas), np.concatenate(blocks))
+
+
+def _is_plain(path: str | Path) -> bool:
+    """True if the file holds no quote and no NUL, and no line longer than
+    ``csv.field_size_limit()`` bytes."""
+    raw = Path(path).read_bytes()
+    return (b'"' not in raw and b"\0" not in raw
+            and max(map(len, raw.splitlines()), default=0)
+            <= csv.field_size_limit())
+
+
+def _csv_blocks(handle):
+    """The header record (None for an empty file), then per block of
+    records their field counts and a function ``columns(n, n_cols)``
+    giving the columns of the first ``n`` records."""
+    reader = csv.reader(handle)
+    yield next(reader, None)
+    for records in iter(lambda: list(islice(reader, _BLOCK)), []):
+        lengths = np.fromiter(map(len, records), np.intp, len(records))
+
+        def columns(n, n_cols, records=records):
+            return list(zip(*records[:n]))
+        yield lengths, columns
+
+
+def _plain_blocks(handle):
+    """:func:`_csv_blocks` for a file :func:`_is_plain` accepts: a record is
+    a line without its line end split at commas, and an empty line is a
+    record of no fields."""
+    lines = map(str.rstrip, handle, repeat("\r\n"))
+    first = next(lines, None)
+    yield None if first is None else first.split(",") if first else []
+    for records in iter(lambda: list(islice(lines, _BLOCK)), []):
+        n = len(records)
+        # commas plus one, or no field at all for an empty line
+        commas = np.fromiter(map(str.count, records, repeat(",")), np.intp, n)
+        lengths = commas + np.fromiter(map(bool, records), bool, n)
+
+        def columns(n, n_cols, records=records):
+            cells = ",".join(records[:n]).split(",") if n else []
+            return [cells[j::n_cols] for j in range(n_cols)]
+        yield lengths, columns
 
 
 class _CellLookup(dict):
@@ -402,7 +447,7 @@ def emit_csv(data: CategoricalDataset, path: str | Path) -> None:
     Categorical cells are written as their labels, continuous cells with
     ``repr`` (shortest round-trip form), missing cells as empty cells.
     """
-    labels = [np.array((*schema.labels, ""), dtype=object)
+    labels = [np.array((*map(_csv_field, schema.labels), ""), dtype=object)
               if schema.is_categorical else None for schema in data.schemas]
 
     def columns(rows: slice) -> list:
@@ -417,10 +462,19 @@ def emit_csv(data: CategoricalDataset, path: str | Path) -> None:
                       columns)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a record of several fields:
+    quoted only if it holds a comma, a quote or a line break."""
+    line = io.StringIO()
+    csv.writer(line).writerow((text, ""))
+    return line.getvalue()[:-3]  # the empty second field's "," and "\r\n"
+
+
 def _float_text(values: np.ndarray, blank: np.ndarray) -> np.ndarray:
     """``repr`` of each value as an object array, ``""`` where ``blank``."""
-    text = np.array(list(map(repr, values.tolist())), dtype=object)
-    text[blank] = ""
+    text = np.full(values.shape, "", dtype=object)
+    keep = ~blank
+    text[keep] = list(map(repr, values[keep].tolist()))
     return text
 
 
@@ -428,14 +482,20 @@ def _write_csv_blocks(path: str | Path, header: list[str], n_rows: int,
                       columns: Callable[[slice], list]) -> None:
     """Write ``header`` and then ``n_rows`` rows, ``_BLOCK`` at a time.
 
-    ``columns(rows)`` returns one sequence of cell values per CSV column for
-    the rows in the slice ``rows``.  The file is written atomically.
+    ``columns(rows)`` returns one sequence of field texts per CSV column for
+    the rows in the slice ``rows``, each already as ``csv.writer`` would
+    write it (see :func:`_csv_field`; numbers need no quoting), so a record
+    is the fields joined by commas.  The file is written atomically.
     """
     with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        csv.writer(handle).writerow(header)
         for start in range(0, n_rows, _BLOCK):
-            writer.writerows(zip(*columns(slice(start, start + _BLOCK))))
+            fields = columns(slice(start, start + _BLOCK))
+            records = map(",".join, zip(*fields))
+            if len(header) == 1:
+                # csv.writer quotes a record that is one empty field
+                records = (record or '""' for record in records)
+            handle.write("\r\n".join(records) + "\r\n")
 
 
 @contextmanager

@@ -40,10 +40,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.special import ndtri
 
 from .data import CategoricalDataset, DiscretizationMap, atomic_write
 from .errors import (
@@ -62,6 +61,9 @@ from .models import (
     _check_code,
     log_category_probs,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 COUNT_FLOOR = 1e-10
 
@@ -170,6 +172,7 @@ def _design(codes: np.ndarray, items: tuple[ItemModel, ...]) -> csr_array:
     missing cell, which gets no entry.  Each row's column indices increase,
     so products add the prior first and then the items in order.
     """
+    from scipy.sparse import csr_array
     sizes = [item.n_categories for item in items]
     starts = np.cumsum([1, *sizes])
     n = codes.shape[0]
@@ -498,6 +501,7 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
     of the cumulative observed proportions; nominal parameters at zero with
     a seeded +-0.01 jitter to break the symmetry of the anchored softmax.
     """
+    from scipy.special import ndtri
     rng = np.random.default_rng(config.seed)
     items = []
     for j in data.feature_indices:

@@ -34,8 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.special import chdtrc
 
 from .data import MISSING, CategoricalDataset
 from .errors import DataError, SingularCovariance
@@ -188,6 +186,7 @@ class _EMBlock:
 
     def __init__(self, filled: np.ndarray, observed: np.ndarray,
                  counts: np.ndarray) -> None:
+        from scipy.sparse import csr_array
         n_rows, p = filled.shape
         n_missing = p - observed.sum(axis=1)
         valid = np.arange(n_missing.max()) < n_missing[:, None]
@@ -319,5 +318,6 @@ def littles_test(y: np.ndarray) -> LittleTestResult:
     df = int(patterns.sum()) - y.shape[1]
     if df <= 0:
         return LittleTestResult(float(statistic), 0, 1.0, counts.size)
+    from scipy.special import chdtrc
     p_value = float(chdtrc(df, statistic))
     return LittleTestResult(float(statistic), df, p_value, counts.size)

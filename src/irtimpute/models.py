@@ -35,6 +35,10 @@ max-subtracted log-softmax), so they cannot overflow and tail categories
 stay accurate far into the extremes.  A graded category's probability is
 not the difference of two boundary curves, which loses every digit once
 both curves round to 1.
+
+``scipy.special`` is imported inside the functions that call it, here and
+in :mod:`irtimpute.estimation` and :mod:`irtimpute.missingness`, so a
+command that computes no probability (``evaluate``) never loads scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from .errors import CodeOutOfRange, DataError
 
@@ -103,6 +106,7 @@ def _bound_events(column: str, slope: float | None, locations) -> list[str]:
 
 def _cumulative_log_probs(z: np.ndarray) -> np.ndarray:
     """Log category probabilities from boundary logits ``z`` (..., m - 1)."""
+    from scipy.special import log_expit
     m = z.shape[-1] + 1
     out = np.empty(z.shape[:-1] + (m,))
     out[..., 0] = log_expit(-z[..., 0])
@@ -176,6 +180,7 @@ class _Cumulative(_Kernel):
     @staticmethod
     def derivatives(a: np.ndarray, bs: np.ndarray, theta: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        from scipy.special import expit
         t = theta[None, :, None] - bs[:, None, :]
         a = a[:, None, None]
         z = a * t
@@ -498,6 +503,7 @@ def _params(item: ItemModel | ItemParams) -> ItemParams:
 
 def prob_2pl(theta, a: float, b: float):
     """P(u = 1 | theta) for a binary two-parameter logistic item."""
+    from scipy.special import expit
     theta = np.asarray(theta, dtype=np.float64)
     out = expit(a * (theta - b))
     return float(out) if out.ndim == 0 else out

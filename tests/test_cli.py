@@ -273,6 +273,19 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout == "False\n"
 
 
+def test_cli_import_leaves_out_scipy():
+    # commands load scipy where they compute probabilities, so evaluate,
+    # which computes none, starts on numpy alone
+    src = str(Path(irtimpute.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, irtimpute.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True, timeout=60)
+    assert out.stdout == "[]\n"
+
+
 class TestDataErrorBoundary:
     """Unreadable, unwritable or malformed files exit 2 with one line."""
 

@@ -399,6 +399,103 @@ class TestBlockedCsv:
             assert load_csv(tmp_path / "new.csv", BLOCKED_SCHEMAS) == data
 
 
+PLAIN_SCHEMAS = (
+    ColumnSchema("u", "binary", labels=("no", "yes")),
+    ColumnSchema("w", "nominal", labels=("a", "b c", "d")),
+    ColumnSchema("x", "continuous"),
+)
+
+
+def _plain_text(rng, n_rows):
+    """Quote-free CSV text over ``PLAIN_SCHEMAS``: padded cells, missing
+    tokens, one fault or none, blank lines and every kind of line end."""
+    lines = [" u ,w,x"]
+    for _ in range(n_rows):
+        cells = [str(rng.choice(["no", "yes", " yes", "", "-1", "NA "])),
+                 str(rng.choice(["a", " b c ", "d", "", "NA"])),
+                 str(rng.choice(["1.5", " -2e-3 ", "", "-1", "7"]))]
+        if rng.uniform() < 0.01:
+            cells[int(rng.integers(3))] = str(rng.choice(
+                ["zz", "abc", "inf", "-1.0"]))
+        if rng.uniform() < 0.01:
+            cells = cells[:int(rng.integers(3))] if rng.uniform() < 0.5 \
+                else cells + [""]
+        lines.append(",".join(cells))
+    ends = [str(rng.choice(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if rng.uniform() < 0.5 else text.rstrip("\r\n")
+
+
+def _loaded(path, schemas):
+    try:
+        return load_csv(path, schemas, ("", "-1", "NA")).cells
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestPlainCsv:
+    """A quote-free file split at line ends and commas reads as csv.reader
+    reads it."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK", 5)
+
+    def test_split_matches_csv_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        for trial in range(80):
+            path = tmp_path / f"p{trial}.csv"
+            path.write_bytes(_plain_text(rng, int(rng.integers(0, 30)))
+                             .encode())
+            assert data_module._is_plain(path)
+            split = _loaded(path, PLAIN_SCHEMAS)
+            with monkeypatch.context() as patch:
+                patch.setattr(data_module, "_is_plain", lambda path: False)
+                expected = _loaded(path, PLAIN_SCHEMAS)
+            if isinstance(expected, tuple):
+                assert split == expected
+            else:
+                assert_array_equal(split, expected)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "u,w,x", "u,w,x\r\n\r\n", "u,w\nno,a\n",
+        "u,w,x\rno,a,1\r\n\nyes,d,2",
+    ], ids=["empty", "blank-header", "header-only", "blank-row",
+            "short-header", "mixed-ends"])
+    def test_edge_files(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.encode())
+        split = _loaded(path, PLAIN_SCHEMAS)
+        monkeypatch.setattr(data_module, "_is_plain", lambda path: False)
+        expected = _loaded(path, PLAIN_SCHEMAS)
+        if isinstance(expected, tuple):
+            assert split == expected
+        else:
+            assert_array_equal(split, expected)
+
+    def test_quote_nul_or_long_line_goes_through_csv(self, tmp_path):
+        path = tmp_path / "q.csv"
+        for text in ('u,w,x\nno,"a",1\n', "u,w,x\nno,a\x00,1\n"):
+            path.write_bytes(text.encode())
+            assert not data_module._is_plain(path)
+        path.write_bytes(b"u,w,x\nno,a,"
+                         + b"1" * (csv.field_size_limit() + 1))
+        assert not data_module._is_plain(path)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(path, PLAIN_SCHEMAS)
+
+
+def test_one_column_file_quotes_empty_records(tmp_path):
+    data = CategoricalDataset((ColumnSchema("u", "binary"),),
+                              np.array([[1.0], [MISSING], [0.0]]))
+    emit_csv(data, tmp_path / "new.csv")
+    emit_csv_loop(data, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == b'u\r\n1\r\n""\r\n0\r\n'
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+    assert load_csv(tmp_path / "new.csv", data.schemas) == data
+
+
 class TestAtomicWrite:
     def test_failed_writer_keeps_old_target(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -37,6 +37,7 @@ from .data import (
     emit_csv,
     load_csv,
     load_schema,
+    replaced_together,
     _csv_field,
     _float_text,
     _write_csv_blocks,
@@ -154,7 +155,8 @@ def _add_fit_options(parser, concrete: bool):
     parser.add_argument("--grid-hi", type=float, default=d["grid_hi"],
                         help="highest trait node (default 6)")
     parser.add_argument("--max-iter", type=int, default=d["max_iter"],
-                        help="EM iteration cap (default 500)")
+                        help="cap on EM maps, one E-step plus one M-step each "
+                             "(default 500)")
     parser.add_argument("--tol", type=float, default=d["tol"],
                         help="EM parameter-change tolerance (default 1e-4)")
     parser.add_argument("--seed", type=int, default=d["seed"],
@@ -334,9 +336,13 @@ def cmd_impute(args: argparse.Namespace) -> int:
             "imputes their bins, not their values",
             stacklevel=2,
         )
-    emit_csv(data.with_cells(out_cells), args.out)
-    if args.probabilities:
-        _write_probabilities(args.probabilities, view, result)
+    # a failed sidecar must not leave a new completed CSV behind
+    outputs = [args.out] + ([args.probabilities] if args.probabilities
+                            else [])
+    with replaced_together(*outputs) as temporaries:
+        emit_csv(data.with_cells(out_cells), temporaries[0])
+        if args.probabilities:
+            _write_probabilities(temporaries[1], view, result)
     print(f"imputed {len(result.mask)} cells")
     return 0
 

@@ -500,21 +500,31 @@ def _write_csv_blocks(path: str | Path, header: list[str], n_rows: int,
 
 @contextmanager
 def atomic_write(path: str | Path, newline: str | None = None):
-    """Open a text file that replaces ``path`` only once it is complete.
+    """Open a text file that replaces ``path`` only once it is complete
+    (see :func:`replaced_together`)."""
+    with replaced_together(path) as (temporary,), \
+            open(temporary, "w", newline=newline) as handle:
+        yield handle
 
-    Writes go to a temporary file beside ``path``, which ``os.replace``
-    moves over the target when the block exits normally; on an error the
-    temporary file is removed and the old target is left as it was.
+
+@contextmanager
+def replaced_together(*paths: str | Path):
+    """Temporary paths beside ``paths`` that replace them only together.
+
+    The block writes every temporary path; when it exits normally,
+    ``os.replace`` moves each over its target, so only a failing rename
+    can leave the targets from different runs.  On an error in the block
+    the temporary files are removed and every target is left as it was.
     """
-    path = os.fspath(path)
-    temporary = f"{path}.{os.getpid()}.tmp"
+    temporaries = [f"{os.fspath(path)}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(temporary, "w", newline=newline) as handle:
-            yield handle
-        os.replace(temporary, path)
+        yield temporaries
+        for temporary, path in zip(temporaries, paths):
+            os.replace(temporary, path)
     finally:
-        if os.path.exists(temporary):
-            os.remove(temporary)
+        for temporary in temporaries:
+            if os.path.exists(temporary):
+                os.remove(temporary)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Marginal maximum-likelihood fitting and latent-trait scoring.
 
 The latent trait is integrated out over a fixed, equally spaced quadrature
-grid carrying standard-normal prior weights.  Fitting alternates:
+grid carrying standard-normal prior weights.  One EM map is:
 
 * E-step: each case's posterior over grid nodes (prior weight times the
   pattern likelihood, normalized), accumulated into expected response
@@ -14,6 +14,15 @@ grid carrying standard-normal prior weights.  Fitting alternates:
   held, as in Bertsekas's projected Newton.  Items that share a kernel and
   a category count take one stacked Newton, but every item converges,
   halves its step and fails on its own.
+
+The fit runs the map in SQUAREM cycles (Varadhan & Roland 2008, step length
+S3) over the stacked x-space vector of all items.  Two maps x1 = F(x0) and
+x2 = F(x1) give r = x1 - x0 and v = x2 - 2 x1 + x0; the point
+x0 - 2 alpha r + alpha^2 v, with alpha = min(-|r|/|v|, -1), is projected onto
+the parameter boxes and one map is taken from it.  A monotone guard keeps
+x2 instead when the projected point's log-likelihood is below x1's, so the
+log-likelihood never falls.  A plain map ends each cycle; near the
+iteration cap, which counts maps, only plain maps run.
 
 The E-step is two sparse products.  The code matrix is encoded once per fit
 as a CSR design ``X`` of shape cases × (1 + ΣK): column 0 holds ones, then
@@ -30,14 +39,16 @@ bit, and no BLAS thread count can change them.  An absent entry is never
 multiplied, so a log-probability of ``-inf`` on a category a case did not
 give cannot turn into ``0 × -inf = nan``.
 
-Convergence is declared on the maximum absolute parameter change, not the
-log-likelihood change.  Scoring is the posterior mean (and SD) of the trait
-on the same grid; missing cells simply drop out of the pattern likelihood.
+Convergence is declared when a cycle's closing map changes no parameter by
+more than the tolerance, not on the log-likelihood change.  Scoring is the
+posterior mean (and SD) of the trait on the same grid; missing cells simply
+drop out of the pattern likelihood.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -74,6 +85,8 @@ NEWTON_TOL = 1e-8
 
 MODEL_FORMAT = "irtimpute-model"
 MODEL_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -587,43 +600,105 @@ def _canonicalize_orientation(items: tuple[ItemModel, ...]
     )
 
 
+def _stacked_x(items: tuple[ItemModel, ...]) -> np.ndarray:
+    """Every item's x-space point, concatenated in item order."""
+    return np.concatenate([item.params.to_x() for item in items])
+
+
+def _at_stacked_x(items: tuple[ItemModel, ...], x: np.ndarray
+                  ) -> tuple[ItemModel, ...]:
+    """``items`` at the stacked point ``x``, each projected onto its box."""
+    ends = np.cumsum([item.params.to_x().size for item in items])[:-1]
+    # a long step can overflow exp in the projection, which then puts the
+    # boundaries on the box edge
+    with np.errstate(over="ignore"):
+        return tuple(
+            ItemModel(item.column,
+                      item.params.from_x(item.params.kernel.clamp(part)))
+            for item, part in zip(items, np.split(x, ends)))
+
+
+def _step_length(r: np.ndarray, v: np.ndarray) -> float:
+    """SQUAREM's S3 step length -|r|/|v|, at most -1 (no extrapolation)."""
+    # sums, not BLAS dot products, which may depend on the thread count
+    rr, vv = float((r * r).sum()), float((v * v).sum())
+    return min(-np.sqrt(rr / vv), -1.0) if vv > 0 else -1.0
+
+
+class _EMMap:
+    """The EM map of one fit: each call is one E-step and one M-step.
+
+    ``trace`` gets each map's log-likelihood, so its length counts the
+    maps; ``clamp_events`` are the last M-step's.
+    """
+
+    def __init__(self, design: csr_array, grid: QuadratureGrid) -> None:
+        self.design, self.grid = design, grid
+        self.trace: list[float] = []
+        self.clamp_events: list[str] = []
+
+    def __call__(self, items: tuple[ItemModel, ...],
+                 es: EStepResult | None = None) -> tuple[ItemModel, ...]:
+        """The map from ``items``; ``es`` is their E-step if already run."""
+        if es is None:
+            es = _e_step_core(self.design, items, self.grid)
+        self.trace.append(es.marginal_loglik)
+        items, self.clamp_events = _m_step(items, es.expected_counts,
+                                           self.grid)
+        return items
+
+    def squarem(self, items: tuple[ItemModel, ...]) -> tuple[ItemModel, ...]:
+        """Two maps, x1 = F(x0) and x2 = F(x1), then the map of the
+        extrapolated point x0 - 2 alpha r + alpha^2 v when its
+        log-likelihood is at least x1's, else x2 (the monotone guard)."""
+        x0 = _stacked_x(items)
+        one = self(items)
+        two = self(one)
+        x1, x2 = _stacked_x(one), _stacked_x(two)
+        r, v = x1 - x0, x2 - 2.0 * x1 + x0
+        alpha = _step_length(r, v)
+        trial = _at_stacked_x(items, x0 - 2.0 * alpha * r + alpha**2 * v)
+        es = _e_step_core(self.design, trial, self.grid)
+        kept = es.marginal_loglik >= self.trace[-1]
+        logger.debug("squarem: alpha %.6g, extrapolation %s, loglik %.6f "
+                     "(%.6f at x1)", alpha, "kept" if kept else "rejected",
+                     es.marginal_loglik, self.trace[-1])
+        return self(trial, es) if kept else two
+
+
 def fit(data: CategoricalDataset, config: FitConfig | None = None
         ) -> FittedModel:
-    """Fit all feature columns by EM over the quadrature grid."""
+    """Fit all feature columns by SQUAREM-accelerated EM over the grid;
+    ``config.max_iter`` caps the EM maps."""
     config = config or FitConfig()
     grid = build_grid(config.grid_size, config.grid_range)
     _check_fit_preconditions(data)
     items = _initial_items(data, config)
-    x = _design(_codes_matrix(data, items), items)
-    trace: list[float] = []
-    clamp_events: list[str] = []
+    em = _EMMap(_design(_codes_matrix(data, items), items), grid)
     converged = False
-    iterations = 0
-    for _ in range(config.max_iter):
-        iterations += 1
-        es = _e_step_core(x, items, grid)
-        trace.append(es.marginal_loglik)
-        # keep the final iteration's active clamps
-        new_items, clamp_events = _m_step(items, es.expected_counts, grid)
+    while not converged and len(em.trace) < config.max_iter:
+        # a cycle takes up to four maps; nearer the cap, plain maps
+        if config.max_iter - len(em.trace) >= 4:
+            items = em.squarem(items)
+        new_items = em(items)
         delta = max(
             float(np.max(np.abs(new.params.vector() - old.params.vector())))
             for new, old in zip(new_items, items)
         )
         items = new_items
-        if delta < config.tol:
-            converged = True
-            break
+        converged = delta < config.tol
+    iterations = len(em.trace)
     items = _canonicalize_orientation(items)
-    final = _e_step_core(x, items, grid)
-    trace.append(final.marginal_loglik)
+    final = _e_step_core(em.design, items, grid)
+    em.trace.append(final.marginal_loglik)
     return FittedModel(
         items=items,
         grid=grid,
         converged=converged,
         iterations=iterations,
         final_loglik=final.marginal_loglik,
-        loglik_trace=tuple(trace),
-        clamp_events=tuple(clamp_events),
+        loglik_trace=tuple(em.trace),
+        clamp_events=tuple(em.clamp_events),
     )
 
 

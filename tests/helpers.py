@@ -18,8 +18,18 @@ from irtimpute.errors import (
 from irtimpute.estimation import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    FitConfig,
+    FittedModel,
+    _canonicalize_orientation,
+    _check_fit_preconditions,
+    _codes_matrix,
+    _design,
+    _e_step_core,
     _floored_counts,
+    _initial_items,
+    _m_step,
     _posteriors_and_loglik,
+    build_grid,
 )
 from irtimpute.missingness import LittleTestResult, _solve_observed
 from irtimpute.models import (
@@ -218,6 +228,43 @@ def reference_m_step(items, expected_counts, grid):
     events = [event for item in updated
               for event in item.params.bound_events(item.column)]
     return tuple(updated), events
+
+
+def em_loop_fit(data, config=None):
+    """Plain EM, one E-step and one M-step per iteration (reference).
+
+    Same signature and result as ``estimation.fit``, which accelerates
+    this loop with SQUAREM.
+    """
+    config = config or FitConfig()
+    grid = build_grid(config.grid_size, config.grid_range)
+    _check_fit_preconditions(data)
+    items = _initial_items(data, config)
+    x = _design(_codes_matrix(data, items), items)
+    trace, clamp_events = [], []
+    converged = False
+    iterations = 0
+    for _ in range(config.max_iter):
+        iterations += 1
+        es = _e_step_core(x, items, grid)
+        trace.append(es.marginal_loglik)
+        new_items, clamp_events = _m_step(items, es.expected_counts, grid)
+        delta = max(
+            float(np.max(np.abs(new.params.vector() - old.params.vector())))
+            for new, old in zip(new_items, items)
+        )
+        items = new_items
+        if delta < config.tol:
+            converged = True
+            break
+    items = _canonicalize_orientation(items)
+    final = _e_step_core(x, items, grid)
+    trace.append(final.marginal_loglik)
+    return FittedModel(items=items, grid=grid, converged=converged,
+                       iterations=iterations,
+                       final_loglik=final.marginal_loglik,
+                       loglik_trace=tuple(trace),
+                       clamp_events=tuple(clamp_events))
 
 
 def _em_normal_loop(y, tol, max_iter, patterns):

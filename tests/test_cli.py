@@ -347,6 +347,23 @@ class TestDataErrorBoundary:
                   "--probabilities", tmp_path / "absent-dir" / "p.csv"])
         self.assert_one_data_error(rc, capsys)
         assert not list(tmp_path.glob("*.tmp"))
+        # the completed CSV is replaced together with its sidecar or not
+        # at all
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unwritable_probabilities_keep_old_out(self, corpus, holed,
+                                                   model_file, tmp_path,
+                                                   capsys):
+        out = tmp_path / "out.csv"
+        out.write_text("previous\n")
+        capsys.readouterr()
+        rc = run(["impute", "--data", holed, "--schema", corpus / "truth.cols",
+                  "--model", model_file, "--out", out,
+                  "--probabilities", tmp_path / "absent-dir" / "p.csv"])
+        self.assert_one_data_error(rc, capsys)
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.json", "out.csv"]
 
     def test_failed_model_write_keeps_old_file(self, corpus, holed, tmp_path,
                                                capsys, monkeypatch):

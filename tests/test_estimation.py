@@ -15,6 +15,7 @@ from scipy.stats import norm
 
 from helpers import (
     dense_e_step,
+    em_loop_fit,
     fd_hessian,
     random_item,
     reference_m_step,
@@ -477,12 +478,19 @@ class TestFit:
             fit(CategoricalDataset(schemas, cells))
 
     def test_iteration_cap_sets_flag_not_error(self):
+        # a SQUAREM cycle takes four maps: caps below four run plain maps,
+        # and the caps past four cut the maps a second cycle would take
         rng = np.random.default_rng(89)
         items = simulate_items("2pl", 4, rng)
         data = simulate_dataset(items, 300, seed=90)
-        fitted = fit(data, FitConfig(seed=0, max_iter=2))
-        assert not fitted.converged
-        assert fitted.iterations == 2
+        for cap in range(1, 7):
+            fitted = fit(data, FitConfig(seed=0, max_iter=cap))
+            assert not fitted.converged
+            assert fitted.iterations == cap
+            trace = np.asarray(fitted.loglik_trace)
+            assert trace.size == cap + 1
+            assert np.all(np.diff(trace) >= -1e-8)
+            assert fitted.final_loglik == trace[-1]
 
     def test_excluded_columns_are_not_modeled(self):
         rng = np.random.default_rng(97)
@@ -497,6 +505,60 @@ class TestFit:
                      FitConfig(seed=0))
         assert [it.column for it in fitted.items] == \
             [it.column for it in items]
+
+
+def _oracle_corpus(kind):
+    """Simulated data for the plain-EM comparisons: one item family, or
+    binary, graded and nominal items side by side."""
+    rng = np.random.default_rng(211)
+    if kind == "mixed":
+        items = (simulate_items("2pl", 2, rng, name_prefix="b")
+                 + simulate_items("grm", 2, rng, name_prefix="g")
+                 + simulate_items("nrm", 2, rng, n_categories=3,
+                                  name_prefix="n"))
+    else:
+        items = simulate_items(kind, 5, rng, n_categories=3)
+    return simulate_dataset(items, 800, seed=212)
+
+
+def _assert_same_optimum(got, want):
+    assert got.converged and want.converged
+    assert got.final_loglik >= want.final_loglik - 1e-8 * abs(want.final_loglik)
+    for a, b in zip(got.items, want.items):
+        assert_allclose(a.params.vector(), b.params.vector(), atol=1e-2)
+
+
+class TestSquarem:
+    """SQUAREM against the plain EM loop it accelerates."""
+
+    @pytest.mark.parametrize("kind", ["grm", "mixed", "nrm"])
+    def test_reaches_the_plain_em_optimum_in_fewer_maps(self, kind):
+        data = _oracle_corpus(kind)
+        got = fit(data, FitConfig(seed=0))
+        want = em_loop_fit(data, FitConfig(seed=0))
+        _assert_same_optimum(got, want)
+        assert got.iterations < want.iterations
+
+    def test_rejected_extrapolations_fall_back_monotonely(self, monkeypatch,
+                                                         caplog):
+        # a step this long throws the point far outside the optimum's
+        # neighbourhood, so the guard must keep the second EM map instead
+        data = _oracle_corpus("mixed")
+        want = em_loop_fit(data, FitConfig(seed=0))
+        monkeypatch.setattr(estimation, "_step_length", lambda r, v: -1e3)
+        with caplog.at_level("DEBUG", logger="irtimpute.estimation"):
+            got = fit(data, FitConfig(seed=0))
+        assert "extrapolation rejected" in caplog.text
+        assert np.all(np.diff(got.loglik_trace) >= -1e-8)
+        _assert_same_optimum(got, want)
+
+    def test_debug_log_has_one_line_per_cycle(self, caplog):
+        data = _oracle_corpus("grm")
+        with caplog.at_level("DEBUG", logger="irtimpute.estimation"):
+            fit(data, FitConfig(seed=0, max_iter=4))
+        (record,) = caplog.records
+        assert record.levelname == "DEBUG"
+        assert "alpha" in record.getMessage()
 
 
 def dense_grid_eap(pattern, items, size=10001, lo=-6.0, hi=6.0):

@@ -35,12 +35,10 @@ from .data import (
     atomic_write,
     discretize_dataset,
     emit_csv,
+    emit_probabilities,
     load_csv,
     load_schema,
     replaced_together,
-    _csv_field,
-    _float_text,
-    _write_csv_blocks,
 )
 from .errors import DataError, IrtImputeError, UsageError
 from .estimation import (
@@ -97,6 +95,8 @@ def _read_config(path: str) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise UsageError(f"{path}:{lineno}: empty key")
+        if "\0" in line:
+            raise UsageError(f"{path}:{lineno}: NUL character")
         tokens.extend([f"--{key.replace('_', '-')}", value])
     return tokens
 
@@ -142,25 +142,23 @@ def _add_io_options(parser, data_help="input CSV (header row required)"):
                                          "explicit flags override")
 
 
-def _add_fit_options(parser, concrete: bool):
-    """Fit hyperparameters; ``concrete=False`` leaves defaults at None so a
-    command can tell whether the user supplied them."""
-    d = _FIT_DEFAULTS if concrete else dict.fromkeys(_FIT_DEFAULTS)
-    parser.add_argument("--bins", type=int, default=d["bins"],
+def _add_fit_options(parser):
+    """Fit hyperparameters, None unless given, so that a command can tell
+    whether the user supplied them; see :func:`_resolved_fit_options`."""
+    parser.add_argument("--bins", type=int,
                         help="quantile bins for continuous features (default 4)")
-    parser.add_argument("--grid-size", type=int, default=d["grid_size"],
+    parser.add_argument("--grid-size", type=int,
                         help="quadrature nodes (default 61)")
-    parser.add_argument("--grid-lo", type=float, default=d["grid_lo"],
+    parser.add_argument("--grid-lo", type=float,
                         help="lowest trait node (default -6)")
-    parser.add_argument("--grid-hi", type=float, default=d["grid_hi"],
+    parser.add_argument("--grid-hi", type=float,
                         help="highest trait node (default 6)")
-    parser.add_argument("--max-iter", type=int, default=d["max_iter"],
+    parser.add_argument("--max-iter", type=int,
                         help="cap on EM maps, one E-step plus one M-step each "
                              "(default 500)")
-    parser.add_argument("--tol", type=float, default=d["tol"],
+    parser.add_argument("--tol", type=float,
                         help="EM parameter-change tolerance (default 1e-4)")
-    parser.add_argument("--seed", type=int, default=d["seed"],
-                        help="random seed (default 0)")
+    parser.add_argument("--seed", type=int, help="random seed (default 0)")
 
 
 def build_parser() -> _Parser:
@@ -174,14 +172,14 @@ def build_parser() -> _Parser:
                             description="Fit the latent-trait model and "
                                         "write it to a JSON file.")
     _add_io_options(p)
-    _add_fit_options(p, concrete=True)
+    _add_fit_options(p)
     p.add_argument("--out", required=True, help="model file to write")
 
     p = commands.add_parser("impute", help="fill missing cells",
                             description="Complete a dataset using a saved "
                                         "model, or fit one on the fly.")
     _add_io_options(p)
-    _add_fit_options(p, concrete=False)
+    _add_fit_options(p)
     p.add_argument("--out", required=True, help="completed CSV to write")
     p.add_argument("--model", help="saved model file (omit to fit first)")
     p.add_argument("--save-model", help="where to store the freshly "
@@ -230,7 +228,7 @@ def build_parser() -> _Parser:
                                         "against the held-out truth, and "
                                         "run the MCAR test.")
     _add_io_options(p, data_help="complete CSV serving as ground truth")
-    _add_fit_options(p, concrete=True)
+    _add_fit_options(p)
     p.add_argument("--target", required=True,
                    help="categorical feature column to blank and restore")
     p.add_argument("--conditional",
@@ -276,7 +274,7 @@ def _resolved_fit_options(args: argparse.Namespace) -> dict:
 
 def _fit_on(data: CategoricalDataset, options: dict) -> FittedModel:
     """Discretize continuous features, then fit; the model keeps the cut
-    points."""
+    points, in column-name order."""
     data, maps = discretize_dataset(data, options["bins"])
     for mapping in maps.values():
         logger.info("discretized %r into %d bins, cuts %s",
@@ -290,8 +288,8 @@ def _fit_on(data: CategoricalDataset, options: dict) -> FittedModel:
     )
     logger.info("fitting %d cases with seed %d", data.n_rows,
                 options["seed"])
-    return dataclasses.replace(fit(data, fit_config),
-                               discretization=tuple(maps.values()))
+    ordered = tuple(maps[column] for column in sorted(maps))
+    return dataclasses.replace(fit(data, fit_config), discretization=ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +313,11 @@ def cmd_impute(args: argparse.Namespace) -> int:
             f"--{culprit.replace('_', '-')} only applies when fitting; "
             "it cannot modify the model loaded via --model"
         )
+    written = [os.path.realpath(path) for path in
+               (args.out, args.probabilities, args.save_model) if path]
+    if len(set(written)) < len(written):
+        raise UsageError("--out, --probabilities and --save-model must name "
+                         "different files")
     _, data = _load_inputs(args, args.data)
     if args.model:
         model = load_model(args.model)
@@ -342,24 +345,10 @@ def cmd_impute(args: argparse.Namespace) -> int:
     with replaced_together(*outputs) as temporaries:
         emit_csv(data.with_cells(out_cells), temporaries[0])
         if args.probabilities:
-            _write_probabilities(temporaries[1], view, result)
+            emit_probabilities(view, result.mask, result.probabilities,
+                               temporaries[1])
     print(f"imputed {len(result.mask)} cells")
     return 0
-
-
-def _write_probabilities(path: str, view: CategoricalDataset, result) -> None:
-    names = np.array([_csv_field(schema.name) for schema in view.schemas],
-                     dtype=object)
-
-    def columns(rows: slice) -> list:
-        mask = result.mask[rows]
-        probs = result.probabilities[rows]
-        return [list(map(str, mask[:, 0].tolist())), names[mask[:, 1]],
-                *_float_text(probs, np.isnan(probs)).T]
-
-    header = ["case", "column"] + [
-        f"p{k}" for k in range(result.probabilities.shape[1])]
-    _write_csv_blocks(path, header, len(result.mask), columns)
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
@@ -556,6 +545,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
+    # a warning prints as one line, without the source line that raised it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = build_parser().parse_args(_expand_config(raw))
         return _COMMANDS[args.command](args)
@@ -569,6 +561,8 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:  # unreadable/unwritable file
         print(f"error: data: {exc}", file=sys.stderr)
         return DataError.exit_code
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

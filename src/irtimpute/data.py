@@ -360,13 +360,16 @@ def _csv_blocks(handle):
     records their field counts and a function ``columns(n, n_cols)``
     giving the columns of the first ``n`` records."""
     reader = csv.reader(handle)
-    yield next(reader, None)
-    for records in iter(lambda: list(islice(reader, _BLOCK)), []):
-        lengths = np.fromiter(map(len, records), np.intp, len(records))
+    try:
+        yield next(reader, None)
+        for records in iter(lambda: list(islice(reader, _BLOCK)), []):
+            lengths = np.fromiter(map(len, records), np.intp, len(records))
 
-        def columns(n, n_cols, records=records):
-            return list(zip(*records[:n]))
-        yield lengths, columns
+            def columns(n, n_cols, records=records):
+                return list(zip(*records[:n]))
+            yield lengths, columns
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{handle.name}:{reader.line_num}: {exc}") from None
 
 
 def _plain_blocks(handle):
@@ -462,6 +465,24 @@ def emit_csv(data: CategoricalDataset, path: str | Path) -> None:
                       columns)
 
 
+def emit_probabilities(data: CategoricalDataset, mask: np.ndarray,
+                       probabilities: np.ndarray, path: str | Path) -> None:
+    """Write an ``ImputedDataset``'s ``mask`` and ``probabilities`` as CSV:
+    per imputed cell its row (``case``), the name of its column in ``data``
+    and ``p0, p1, ...``, empty past the column's arity."""
+    names = np.array([_csv_field(schema.name) for schema in data.schemas],
+                     dtype=object)
+
+    def columns(rows: slice) -> list:
+        cells, probs = mask[rows], probabilities[rows]
+        return [list(map(str, cells[:, 0].tolist())), names[cells[:, 1]],
+                *_float_text(probs, np.isnan(probs)).T]
+
+    header = ["case", "column"] + [
+        f"p{k}" for k in range(probabilities.shape[1])]
+    _write_csv_blocks(path, header, len(mask), columns)
+
+
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it in a record of several fields:
     quoted only if it holds a comma, a quote or a line break."""
@@ -545,6 +566,8 @@ class DiscretizationMap:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, str) for v in (self.column, *self.labels)):
+            raise DataError("discretized column and labels must be strings")
         if len(self.labels) != len(self.cuts) + 1:
             raise DataError("labels must number one more than cuts")
         if np.any(np.diff(self.cuts) <= 0):

@@ -69,6 +69,7 @@ from .models import (
     GradedItem,
     ItemModel,
     NominalItem,
+    _as_json,
     _check_code,
     log_category_probs,
 )
@@ -325,7 +326,8 @@ def _objective(kernel, x: np.ndarray, r: np.ndarray, nodes: np.ndarray
     total at node q and d_qk the x-space derivative of log π_qk.  It is
     minus the Hessian of the objective when r = N π.
     """
-    log_pi, d = kernel.score(x, nodes)
+    log_pi, _, d_params = kernel.derivatives(*kernel.natural(x), nodes)
+    d = kernel.chain(x[:, None, None, :], d_params)
     f = (r * log_pi).reshape(len(x), -1).sum(axis=1)
     g = np.einsum("iqk,iqkp->ip", r, d)
     weights = r.sum(axis=2, keepdims=True) * np.exp(log_pi)
@@ -524,16 +526,13 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
         assert schema.arity is not None
         counts = np.bincount(observed, minlength=schema.arity)
         proportions = counts / counts.sum()
-        if schema.kind == "binary":
-            p0 = float(np.clip(proportions[0], 1e-3, 1 - 1e-3))
-            items.append(ItemModel(schema.name,
-                                   Binary2PL(1.0, float(ndtri(p0)))))
-        elif schema.kind == "ordinal":
+        if schema.kind != "nominal":
             cum = np.clip(np.cumsum(proportions)[:-1], 1e-3, 1 - 1e-3)
             bs = ndtri(cum)
             for k in range(1, bs.size):
                 bs[k] = max(bs[k], bs[k - 1] + 1e-3)
-            items.append(ItemModel(schema.name, GradedItem(1.0, tuple(bs))))
+            family = Binary2PL if schema.kind == "binary" else GradedItem
+            items.append(ItemModel(schema.name, family.from_bounds(1.0, bs)))
         else:
             free = rng.uniform(-0.01, 0.01, size=2 * (schema.arity - 1))
             items.append(ItemModel(schema.name, NominalItem(
@@ -741,25 +740,10 @@ def eap_scores(data: CategoricalDataset, model: FittedModel
 # ---------------------------------------------------------------------------
 
 def save_model(model: FittedModel, path: str | Path) -> None:
-    """Write a fitted model to a versioned, human-readable JSON file."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "grid": {"nodes": list(model.grid.nodes),
-                 "weights": list(model.grid.weights)},
-        "items": [item.to_dict() for item in model.items],
-        "converged": model.converged,
-        "iterations": model.iterations,
-        "final_loglik": model.final_loglik,
-        "loglik_trace": list(model.loglik_trace),
-        "clamp_events": list(model.clamp_events),
-        "discretization": [
-            {"column": mapping.column, "cuts": list(mapping.cuts),
-             "labels": list(mapping.labels)}
-            for mapping in sorted(model.discretization,
-                                  key=lambda mapping: mapping.column)
-        ],
-    }
+    """Write a fitted model to a versioned, human-readable JSON file: one
+    key per :class:`FittedModel` field besides ``format`` and ``version``."""
+    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
+               **_as_json(model)}
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -139,20 +139,9 @@ def impute_dataset(data: CategoricalDataset, model: FittedModel
     """
     if len({item.column for item in model.items}) != len(model.items):
         raise DataError("model binds the same column twice")
-    column_items: dict[int, ItemModel] = {}
-    for item in model.items:
-        j = data.column_index(item.column)
-        schema = data.schemas[j]
-        if not schema.is_categorical:
-            raise DataError(f"column {item.column!r} is not categorical")
-        if schema.arity != item.n_categories:
-            raise DataError(
-                f"column {item.column!r}: arity {schema.arity} does not "
-                f"match the model's {item.n_categories} categories"
-            )
-        column_items[j] = item
-
     means, _ = eap_scores(data, model)
+    column_items = {data.column_index(item.column): item
+                    for item in model.items}
     cells = np.array(data.cells, copy=True)
     modeled = np.isin(np.arange(data.n_cols), list(column_items))
     mask = np.argwhere((cells == MISSING) & modeled)

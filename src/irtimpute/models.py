@@ -15,20 +15,22 @@ Each family is one frozen parameter class that owns every rule differing
 by family: ``family``/``kind``/``n_categories``; ``log_probs`` and their
 analytic derivatives ``grad``; the flat ``vector``/``with_vector``; the
 M-step's unconstrained coordinates ``to_x``/``from_x``; ``bound_events``
-for parameters resting on a box edge; and ``describe``.  The families
-share ``to_dict``/``from_dict`` and ``probs``, which is the exponential of
-``log_probs``: the E-step, EAP scoring, the M-step and the imputed cells'
-probability vectors all read one likelihood.  The module-level :func:`category_probs` and
-:func:`log_category_probs` are one-line calls to these methods, and
-:func:`prob_2pl` is the plain binary curve.
+for parameters resting on a box edge; and ``describe``.  A binary item is a
+graded item with one boundary, so those two share one body for all but
+``describe``, through a ``bounds`` view and ``from_bounds(a, bounds)``.
+The families share ``probs``, the exponential of ``log_probs``: the E-step,
+EAP scoring, the M-step and the imputed cells' probability vectors all read
+one likelihood.  :func:`category_probs` and :func:`log_category_probs` are
+one-line calls to these methods; :func:`prob_2pl` is the plain binary curve.
 
-Each family also names its ``kernel``, which holds the M-step's rules on
-stacked arrays (items × nodes × categories × coordinates): log-probabilities
-with their derivatives, the pull-back to x-space and the projection onto
-the parameter boxes.  There are two kernels.  Binary and graded items share
-the cumulative one, because a binary item is a graded item with one
-boundary; nominal items use the softmax one.  A family's ``grad`` is a
-one-row call of its kernel's derivatives.
+Each family also names its ``kernel``, the M-step's rules on stacked arrays
+(items on the leading axes, x-space coordinates on the last): ``natural``
+parameters; ``derivatives(*natural, theta)``, the log-probabilities
+(n, T, m) of ``n`` items at ``T`` points with their derivatives in theta,
+(n, T, m), and in the flat parameters, (n, T, m, P); ``chain``, which
+carries those to x-space; and ``clamp``, the projection onto the parameter
+boxes.  Binary and graded items share the cumulative kernel, nominal items
+use the softmax one.
 
 Log-probabilities are computed directly in log space (``log_expit``, a
 max-subtracted log-softmax), so they cannot overflow and tail categories
@@ -43,7 +45,7 @@ command that computes no probability (``evaluate``) never loads scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -136,31 +138,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-class _Kernel:
-    """The stacked M-step rules of the families that share one kernel.
-
-    Every method takes arrays with the items on the leading axes and the
-    x-space coordinates (or natural parameters) on the last axis, so one
-    call serves a single item or a stack of them:
-
-    * ``natural(X)``: the natural parameter arrays of x-space points;
-    * ``derivatives(*natural, theta)``: log-probabilities, shape
-      (n, T, m), with their derivatives in theta, (n, T, m), and in the
-      flat parameter vector, (n, T, m, P), of ``n`` items at ``T`` points;
-    * ``chain(X, G)``: derivatives ``G`` (..., P) in the flat parameters
-      carried to x-space at ``X`` (the transposed Jacobian);
-    * ``clamp(X)``: the projection onto the parameter boxes.
-    """
-
-    @classmethod
-    def score(cls, X: np.ndarray, nodes: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """Log-probabilities (n, Q, m) and x-space derivatives (n, Q, m, P)."""
-        log_pi, _, d_params = cls.derivatives(*cls.natural(X), nodes)
-        return log_pi, cls.chain(X[:, None, None, :], d_params)
-
-
-class _Cumulative(_Kernel):
+class _Cumulative:
     """Binary and graded items: boundary curves ``sigmoid(a (t - b_j))``.
 
     A binary item is a graded item with one boundary: the same x-space
@@ -228,7 +206,7 @@ class _Cumulative(_Kernel):
         return X
 
 
-class _Softmax(_Kernel):
+class _Softmax:
     """Nominal items: ``softmax_k(a_k t + c_k)``, category 0 anchored.
 
     The parameters are unconstrained: x-space is the flat vector.
@@ -266,7 +244,7 @@ class _Softmax(_Kernel):
                        -LOCATION_BOUND, LOCATION_BOUND)
 
 
-def _grad(kernel: type[_Kernel], natural: tuple, theta
+def _grad(kernel, natural: tuple, theta
           ) -> tuple[np.ndarray, np.ndarray]:
     """One item's ``grad``: a one-row call of its kernel's derivatives."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
@@ -275,26 +253,72 @@ def _grad(kernel: type[_Kernel], natural: tuple, theta
     return d_theta[0], d_params[0]
 
 
+def _as_json(value):
+    """``value`` in model-file form: an item by its ``to_dict``, any other
+    dataclass as a dict of its fields, a tuple as a list."""
+    if isinstance(value, ItemModel):
+        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: _as_json(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    return value
+
+
 class _Family:
     """Rules every family shares: probabilities from ``log_probs`` and the
-    model-file form (one key per dataclass field, tuples as lists)."""
+    model-file form."""
 
     def probs(self, theta) -> np.ndarray:
         """Category probabilities at ``theta``; shape ``(..., m)``."""
         return np.exp(self.log_probs(theta))
 
     def to_dict(self) -> dict:
-        values = (getattr(self, f.name) for f in fields(self))
-        return {f.name: list(v) if isinstance(v, tuple) else v
-                for f, v in zip(fields(self), values)}
+        return _as_json(self)
 
     @classmethod
     def from_dict(cls, entry: dict):
         return cls(*(entry[f.name] for f in fields(cls)))
 
 
+class _CumulativeFamily(_Family):
+    """Rules of the binary and graded families, read through ``a`` and the
+    ``bounds`` view: a binary item is a graded item with one boundary."""
+
+    kernel = _Cumulative
+
+    @property
+    def n_categories(self) -> int:
+        return len(self.bounds) + 1
+
+    def log_probs(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=np.float64)
+        bs = np.asarray(self.bounds)
+        return _cumulative_log_probs(self.a * (theta[..., None] - bs))
+
+    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        return _grad(self.kernel, (self.a, self.bounds), theta)
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.a, *self.bounds])
+
+    def with_vector(self, vector: np.ndarray):
+        return self.from_bounds(float(vector[0]), vector[1:])
+
+    def to_x(self) -> np.ndarray:
+        bs = np.asarray(self.bounds)
+        return np.concatenate([[np.log(self.a), bs[0]], np.log(np.diff(bs))])
+
+    def from_x(self, x: np.ndarray):
+        return self.from_bounds(float(np.exp(x[0])), self.kernel.boundaries(x))
+
+    def bound_events(self, column: str) -> list[str]:
+        return _bound_events(column, self.a, self.bounds)
+
+
 @dataclass(frozen=True)
-class Binary2PL(_Family):
+class Binary2PL(_CumulativeFamily):
     """Slope ``a > 0`` and location ``b`` of a binary item."""
 
     a: float
@@ -302,42 +326,27 @@ class Binary2PL(_Family):
 
     family = "2pl"
     kind = "binary"
-    n_categories = 2
-    kernel = _Cumulative
 
     def __post_init__(self) -> None:
         _check_finite("2PL parameters", [self.a, self.b])
         if self.a <= 0:
             raise DataError(f"2PL slope must be positive, got {self.a}")
 
-    def log_probs(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        return _cumulative_log_probs(self.a * (theta[..., None] - self.b))
+    @property
+    def bounds(self) -> tuple[float]:
+        return (self.b,)
 
-    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        return _grad(self.kernel, (self.a, (self.b,)), theta)
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a, self.b])
-
-    def with_vector(self, vector: np.ndarray) -> Binary2PL:
-        return Binary2PL(float(vector[0]), float(vector[1]))
-
-    def to_x(self) -> np.ndarray:
-        return np.array([np.log(self.a), self.b])
-
-    def from_x(self, x: np.ndarray) -> Binary2PL:
-        return Binary2PL(float(np.exp(x[0])), float(x[1]))
-
-    def bound_events(self, column: str) -> list[str]:
-        return _bound_events(column, self.a, [self.b])
+    @classmethod
+    def from_bounds(cls, a: float, bounds) -> Binary2PL:
+        (b,) = bounds
+        return cls(a, float(b))
 
     def describe(self) -> str:
         return f"a={self.a:.6f} b={self.b:.6f}"
 
 
 @dataclass(frozen=True)
-class GradedItem(_Family):
+class GradedItem(_CumulativeFamily):
     """Slope ``a > 0`` and strictly increasing boundary locations.
 
     ``m - 1`` boundaries define ``m`` ordered categories.
@@ -348,7 +357,6 @@ class GradedItem(_Family):
 
     family = "grm"
     kind = "ordinal"
-    kernel = _Cumulative
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -366,33 +374,12 @@ class GradedItem(_Family):
             )
 
     @property
-    def n_categories(self) -> int:
-        return len(self.boundaries) + 1
+    def bounds(self) -> tuple[float, ...]:
+        return self.boundaries
 
-    def log_probs(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        bs = np.asarray(self.boundaries)
-        return _cumulative_log_probs(self.a * (theta[..., None] - bs))
-
-    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        return _grad(self.kernel, (self.a, self.boundaries), theta)
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a, *self.boundaries])
-
-    def with_vector(self, vector: np.ndarray) -> GradedItem:
-        return GradedItem(float(vector[0]), tuple(vector[1:]))
-
-    def to_x(self) -> np.ndarray:
-        bs = np.asarray(self.boundaries)
-        return np.concatenate([[np.log(self.a), bs[0]], np.log(np.diff(bs))])
-
-    def from_x(self, x: np.ndarray) -> GradedItem:
-        return GradedItem(float(np.exp(x[0])),
-                          tuple(self.kernel.boundaries(x)))
-
-    def bound_events(self, column: str) -> list[str]:
-        return _bound_events(column, self.a, self.boundaries)
+    @classmethod
+    def from_bounds(cls, a: float, bounds) -> GradedItem:
+        return cls(a, tuple(bounds))
 
     def describe(self) -> str:
         bs = " ".join(f"{b:.6f}" for b in self.boundaries)
@@ -485,6 +472,8 @@ class ItemModel:
     def from_dict(cls, entry: dict) -> ItemModel:
         try:
             family, column = entry["family"], entry["column"]
+            if not isinstance(column, str):
+                raise DataError(f"item column {column!r} is not a string")
             if family not in _CLASS_BY_FAMILY:
                 raise DataError(f"unknown item family {family!r}")
             params = _CLASS_BY_FAMILY[family].from_dict(entry)

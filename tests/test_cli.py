@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, files written, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,18 +12,15 @@ import numpy as np
 import pytest
 
 import irtimpute
+import irtimpute.cli
 from irtimpute import data as data_module
-from irtimpute.cli import (
-    _expand_config,
-    _read_config,
-    _write_probabilities,
-    main,
-)
+from irtimpute.cli import _expand_config, _read_config, main
 from irtimpute.data import (
     MISSING,
     CategoricalDataset,
     ColumnSchema,
     emit_csv,
+    emit_probabilities,
     format_schema,
     load_csv,
     load_schema,
@@ -107,6 +105,37 @@ class TestConfigFiles:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("flags", [
+        ("--out", "--probabilities"),
+        ("--save-model", "--out"),
+        ("--probabilities", "--save-model"),
+    ])
+    def test_impute_outputs_name_different_files(self, corpus, holed,
+                                                 tmp_path, capsys, flags):
+        target = tmp_path / "f.csv"
+        target.write_text("previous\n")
+        argv = ["impute", "--data", holed, "--schema", corpus / "truth.cols",
+                "--out", tmp_path / "other.csv"]
+        for flag in flags:
+            argv += [flag, target if flag == flags[0]
+                     else Path(os.path.relpath(target))]
+        capsys.readouterr()
+        rc = run(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: usage: ")
+        assert target.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv"]
+
+    def test_config_value_with_nul_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nout = m\0.json\n")
+        rc = run(["fit", "--config", cfg, "--data", "d.csv",
+                  "--schema", "d.cols"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: usage: {cfg}:2: NUL character\n")
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1
         assert "error: usage:" in capsys.readouterr().err
@@ -262,6 +291,13 @@ class TestFitCommand:
         assert models[0] == models[1]
 
 
+def test_cli_imports_no_private_name():
+    tree = ast.parse(Path(irtimpute.cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names and not [name for name in names if name.startswith("_")]
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats takes most of a CLI start-up; scipy.special serves instead
     src = str(Path(irtimpute.__file__).resolve().parents[1])
@@ -308,7 +344,11 @@ class TestDataErrorBoundary:
         lambda payload: payload["items"][0].update(a="oops"),
         lambda payload: payload["items"][0].update(boundaries=5),
         lambda payload: payload["discretization"][0].pop("cuts"),
-    ], ids=["slope-string", "boundaries-number", "cuts-missing"])
+        lambda payload: payload["items"][0].update(column=["item00"]),
+        lambda payload: payload["discretization"][0]["labels"].__setitem__(
+            0, ["q1"]),
+    ], ids=["slope-string", "boundaries-number", "cuts-missing",
+            "column-list", "label-list"])
     def test_corrupted_model_file(self, corpus, holed, model_file, tmp_path,
                                   capsys, corrupt):
         payload = json.loads(model_file.read_text())
@@ -318,6 +358,19 @@ class TestDataErrorBoundary:
         rc = run(["impute", "--data", holed, "--schema", corpus / "truth.cols",
                   "--model", model_file, "--out", tmp_path / "out.csv"])
         self.assert_one_data_error(rc, capsys)
+
+    def test_field_over_csv_limit(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        lines = (corpus / "truth.csv").read_text().splitlines()
+        lines[2] = lines[2] + ',"' + "x" * 200_000 + '"'
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run(["mcar-test", "--data", bad,
+                  "--schema", corpus / "truth.cols"])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {bad}:3: field larger than "
+                              "field limit")
+        assert len(err.splitlines()) == 1
+        assert rc == 2
 
     def test_data_file_not_utf8(self, corpus, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -399,7 +452,8 @@ class TestProbabilitySidecar:
             probs[np.arange(4) >= arity[:, None]] = np.nan
             result = SimpleNamespace(mask=np.column_stack([rows, cols]),
                                      probabilities=probs.reshape(n_cells, 4))
-            _write_probabilities(tmp_path / "new.csv", view, result)
+            emit_probabilities(view, result.mask, result.probabilities,
+                               tmp_path / "new.csv")
             write_probabilities_loop(tmp_path / "old.csv", view, result)
             assert ((tmp_path / "new.csv").read_bytes()
                     == (tmp_path / "old.csv").read_bytes())
@@ -475,6 +529,25 @@ class TestImputeCommand:
         completed = load_csv(out, schemas)
         wear = completed.column_values("wear")
         assert int((wear == MISSING).sum()) == 24
+
+
+def test_warning_prints_one_line(corpus, tmp_path):
+    holed = tmp_path / "wear-holed.csv"
+    assert run(["inject", "--data", corpus / "truth.csv",
+                "--schema", corpus / "truth.cols", "--target", "wear",
+                "--fraction", "0.1", "--mechanism", "mcar",
+                "--seed", "2", "--out", holed]) == 0
+    src = str(Path(irtimpute.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "irtimpute.cli", "impute", "--data", str(holed),
+         "--schema", str(corpus / "truth.cols"), "--max-iter", "3",
+         "--out", str(tmp_path / "completed.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: 24 missing continuous cells stay "
+                           "missing: the model imputes their bins, not "
+                           "their values\n")
 
 
 class TestEvaluateCommand:

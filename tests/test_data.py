@@ -481,7 +481,8 @@ class TestPlainCsv:
         path.write_bytes(b"u,w,x\nno,a,"
                          + b"1" * (csv.field_size_limit() + 1))
         assert not data_module._is_plain(path)
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(DataError,
+                           match=r"q\.csv:2: field larger than field limit"):
             load_csv(path, PLAIN_SCHEMAS)
 
 

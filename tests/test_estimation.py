@@ -6,6 +6,8 @@ is the per-item finite-difference Newton in ``helpers``; EAP oracles use a
 frozen (seeds recorded with each test).
 """
 
+import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -22,7 +24,12 @@ from helpers import (
     reference_objective,
 )
 from irtimpute import estimation
-from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
+from irtimpute.data import (
+    MISSING,
+    CategoricalDataset,
+    ColumnSchema,
+    DiscretizationMap,
+)
 from irtimpute.errors import (
     CodeOutOfRange,
     DataError,
@@ -655,6 +662,24 @@ class TestPersistence:
         back = load_model(path)
         assert back == model
 
+    def test_one_key_per_field(self, tmp_path):
+        maps = (DiscretizationMap("z", (0.5,), ("q1", "q2")),
+                DiscretizationMap("w", (-1.0, 2.0), ("lo", "mid", "hi")))
+        model = dataclasses.replace(self.fitted(), discretization=maps,
+                                    clamp_events=("item00: slope clamped",))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"format", "version"} | {
+            f.name for f in dataclasses.fields(FittedModel)}
+        assert payload["items"] == [item.to_dict() for item in model.items]
+        assert payload["grid"] == {"nodes": list(model.grid.nodes),
+                                   "weights": list(model.grid.weights)}
+        assert payload["discretization"] == [
+            {"column": m.column, "cuts": list(m.cuts),
+             "labels": list(m.labels)} for m in maps]
+        assert load_model(path) == model
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -668,7 +693,6 @@ class TestPersistence:
         model = self.fitted()
         path = tmp_path / "model.json"
         save_model(model, path)
-        import json
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))

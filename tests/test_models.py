@@ -379,3 +379,50 @@ class TestFamilyProtocol:
     def test_interior_values_report_no_clamp(self, family):
         params = random_item(np.random.default_rng(67), family, m=4).params
         assert self.projected(params).bound_events("z") == []
+
+
+class TestBinaryIsOneBoundaryGraded:
+    """``Binary2PL(a, b)`` and ``GradedItem(a, (b,))`` share one body, so
+    every family rule gives the same bits for both."""
+
+    @staticmethod
+    def same_bits(left, right):
+        left, right = np.asarray(left), np.asarray(right)
+        assert left.shape == right.shape
+        assert left.tobytes() == right.tobytes()
+
+    @pytest.mark.parametrize("a, b, clamped", [
+        (1.3, -0.4, False), (0.02, 2.5, False), (60.0, 0.0, True),
+        (1e-4, -0.7, True), (1.0, 70.0, True), (50.0, -50.0, True),
+    ], ids=["inside", "flat", "steep", "too-flat", "far", "corner"])
+    def test_rules_agree_bit_for_bit(self, a, b, clamped):
+        binary, graded = Binary2PL(a, b), GradedItem(a, (b,))
+        theta = np.linspace(-8.0, 8.0, 41)
+        assert binary.n_categories == graded.n_categories == 2
+        self.same_bits(binary.log_probs(theta), graded.log_probs(theta))
+        for got, want in zip(binary.grad(theta), graded.grad(theta)):
+            self.same_bits(got, want)
+        self.same_bits(binary.vector(), graded.vector())
+        vector = np.array([2.0, 0.5])
+        self.same_bits(binary.with_vector(vector).vector(),
+                       graded.with_vector(vector).vector())
+        x = binary.to_x()
+        self.same_bits(x, graded.to_x())
+        for point in (x, x + 0.3, binary.kernel.clamp(x)):
+            self.same_bits(binary.from_x(point).vector(),
+                           graded.from_x(point).vector())
+        assert binary.bound_events("z") == graded.bound_events("z")
+        # the M-step's projection onto the box, then its clamp events
+        binary = binary.from_x(binary.kernel.clamp(x))
+        graded = graded.from_x(graded.kernel.clamp(graded.to_x()))
+        assert type(binary) is Binary2PL
+        self.same_bits(binary.vector(), graded.vector())
+        events = binary.bound_events("z")
+        assert events == graded.bound_events("z")
+        assert bool(events) == clamped
+
+    def test_classes_hold_no_rule_of_their_own(self):
+        shared = {"log_probs", "grad", "vector", "with_vector", "to_x",
+                  "from_x", "bound_events"}
+        for cls in (Binary2PL, GradedItem):
+            assert not shared & set(vars(cls))

@@ -37,8 +37,8 @@ print()
 print(diagnostics_report(model))
 
 # how well did the slopes come back?
-true_slopes = [item.params.a for item in items]
-est_slopes = [item.params.a for item in model.items]
+true_slopes = [item.a for item in items]
+est_slopes = [item.a for item in model.items]
 corr = np.corrcoef(true_slopes, est_slopes)[0, 1]
 print(f"slope recovery correlation: {corr:.3f}")
 

@@ -570,10 +570,11 @@ class DiscretizationMap:
             raise DataError("discretized column and labels must be strings")
         if len(self.labels) != len(self.cuts) + 1:
             raise DataError("labels must number one more than cuts")
-        if np.any(np.diff(self.cuts) <= 0):
+        if not (np.all(np.isfinite(self.cuts))
+                and np.all(np.diff(self.cuts) > 0)):
             raise DegenerateColumn(
-                f"column {self.column!r}: cut points are not strictly "
-                "increasing"
+                f"column {self.column!r}: cut points are not finite and "
+                "strictly increasing"
             )
 
     @property

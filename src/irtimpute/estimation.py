@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,6 +71,7 @@ from .models import (
     NominalItem,
     _as_json,
     _check_code,
+    _from_json,
     log_category_probs,
 )
 
@@ -108,11 +109,12 @@ class QuadratureGrid:
         weights = np.asarray(self.weights)
         if nodes.size != weights.size or nodes.size == 0:
             raise DataError("grid nodes and weights must align")
-        if np.any(np.diff(nodes) <= 0):
-            raise DataError("grid nodes must be strictly increasing")
-        if np.any(weights <= 0):
+        # written so that a NaN fails each check
+        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+            raise DataError("grid nodes must be finite and strictly increasing")
+        if not np.all(weights > 0):
             raise DataError("grid weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise DataError("grid weights must sum to 1")
 
     @property
@@ -132,7 +134,7 @@ def build_grid(size: int = 61, grid_range: tuple[float, float] = (-6.0, 6.0)
     lo, hi = grid_range
     if size < 11:
         raise DataError("grid size must be at least 11")
-    if not lo < hi:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DataError(f"invalid grid range [{lo}, {hi}]")
     nodes = np.linspace(lo, hi, size)
     # scipy.stats.norm.pdf's own formula: the same weights, bit for bit
@@ -151,7 +153,7 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         # the grid's size and range are checked by build_grid
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise DataError("tolerance must be positive")
         if self.max_iter < 1:
             raise DataError("iteration cap must be at least 1")
@@ -481,19 +483,17 @@ def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid
               for item, r in zip(items, expected_counts)]
     groups: dict = {}
     for i, item in enumerate(items):
-        groups.setdefault((item.params.kernel, item.n_categories), []).append(i)
+        groups.setdefault((item.kernel, item.n_categories), []).append(i)
     x = [None] * len(items)
     for (kernel, _), members in groups.items():
         solved = _newton_maximize(
-            kernel, np.array([items[i].params.to_x() for i in members]),
+            kernel, np.array([items[i].to_x() for i in members]),
             np.array([counts[i] for i in members]), grid.node_array(),
             [items[i].column for i in members])
         for i, row in zip(members, solved):
             x[i] = row
-    updated = tuple(ItemModel(item.column, item.params.from_x(row))
-                    for item, row in zip(items, x))
-    events = [event for item in updated
-              for event in item.params.bound_events(item.column)]
+    updated = tuple(item.from_x(row) for item, row in zip(items, x))
+    events = [event for item in updated for event in item.bound_events()]
     return updated, events
 
 
@@ -532,13 +532,12 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
             for k in range(1, bs.size):
                 bs[k] = max(bs[k], bs[k - 1] + 1e-3)
             family = Binary2PL if schema.kind == "binary" else GradedItem
-            items.append(ItemModel(schema.name, family.from_bounds(1.0, bs)))
+            items.append(family.from_bounds(1.0, bs, schema.name))
         else:
             free = rng.uniform(-0.01, 0.01, size=2 * (schema.arity - 1))
-            items.append(ItemModel(schema.name, NominalItem(
-                (0.0, *free[: schema.arity - 1]),
-                (0.0, *free[schema.arity - 1:]),
-            )))
+            items.append(NominalItem((0.0, *free[: schema.arity - 1]),
+                                     (0.0, *free[schema.arity - 1:]),
+                                     column=schema.name))
     return tuple(items)
 
 
@@ -588,33 +587,27 @@ def _canonicalize_orientation(items: tuple[ItemModel, ...]
     """
     if not items or not all(i.family == "nrm" for i in items):
         return items
-    total = sum(sum(item.params.slopes) for item in items)
+    total = sum(sum(item.slopes) for item in items)
     if total >= 0:
         return items
-    return tuple(
-        ItemModel(item.column, NominalItem(
-            tuple(-s for s in item.params.slopes), item.params.intercepts
-        ))
-        for item in items
-    )
+    return tuple(replace(item, slopes=tuple(-s for s in item.slopes))
+                 for item in items)
 
 
 def _stacked_x(items: tuple[ItemModel, ...]) -> np.ndarray:
     """Every item's x-space point, concatenated in item order."""
-    return np.concatenate([item.params.to_x() for item in items])
+    return np.concatenate([item.to_x() for item in items])
 
 
 def _at_stacked_x(items: tuple[ItemModel, ...], x: np.ndarray
                   ) -> tuple[ItemModel, ...]:
     """``items`` at the stacked point ``x``, each projected onto its box."""
-    ends = np.cumsum([item.params.to_x().size for item in items])[:-1]
+    ends = np.cumsum([item.to_x().size for item in items])[:-1]
     # a long step can overflow exp in the projection, which then puts the
     # boundaries on the box edge
     with np.errstate(over="ignore"):
-        return tuple(
-            ItemModel(item.column,
-                      item.params.from_x(item.params.kernel.clamp(part)))
-            for item, part in zip(items, np.split(x, ends)))
+        return tuple(item.from_x(item.kernel.clamp(part))
+                     for item, part in zip(items, np.split(x, ends)))
 
 
 def _step_length(r: np.ndarray, v: np.ndarray) -> float:
@@ -681,7 +674,7 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
             items = em.squarem(items)
         new_items = em(items)
         delta = max(
-            float(np.max(np.abs(new.params.vector() - old.params.vector())))
+            float(np.max(np.abs(new.vector() - old.vector())))
             for new, old in zip(new_items, items)
         )
         items = new_items
@@ -750,7 +743,8 @@ def save_model(model: FittedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FittedModel:
-    """Read a :func:`save_model` file (no ``discretization`` key: none)."""
+    """Read a :func:`save_model` file, each field as its annotation
+    declares (a field with a default may be left out)."""
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -762,27 +756,10 @@ def load_model(path: str | Path) -> FittedModel:
             f"{path}: unsupported model version {payload.get('version')!r}"
         )
     try:
-        grid = QuadratureGrid(tuple(payload["grid"]["nodes"]),
-                              tuple(payload["grid"]["weights"]))
-        items = tuple(ItemModel.from_dict(entry) for entry in payload["items"])
-        return FittedModel(
-            items=items,
-            grid=grid,
-            converged=bool(payload["converged"]),
-            iterations=int(payload["iterations"]),
-            final_loglik=float(payload["final_loglik"]),
-            loglik_trace=tuple(float(v) for v in payload["loglik_trace"]),
-            clamp_events=tuple(str(v) for v in payload["clamp_events"]),
-            discretization=tuple(
-                DiscretizationMap(entry["column"],
-                                  tuple(float(v) for v in entry["cuts"]),
-                                  tuple(entry["labels"]))
-                for entry in payload.get("discretization", ())
-            ),
-        )
+        return _from_json(FittedModel, payload)
     except KeyError as exc:
         raise DataError(f"{path}: model file missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
 
 
@@ -798,7 +775,7 @@ def diagnostics_report(model: FittedModel) -> str:
     ]
     for item in model.items:
         lines.append(
-            f"  {item.column} ({item.family}): {item.params.describe()}")
+            f"  {item.column} ({item.family}): {item.describe()}")
     if model.clamp_events:
         lines.append("clamping events:")
         lines.extend(f"  {event}" for event in model.clamp_events)

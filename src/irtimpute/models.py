@@ -11,17 +11,18 @@ constant anywhere):
 * nominal divide-by-total model: ``P(k | t) = softmax_k(a_k * t + c_k)``
   with category 0 anchored at ``a_0 = c_0 = 0``
 
-Each family is one frozen parameter class that owns every rule differing
-by family: ``family``/``kind``/``n_categories``; ``log_probs`` and their
-analytic derivatives ``grad``; the flat ``vector``/``with_vector``; the
-M-step's unconstrained coordinates ``to_x``/``from_x``; ``bound_events``
-for parameters resting on a box edge; and ``describe``.  A binary item is a
-graded item with one boundary, so those two share one body for all but
-``describe``, through a ``bounds`` view and ``from_bounds(a, bounds)``.
-The families share ``probs``, the exponential of ``log_probs``: the E-step,
-EAP scoring, the M-step and the imputed cells' probability vectors all read
-one likelihood.  :func:`category_probs` and :func:`log_category_probs` are
-one-line calls to these methods; :func:`prob_2pl` is the plain binary curve.
+An item is its family's frozen instance, an :class:`ItemModel` holding
+the keyword ``column``; the family owns every rule differing by family:
+``family``/``kind``/``n_categories``; ``log_probs`` and their derivatives
+``grad``; the flat ``vector``/``with_vector``; the M-step's coordinates
+``to_x``/``from_x``; ``bound_events`` for parameters resting on a box
+edge; and ``describe``.  A binary item is a graded item with one boundary,
+so those two share one body for all but ``describe``, through a ``bounds``
+view and ``from_bounds(a, bounds)``.  The families share ``probs``, the
+exponential of ``log_probs``: the E-step, EAP scoring, the M-step and the
+imputed cells' probability vectors all read one likelihood.
+:func:`category_probs` and :func:`log_category_probs` are one-line calls to
+these methods; :func:`prob_2pl` is the plain binary curve.
 
 Each family also names its ``kernel``, the M-step's rules on stacked arrays
 (items on the leading axes, x-space coordinates on the last): ``natural``
@@ -45,7 +46,8 @@ command that computes no probability (``evaluate``) never loads scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -254,35 +256,71 @@ def _grad(kernel, natural: tuple, theta
 
 
 def _as_json(value):
-    """``value`` in model-file form: an item by its ``to_dict``, any other
-    dataclass as a dict of its fields, a tuple as a list."""
-    if isinstance(value, ItemModel):
-        return value.to_dict()
+    """``value`` in model-file form: a dataclass as a dict of its fields,
+    plus ``family`` for an item, and a tuple as a list."""
     if is_dataclass(value):
-        return {f.name: _as_json(getattr(value, f.name))
-                for f in fields(value)}
+        entry = {f.name: _as_json(getattr(value, f.name))
+                 for f in fields(value)}
+        if isinstance(value, ItemModel):
+            entry["family"] = value.family
+        return entry
     if isinstance(value, tuple):
         return [_as_json(v) for v in value]
     return value
 
 
-class _Family:
-    """Rules every family shares: probabilities from ``log_probs`` and the
-    model-file form."""
+def _from_json(hint, value, name: str = "value"):
+    """``value`` read back from model-file form as the type ``hint``: a
+    float takes an int or a float, a tuple a list, any other type only
+    itself, and a dataclass field left out takes its default."""
+    if hint is ItemModel:
+        return ItemModel.from_dict(value)
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return hint(**{f.name: _from_json(hints[f.name], value[f.name], f.name)
+                       for f in fields(hint)
+                       if f.name in value or f.default is MISSING})
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise DataError(f"{name}: expected a list, got {value!r}")
+        return tuple(_from_json(get_args(hint)[0], v, name) for v in value)
+    if (not isinstance(value, (int, float) if hint is float else hint)
+            or isinstance(value, bool) and hint is not bool):
+        raise DataError(f"{name}: expected {hint.__name__}, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class ItemModel:
+    """One column's item: the base of the families, with the rules they
+    share.  The family's parameters come first, the ``column`` is a
+    keyword."""
+
+    column: str = field(default="", kw_only=True)
 
     def probs(self, theta) -> np.ndarray:
         """Category probabilities at ``theta``; shape ``(..., m)``."""
         return np.exp(self.log_probs(theta))
 
     def to_dict(self) -> dict:
+        """Model-file entry: the fields plus the ``family`` key."""
         return _as_json(self)
 
-    @classmethod
-    def from_dict(cls, entry: dict):
-        return cls(*(entry[f.name] for f in fields(cls)))
+    @staticmethod
+    def from_dict(entry: dict) -> ItemModel:
+        """The item of the family ``entry`` names."""
+        try:
+            family, column = entry["family"], entry["column"]
+            if not isinstance(column, str):
+                raise DataError(f"item column {column!r} is not a string")
+            if family not in _CLASS_BY_FAMILY:
+                raise DataError(f"unknown item family {family!r}")
+            return _from_json(_CLASS_BY_FAMILY[family], entry)
+        except KeyError as exc:
+            raise DataError(f"item entry missing key {exc}") from None
 
 
-class _CumulativeFamily(_Family):
+class _CumulativeFamily(ItemModel):
     """Rules of the binary and graded families, read through ``a`` and the
     ``bounds`` view: a binary item is a graded item with one boundary."""
 
@@ -304,17 +342,18 @@ class _CumulativeFamily(_Family):
         return np.array([self.a, *self.bounds])
 
     def with_vector(self, vector: np.ndarray):
-        return self.from_bounds(float(vector[0]), vector[1:])
+        return self.from_bounds(float(vector[0]), vector[1:], self.column)
 
     def to_x(self) -> np.ndarray:
         bs = np.asarray(self.bounds)
         return np.concatenate([[np.log(self.a), bs[0]], np.log(np.diff(bs))])
 
     def from_x(self, x: np.ndarray):
-        return self.from_bounds(float(np.exp(x[0])), self.kernel.boundaries(x))
+        return self.from_bounds(float(np.exp(x[0])), self.kernel.boundaries(x),
+                                self.column)
 
-    def bound_events(self, column: str) -> list[str]:
-        return _bound_events(column, self.a, self.bounds)
+    def bound_events(self) -> list[str]:
+        return _bound_events(self.column, self.a, self.bounds)
 
 
 @dataclass(frozen=True)
@@ -337,9 +376,9 @@ class Binary2PL(_CumulativeFamily):
         return (self.b,)
 
     @classmethod
-    def from_bounds(cls, a: float, bounds) -> Binary2PL:
+    def from_bounds(cls, a: float, bounds, column: str = "") -> Binary2PL:
         (b,) = bounds
-        return cls(a, float(b))
+        return cls(a, float(b), column=column)
 
     def describe(self) -> str:
         return f"a={self.a:.6f} b={self.b:.6f}"
@@ -378,8 +417,8 @@ class GradedItem(_CumulativeFamily):
         return self.boundaries
 
     @classmethod
-    def from_bounds(cls, a: float, bounds) -> GradedItem:
-        return cls(a, tuple(bounds))
+    def from_bounds(cls, a: float, bounds, column: str = "") -> GradedItem:
+        return cls(a, tuple(bounds), column=column)
 
     def describe(self) -> str:
         bs = " ".join(f"{b:.6f}" for b in self.boundaries)
@@ -387,7 +426,7 @@ class GradedItem(_CumulativeFamily):
 
 
 @dataclass(frozen=True)
-class NominalItem(_Family):
+class NominalItem(ItemModel):
     """Per-category slopes and intercepts, category 0 anchored at zero."""
 
     slopes: tuple[float, ...]
@@ -427,14 +466,15 @@ class NominalItem(_Family):
 
     def with_vector(self, vector: np.ndarray) -> NominalItem:
         m = len(self.slopes)
-        return NominalItem((0.0, *vector[: m - 1]), (0.0, *vector[m - 1:]))
+        return NominalItem((0.0, *vector[: m - 1]), (0.0, *vector[m - 1:]),
+                           column=self.column)
 
     # nominal parameters are unconstrained: x-space is the flat vector
     to_x = vector
     from_x = with_vector
 
-    def bound_events(self, column: str) -> list[str]:
-        return _bound_events(column, None, self.vector())
+    def bound_events(self) -> list[str]:
+        return _bound_events(self.column, None, self.vector())
 
     def describe(self) -> str:
         sl = " ".join(f"{v:.6f}" for v in self.slopes)
@@ -442,48 +482,8 @@ class NominalItem(_Family):
         return f"a=[{sl}] c=[{ic}]"
 
 
-ItemParams = Binary2PL | GradedItem | NominalItem
-
 _CLASS_BY_FAMILY = {cls.family: cls for cls in (Binary2PL, GradedItem,
                                                 NominalItem)}
-
-
-@dataclass(frozen=True)
-class ItemModel:
-    """A fitted (or hand-set) item: a column name plus family parameters."""
-
-    column: str
-    params: ItemParams
-
-    @property
-    def family(self) -> str:
-        return self.params.family
-
-    @property
-    def n_categories(self) -> int:
-        return self.params.n_categories
-
-    def to_dict(self) -> dict:
-        """Model-file entry: column and family keys plus the parameters."""
-        return {"column": self.column, "family": self.family,
-                **self.params.to_dict()}
-
-    @classmethod
-    def from_dict(cls, entry: dict) -> ItemModel:
-        try:
-            family, column = entry["family"], entry["column"]
-            if not isinstance(column, str):
-                raise DataError(f"item column {column!r} is not a string")
-            if family not in _CLASS_BY_FAMILY:
-                raise DataError(f"unknown item family {family!r}")
-            params = _CLASS_BY_FAMILY[family].from_dict(entry)
-        except KeyError as exc:
-            raise DataError(f"item entry missing key {exc}") from None
-        return cls(column, params)
-
-
-def _params(item: ItemModel | ItemParams) -> ItemParams:
-    return item.params if isinstance(item, ItemModel) else item
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +498,21 @@ def prob_2pl(theta, a: float, b: float):
     return float(out) if out.ndim == 0 else out
 
 
-def category_probs(theta, item: ItemModel | ItemParams):
+def category_probs(theta, item: ItemModel):
     """Probability of every category at ``theta``; shape ``(..., m)``.
 
     The exponential of :func:`log_category_probs`, the values the fit uses.
     """
-    return _params(item).probs(theta)
+    return item.probs(theta)
 
 
-def log_category_probs(theta, item: ItemModel | ItemParams):
+def log_category_probs(theta, item: ItemModel):
     """``log`` of :func:`category_probs`, evaluated directly in log space.
 
     A category whose probability underflows to zero yields ``-inf`` rather
     than a spurious finite value.
     """
-    return _params(item).log_probs(theta)
+    return item.log_probs(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +544,7 @@ def pattern_loglik(pattern, items: tuple[ItemModel, ...], theta: float) -> float
 
 
 def grad_log_probs(
-    params: ItemParams, theta: np.ndarray
+    item: ItemModel, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of the log category probabilities at each theta.
 
@@ -553,7 +553,7 @@ def grad_log_probs(
     ``log P(category k | theta_t)`` with respect to theta and to the item's
     parameter vector (layout of the family's ``vector``).
     """
-    return params.grad(theta)
+    return item.grad(theta)
 
 
 @dataclass(frozen=True)
@@ -580,9 +580,9 @@ def pattern_score(
         code = int(code)
         _check_code(code, item)
         if code == -1:
-            grads.append(np.zeros_like(item.params.vector()))
+            grads.append(np.zeros_like(item.vector()))
             continue
-        d_theta, d_params = grad_log_probs(item.params, theta_arr)
+        d_theta, d_params = grad_log_probs(item, theta_arr)
         total_dtheta += float(d_theta[0, code])
         grads.append(d_params[0, code].copy())
     return PatternScore(total_dtheta, tuple(grads))

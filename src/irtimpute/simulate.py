@@ -45,22 +45,21 @@ def simulate_items(
     items = []
     for i in range(n_items):
         a = float(rng.uniform(*SLOPE_RANGE))
+        column = f"{name_prefix}{i:02d}"
         if family == "2pl":
-            params: Binary2PL | GradedItem | NominalItem = Binary2PL(
-                a, float(rng.uniform(*LOCATION_RANGE))
-            )
+            items.append(Binary2PL(a, float(rng.uniform(*LOCATION_RANGE)),
+                                   column=column))
         elif family == "grm":
             bs = np.sort(rng.uniform(*LOCATION_RANGE, size=n_categories - 1))
             # keep boundaries separated so every category carries real mass
             for k in range(1, bs.size):
                 bs[k] = max(bs[k], bs[k - 1] + 0.15)
-            params = GradedItem(a, tuple(bs))
+            items.append(GradedItem(a, tuple(bs), column=column))
         else:
             slopes = (0.0, *rng.uniform(*SLOPE_RANGE, size=n_categories - 1))
             intercepts = (0.0, *rng.uniform(*LOCATION_RANGE,
                                             size=n_categories - 1))
-            params = NominalItem(slopes, intercepts)
-        items.append(ItemModel(f"{name_prefix}{i:02d}", params))
+            items.append(NominalItem(slopes, intercepts, column=column))
     return tuple(items)
 
 
@@ -96,8 +95,7 @@ def simulate_dataset(
     thetas = rng.standard_normal(n_cases)
     codes = simulate_responses(items, thetas, rng)
     schemas = tuple(
-        ColumnSchema(item.column, item.params.kind,
-                     arity=item.n_categories)
+        ColumnSchema(item.column, item.kind, arity=item.n_categories)
         for item in items
     )
     return CategoricalDataset(schemas, codes.astype(np.float64))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -52,16 +53,16 @@ def random_item(rng: np.random.Generator, family: str, m: int = 4,
     """
     a = float(rng.uniform(0.8, 2.0))
     if family == "2pl":
-        return ItemModel("x", Binary2PL(a, float(rng.uniform(-2, 2))))
+        return Binary2PL(a, float(rng.uniform(-2, 2)), column="x")
     if family == "grm":
         gaps = rng.uniform(min_gap, 1.0, size=m - 2)
         b1 = float(rng.uniform(-2.0, 0.0))
         bounds = b1 + np.concatenate([[0.0], np.cumsum(gaps)])
-        return ItemModel("x", GradedItem(a, tuple(bounds)))
+        return GradedItem(a, tuple(bounds), column="x")
     if family == "nrm":
         slopes = (0.0, *rng.uniform(-2.0, 2.0, size=m - 1))
         intercepts = (0.0, *rng.uniform(-2.0, 2.0, size=m - 1))
-        return ItemModel("x", NominalItem(slopes, intercepts))
+        return NominalItem(slopes, intercepts, column="x")
     raise ValueError(family)
 
 
@@ -70,7 +71,7 @@ def random_items(rng: np.random.Generator, family: str, n_items: int,
     items = []
     for i in range(n_items):
         item = random_item(rng, family, m)
-        items.append(ItemModel(f"item{i:02d}", item.params))
+        items.append(dataclasses.replace(item, column=f"item{i:02d}"))
     return tuple(items)
 
 
@@ -91,16 +92,16 @@ def finite_difference_score(pattern, items, theta, h=1e-5):
                - pattern_loglik(pattern, items, theta - h)) / (2 * h)
     d_items = []
     for idx, item in enumerate(items):
-        vec = item.params.vector()
+        vec = item.vector()
         grad = np.zeros_like(vec)
         for p in range(vec.size):
             hi, lo = vec.copy(), vec.copy()
             hi[p] += h
             lo[p] -= h
             up = list(items)
-            up[idx] = ItemModel(item.column, item.params.with_vector(hi))
+            up[idx] = item.with_vector(hi)
             f_hi = pattern_loglik(pattern, tuple(up), theta)
-            up[idx] = ItemModel(item.column, item.params.with_vector(lo))
+            up[idx] = item.with_vector(lo)
             f_lo = pattern_loglik(pattern, tuple(up), theta)
             grad[p] = (f_hi - f_lo) / (2 * h)
         d_items.append(grad)
@@ -135,13 +136,13 @@ def dense_e_step(codes, items, grid):
     return posterior, counts, posterior.sum(axis=0), float(case_loglik.sum())
 
 
-def reference_objective(params, r, nodes):
+def reference_objective(item, r, nodes):
     """Objective and x-space gradient of one item built from each candidate."""
     def fg(x):
-        candidate = params.from_x(x)
+        candidate = item.from_x(x)
         f = float(np.sum(r * candidate.log_probs(nodes)))
         _, d_params = candidate.grad(nodes)
-        return f, params.kernel.chain(x, np.einsum("qk,qkp->p", r, d_params))
+        return f, item.kernel.chain(x, np.einsum("qk,qkp->p", r, d_params))
 
     return fg
 
@@ -218,15 +219,13 @@ def reference_m_step(items, expected_counts, grid):
     nodes = grid.node_array()
     updated = []
     for item, counts in zip(items, expected_counts):
-        params = item.params
         r = _floored_counts(item, counts, grid)
         x = reference_newton(
-            reference_objective(params, r, nodes), params.kernel.clamp,
-            params.to_x(), NEWTON_MAX_ITER, NEWTON_TOL,
+            reference_objective(item, r, nodes), item.kernel.clamp,
+            item.to_x(), NEWTON_MAX_ITER, NEWTON_TOL,
             context=f"item {item.column!r}")
-        updated.append(ItemModel(item.column, params.from_x(x)))
-    events = [event for item in updated
-              for event in item.params.bound_events(item.column)]
+        updated.append(item.from_x(x))
+    events = [event for item in updated for event in item.bound_events()]
     return tuple(updated), events
 
 
@@ -250,7 +249,7 @@ def em_loop_fit(data, config=None):
         trace.append(es.marginal_loglik)
         new_items, clamp_events = _m_step(items, es.expected_counts, grid)
         delta = max(
-            float(np.max(np.abs(new.params.vector() - old.params.vector())))
+            float(np.max(np.abs(new.vector() - old.vector())))
             for new, old in zip(new_items, items)
         )
         items = new_items

@@ -7,6 +7,7 @@ then frozen here.  Criterion 9 needs external CSVs (see the README) and
 skips when the ``IRTIMPUTE_KAGGLE_DIR`` environment variable is unset.
 """
 
+import dataclasses
 import os
 import time
 from pathlib import Path
@@ -33,7 +34,6 @@ from irtimpute.missingness import inject_mar, inject_mcar, littles_test
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
-    ItemModel,
     NominalItem,
     category_probs,
     log_category_probs,
@@ -58,19 +58,19 @@ def test_criterion_1_probability_correctness():
         for _ in range(10_000):
             theta = float(rng.normal(0.0, 2.0))
             if family == "2pl":
-                item = ItemModel("x", Binary2PL(
+                item = Binary2PL(
                     float(rng.uniform(0.05, 4.0)),
-                    float(rng.uniform(-4.0, 4.0))))
+                    float(rng.uniform(-4.0, 4.0)), column="x")
             elif family == "grm":
                 m = int(rng.integers(2, 7))
                 bounds = np.sort(rng.uniform(-4.0, 4.0, size=m - 1))
-                item = ItemModel("x", GradedItem(
-                    float(rng.uniform(0.05, 4.0)), tuple(bounds)))
+                item = GradedItem(
+                    float(rng.uniform(0.05, 4.0)), tuple(bounds), column="x")
             else:
                 m = int(rng.integers(2, 7))
-                item = ItemModel("x", NominalItem(
+                item = NominalItem(
                     (0.0, *rng.uniform(-4.0, 4.0, m - 1)),
-                    (0.0, *rng.uniform(-4.0, 4.0, m - 1))))
+                    (0.0, *rng.uniform(-4.0, 4.0, m - 1)), column="x")
             probs = category_probs(theta, item)
             assert np.all(probs >= 0.0)
             worst_sum = max(worst_sum, abs(float(probs.sum()) - 1.0))
@@ -83,7 +83,7 @@ def test_criterion_1_probability_correctness():
         b = float(rng.uniform(-4.0, 4.0))
         theta = float(rng.normal(0.0, 2.0))
         nested = category_probs(
-            theta, ItemModel("x", NominalItem((0.0, a), (0.0, -a * b))))
+            theta, NominalItem((0.0, a), (0.0, -a * b), column="x"))
         worst_nest = max(worst_nest,
                          abs(float(nested[1]) - float(prob_2pl(theta, a, b))))
     assert worst_nest <= 1e-12
@@ -101,7 +101,7 @@ def test_criterion_2_gradients_match_finite_differences():
         for i in range(6):
             family = FAMILIES[int(rng.integers(3))]
             drawn = random_item(rng, family, m=int(rng.integers(3, 6)))
-            items.append(ItemModel(f"item{i:02d}", drawn.params))
+            items.append(dataclasses.replace(drawn, column=f"item{i:02d}"))
         items = tuple(items)
         pattern = random_pattern(rng, items)
         theta = float(rng.normal())
@@ -124,19 +124,18 @@ def test_criterion_2_gradients_match_finite_differences():
 RECOVERY_SEEDS = {"2pl": (7, 107), "grm": (21, 121), "nrm": (30, 130)}
 
 
-def _pooled_params(items):
+def _pooled_estimates(items):
     slopes, locations = [], []
     for item in items:
-        p = item.params
-        if isinstance(p, Binary2PL):
-            slopes.append(p.a)
-            locations.append(p.b)
-        elif isinstance(p, GradedItem):
-            slopes.append(p.a)
-            locations.extend(p.boundaries)
+        if isinstance(item, Binary2PL):
+            slopes.append(item.a)
+            locations.append(item.b)
+        elif isinstance(item, GradedItem):
+            slopes.append(item.a)
+            locations.extend(item.boundaries)
         else:
-            slopes.extend(p.slopes[1:])
-            locations.extend(p.intercepts[1:])
+            slopes.extend(item.slopes[1:])
+            locations.extend(item.intercepts[1:])
     return np.asarray(slopes), np.asarray(locations)
 
 
@@ -150,8 +149,8 @@ def test_criterion_3_parameter_recovery(family):
     fitted = fit(data, FitConfig(seed=0))
     trace = np.asarray(fitted.loglik_trace)
     assert np.all(np.diff(trace) >= -1e-8)
-    true_slopes, true_locations = _pooled_params(items)
-    est_slopes, est_locations = _pooled_params(fitted.items)
+    true_slopes, true_locations = _pooled_estimates(items)
+    est_slopes, est_locations = _pooled_estimates(fitted.items)
     slope_corr = float(np.corrcoef(true_slopes, est_slopes)[0, 1])
     location_corr = float(np.corrcoef(true_locations, est_locations)[0, 1])
     assert slope_corr >= 0.95
@@ -177,9 +176,9 @@ def _dense_grid_eap(pattern, items, size=10001):
 def test_criterion_4_eap_against_dense_grid():
     started = time.monotonic()
     items = (
-        ItemModel("a", Binary2PL(1.4, -0.8)),
-        ItemModel("b", Binary2PL(0.7, 0.2)),
-        ItemModel("c", Binary2PL(2.1, 1.1)),
+        Binary2PL(1.4, -0.8, column="a"),
+        Binary2PL(0.7, 0.2, column="b"),
+        Binary2PL(2.1, 1.1, column="c"),
     )
     model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
     patterns = [[1, 0, 1], [0, 0, 0], [1, 1, 1], [0, 1, 0],

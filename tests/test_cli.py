@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -347,8 +348,27 @@ class TestDataErrorBoundary:
         lambda payload: payload["items"][0].update(column=["item00"]),
         lambda payload: payload["discretization"][0]["labels"].__setitem__(
             0, ["q1"]),
+        # each field takes only the JSON type its annotation declares
+        lambda payload: payload.update(converged="no"),
+        lambda payload: payload.update(iterations=2.7),
+        lambda payload: payload.update(iterations=True),
+        lambda payload: payload.update(final_loglik="-12.5"),
+        lambda payload: payload.update(loglik_trace=["1", "2"]),
+        lambda payload: payload.update(clamp_events=[1, 2]),
+        lambda payload: payload["items"][0].update(a=True),
+        lambda payload: payload["items"][0].update(boundaries="01"),
+        lambda payload: payload["grid"]["nodes"].__setitem__(0, 10**400),
+        # a NaN fails every range check
+        lambda payload: payload["grid"]["nodes"].__setitem__(3, math.nan),
+        lambda payload: payload["grid"]["weights"].__setitem__(3, math.nan),
+        lambda payload: payload["discretization"][0]["cuts"].__setitem__(
+            0, math.nan),
     ], ids=["slope-string", "boundaries-number", "cuts-missing",
-            "column-list", "label-list"])
+            "column-list", "label-list", "converged-string",
+            "iterations-float", "iterations-bool", "loglik-string",
+            "trace-strings", "events-numbers", "slope-bool",
+            "boundaries-string", "node-huge-int", "node-nan", "weight-nan",
+            "cut-nan"])
     def test_corrupted_model_file(self, corpus, holed, model_file, tmp_path,
                                   capsys, corrupt):
         payload = json.loads(model_file.read_text())
@@ -382,6 +402,18 @@ class TestDataErrorBoundary:
         rc = run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
                   "--out", tmp_path / "absent-dir" / "m.json"])
         self.assert_one_data_error(rc, capsys)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "nan", "tolerance must be positive"),
+        ("--grid-hi", "inf", "invalid grid range [-6.0, inf]"),
+    ])
+    def test_non_finite_fit_option(self, corpus, holed, tmp_path, capsys,
+                                   flag, value, message):
+        rc = run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                  flag, value, "--out", tmp_path / "m.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: data: {message}\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_grid_smaller_than_eleven_nodes(self, corpus, holed, tmp_path,
                                            capsys):

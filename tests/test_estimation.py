@@ -60,7 +60,6 @@ from irtimpute.estimation import (
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
-    ItemModel,
     NominalItem,
     category_probs,
     log_category_probs,
@@ -113,8 +112,8 @@ class TestBuildGrid:
 
 def toy_items():
     return (
-        ItemModel("u", Binary2PL(1.2, -0.3)),
-        ItemModel("v", GradedItem(0.9, (-0.5, 0.8))),
+        Binary2PL(1.2, -0.3, column="u"),
+        GradedItem(0.9, (-0.5, 0.8), column="v"),
     )
 
 
@@ -188,7 +187,7 @@ class TestEStep:
     def test_identical_cases_identical_posteriors(self):
         schemas = (ColumnSchema("u", "binary"),)
         data = CategoricalDataset(schemas, np.array([[1.0], [1.0]]))
-        items = (ItemModel("u", Binary2PL(1.0, 0.0)),)
+        items = (Binary2PL(1.0, 0.0, column="u"),)
         result = e_step(data, items, build_grid())
         assert_array_equal(result.posteriors[0], result.posteriors[1])
 
@@ -211,9 +210,9 @@ class TestSparseEStep:
         # row missing everywhere
         rng = np.random.default_rng(17)
         items = (
-            ItemModel("u", random_item(rng, "2pl").params),
-            ItemModel("v", random_item(rng, "grm", m=4).params),
-            ItemModel("w", random_item(rng, "nrm", m=3).params),
+            dataclasses.replace(random_item(rng, "2pl"), column="u"),
+            dataclasses.replace(random_item(rng, "grm", m=4), column="v"),
+            dataclasses.replace(random_item(rng, "nrm", m=3), column="w"),
         )
         schemas = (ColumnSchema("u", "binary"),
                    ColumnSchema("v", "ordinal", arity=4),
@@ -245,8 +244,8 @@ class TestSparseEStep:
         table[0] = np.log(grid.weight_array())
         table[1, : grid.size // 2] = -np.inf
         table[4] = -np.inf
-        items = (ItemModel("u", Binary2PL(1.0, 0.0)),
-                 ItemModel("v", Binary2PL(1.0, 0.0)))
+        items = (Binary2PL(1.0, 0.0, column="u"),
+                 Binary2PL(1.0, 0.0, column="v"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return _posterior(_design(codes, items), table)
@@ -272,8 +271,7 @@ class TestMStep:
             item = random_item(np.random.default_rng(61), family, m=4)
             counts = masses[:, None] * category_probs(nodes, item)
             updated = m_step_item(item, counts, grid)
-            assert_allclose(updated.params.vector(),
-                            item.params.vector(), atol=1e-6)
+            assert_allclose(updated.vector(), item.vector(), atol=1e-6)
 
     def test_step_function_counts_push_toward_step(self):
         # all mass above theta=0 answers 1, all mass below answers 0: the
@@ -284,10 +282,10 @@ class TestMStep:
         counts = np.zeros((grid.size, 2))
         counts[nodes > 0, 1] = masses[nodes > 0]
         counts[nodes <= 0, 0] = masses[nodes <= 0]
-        item = ItemModel("u", Binary2PL(1.0, 0.7))
+        item = Binary2PL(1.0, 0.7, column="u")
         updated = m_step_item(item, counts, grid)
-        assert updated.params.a > item.params.a
-        assert abs(updated.params.b) < abs(item.params.b)
+        assert updated.a > item.a
+        assert abs(updated.b) < abs(item.b)
 
     def test_optimum_pressed_against_the_box_converges_at_once(
             self, monkeypatch):
@@ -300,9 +298,8 @@ class TestMStep:
         counts = np.zeros((grid.size, 2))
         counts[nodes > 0, 1] = masses[nodes > 0]
         counts[nodes <= 0, 0] = masses[nodes <= 0]
-        optimum = m_step_item(ItemModel("u", Binary2PL(1.0, 0.7)), counts,
-                              grid)
-        assert optimum.params.bound_events("u")
+        optimum = m_step_item(Binary2PL(1.0, 0.7, column="u"), counts, grid)
+        assert optimum.bound_events()
         calls = []
         objective = estimation._objective
 
@@ -313,8 +310,7 @@ class TestMStep:
         monkeypatch.setattr(estimation, "_objective", counted)
         again = m_step_item(optimum, counts, grid)
         assert len(calls) < 10
-        assert_allclose(again.params.vector(), optimum.params.vector(),
-                        rtol=1e-12)
+        assert_allclose(again.vector(), optimum.vector(), rtol=1e-12)
 
     @pytest.mark.parametrize("family", ("2pl", "grm", "nrm"))
     def test_objective_never_decreases(self, family):
@@ -353,12 +349,12 @@ class TestMStep:
         counts = np.ones((grid.size, 2))
         counts[:, 1] = 0.0
         with pytest.raises(EmptyCategory):
-            m_step_item(ItemModel("u", Binary2PL(1.0, 0.0)), counts, grid)
+            m_step_item(Binary2PL(1.0, 0.0, column="u"), counts, grid)
 
     def test_shape_mismatch_rejected(self):
         grid = build_grid()
         with pytest.raises(DataError):
-            m_step_item(ItemModel("u", Binary2PL(1.0, 0.0)),
+            m_step_item(Binary2PL(1.0, 0.0, column="u"),
                         np.ones((grid.size, 3)), grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -367,7 +363,7 @@ class TestMStep:
         counts = np.ones((grid.size, 2))
         counts[5, 1] = bad
         with pytest.raises(DataError, match="must be finite and nonnegative"):
-            m_step_item(ItemModel("u", Binary2PL(1.0, 0.0)), counts, grid)
+            m_step_item(Binary2PL(1.0, 0.0, column="u"), counts, grid)
 
     @pytest.mark.parametrize("family, m", [
         ("2pl", 2), *(("grm", m) for m in range(2, 6)),
@@ -377,7 +373,7 @@ class TestMStep:
         # r = N pi makes the expected information the observed one
         grid = build_grid()
         nodes = grid.node_array()
-        params = random_item(np.random.default_rng(113), family, m=m).params
+        params = random_item(np.random.default_rng(113), family, m=m)
         r = 300.0 * grid.weight_array()[:, None] * params.probs(nodes)
         x = params.to_x()
         _, _, info = _objective(params.kernel, x[None], r[None], nodes)
@@ -393,16 +389,15 @@ class TestMStep:
         for i in range(24):
             family = ("2pl", "grm", "nrm")[i % 3]
             m = 2 if family == "2pl" else int(rng.integers(2, 6))
-            items.append(ItemModel(f"i{i:02d}",
-                                   random_item(rng, family, m=m).params))
+            items.append(dataclasses.replace(random_item(rng, family, m=m),
+                                             column=f"i{i:02d}"))
             counts.append(rng.gamma(1.0, 5.0, size=(grid.size, m)))
         counts[7] = np.zeros_like(counts[7])
         counts[7][40] = rng.uniform(1.0, 20.0, size=items[7].n_categories)
         together, _ = _m_step(tuple(items), counts, grid)
         for item, r, got in zip(items, counts, together):
             alone = m_step_item(item, r, grid)
-            assert_array_equal(got.params.vector(),
-                               alone.params.vector())
+            assert_array_equal(got.vector(), alone.vector())
 
 
 class TestFit:
@@ -414,8 +409,8 @@ class TestFit:
         data = simulate_dataset(items, 600, seed=72)
         fitted = fit(data, FitConfig(seed=0))
         assert fitted.converged
-        true_b = np.array([it.params.b for it in items])
-        est_b = np.array([it.params.b for it in fitted.items])
+        true_b = np.array([it.b for it in items])
+        est_b = np.array([it.b for it in fitted.items])
         assert np.corrcoef(true_b, est_b)[0, 1] > 0.9
 
     def test_noise_columns_reach_the_reference_optimum(self, monkeypatch):
@@ -450,7 +445,7 @@ class TestFit:
         two = fit(data, FitConfig(seed=3))
         assert one.loglik_trace == two.loglik_trace
         for a, b in zip(one.items, two.items):
-            assert_array_equal(a.params.vector(), b.params.vector())
+            assert_array_equal(a.vector(), b.vector())
 
     def test_all_missing_row_changes_nothing(self):
         rng = np.random.default_rng(83)
@@ -461,8 +456,7 @@ class TestFit:
         base = fit(data, FitConfig(seed=0))
         more = fit(augmented, FitConfig(seed=0))
         for a, b in zip(base.items, more.items):
-            assert_allclose(a.params.vector(), b.params.vector(),
-                            atol=1e-10)
+            assert_allclose(a.vector(), b.vector(), atol=1e-10)
 
     def test_unobserved_category(self):
         schemas = (ColumnSchema("v", "ordinal", arity=3),)
@@ -532,7 +526,7 @@ def _assert_same_optimum(got, want):
     assert got.converged and want.converged
     assert got.final_loglik >= want.final_loglik - 1e-8 * abs(want.final_loglik)
     for a, b in zip(got.items, want.items):
-        assert_allclose(a.params.vector(), b.params.vector(), atol=1e-2)
+        assert_allclose(a.vector(), b.vector(), atol=1e-2)
 
 
 class TestSquarem:
@@ -584,9 +578,9 @@ def dense_grid_eap(pattern, items, size=10001, lo=-6.0, hi=6.0):
 class TestEapScore:
     def hand_model(self):
         items = (
-            ItemModel("a", Binary2PL(1.4, -0.8)),
-            ItemModel("b", Binary2PL(0.7, 0.2)),
-            ItemModel("c", Binary2PL(2.1, 1.1)),
+            Binary2PL(1.4, -0.8, column="a"),
+            Binary2PL(0.7, 0.2, column="b"),
+            Binary2PL(2.1, 1.1, column="c"),
         )
         return FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
 
@@ -611,9 +605,9 @@ class TestEapScore:
     def test_monotone_in_response_upgrades(self):
         rng = np.random.default_rng(101)
         items = (
-            ItemModel("a", random_item(rng, "2pl").params),
-            ItemModel("b", random_item(rng, "grm", m=4).params),
-            ItemModel("c", random_item(rng, "grm", m=3).params),
+            dataclasses.replace(random_item(rng, "2pl"), column="a"),
+            dataclasses.replace(random_item(rng, "grm", m=4), column="b"),
+            dataclasses.replace(random_item(rng, "grm", m=3), column="c"),
         )
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
         for _ in range(30):
@@ -680,6 +674,35 @@ class TestPersistence:
              "labels": list(m.labels)} for m in maps]
         assert load_model(path) == model
 
+    def test_file_format_is_pinned(self, tmp_path):
+        # one item of each family and one discretization map, byte for byte
+        model = FittedModel(
+            items=(Binary2PL(1.25, -0.5, column="u"),
+                   GradedItem(0.75, (-1.0, 0.5), column="v"),
+                   NominalItem((0.0, 0.5, -1.5), (0.0, 0.25, 2.0),
+                               column="w")),
+            grid=QuadratureGrid((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)),
+            converged=True, iterations=7, final_loglik=-12.5,
+            loglik_trace=(-20.0, -12.5),
+            clamp_events=("v: slope clamped at 50",),
+            discretization=(DiscretizationMap("x", (0.5, 1.5),
+                                              ("q1", "q2", "q3")),))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_text() == PINNED_MODEL_FILE
+        assert load_model(path) == model
+
+    def test_fields_with_defaults_may_be_left_out(self, tmp_path):
+        model = self.fitted()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        del payload["clamp_events"], payload["discretization"]
+        path.write_text(json.dumps(payload))
+        back = load_model(path)
+        assert back.clamp_events == () and back.discretization == ()
+        assert back.items == model.items
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -705,3 +728,78 @@ class TestPersistence:
         assert "converged: yes" in report
         assert "item00 (grm)" in report
         assert "clamping events" in report
+
+
+PINNED_MODEL_FILE = """\
+{
+  "clamp_events": [
+    "v: slope clamped at 50"
+  ],
+  "converged": true,
+  "discretization": [
+    {
+      "column": "x",
+      "cuts": [
+        0.5,
+        1.5
+      ],
+      "labels": [
+        "q1",
+        "q2",
+        "q3"
+      ]
+    }
+  ],
+  "final_loglik": -12.5,
+  "format": "irtimpute-model",
+  "grid": {
+    "nodes": [
+      -1.0,
+      0.0,
+      1.0
+    ],
+    "weights": [
+      0.25,
+      0.5,
+      0.25
+    ]
+  },
+  "items": [
+    {
+      "a": 1.25,
+      "b": -0.5,
+      "column": "u",
+      "family": "2pl"
+    },
+    {
+      "a": 0.75,
+      "boundaries": [
+        -1.0,
+        0.5
+      ],
+      "column": "v",
+      "family": "grm"
+    },
+    {
+      "column": "w",
+      "family": "nrm",
+      "intercepts": [
+        0.0,
+        0.25,
+        2.0
+      ],
+      "slopes": [
+        0.0,
+        0.5,
+        -1.5
+      ]
+    }
+  ],
+  "iterations": 7,
+  "loglik_trace": [
+    -20.0,
+    -12.5
+  ],
+  "version": 1
+}
+"""

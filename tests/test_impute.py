@@ -17,7 +17,6 @@ from irtimpute.impute import (
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
-    ItemModel,
     NominalItem,
     category_probs,
 )
@@ -41,7 +40,7 @@ class TestBinaryRule:
 
 class TestImputeCell:
     def test_binary_follows_probability_of_one(self):
-        item = ItemModel("u", Binary2PL(1.5, 0.4))
+        item = Binary2PL(1.5, 0.4, column="u")
         code, probs = impute_cell(3.0, item)
         assert code == 1
         assert_allclose(probs[1], expit(1.5 * (3.0 - 0.4)), rtol=1e-12)
@@ -50,18 +49,18 @@ class TestImputeCell:
 
     def test_binary_at_location_is_exact_tie(self):
         # theta == b gives p1 == 0.5 exactly; the rule picks 1
-        item = ItemModel("u", Binary2PL(1.5, 0.4))
+        item = Binary2PL(1.5, 0.4, column="u")
         code, probs = impute_cell(0.4, item)
         assert probs[1] == 0.5
         assert code == 1
 
     def test_graded_extremes(self):
-        item = ItemModel("v", GradedItem(1.3, (-1.0, 0.0, 1.0)))
+        item = GradedItem(1.3, (-1.0, 0.0, 1.0), column="v")
         assert impute_cell(-5.0, item)[0] == 0
         assert impute_cell(5.0, item)[0] == 3
 
     def test_nominal_matches_manual_argmax(self):
-        item = ItemModel("w", NominalItem((0.0, 0.8, -0.4), (0.0, 0.3, 0.9)))
+        item = NominalItem((0.0, 0.8, -0.4), (0.0, 0.3, 0.9), column="w")
         for theta in (-2.0, 0.0, 1.5):
             code, probs = impute_cell(theta, item)
             assert code == int(np.argmax(category_probs(theta, item)))
@@ -69,7 +68,7 @@ class TestImputeCell:
 
     def test_multiway_tie_takes_lowest_code(self):
         # zero slopes and intercepts: all three categories sit at 1/3
-        item = ItemModel("w", NominalItem((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        item = NominalItem((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), column="w")
         code, probs = impute_cell(0.7, item)
         assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
         assert code == 0
@@ -93,8 +92,8 @@ def tiny_dataset():
 
 def tiny_model():
     items = (
-        ItemModel("u", Binary2PL(1.6, 0.2)),
-        ItemModel("v", GradedItem(1.1, (-0.7, 0.9))),
+        Binary2PL(1.6, 0.2, column="u"),
+        GradedItem(1.1, (-0.7, 0.9), column="v"),
     )
     return FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
 
@@ -210,7 +209,7 @@ class TestImputeDataset:
     def test_complete_data_yields_empty_mask(self):
         schemas = (ColumnSchema("u", "binary"),)
         data = CategoricalDataset(schemas, np.array([[0.0], [1.0]]))
-        items = (ItemModel("u", Binary2PL(1.0, 0.0)),)
+        items = (Binary2PL(1.0, 0.0, column="u"),)
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
         result = impute_dataset(data, model)
         assert result.mask.tolist() == []
@@ -219,15 +218,15 @@ class TestImputeDataset:
 
     def test_arity_mismatch_rejected(self):
         items = (
-            ItemModel("u", Binary2PL(1.6, 0.2)),
-            ItemModel("v", GradedItem(1.1, (-0.7, 0.0, 0.9))),
+            Binary2PL(1.6, 0.2, column="u"),
+            GradedItem(1.1, (-0.7, 0.0, 0.9), column="v"),
         )
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
         with pytest.raises(DataError, match="arity"):
             impute_dataset(tiny_dataset(), model)
 
     def test_unknown_model_column_rejected(self):
-        items = (ItemModel("nope", Binary2PL(1.0, 0.0)),)
+        items = (Binary2PL(1.0, 0.0, column="nope"),)
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
         with pytest.raises(DataError):
             impute_dataset(tiny_dataset(), model)
@@ -247,9 +246,9 @@ class TestImputeDataset:
         ], dtype=float)
         data = CategoricalDataset(schemas, cells)
         items = (
-            ItemModel("a", Binary2PL(1.8, 0.0)),
-            ItemModel("b", Binary2PL(1.2, -0.4)),
-            ItemModel("c", GradedItem(1.5, (-1.0, 0.0, 1.0))),
+            Binary2PL(1.8, 0.0, column="a"),
+            Binary2PL(1.2, -0.4, column="b"),
+            GradedItem(1.5, (-1.0, 0.0, 1.0), column="c"),
         )
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
         result = impute_dataset(data, model)

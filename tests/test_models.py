@@ -4,6 +4,7 @@ Expected numbers were computed independently (closed-form logistic and
 softmax arithmetic) before being frozen here.
 """
 
+import dataclasses
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestGradedModel:
         thetas = np.linspace(-6, 6, 41)
         for m in (2, 3, 5, 8):
             item = random_item(rng, "grm", m=m)
-            probs = category_probs(thetas, item.params)
+            probs = category_probs(thetas, item)
             assert np.all(probs >= 0)
             assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -104,7 +105,7 @@ class TestGradedModel:
         thetas = np.linspace(-6, 6, 121)
         for _ in range(20):
             item = random_item(rng, "grm", m=int(rng.integers(3, 7)))
-            probs = category_probs(thetas, item.params)
+            probs = category_probs(thetas, item)
             expected = probs @ np.arange(probs.shape[1])
             assert np.all(np.diff(expected) > -1e-12)
 
@@ -129,7 +130,7 @@ class TestNominalModel:
         thetas = np.linspace(-6, 6, 41)
         for m in (2, 3, 5, 8):
             item = random_item(rng, "nrm", m=m)
-            probs = category_probs(thetas, item.params)
+            probs = category_probs(thetas, item)
             assert np.all(probs >= 0)
             assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -200,7 +201,7 @@ class TestOneProbabilityPath:
     @pytest.mark.parametrize("theta", [0.37, np.linspace(-8, 8, 33)],
                              ids=["scalar", "array"])
     def test_probs_are_exp_of_log_probs(self, params, theta):
-        item = ItemModel("x", params)
+        item = dataclasses.replace(params, column="x")
         want = np.exp(log_category_probs(theta, item))
         np.testing.assert_array_equal(category_probs(theta, item), want)
         np.testing.assert_array_equal(category_probs(theta, params), want)
@@ -223,8 +224,8 @@ class TestOneProbabilityPath:
 class TestPatternLoglik:
     def test_hand_computed_sum(self):
         items = (
-            ItemModel("u", Binary2PL(1.0, 0.0)),
-            ItemModel("v", GradedItem(1.0, (-1.0, 0.0, 1.0))),
+            Binary2PL(1.0, 0.0, column="u"),
+            GradedItem(1.0, (-1.0, 0.0, 1.0), column="v"),
         )
         # at theta=0: P(u=1) = 0.5, P(v=2) = 0.2310585786300049
         got = pattern_loglik([1, 2], items, 0.0)
@@ -247,7 +248,7 @@ class TestPatternLoglik:
         assert pattern_loglik([-1, -1, -1], items, 1.3) == 0.0
 
     def test_code_out_of_range(self):
-        items = (ItemModel("u", Binary2PL(1.0, 0.0)),)
+        items = (Binary2PL(1.0, 0.0, column="u"),)
         with pytest.raises(CodeOutOfRange):
             pattern_loglik([2], items, 0.0)
         with pytest.raises(CodeOutOfRange):
@@ -277,7 +278,7 @@ class TestPatternScore:
 
     def test_2pl_theta_gradient_closed_form(self):
         # d loglik / d theta = a * (u - P(theta))
-        item = ItemModel("u", Binary2PL(1.7, 0.3))
+        item = Binary2PL(1.7, 0.3, column="u")
         for u in (0, 1):
             got = pattern_score([u], (item,), 0.9)
             expected = 1.7 * (u - prob_2pl(0.9, 1.7, 0.3))
@@ -289,8 +290,7 @@ class TestParamVectors:
     def test_roundtrip(self, family):
         rng = np.random.default_rng(41)
         item = random_item(rng, family, m=5)
-        rebuilt = ItemModel(item.column,
-                            item.params.with_vector(item.params.vector()))
+        rebuilt = item.with_vector(item.vector())
         assert rebuilt == item
 
     def test_layouts(self):
@@ -306,7 +306,7 @@ class TestSerialization:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_dict_roundtrip(self, family):
         rng = np.random.default_rng(43)
-        item = ItemModel("col", random_item(rng, family, m=4).params)
+        item = dataclasses.replace(random_item(rng, family, m=4), column="col")
         assert ItemModel.from_dict(item.to_dict()) == item
 
     def test_unknown_family_rejected(self):
@@ -314,71 +314,103 @@ class TestSerialization:
             ItemModel.from_dict({"column": "c", "family": "rasch", "a": 1.0})
 
 
+class TestItemIsItsFamily:
+    """An item is its family's instance; ``column`` is the one field the
+    families share."""
+
+    def test_column_is_the_base_class_only_field(self):
+        assert [f.name for f in dataclasses.fields(ItemModel)] == ["column"]
+        for family in FAMILIES:
+            item = random_item(np.random.default_rng(71), family)
+            assert isinstance(item, ItemModel)
+
+    def test_column_defaults_to_empty(self):
+        assert Binary2PL(1.2, 0.3).column == ""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rebuilt_items_keep_their_column(self, family):
+        item = dataclasses.replace(
+            random_item(np.random.default_rng(73), family), column="kept")
+        assert ItemModel.from_dict(item.to_dict()).column == "kept"
+        assert item.from_x(item.to_x()).column == "kept"
+        assert item.with_vector(item.vector()).column == "kept"
+        assert dataclasses.replace(item, column="new").column == "new"
+
+    def test_equality_compares_class_column_and_parameters(self):
+        item = GradedItem(1.1, (-0.7, 0.9), column="v")
+        assert item == GradedItem(1.1, (-0.7, 0.9), column="v")
+        assert hash(item) == hash(GradedItem(1.1, (-0.7, 0.9), column="v"))
+        assert item != GradedItem(1.1, (-0.7, 0.9), column="w")
+        assert item != GradedItem(1.1, (-0.7, 1.0), column="v")
+        assert Binary2PL(1.1, 0.2) != GradedItem(1.1, (0.2,))
+
+
 class TestFamilyProtocol:
     """The per-family methods the M-step and the model file rely on."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_vector_and_dict_round_trips(self, family):
-        params = random_item(np.random.default_rng(47), family, m=4).params
-        assert params.family == family
-        assert params.n_categories == params.probs(0.0).shape[-1]
-        assert params.with_vector(params.vector()) == params
-        assert type(params).from_dict(params.to_dict()) == params
+        item = random_item(np.random.default_rng(47), family, m=4)
+        assert item.family == family
+        assert item.n_categories == item.probs(0.0).shape[-1]
+        assert item.with_vector(item.vector()) == item
+        assert type(item).from_dict(item.to_dict()) == item
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_x_space_round_trip_and_interior_clamp(self, family):
-        params = random_item(np.random.default_rng(53), family, m=5).params
-        x = params.to_x()
-        assert_allclose(params.from_x(x).vector(), params.vector(),
+        item = random_item(np.random.default_rng(53), family, m=5)
+        x = item.to_x()
+        assert_allclose(item.from_x(x).vector(), item.vector(),
                         rtol=1e-13, atol=1e-15)
-        assert_allclose(params.kernel.clamp(x), x, rtol=1e-13, atol=1e-15)
+        assert_allclose(item.kernel.clamp(x), x, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_chain_gradient_matches_central_differences(self, family):
         rng = np.random.default_rng(59)
-        params = random_item(rng, family, m=4).params
+        item = random_item(rng, family, m=4)
         nodes = np.linspace(-4.0, 4.0, 21)
-        r = rng.uniform(0.1, 5.0, size=(nodes.size, params.n_categories))
-        x = params.to_x()
+        r = rng.uniform(0.1, 5.0, size=(nodes.size, item.n_categories))
+        x = item.to_x()
 
         def objective(v):
-            return float(np.sum(r * params.from_x(v).log_probs(nodes)))
+            return float(np.sum(r * item.from_x(v).log_probs(nodes)))
 
-        _, d_params = params.from_x(x).grad(nodes)
-        got = params.kernel.chain(x, np.einsum("qk,qkp->p", r, d_params))
+        _, d_params = item.from_x(x).grad(nodes)
+        got = item.kernel.chain(x, np.einsum("qk,qkp->p", r, d_params))
         h = 1e-6
         fd = np.array([(objective(x + h * e) - objective(x - h * e)) / (2 * h)
                        for e in np.eye(x.size)])
         assert np.all(np.abs(got - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
 
     @staticmethod
-    def projected(params):
-        """The parameters after the M-step's box projection in x-space."""
-        return params.from_x(params.kernel.clamp(params.to_x()))
+    def projected(item):
+        """The item after the M-step's box projection in x-space."""
+        return item.from_x(item.kernel.clamp(item.to_x()))
 
-    @pytest.mark.parametrize("params", [
-        Binary2PL(60.0, 0.0), Binary2PL(1e-4, 0.0),
-        GradedItem(60.0, (-1.0, 0.5)), GradedItem(1e-4, (-1.0, 0.5)),
+    @pytest.mark.parametrize("item", [
+        Binary2PL(60.0, 0.0, column="z"), Binary2PL(1e-4, 0.0, column="z"),
+        GradedItem(60.0, (-1.0, 0.5), column="z"),
+        GradedItem(1e-4, (-1.0, 0.5), column="z"),
     ], ids=["2pl-steep", "2pl-flat", "grm-steep", "grm-flat"])
-    def test_slope_outside_box_reports_slope_clamp(self, params):
-        clamped = self.projected(params)
-        assert clamped.bound_events("z") == [
+    def test_slope_outside_box_reports_slope_clamp(self, item):
+        clamped = self.projected(item)
+        assert clamped.bound_events() == [
             f"z: slope clamped at {clamped.a:g}"]
 
-    @pytest.mark.parametrize("params", [
-        Binary2PL(1.0, 70.0),
-        GradedItem(1.0, (-20.0, 0.0, 60.0)),
-        NominalItem((0.0, 60.0), (0.0, 1.0)),
-        NominalItem((0.0, 1.0), (0.0, -70.0)),
+    @pytest.mark.parametrize("item", [
+        Binary2PL(1.0, 70.0, column="z"),
+        GradedItem(1.0, (-20.0, 0.0, 60.0), column="z"),
+        NominalItem((0.0, 60.0), (0.0, 1.0), column="z"),
+        NominalItem((0.0, 1.0), (0.0, -70.0), column="z"),
     ], ids=["2pl", "grm", "nrm-slope", "nrm-intercept"])
-    def test_location_outside_box_reports_location_clamp(self, params):
-        assert self.projected(params).bound_events("z") == [
+    def test_location_outside_box_reports_location_clamp(self, item):
+        assert self.projected(item).bound_events() == [
             "z: location clamped at magnitude 50"]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_interior_values_report_no_clamp(self, family):
-        params = random_item(np.random.default_rng(67), family, m=4).params
-        assert self.projected(params).bound_events("z") == []
+        item = random_item(np.random.default_rng(67), family, m=4)
+        assert self.projected(item).bound_events() == []
 
 
 class TestBinaryIsOneBoundaryGraded:
@@ -396,7 +428,8 @@ class TestBinaryIsOneBoundaryGraded:
         (1e-4, -0.7, True), (1.0, 70.0, True), (50.0, -50.0, True),
     ], ids=["inside", "flat", "steep", "too-flat", "far", "corner"])
     def test_rules_agree_bit_for_bit(self, a, b, clamped):
-        binary, graded = Binary2PL(a, b), GradedItem(a, (b,))
+        binary = Binary2PL(a, b, column="z")
+        graded = GradedItem(a, (b,), column="z")
         theta = np.linspace(-8.0, 8.0, 41)
         assert binary.n_categories == graded.n_categories == 2
         self.same_bits(binary.log_probs(theta), graded.log_probs(theta))
@@ -411,14 +444,14 @@ class TestBinaryIsOneBoundaryGraded:
         for point in (x, x + 0.3, binary.kernel.clamp(x)):
             self.same_bits(binary.from_x(point).vector(),
                            graded.from_x(point).vector())
-        assert binary.bound_events("z") == graded.bound_events("z")
+        assert binary.bound_events() == graded.bound_events()
         # the M-step's projection onto the box, then its clamp events
         binary = binary.from_x(binary.kernel.clamp(x))
         graded = graded.from_x(graded.kernel.clamp(graded.to_x()))
         assert type(binary) is Binary2PL
         self.same_bits(binary.vector(), graded.vector())
-        events = binary.bound_events("z")
-        assert events == graded.bound_events("z")
+        events = binary.bound_events()
+        assert events == graded.bound_events()
         assert bool(events) == clamped
 
     def test_classes_hold_no_rule_of_their_own(self):

@@ -22,7 +22,7 @@ from irtimpute.data import (
     emit_csv,
     format_schema,
 )
-from irtimpute.models import Binary2PL, GradedItem, ItemModel, NominalItem
+from irtimpute.models import Binary2PL, GradedItem, NominalItem
 from irtimpute.simulate import simulate_dataset
 
 CASES = 150
@@ -34,9 +34,9 @@ RETYPES = (lambda v: [v], str, lambda v: None, lambda v: {"x": v},
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutations")
-    items = (ItemModel("b", Binary2PL(1.2, 0.1)),
-             ItemModel("g", GradedItem(1.0, (-0.5, 0.6))),
-             ItemModel("n", NominalItem((0.0, 0.8, 1.5), (0.0, 0.2, -0.3))))
+    items = (Binary2PL(1.2, 0.1, column="b"),
+             GradedItem(1.0, (-0.5, 0.6), column="g"),
+             NominalItem((0.0, 0.8, 1.5), (0.0, 0.2, -0.3), column="n"))
     base = simulate_dataset(items, 80, seed=3)
     rng = np.random.default_rng(4)
     wear = np.round(base.cells[:, 1] + rng.normal(0.0, 1.0, 80), 3)

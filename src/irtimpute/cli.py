@@ -80,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path: str) -> list[str]:
-    """Turn ``key = value`` lines into a flat flag-token list."""
+    """Turn ``key = value`` lines into ``--key=value`` tokens."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -97,7 +97,8 @@ def _read_config(path: str) -> list[str]:
             raise UsageError(f"{path}:{lineno}: empty key")
         if "\0" in line:
             raise UsageError(f"{path}:{lineno}: NUL character")
-        tokens.extend([f"--{key.replace('_', '-')}", value])
+        # one token, so that a value such as -1e1 is not read as a flag
+        tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
 
 

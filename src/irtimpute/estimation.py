@@ -157,6 +157,8 @@ class FitConfig:
             raise DataError("tolerance must be positive")
         if self.max_iter < 1:
             raise DataError("iteration cap must be at least 1")
+        if self.seed < 0:
+            raise DataError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -242,10 +244,18 @@ def _posterior(x: csr_array, log_table: np.ndarray
 
 def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
                   ) -> np.ndarray:
-    """Integer code matrix for the item-bound columns, validated."""
-    cols = []
-    for item in items:
-        schema = data.schema_for(item.column)
+    """The one rule binding a model to a dataset: ``items`` bind its feature
+    columns one to one, in column order, each categorical with its item's
+    category count.  Returns their integer codes (-1 where missing)."""
+    features = list(data.feature_indices)
+    names = [data.schemas[j].name for j in features]
+    if [item.column for item in items] != names:
+        raise DataError(
+            f"items are bound to {[i.column for i in items]!r} but the "
+            f"feature columns are {names!r}"
+        )
+    for j, item in zip(features, items):
+        schema = data.schemas[j]
         if not schema.is_categorical:
             raise DataError(
                 f"column {item.column!r} is not categorical; discretize first"
@@ -255,8 +265,7 @@ def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
                 f"column {item.column!r} has arity {schema.arity} but the "
                 f"item models {item.n_categories} categories"
             )
-        cols.append(data.codes(item.column))
-    return np.column_stack(cols) if cols else np.empty((data.n_rows, 0), int)
+    return data.cells[:, features].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -271,17 +280,8 @@ class EStepResult:
 
 def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
            grid: QuadratureGrid) -> EStepResult:
-    """Posterior-weighted response counts r[i][node, category].
-
-    Every feature column of ``data`` must be bound to exactly one item, in
-    column order.
-    """
-    feature_names = [data.schemas[j].name for j in data.feature_indices]
-    if [item.column for item in items] != feature_names:
-        raise DataError(
-            f"items are bound to {[i.column for i in items]!r} but the "
-            f"feature columns are {feature_names!r}"
-        )
+    """Posterior-weighted response counts r[i][node, category]; ``items``
+    bind the feature columns of ``data`` (see :func:`_codes_matrix`)."""
     items = tuple(items)
     return _e_step_core(_design(_codes_matrix(data, items), items), items,
                         grid)
@@ -515,16 +515,33 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
     Slopes start at 1; boundary locations at the inverse-normal transform
     of the cumulative observed proportions; nominal parameters at zero with
     a seeded +-0.01 jitter to break the symmetry of the anchored softmax.
+    Raises for data that cannot be fitted.
     """
     from scipy.special import ndtri
+    if not data.feature_indices:
+        raise DataError("dataset has no feature columns")
     rng = np.random.default_rng(config.seed)
     items = []
     for j in data.feature_indices:
         schema = data.schemas[j]
-        codes = data.codes(j)
-        observed = codes[codes >= 0]
+        if not schema.is_categorical:
+            raise DataError(
+                f"feature column {schema.name!r} is continuous; "
+                "discretize it before fitting"
+            )
         assert schema.arity is not None
-        counts = np.bincount(observed, minlength=schema.arity)
+        codes = data.codes(j)
+        counts = np.bincount(codes[codes >= 0], minlength=schema.arity)
+        if not counts.any():
+            raise UnobservedCategory(
+                f"column {schema.name!r} has no observed values"
+            )
+        if not counts.all():
+            missing_code = int(np.flatnonzero(counts == 0)[0])
+            raise UnobservedCategory(
+                f"column {schema.name!r}: category code {missing_code} "
+                "never observed"
+            )
         proportions = counts / counts.sum()
         if schema.kind != "nominal":
             cum = np.clip(np.cumsum(proportions)[:-1], 1e-3, 1 - 1e-3)
@@ -538,41 +555,13 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
             items.append(NominalItem((0.0, *free[: schema.arity - 1]),
                                      (0.0, *free[schema.arity - 1:]),
                                      column=schema.name))
-    return tuple(items)
-
-
-def _check_fit_preconditions(data: CategoricalDataset) -> None:
-    features = data.feature_indices
-    if not features:
-        raise DataError("dataset has no feature columns")
-    max_arity = 2
-    for j in features:
-        schema = data.schemas[j]
-        if not schema.is_categorical:
-            raise DataError(
-                f"feature column {schema.name!r} is continuous; "
-                "discretize it before fitting"
-            )
-        assert schema.arity is not None
-        max_arity = max(max_arity, schema.arity)
-        codes = data.codes(j)
-        observed = codes[codes >= 0]
-        if observed.size == 0:
-            raise UnobservedCategory(
-                f"column {schema.name!r} has no observed values"
-            )
-        present = np.bincount(observed, minlength=schema.arity) > 0
-        if not present.all():
-            missing_code = int(np.flatnonzero(~present)[0])
-            raise UnobservedCategory(
-                f"column {schema.name!r}: category code {missing_code} "
-                "never observed"
-            )
+    max_arity = max(item.n_categories for item in items)
     if data.n_rows < 10 * max_arity:
         raise InsufficientData(
             f"{data.n_rows} cases cannot support items with up to "
             f"{max_arity} categories (need at least {10 * max_arity})"
         )
+    return tuple(items)
 
 
 def _canonicalize_orientation(items: tuple[ItemModel, ...]
@@ -664,7 +653,6 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
     ``config.max_iter`` caps the EM maps."""
     config = config or FitConfig()
     grid = build_grid(config.grid_size, config.grid_range)
-    _check_fit_preconditions(data)
     items = _initial_items(data, config)
     em = _EMMap(_design(_codes_matrix(data, items), items), grid)
     converged = False

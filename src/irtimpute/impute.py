@@ -130,29 +130,28 @@ class ImputedDataset:
 
 def impute_dataset(data: CategoricalDataset, model: FittedModel
                    ) -> ImputedDataset:
-    """Fill every missing cell in the model's columns.
+    """Fill every missing cell in the feature columns of ``data``.
 
-    The model must bind exactly the categorical feature columns of ``data``
-    (matching name and category count).  Cases with every modeled cell
-    missing are scored at the prior mean.  Columns the model does not bind
-    (ids, excluded columns) pass through untouched.
+    The model's items must bind those columns, one to one and in column
+    order, with matching category counts; anything else is a
+    :class:`DataError`.  Cases with every feature cell missing are scored
+    at the prior mean.  Other columns (ids, excluded columns) pass through
+    untouched.
     """
-    if len({item.column for item in model.items}) != len(model.items):
-        raise DataError("model binds the same column twice")
     means, _ = eap_scores(data, model)
-    column_items = {data.column_index(item.column): item
-                    for item in model.items}
+    features = np.array(data.feature_indices, dtype=np.int64)
     cells = np.array(data.cells, copy=True)
-    modeled = np.isin(np.arange(data.n_cols), list(column_items))
-    mask = np.argwhere((cells == MISSING) & modeled)
+    mask = np.argwhere(data.missing_mask[:, features])
     filled = np.unique(mask[:, 1]).tolist()
-    width = max((column_items[j].n_categories for j in filled), default=0)
+    width = max((model.items[k].n_categories for k in filled), default=0)
     probabilities = np.full((len(mask), width), np.nan)
-    for j in filled:
-        at = np.flatnonzero(mask[:, 1] == j)
-        probs = category_probs(means[mask[at, 0]], column_items[j])
-        cells[mask[at, 0], j] = _decide(probs)
+    for k in filled:
+        at = np.flatnonzero(mask[:, 1] == k)
+        probs = category_probs(means[mask[at, 0]], model.items[k])
+        cells[mask[at, 0], features[k]] = _decide(probs)
         probabilities[at, :probs.shape[1]] = probs
+    # still row-major, because the features are in column order
+    mask[:, 1] = features[mask[:, 1]]
     return ImputedDataset(
         completed=data.with_cells(cells),
         mask=mask,

@@ -70,6 +70,8 @@ def inject_mcar(data: CategoricalDataset, target: str, fraction: float,
     """Blank ``floor(fraction * N)`` uniformly random cells of one column."""
     j = _target_index(data, target)
     count = _n_cells(data, fraction)
+    if seed < 0:
+        raise DataError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     rows = rng.choice(data.n_rows, size=count, replace=False)
     cells = np.array(data.cells, copy=True)

@@ -22,7 +22,6 @@ from irtimpute.estimation import (
     FitConfig,
     FittedModel,
     _canonicalize_orientation,
-    _check_fit_preconditions,
     _codes_matrix,
     _design,
     _e_step_core,
@@ -237,7 +236,6 @@ def em_loop_fit(data, config=None):
     """
     config = config or FitConfig()
     grid = build_grid(config.grid_size, config.grid_range)
-    _check_fit_preconditions(data)
     items = _initial_items(data, config)
     x = _design(_codes_matrix(data, items), items)
     trace, clamp_events = [], []

@@ -64,7 +64,7 @@ class TestConfigFiles:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# defaults\nseed = 3\ngrid_size = 41\n\ntol=1e-5\n")
         assert _read_config(cfg) == [
-            "--seed", "3", "--grid-size", "41", "--tol", "1e-5",
+            "--seed=3", "--grid-size=41", "--tol=1e-5",
         ]
 
     def test_bad_lines_rejected(self, tmp_path):
@@ -83,7 +83,7 @@ class TestConfigFiles:
         cfg.write_text("seed = 3\n")
         argv = ["fit", "--data", "d.csv", "--config", str(cfg)]
         assert _expand_config(argv) == [
-            "fit", "--seed", "3", "--data", "d.csv",
+            "fit", "--seed=3", "--data", "d.csv",
         ]
 
     def test_config_needs_subcommand(self, tmp_path):
@@ -91,6 +91,22 @@ class TestConfigFiles:
         cfg.write_text("seed = 3\n")
         with pytest.raises(UsageError, match="subcommand"):
             _expand_config(["--config", str(cfg)])
+
+    def test_values_may_begin_with_a_dash(self, corpus, holed, tmp_path):
+        # the holed file with "-" for each missing cell
+        dashed = tmp_path / "dashed.csv"
+        dashed.write_text("".join(
+            ",".join(field or "-" for field in line.split(",")) + "\n"
+            for line in holed.read_text().splitlines()))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-lo = -1e1\nmissing-tokens = -,NA\n")
+        assert run(["fit", "--data", dashed, "--schema", corpus / "truth.cols",
+                    "--config", cfg, "--out", tmp_path / "a.json"]) == 0
+        assert run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                    "--grid-lo", "-10", "--out", tmp_path / "b.json"]) == 0
+        assert load_model(tmp_path / "a.json").grid.nodes[0] == -10.0
+        assert ((tmp_path / "a.json").read_bytes()
+                == (tmp_path / "b.json").read_bytes())
 
     def test_explicit_flags_beat_config(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -414,6 +430,40 @@ class TestDataErrorBoundary:
         assert rc == 2
         assert capsys.readouterr().err == f"error: data: {message}\n"
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", []),
+        ("impute", []),
+        ("inject", ["--target", "item02", "--fraction", "0.1",
+                    "--mechanism", "mcar"]),
+        ("bench", ["--target", "item02", "--mechanisms", "mcar"]),
+    ])
+    def test_negative_seed(self, corpus, holed, tmp_path, capsys, command,
+                           flags):
+        data = holed if command in ("fit", "impute") else corpus / "truth.csv"
+        out = tmp_path / "out"
+        rc = run([command, "--data", data, "--schema", corpus / "truth.cols",
+                  "--seed", "-1", "--out", out, *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: data: seed must be nonnegative\n")
+        assert not out.exists()
+
+    def test_model_must_bind_the_feature_columns(self, corpus, holed,
+                                                 model_file, tmp_path,
+                                                 capsys):
+        # the model was fitted with item01 as a feature
+        schema = tmp_path / "excluded.cols"
+        schema.write_text((corpus / "truth.cols").read_text().replace(
+            "item01: ordinal arity=3", "item01: ordinal arity=3 "
+                                       "role=excluded"))
+        capsys.readouterr()
+        rc = run(["impute", "--data", holed, "--schema", schema,
+                  "--model", model_file, "--out", tmp_path / "out.csv",
+                  "--probabilities", tmp_path / "p.csv"])
+        self.assert_one_data_error(rc, capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "excluded.cols", "model.json"]
 
     def test_grid_smaller_than_eleven_nodes(self, corpus, holed, tmp_path,
                                            capsys):

@@ -225,6 +225,36 @@ class TestImputeDataset:
         with pytest.raises(DataError, match="arity"):
             impute_dataset(tiny_dataset(), model)
 
+    @pytest.mark.parametrize("role, columns", [
+        ("excluded", ("u", "v", "keep")),
+        ("id", ("u", "v", "keep")),
+        ("excluded", ("u",)),
+        ("excluded", ("v", "u")),
+    ], ids=["binds-excluded", "binds-id", "lacks-feature", "out-of-order"])
+    def test_model_binds_exactly_the_feature_columns(self, role, columns):
+        data = tiny_dataset()
+        schemas = (*data.schemas[:2],
+                   ColumnSchema("keep", "binary", role=role))
+        items = {item.column: item for item in tiny_model().items}
+        items["keep"] = Binary2PL(1.0, 0.0, column="keep")
+        model = FittedModel(tuple(items[c] for c in columns), build_grid(),
+                            True, 0, 0.0, (0.0,))
+        with pytest.raises(DataError, match="feature columns are"):
+            impute_dataset(CategoricalDataset(schemas, data.cells), model)
+
+    def test_features_after_an_id_column(self):
+        data = tiny_dataset()
+        schemas = (ColumnSchema("case", "ordinal", arity=5, role="id"),
+                   *data.schemas)
+        shifted = CategoricalDataset(
+            schemas, np.column_stack([np.arange(5.0), data.cells]))
+        result = impute_dataset(shifted, tiny_model())
+        expected = impute_dataset(data, tiny_model())
+        assert_array_equal(result.mask, expected.mask + [0, 1])
+        assert_array_equal(result.completed.cells[:, 1:],
+                           expected.completed.cells)
+        assert_array_equal(result.probabilities, expected.probabilities)
+
     def test_unknown_model_column_rejected(self):
         items = (Binary2PL(1.0, 0.0, column="nope"),)
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))

@@ -12,20 +12,20 @@ the completely-at-random hypothesis.  Category codes enter as plain
 numbers, a deliberate approximation for categorical data (the test is a
 mean-comparison screen, not a distributional fit).
 
-Rows are grouped once: ``np.unique`` over the bit-packed observed masks
-gives every row its pattern (exact for any column count), and the rows are
-sorted by pattern.  The EM and the statistic then walk the patterns in
-blocks of ``_BLOCK``.  Per block, one batched ``np.linalg.solve`` runs on
-the covariance masked to each pattern's observed rows and columns, with 1
-on the diagonal of its missing columns; the right-hand sides are the
-pattern's missing columns, padded to the block's widest.  In the EM this
-gives every pattern's regression of its missing columns on its observed
-ones, applied to the block's rows by one sparse product with a
-block-diagonal design; in the statistic it gives each pattern's
-Mahalanobis term.  If a block's batched solve finds a singular matrix, that
-block is solved again pattern by pattern with a ridge retry, and a block
-that stays singular raises ``SingularCovariance``.  Temporaries stay
-within one block: nothing is sized patterns × p² or rows × p × k.
+Rows are grouped by ``np.unique`` over the bit-packed observed masks
+(exact for any column count) and sorted by pattern, the patterns by their
+number k of missing columns.  Each EM iteration inverts Σ once, giving
+P = Σ⁻¹ (the sweep-operator identity of Schafer 1997, ch. 5).  With
+d = x − μ zero on a pattern's missing set M, P d is one product over all
+rows, and the pattern needs only its k × k block P_MM: its missing entries
+are μ_M − P_MM⁻¹ (P d)_M with residual covariance P_MM⁻¹, and its
+statistic term d_Oᵀ Σ_OO⁻¹ d_O is dᵀPd − (Pd)_Mᵀ P_MM⁻¹ (Pd)_M.  Patterns
+of one k form groups of at most ``_GROUP_ENTRIES`` block entries, so each
+batched inverse is k × k with no padding.  When Σ's reciprocal condition
+number is below ``_MIN_RCOND`` (a constant column makes Σ singular), each
+pattern's observed block is solved on its own with one ridge retry, and a
+block that stays singular raises ``SingularCovariance``.  Both paths share
+the step that fills the missing entries and adds the residual covariance.
 """
 
 from __future__ import annotations
@@ -117,14 +117,16 @@ def inject_mar(data: CategoricalDataset, target: str, conditional: str,
 # Little's MCAR test
 # ---------------------------------------------------------------------------
 
-# patterns per batched solve: bounds each per-pattern temporary to this many
-# p × p matrices
-_BLOCK = 256
-
 # The EM of the normal model stops when no mean or covariance entry moves
 # by EM_TOL, or after EM_MAX_ITER iterations.
 EM_TOL = 1e-6
 EM_MAX_ITER = 200
+
+# reciprocal condition number of Σ below which each observed block is solved
+_MIN_RCOND = 1e-8
+
+# entries of a group's k × k blocks: bounds its patterns to this over k²
+_GROUP_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,45 @@ class LittleTestResult:
     df: int
     p_value: float
     n_patterns: int
+
+
+@dataclass(frozen=True)
+class _Group:
+    """Patterns that each miss k columns, with their rows contiguous."""
+
+    patterns: slice          # into the patterns, ordered by k
+    rows: slice              # into the incomplete rows, sorted by pattern
+    missing: np.ndarray      # patterns × k missing columns, ascending
+    square: tuple            # index of each pattern's M × M block
+    row_pattern: np.ndarray  # each row's pattern within the group
+    counts: np.ndarray       # rows per pattern
+
+
+def _groups(patterns: np.ndarray, counts: np.ndarray
+            ) -> tuple[int, list[_Group]]:
+    """Count of complete rows; groups of one k >= 1 for the other rows."""
+    n_missing = patterns.shape[1] - patterns.sum(axis=1)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    skip = starts[np.searchsorted(n_missing, 1)]
+    groups = []
+    for k in np.unique(n_missing[n_missing > 0]):
+        first, stop = np.searchsorted(n_missing, [k, k + 1])
+        step = max(1, _GROUP_ENTRIES // (k * k))
+        for lo in range(first, stop, step):
+            hi = min(lo + step, stop)
+            missing = np.argsort(patterns[lo:hi], axis=1, kind="stable")[:, :k]
+            groups.append(_Group(
+                slice(lo, hi), slice(starts[lo] - skip, starts[hi] - skip),
+                missing, (missing[:, :, None], missing[:, None, :]),
+                np.repeat(np.arange(hi - lo), counts[lo:hi]), counts[lo:hi]))
+    return int(skip), groups
+
+
+def _precision(cov: np.ndarray) -> np.ndarray | None:
+    """Σ⁻¹, or None when Σ is not finite or too close to singular."""
+    well_posed = (np.isfinite(cov).all()
+                  and np.linalg.cond(cov) * _MIN_RCOND <= 1.0)
+    return np.linalg.inv(cov) if well_posed else None
 
 
 def _solve_observed(cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -151,118 +192,63 @@ def _solve_observed(cov: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-def _solve_patterns(cov: np.ndarray, observed: np.ndarray, rhs: np.ndarray,
-                    what: str) -> np.ndarray:
-    """Solve ``cov[O, O] @ x[O] = rhs[O]`` for every pattern's observed set O.
+def _regress(mean: np.ndarray, cov: np.ndarray, precision: np.ndarray | None,
+             given: np.ndarray, group: _Group
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The group's rows' missing entries and its residual covariances.
 
-    ``observed`` is patterns × p and ``rhs`` patterns × p × k, zero in the
-    rows of missing columns.  One batched solve runs on ``cov`` masked to
-    each pattern's observed rows and columns with 1 on the diagonal of its
-    missing columns, so ``x`` is zero in those rows.  If any matrix of the
-    batch is singular, each pattern is solved alone by ``_solve_observed``,
-    which keeps its ridge retry and its error.
+    With ``precision`` P, ``given`` holds the rows of P d, and P_MM⁻¹ is
+    applied a column at a time (no temporary is rows × k × k); without, it
+    holds d, and each pattern's observed block of Σ is solved on its own.
     """
-    padded = np.where(observed[:, :, None] & observed[:, None, :], cov, 0.0)
-    diagonal = np.arange(cov.shape[0])
-    padded[:, diagonal, diagonal] += ~observed
-    try:
-        return np.linalg.solve(padded, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    solved = np.zeros_like(rhs)
-    for g, mask in enumerate(observed):
-        idx = np.flatnonzero(mask)
-        solved[g, idx] = _solve_observed(cov[np.ix_(idx, idx)], rhs[g, idx],
-                                         what)
-    return solved
+    if precision is not None:
+        resid = np.linalg.inv(precision[group.square])
+        row_missing = group.missing[group.row_pattern]
+        pd = np.take_along_axis(given, row_missing, axis=1)
+        predicted = mean[row_missing]
+        for j in range(row_missing.shape[1]):
+            predicted -= resid[group.row_pattern, :, j] * pd[:, j, None]
+        return predicted, resid
+    predicted = np.empty((len(given), group.missing.shape[1]))
+    resid = np.empty(group.missing.shape + group.missing.shape[1:])
+    bounds = np.concatenate(([0], np.cumsum(group.counts)))
+    for g, mis in enumerate(group.missing):
+        obs = np.setdiff1d(np.arange(len(mean)), mis)
+        coef = _solve_observed(cov[np.ix_(obs, obs)], cov[np.ix_(obs, mis)],
+                               "EM step")
+        rows = slice(bounds[g], bounds[g + 1])
+        predicted[rows] = mean[mis] + given[rows][:, obs] @ coef
+        resid[g] = cov[np.ix_(mis, mis)] - cov[np.ix_(mis, obs)] @ coef
+    return predicted, resid
 
 
-class _EMBlock:
-    """One block of patterns, each with a missing column, for the E-step.
-
-    ``filled`` holds the block's rows sorted by pattern with 0 at missing
-    entries, ``observed`` the patterns' masks and ``counts`` their row
-    counts.  Everything that does not change between EM iterations is built
-    here once.
-    """
-
-    def __init__(self, filled: np.ndarray, observed: np.ndarray,
-                 counts: np.ndarray) -> None:
-        from scipy.sparse import csr_array
-        n_rows, p = filled.shape
-        n_missing = p - observed.sum(axis=1)
-        valid = np.arange(n_missing.max()) < n_missing[:, None]
-        self.filled = filled
-        self.observed = observed
-        # each pattern's missing columns in column order, then padding
-        self.missing = np.argsort(observed, axis=1, kind="stable")[
-            :, :valid.shape[1]]
-        self.cross_mask = observed[:, :, None] & valid[:, None, :]
-        self.weights = counts[:, None, None] * (valid[:, :, None]
-                                                & valid[:, None, :])
-        self.pattern = np.repeat(np.arange(counts.size), counts)
-        row_observed = observed[self.pattern]
-        self.row_missing = ~row_observed
-        self.row_valid = valid[self.pattern]
-        # block-diagonal design: a row's observed values sit in the p
-        # columns of its own pattern, so one product applies every
-        # pattern's regression to its own rows
-        rows, cols = np.nonzero(row_observed)
-        indptr = np.concatenate(([0], np.cumsum(row_observed.sum(axis=1))))
-        self.design = csr_array(
-            (filled[rows, cols], self.pattern[rows] * p + cols, indptr),
-            shape=(n_rows, counts.size * p))
-
-    def accumulate(self, mean: np.ndarray, cov: np.ndarray,
-                   sum1: np.ndarray, sum2: np.ndarray) -> None:
-        """Add the block's completed sums and residual covariance."""
-        # cov[O, M] of every pattern, padded to the block's widest M
-        cross = cov[:, self.missing].transpose(1, 0, 2) * self.cross_mask
-        coef = _solve_patterns(cov, self.observed, cross, "EM step")
-        shift = mean[self.missing] - np.einsum("j,gjc->gc", mean, coef)
-        predicted = (self.design @ coef.reshape(-1, coef.shape[2])
-                     + shift[self.pattern])
-        completed = self.filled.copy()
-        completed[self.row_missing] = predicted[self.row_valid]
-        sum1 += completed.sum(axis=0)
-        sum2 += completed.T @ completed
-        square = (self.missing[:, :, None], self.missing[:, None, :])
-        resid_cov = cov[square] - cross.transpose(0, 2, 1) @ coef
-        np.add.at(sum2, square, self.weights * resid_cov)
-
-
-def _em_normal(y: np.ndarray, filled: np.ndarray, observed: np.ndarray,
-               starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ML mean and covariance of a normal model with missing entries.
-
-    The rows of ``y`` (NaN where missing) and ``filled`` (0 there) are
-    sorted by pattern: pattern g observes ``observed[g]`` and owns rows
-    ``starts[g]:starts[g + 1]``.
-    """
-    n, p = y.shape
+def _em_normal(y: np.ndarray, filled: np.ndarray, n_complete: int,
+               groups: list[_Group]) -> tuple[np.ndarray, np.ndarray]:
+    """ML normal mean and covariance from ``_groups``' rows of ``y`` (NaN
+    where missing) and ``filled`` (0 there)."""
     mean = np.nanmean(y, axis=0)
     variance = np.nanvar(y, axis=0)
-    variance = np.where(variance > 0, variance, 1.0)
-    cov = np.diag(variance)
-    # the fully observed pattern, if any, sorts last; its rows need no
-    # regression (so no solve that could fail), and their sums are the same
-    # in every iteration
-    regressed = len(observed) - int(observed[-1].all())
-    complete = filled[starts[regressed]:]
-    complete_sum1 = complete.sum(axis=0)
-    complete_sum2 = complete.T @ complete
-    blocks = []
-    for lo in range(0, regressed, _BLOCK):
-        hi = min(lo + _BLOCK, regressed)
-        blocks.append(_EMBlock(filled[starts[lo]:starts[hi]], observed[lo:hi],
-                               np.diff(starts[lo:hi + 1])))
+    cov = np.diag(np.where(variance > 0, variance, 1.0))
+    # complete rows need no regression, and their sums never change
+    complete, filled = filled[:n_complete], filled[n_complete:]
+    complete_sum1, complete_sum2 = complete.sum(axis=0), complete.T @ complete
+    observed = ~np.isnan(y[n_complete:])
     for _ in range(EM_MAX_ITER):
-        sum1 = complete_sum1.copy()
+        precision = _precision(cov)
+        given = np.where(observed, filled - mean, 0.0)
+        if precision is not None:
+            given = given @ precision
+        completed = filled.copy()
         sum2 = complete_sum2.copy()
-        for block in blocks:
-            block.accumulate(mean, cov, sum1, sum2)
-        new_mean = sum1 / n
-        new_cov = sum2 / n - np.outer(new_mean, new_mean)
+        for group in groups:
+            predicted, resid = _regress(mean, cov, precision,
+                                        given[group.rows], group)
+            np.put_along_axis(completed[group.rows],
+                              group.missing[group.row_pattern], predicted, 1)
+            np.add.at(sum2, group.square, group.counts[:, None, None] * resid)
+        new_mean = (complete_sum1 + completed.sum(axis=0)) / len(y)
+        new_cov = ((sum2 + completed.T @ completed) / len(y)
+                   - np.outer(new_mean, new_mean))
         new_cov = 0.5 * (new_cov + new_cov.T)
         change = max(float(np.max(np.abs(new_mean - mean))),
                      float(np.max(np.abs(new_cov - cov))))
@@ -275,19 +261,21 @@ def _em_normal(y: np.ndarray, filled: np.ndarray, observed: np.ndarray,
 def littles_test(y: np.ndarray) -> LittleTestResult:
     """Little's completely-at-random test on a numeric matrix.
 
-    ``y`` holds one row per case with NaN marking missing entries.  Rows
-    with no observed entries are dropped (they carry no moments).  The
-    statistic sums, over missingness patterns, the Mahalanobis distance of
-    the pattern's observed means from the EM estimates; under MCAR it is
-    asymptotically chi-square with ``sum(p_j) - p`` degrees of freedom.
+    ``y`` holds one row per case with NaN marking missing entries; every
+    other entry must be finite.  Rows with no observed entries are dropped
+    (they carry no moments).  The statistic sums, over missingness
+    patterns, the Mahalanobis distance of the pattern's observed means from
+    the EM estimates; under MCAR it is asymptotically chi-square with
+    ``sum(p_j) - p`` degrees of freedom.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] < 2:
         raise DataError("need a 2-D matrix with at least two columns")
+    if np.isinf(y).any():
+        raise DataError("entries must be finite or NaN")
     observed = ~np.isnan(y)
     keep = observed.any(axis=1)
-    y = y[keep]
-    observed = observed[keep]
+    y, observed = y[keep], observed[keep]
     if y.shape[0] < 2:
         raise DataError("need at least two rows with observed values")
     if not observed.any(axis=0).all():
@@ -300,26 +288,38 @@ def littles_test(y: np.ndarray) -> LittleTestResult:
         return_inverse=True, return_counts=True)
     if counts.size == 1:
         return LittleTestResult(0.0, 0, 1.0, 1)
-    patterns = observed[first]
-    order = np.argsort(inverse.ravel(), kind="stable")
+    # patterns by missing count, then rows by pattern
+    by_count = np.argsort(-observed[first].sum(axis=1), kind="stable")
+    patterns, counts = observed[first[by_count]], counts[by_count]
+    order = np.lexsort((inverse.ravel(), -observed.sum(axis=1)))
     y = y[order]
     filled = np.where(observed[order], y, 0.0)
-    starts = np.concatenate(([0], np.cumsum(counts)))
+    n_complete, groups = _groups(patterns, counts)
 
-    mean, cov = _em_normal(y, filled, patterns, starts)
+    mean, cov = _em_normal(y, filled, n_complete, groups)
 
-    means = np.add.reduceat(filled, starts[:-1], axis=0) / counts[:, None]
+    means = (np.add.reduceat(filled, np.cumsum(counts) - counts, axis=0)
+             / counts[:, None])
     diff = np.where(patterns, means - mean, 0.0)
-    statistic = 0.0
-    for lo in range(0, counts.size, _BLOCK):
-        block = diff[lo:lo + _BLOCK]
-        solved = _solve_patterns(cov, patterns[lo:lo + _BLOCK],
-                                 block[:, :, None], "test statistic")
-        statistic += float(counts[lo:lo + _BLOCK]
-                           @ np.einsum("gj,gj->g", block, solved[:, :, 0]))
+    # each pattern's d_Oᵀ Σ_OO⁻¹ d_O, weighted by its rows
+    precision = _precision(cov)
+    if precision is None:
+        terms = np.array([
+            d[o] @ _solve_observed(cov[np.ix_(o, o)], d[o], "test statistic")
+            for d, o in zip(diff, patterns)])
+    else:
+        product = diff @ precision
+        terms = np.einsum("gj,gj->g", diff, product)
+        for group in groups:
+            given = np.take_along_axis(product[group.patterns], group.missing,
+                                       axis=1)
+            terms[group.patterns] -= np.einsum(
+                "gi,gij,gj->g", given,
+                np.linalg.inv(precision[group.square]), given)
+    statistic = float(counts @ terms)
     df = int(patterns.sum()) - y.shape[1]
     if df <= 0:
-        return LittleTestResult(float(statistic), 0, 1.0, counts.size)
+        return LittleTestResult(statistic, 0, 1.0, counts.size)
     from scipy.special import chdtrc
     p_value = float(chdtrc(df, statistic))
-    return LittleTestResult(float(statistic), df, p_value, counts.size)
+    return LittleTestResult(statistic, df, p_value, counts.size)

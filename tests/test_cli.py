@@ -671,6 +671,25 @@ class TestMcarTestCommand:
         assert int(fields["patterns"]) == 2
         assert 0.0 <= float(fields["p-value"]) <= 1.0
 
+    def test_leaves_out_scipy_sparse(self, corpus, holed):
+        # Little's test works on dense arrays; only chdtrc comes from scipy
+        src = str(Path(irtimpute.__file__).resolve().parents[1])
+        argv = ["mcar-test", "--data", str(holed),
+                "--schema", str(corpus / "truth.cols")]
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from irtimpute.cli import main; "
+             f"rc = main({argv!r}); "
+             "print(rc, [m for m in sys.modules if m.startswith('scipy.')])"],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+            capture_output=True, text=True, timeout=60)
+        lines = out.stdout.splitlines()
+        assert lines[0] == "Little's MCAR test"
+        rc, loaded = lines[-1].split(" ", 1)
+        assert rc == "0"
+        assert "scipy.special" in loaded
+        assert "scipy.sparse" not in loaded
+
     def test_complete_data_is_single_pattern(self, corpus, capsys):
         rc = run(["mcar-test", "--data", corpus / "truth.csv",
                   "--schema", corpus / "truth.cols"])

@@ -14,8 +14,8 @@ from scipy.stats import chi2
 from helpers import littles_test_loop
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
 from irtimpute.errors import DataError, SingularCovariance
+from irtimpute import missingness
 from irtimpute.missingness import (
-    _BLOCK,
     LittleTestResult,
     _solve_observed,
     inject_mar,
@@ -227,6 +227,13 @@ class TestLittlesTest:
         with pytest.raises(DataError, match="no observed values"):
             littles_test(y)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        y = code_matrix(4, 50, 3, 0.2)
+        y[7, 1] = value
+        with pytest.raises(DataError, match="^entries must be finite or NaN$"):
+            littles_test(y)
+
     def test_singular_solver_raises_after_ridge(self):
         with pytest.raises(SingularCovariance):
             _solve_observed(np.zeros((2, 2)), np.ones(2), "test")
@@ -263,8 +270,36 @@ def zero_column_matrix():
     return np.column_stack([y, np.zeros(len(y))])
 
 
+def duplicate_column_matrix():
+    """Four code columns, 25 % missing, then column 0 again, holes and all."""
+    y = code_matrix(6, 500, 4, 0.25)
+    return np.column_stack([y, y[:, 0]])
+
+
+def every_missing_count(p=6, repeats=40, seed=8):
+    """Rows missing k random columns for every k from 0 to p - 1."""
+    y = code_matrix(seed, p * repeats, p, 0.0)
+    rng = np.random.default_rng(seed)
+    for i, row in enumerate(y):
+        row[rng.permutation(p)[:i % p]] = np.nan
+    return y
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Record the ``what`` of every per-pattern observed-block solve."""
+    calls = []
+
+    def spy(cov, rhs, what):
+        calls.append(what)
+        return _solve_observed(cov, rhs, what)
+
+    monkeypatch.setattr(missingness, "_solve_observed", spy)
+    return calls
+
+
 class TestBlockedLittlesTest:
-    """The blocked test against the per-pattern loop in ``helpers``."""
+    """The precision-matrix test against the per-pattern loop in ``helpers``."""
 
     @staticmethod
     def assert_matches_loop(y):
@@ -280,16 +315,41 @@ class TestBlockedLittlesTest:
     def test_more_patterns_than_one_block(self, seed, rate):
         n = 1500 if rate < 0.2 else 600
         result = self.assert_matches_loop(code_matrix(seed, n, 14, rate))
-        assert result.n_patterns > _BLOCK
+        assert result.n_patterns > 256
 
     def test_seventy_columns(self):
         # patterns that differ only past column 62 must stay apart
         result = self.assert_matches_loop(code_matrix(3, 300, 70, 0.05))
-        assert result.n_patterns > _BLOCK
+        assert result.n_patterns > 256
 
-    def test_zero_column_takes_the_ridge(self):
-        # every observed block holds the zero column's zero row, so each
-        # batched solve fails and each pattern is solved with a ridge
+    def test_every_missing_count(self):
+        # groups of every k from 1 to p - 1; k = p - 1 observes one column
+        y = every_missing_count()
+        assert set(np.isnan(y).sum(axis=1)) == set(range(6))
+        assert self.assert_matches_loop(y).n_patterns > 40
+
+    def test_groups_split_at_the_entry_limit(self, monkeypatch):
+        # each pattern's arithmetic does not depend on its group's size
+        y = code_matrix(2, 600, 14, 0.3)
+        whole = littles_test(y)
+        monkeypatch.setattr(missingness, "_GROUP_ENTRIES", 4)
+        assert littles_test(y) == whole
+        self.assert_matches_loop(y)
+
+    def test_well_conditioned_takes_no_fallback(self, solves):
+        self.assert_matches_loop(code_matrix(1, 1500, 14, 0.1))
+        self.assert_matches_loop(every_missing_count())
+        assert solves == []
+
+    def test_zero_column_takes_the_ridge(self, solves):
+        # every observed block holds the zero column's zero row, so Σ is
+        # singular and each pattern is solved with a ridge
         result = self.assert_matches_loop(zero_column_matrix())
         assert np.isfinite(result.statistic)
         assert result.df > 0
+        assert {"EM step", "test statistic"} <= set(solves)
+
+    def test_duplicate_column_takes_the_fallback(self, solves):
+        result = self.assert_matches_loop(duplicate_column_matrix())
+        assert np.isfinite(result.statistic)
+        assert {"EM step", "test statistic"} <= set(solves)

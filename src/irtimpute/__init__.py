@@ -52,12 +52,7 @@ from .estimation import (
     m_step_item,
     save_model,
 )
-from .impute import (
-    ImputedDataset,
-    impute_binary_cell,
-    impute_cell,
-    impute_dataset,
-)
+from .impute import ImputedDataset, impute_dataset
 from .metrics import (
     CategoryScore,
     ImputationReport,

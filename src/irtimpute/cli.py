@@ -212,8 +212,9 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("evaluate", help="score an imputation run",
                             description="Compare imputed cells against the "
-                                        "complete truth; cells are located "
-                                        "by diffing the with-missing file.")
+                                        "complete truth over the cells a "
+                                        "model fills in the with-missing "
+                                        "file.")
     p.add_argument("--truth", required=True, help="complete ground-truth CSV")
     p.add_argument("--with-missing", required=True,
                    help="the dataset the imputer saw")
@@ -293,6 +294,16 @@ def _fit_on(data: CategoricalDataset, options: dict) -> FittedModel:
     return dataclasses.replace(fit(data, fit_config), discretization=ordered)
 
 
+def _scored_cells(truth: CategoricalDataset, holed: CategoricalDataset
+                  ) -> tuple[np.ndarray, int]:
+    """Positions of the cells a model fills in ``holed`` whose truth is
+    observed, and the count of filled cells whose truth is missing."""
+    filled = holed.filled_mask
+    unscoreable = int(np.count_nonzero(filled & truth.missing_mask))
+    return np.argwhere(filled & ~truth.missing_mask), unscoreable
+
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -329,11 +340,11 @@ def cmd_impute(args: argparse.Namespace) -> int:
     view = apply_discretization(data, model.discretization)
     result = impute_dataset(view, model)
 
-    # write imputed codes back into the original column types; bin codes
-    # for a discretized column have no continuous value to restore
-    categorical = np.array([schema.is_categorical for schema in data.schemas])
-    out_cells = np.where(categorical, result.completed.cells, data.cells)
-    unrestored = int(np.count_nonzero(~categorical[result.mask[:, 1]]))
+    # bin codes for a discretized column have no continuous value to
+    # restore, so only the cells filled in the original columns are written
+    filled = data.filled_mask
+    out_cells = np.where(filled, result.completed.cells, data.cells)
+    unrestored = len(result.mask) - int(np.count_nonzero(filled))
     if unrestored:
         warnings.warn(
             f"{unrestored} missing continuous cells stay missing: the model "
@@ -402,10 +413,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not truth.n_rows == holed.n_rows == imputed.n_rows:
         raise DataError("the three datasets must have the same rows")
 
-    blanked = ((holed.cells == MISSING)
-               & np.array([schema.is_categorical for schema in schemas]))
-    unscoreable = int(np.count_nonzero(blanked & (truth.cells == MISSING)))
-    mask = np.argwhere(blanked & (truth.cells != MISSING))
+    mask, unscoreable = _scored_cells(truth, holed)
     if unscoreable:
         warnings.warn(
             f"{unscoreable} blanked cells are missing in the truth too and "
@@ -435,16 +443,13 @@ def _parse_mechanisms(text: str) -> tuple[str, ...]:
     return mechanisms
 
 
-def _majority_fill(view: CategoricalDataset, target: str,
-                   mask: np.ndarray) -> CategoricalDataset:
-    """Complete the view by writing the observed modal code everywhere."""
+def _majority_fill(view: CategoricalDataset, target: str
+                   ) -> CategoricalDataset:
+    """Complete the target column with its observed modal code."""
     codes = view.codes(target)
-    observed = codes[codes >= 0]
-    arity = view.schema_for(target).arity
-    assert arity is not None
-    mode = int(np.argmax(np.bincount(observed, minlength=arity)))
+    mode = np.argmax(np.bincount(codes[codes != MISSING]))
     cells = np.array(view.cells, copy=True)
-    cells[mask[:, 0], mask[:, 1]] = float(mode)
+    cells[codes == MISSING, view.column_index(target)] = mode
     return view.with_cells(cells)
 
 
@@ -486,12 +491,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             view = apply_discretization(injected, model.discretization)
             result = impute_dataset(view, model)
             truth_view = apply_discretization(truth, model.discretization)
-            scored = score_cells(truth_view, result.completed, result.mask)
+            mask, _ = _scored_cells(truth, injected)
+            scored = score_cells(truth_view, result.completed, mask)
             baseline = score_cells(
-                truth_view, _majority_fill(view, args.target, result.mask),
-                result.mask)
+                truth_view, _majority_fill(view, args.target), mask)
 
-            cells = len(result.mask)
+            cells = len(mask)
             little_rows.append(
                 f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
                 f"{little.statistic:<12.6f} {little.df:<4d} "

@@ -182,6 +182,14 @@ class CategoricalDataset:
         """Boolean (n_rows, n_cols) matrix, True where a cell is missing."""
         return self.cells == MISSING
 
+    @property
+    def filled_mask(self) -> np.ndarray:
+        """Boolean (n_rows, n_cols) matrix, True on the cells a model fills
+        and a score counts: missing cells of categorical feature columns."""
+        return self.missing_mask & np.array(
+            [s.is_categorical and s.role == "feature" for s in self.schemas],
+            dtype=bool)
+
     def column_index(self, name: str) -> int:
         for j, s in enumerate(self.schemas):
             if s.name == name:

@@ -1,12 +1,12 @@
 """Fill missing cells with their most probable category.
 
 Each case's trait is scored from its observed cells (posterior mean over
-the model's grid); every missing cell then receives the category with the
-highest model probability at that trait value.  Binary cells follow the
-probability-of-one rule (p >= 0.5 imputes 1); cells with three or more
-categories take the argmax, lowest category on exact ties.  The filled
-positions and their probability vectors are kept as two aligned arrays
-(see :class:`ImputedDataset`).
+the model's grid); every cell of ``filled_mask`` then receives the category
+with the highest model probability at that trait value (:func:`_decide`).
+Binary cells follow the probability-of-one rule (p >= 0.5 imputes 1);
+cells with three or more categories take the argmax, lowest category on
+exact ties.  The filled positions and their probability vectors are kept
+as two aligned arrays (see :class:`ImputedDataset`).
 """
 
 from __future__ import annotations
@@ -18,31 +18,14 @@ import numpy as np
 from .data import MISSING, CategoricalDataset, _fields_equal
 from .errors import DataError
 from .estimation import FittedModel, eap_scores
-from .models import ItemModel, category_probs
+from .models import category_probs
 
-__all__ = ["ImputedDataset", "impute_binary_cell", "impute_cell",
-           "impute_dataset"]
-
-
-def impute_binary_cell(p_one: float) -> int:
-    """Binary decision rule: probability of category 1 at least one half."""
-    if not 0.0 <= p_one <= 1.0:
-        raise DataError(f"probability {p_one} outside [0, 1]")
-    return 1 if p_one >= 0.5 else 0
-
-
-def impute_cell(theta: float, item: ItemModel) -> tuple[int, np.ndarray]:
-    """Most probable category at ``theta`` plus the full probability vector.
-
-    Ties break to the lowest category code, except binary items, which
-    follow :func:`impute_binary_cell` (an exact 0.5 imputes 1).
-    """
-    probs = category_probs(theta, item)
-    return int(_decide(probs)), probs
+__all__ = ["ImputedDataset", "impute_dataset"]
 
 
 def _decide(probs) -> np.ndarray:
-    """Imputed code for each probability vector along the last axis.
+    """Imputed code for each probability vector along the last axis: the
+    one rule that turns a model's probabilities into a filled cell.
 
     NaN pads a vector past its arity.  Binary vectors take 1 when
     P(1) >= 0.5; wider ones take the argmax, lowest code on ties.
@@ -130,7 +113,8 @@ class ImputedDataset:
 
 def impute_dataset(data: CategoricalDataset, model: FittedModel
                    ) -> ImputedDataset:
-    """Fill every missing cell in the feature columns of ``data``.
+    """Fill the cells of ``data.filled_mask``, the missing cells of its
+    feature columns.
 
     The model's items must bind those columns, one to one and in column
     order, with matching category counts; anything else is a
@@ -139,19 +123,17 @@ def impute_dataset(data: CategoricalDataset, model: FittedModel
     untouched.
     """
     means, _ = eap_scores(data, model)
-    features = np.array(data.feature_indices, dtype=np.int64)
+    items = dict(zip(data.feature_indices, model.items))
     cells = np.array(data.cells, copy=True)
-    mask = np.argwhere(data.missing_mask[:, features])
+    mask = np.argwhere(data.filled_mask)
     filled = np.unique(mask[:, 1]).tolist()
-    width = max((model.items[k].n_categories for k in filled), default=0)
+    width = max((items[j].n_categories for j in filled), default=0)
     probabilities = np.full((len(mask), width), np.nan)
-    for k in filled:
-        at = np.flatnonzero(mask[:, 1] == k)
-        probs = category_probs(means[mask[at, 0]], model.items[k])
-        cells[mask[at, 0], features[k]] = _decide(probs)
+    for j in filled:
+        at = np.flatnonzero(mask[:, 1] == j)
+        probs = category_probs(means[mask[at, 0]], items[j])
+        cells[mask[at, 0], j] = _decide(probs)
         probabilities[at, :probs.shape[1]] = probs
-    # still row-major, because the features are in column order
-    mask[:, 1] = features[mask[:, 1]]
     return ImputedDataset(
         completed=data.with_cells(cells),
         mask=mask,

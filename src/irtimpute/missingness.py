@@ -26,6 +26,8 @@ number is below ``_MIN_RCOND`` (a constant column makes Σ singular), each
 pattern's observed block is solved on its own with one ridge retry, and a
 block that stays singular raises ``SingularCovariance``.  Both paths share
 the step that fills the missing entries and adds the residual covariance.
+A Σ that is not finite (the moment sums overflowed) raises
+``NumericalFailure``; a mean that overflows makes Σ overflow too.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MISSING, CategoricalDataset
-from .errors import DataError, SingularCovariance
+from .errors import DataError, NumericalFailure, SingularCovariance
 
 __all__ = ["LittleTestResult", "inject_mcar", "inject_mar", "littles_test"]
 
@@ -170,9 +172,11 @@ def _groups(patterns: np.ndarray, counts: np.ndarray
 
 
 def _precision(cov: np.ndarray) -> np.ndarray | None:
-    """Σ⁻¹, or None when Σ is not finite or too close to singular."""
-    well_posed = (np.isfinite(cov).all()
-                  and np.linalg.cond(cov) * _MIN_RCOND <= 1.0)
+    """Σ⁻¹, or None when Σ is too close to singular."""
+    if not np.isfinite(cov).all():
+        raise NumericalFailure(
+            "EM step: the covariance overflows; rescale the columns")
+    well_posed = np.linalg.cond(cov) * _MIN_RCOND <= 1.0
     return np.linalg.inv(cov) if well_posed else None
 
 
@@ -222,6 +226,7 @@ def _regress(mean: np.ndarray, cov: np.ndarray, precision: np.ndarray | None,
     return predicted, resid
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _em_normal(y: np.ndarray, filled: np.ndarray, n_complete: int,
                groups: list[_Group]) -> tuple[np.ndarray, np.ndarray]:
     """ML normal mean and covariance from ``_groups``' rows of ``y`` (NaN

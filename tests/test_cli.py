@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +16,12 @@ import pytest
 import irtimpute
 import irtimpute.cli
 from irtimpute import data as data_module
-from irtimpute.cli import _expand_config, _read_config, main
+from irtimpute.cli import (
+    _expand_config,
+    _majority_fill,
+    _read_config,
+    main,
+)
 from irtimpute.data import (
     MISSING,
     CategoricalDataset,
@@ -119,6 +125,18 @@ class TestConfigFiles:
         out = capsys.readouterr().out
         assert "target: item01" in out
         assert "fractions: 0.1" in out
+
+    @pytest.mark.parametrize("tail, message", [
+        (["--config"], "--config needs a file path"),
+        # the file's value reaches the parser
+        (["--config={cfg}"], "argument --max-iter: invalid int value: 'x'"),
+    ], ids=["config-without-path", "config-one-token"])
+    def test_input_checks(self, tmp_path, capsys, tail, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = x\n")
+        rc = run(["fit", *(token.format(cfg=cfg) for token in tail)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
 
 
 class TestExitCodes:
@@ -658,6 +676,54 @@ class TestEvaluateCommand:
                   "--schema", corpus / "truth.cols"])
         assert rc == 2
 
+    @staticmethod
+    def impute_and_evaluate(schema, truth, holed, tmp_path, capsys):
+        """Fill ``holed`` and score it against ``truth``: the exit code,
+        stdout and the warnings raised."""
+        completed = tmp_path / "completed.csv"
+        assert run(["impute", "--data", holed, "--schema", schema,
+                    "--out", completed]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["evaluate", "--truth", truth, "--with-missing", holed,
+                      "--imputed", completed, "--schema", schema])
+        return rc, capsys.readouterr().out, caught
+
+    def test_outcome_missing_in_the_truth_is_not_scored(self, corpus,
+                                                        tmp_path, capsys):
+        # the excluded outcome misses 20 rows in the truth and in the
+        # holed file; only item02's 60 blanked cells are filled and scored
+        schemas = load_schema(corpus / "truth.cols")
+        truth = load_csv(corpus / "truth.csv", schemas)
+        cells = np.array(truth.cells)
+        cells[::12, truth.column_index("flag")] = MISSING
+        gaps = tmp_path / "gaps.csv"
+        emit_csv(truth.with_cells(cells), gaps)
+        holed = tmp_path / "holed.csv"
+        assert run(["inject", "--data", gaps,
+                    "--schema", corpus / "truth.cols", "--target", "item02",
+                    "--fraction", "0.25",
+                    "--mechanism", "mcar", "--seed", "5", "--out", holed]) == 0
+        rc, out, caught = self.impute_and_evaluate(
+            corpus / "truth.cols", gaps, holed, tmp_path, capsys)
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        assert "imputed cells: 60" in out
+
+    def test_blanked_excluded_column_is_not_scored(self, corpus, holed,
+                                                   tmp_path, capsys):
+        both = tmp_path / "both.csv"
+        assert run(["inject", "--data", holed,
+                    "--schema", corpus / "truth.cols", "--target", "flag",
+                    "--fraction", "0.1",
+                    "--mechanism", "mcar", "--seed", "3", "--out", both]) == 0
+        rc, out, _ = self.impute_and_evaluate(
+            corpus / "truth.cols", corpus / "truth.csv", both, tmp_path,
+            capsys)
+        assert rc == 0
+        assert "imputed cells: 60" in out
+
 
 class TestMcarTestCommand:
     def test_reports_on_mcar_data(self, corpus, holed, capsys):
@@ -717,6 +783,28 @@ class TestMcarTestCommand:
             "error: numerical: EM step: observed-block covariance is "
             "singular even after ridge regularization"]
 
+    def test_overflowing_moments_exit_three(self, tmp_path, capsys):
+        # the squares of values near 1e200 overflow the EM's moment sums
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=40) * 1e200
+        w[rng.random(40) < 0.25] = MISSING
+        schemas = (ColumnSchema("w", "continuous"),
+                   ColumnSchema("u", "binary"))
+        emit_csv(CategoricalDataset(schemas, np.column_stack(
+            [w, rng.integers(0, 2, 40)])), tmp_path / "d.csv")
+        (tmp_path / "d.cols").write_text(format_schema(schemas))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["mcar-test", "--data", tmp_path / "d.csv",
+                      "--schema", tmp_path / "d.cols"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        assert "warning:" not in err
+        assert err.splitlines() == [
+            "error: numerical: EM step: the covariance overflows; rescale "
+            "the columns"]
+
 
 class TestBenchCommand:
     def test_report_shape_and_determinism(self, corpus, tmp_path):
@@ -765,3 +853,29 @@ class TestBenchCommand:
         assert run(base + ["--fractions", "1.5"]) == 1
         assert run(base + ["--mechanisms", "mcar,magic"]) == 1
         assert run(base + ["--mechanisms", "mar"]) == 1   # needs conditional
+
+    def test_truth_with_missing_continuous_cells(self, corpus, tmp_path):
+        # wear misses 15 values in the truth; those cells are filled but
+        # not scored, so each row scores the target's blanked cells only
+        schemas = load_schema(corpus / "truth.cols")
+        truth = load_csv(corpus / "truth.csv", schemas)
+        cells = np.array(truth.cells)
+        cells[::16, truth.column_index("wear")] = MISSING
+        gaps = tmp_path / "gaps.csv"
+        emit_csv(truth.with_cells(cells), gaps)
+        assert run(["bench", "--data", gaps, "--schema", corpus / "truth.cols",
+                    "--target", "item02", "--conditional", "item00",
+                    "--fractions", "0.1,0.3",
+                    "--out", tmp_path / "r.txt"]) == 0
+        lines = (tmp_path / "r.txt").read_text().splitlines()
+        rows = [ln for ln in lines if ln.startswith(("mcar", "mar"))]
+        assert [int(row.split()[2]) for row in rows] == [24, 72] * 4
+
+    def test_baseline_fills_only_the_target(self):
+        schemas = (ColumnSchema("t", "ordinal", arity=3),
+                   ColumnSchema("u", "binary"))
+        view = CategoricalDataset(schemas, np.array(
+            [[2, MISSING], [MISSING, 1], [2, 0], [0, MISSING]], dtype=float))
+        filled = _majority_fill(view, "t")
+        assert filled.cells.tolist() == [[2, MISSING], [2, 1], [2, 0],
+                                         [0, MISSING]]

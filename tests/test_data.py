@@ -11,6 +11,8 @@ from irtimpute.data import (
     MISSING,
     CategoricalDataset,
     ColumnSchema,
+    DiscretizationMap,
+    apply_discretization,
     atomic_write,
     discretize,
     discretize_dataset,
@@ -124,6 +126,20 @@ class TestCategoricalDataset:
             data.missing_mask,
             [[False, False, False], [False, True, False], [True, False, False]],
         )
+
+    def test_filled_mask_is_missing_categorical_features(self):
+        # u and v are features, w a continuous feature, y an excluded and
+        # k an id column; every column misses row 1
+        schemas = (ColumnSchema("k", "ordinal", arity=3, role="id"),
+                   ColumnSchema("u", "binary"),
+                   ColumnSchema("w", "continuous"),
+                   ColumnSchema("v", "nominal", arity=3),
+                   ColumnSchema("y", "binary", role="excluded"))
+        cells = np.array([[0, 1, 0.5, 2, 0],
+                          [MISSING] * 5,
+                          [2, MISSING, 1.5, 0, 1]], dtype=float)
+        filled = CategoricalDataset(schemas, cells).filled_mask
+        assert_array_equal(np.argwhere(filled), [[1, 1], [1, 3], [2, 1]])
 
     def test_cells_are_read_only(self):
         data = toy_dataset()
@@ -600,3 +616,42 @@ class TestDiscretizeDataset:
         expected_map, _ = discretize(cells[cells[:, 1] != MISSING, 1], 4,
                                      column="x")
         assert maps["x"].cuts == expected_map.cuts
+
+
+def _all_missing_continuous_feature():
+    schemas = (ColumnSchema("u", "binary"), ColumnSchema("x", "continuous"))
+    cells = np.column_stack([np.tile([0.0, 1.0], 5), np.full(10, -1.0)])
+    return discretize_dataset(CategoricalDataset(schemas, cells))
+
+
+def _ordinal_column_the_model_discretized():
+    schemas = (ColumnSchema("x", "ordinal", arity=2),)
+    data = CategoricalDataset(schemas, np.array([[0.0], [1.0]]))
+    return apply_discretization(
+        data, (DiscretizationMap("x", (0.5,), ("q1", "q2")),))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: parse_schema("c: nominal"),
+     "column 'c': arity or labels required"),
+    (lambda: CategoricalDataset(BINARY_U, np.zeros((3, 2))),
+     "cells shape (3, 2) does not match 1 columns"),
+    (lambda: toy_dataset().column_index("nope"), "no column named 'nope'"),
+    (lambda: DiscretizationMap("x", (0.5,), ("q1", 2)),
+     "discretized column and labels must be strings"),
+    (lambda: DiscretizationMap("x", (0.5,), ("q1",)),
+     "labels must number one more than cuts"),
+    (lambda: discretize(np.zeros((5, 2)), bins=2),
+     "values must be a nonempty 1-D array"),
+    (_all_missing_continuous_feature, "column 'x' has no observed values"),
+    (_ordinal_column_the_model_discretized,
+     "column 'x' is ordinal, but the model discretized a continuous column "
+     "of that name"),
+], ids=["nominal-without-arity", "cells-shape", "unknown-column",
+        "label-not-string", "label-count", "values-2d",
+        "continuous-never-observed", "discretized-column-ordinal"])
+def test_input_checks(make, message):
+    with pytest.raises(DataError) as caught:
+        make()
+    assert type(caught.value) is DataError
+    assert str(caught.value) == message

@@ -47,6 +47,7 @@ from irtimpute.estimation import (
     _objective,
     _posterior,
     _posteriors_and_loglik,
+    _solve_free,
     build_grid,
     diagnostics_report,
     e_step,
@@ -380,6 +381,19 @@ class TestMStep:
         hess = fd_hessian(reference_objective(params, r, nodes), x)
         assert_allclose(info[0], -hess, rtol=1e-7)
 
+    def test_singular_item_solves_alone(self):
+        # one singular system sends the batch to per-item solves; that item
+        # gets NaN, the others what a per-item solve gives them
+        rng = np.random.default_rng(3)
+        root = rng.normal(size=(3, 3, 3))
+        info = root @ root.transpose(0, 2, 1) + np.eye(3)
+        info[1] = np.ones((3, 3))
+        g = rng.normal(size=(3, 3))
+        delta = _solve_free(info, g, np.zeros((3, 3), dtype=bool))
+        assert np.isnan(delta[1]).all()
+        for i in (0, 2):
+            assert_array_equal(delta[i], np.linalg.solve(info[i], g[i]))
+
     def test_stacked_items_update_as_if_alone(self):
         # every family and category count, several items per group; one
         # item has all its count mass at one node
@@ -469,6 +483,24 @@ class TestFit:
         cells = np.array([[0.0], [1.0]] * 7)
         with pytest.raises(InsufficientData):
             fit(CategoricalDataset(schemas, cells))
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: FitConfig(max_iter=0), DataError,
+         "iteration cap must be at least 1"),
+        (lambda: fit(CategoricalDataset(
+            (ColumnSchema("u", "binary", role="excluded"),),
+            np.array([[0.0], [1.0]] * 20))), DataError,
+         "dataset has no feature columns"),
+        (lambda: fit(CategoricalDataset(
+            (ColumnSchema("u", "binary"), ColumnSchema("v", "binary")),
+            np.column_stack([np.tile([0.0, 1.0], 20), np.full(40, -1.0)]))),
+         UnobservedCategory, "column 'v' has no observed values"),
+    ], ids=["no-iterations", "no-features", "feature-never-observed"])
+    def test_input_checks(self, make, error, message):
+        with pytest.raises(error) as caught:
+            make()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
     def test_continuous_feature_rejected(self):
         schemas = (ColumnSchema("u", "binary"), ColumnSchema("x", "continuous"))
@@ -728,6 +760,16 @@ class TestPersistence:
         assert "converged: yes" in report
         assert "item00 (grm)" in report
         assert "clamping events" in report
+
+    def test_diagnostics_report_lists_clamping_events(self):
+        model = FittedModel(
+            (Binary2PL(1.0, 0.0, column="u"),), build_grid(), True, 3, -1.0,
+            (-2.0, -1.0), clamp_events=("u: slope clamped at 50",
+                                        "u: location clamped at -50"))
+        lines = diagnostics_report(model).splitlines()
+        assert lines[-3:] == ["clamping events:",
+                              "  u: slope clamped at 50",
+                              "  u: location clamped at -50"]
 
 
 PINNED_MODEL_FILE = """\

@@ -8,12 +8,7 @@ from scipy.special import expit
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
 from irtimpute.errors import DataError
 from irtimpute.estimation import FittedModel, build_grid
-from irtimpute.impute import (
-    ImputedDataset,
-    impute_binary_cell,
-    impute_cell,
-    impute_dataset,
-)
+from irtimpute.impute import ImputedDataset, _decide, impute_dataset
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
@@ -22,54 +17,53 @@ from irtimpute.models import (
 )
 
 
+def decide(theta, item):
+    """The filled code and probability vector of one cell at ``theta``."""
+    probs = category_probs(theta, item)
+    return int(_decide(probs)), probs
+
+
 class TestBinaryRule:
     def test_clear_cases(self):
-        assert impute_binary_cell(0.9) == 1
-        assert impute_binary_cell(0.1) == 0
-        assert impute_binary_cell(1.0) == 1
-        assert impute_binary_cell(0.0) == 0
+        for p_one, code in ((0.9, 1), (0.1, 0), (1.0, 1), (0.0, 0)):
+            assert _decide([1.0 - p_one, p_one]) == code
 
     def test_exact_half_imputes_one(self):
-        assert impute_binary_cell(0.5) == 1
-
-    def test_rejects_non_probabilities(self):
-        for bad in (-0.01, 1.01, float("nan")):
-            with pytest.raises(DataError):
-                impute_binary_cell(bad)
+        assert _decide([0.5, 0.5]) == 1
 
 
 class TestImputeCell:
     def test_binary_follows_probability_of_one(self):
         item = Binary2PL(1.5, 0.4, column="u")
-        code, probs = impute_cell(3.0, item)
+        code, probs = decide(3.0, item)
         assert code == 1
         assert_allclose(probs[1], expit(1.5 * (3.0 - 0.4)), rtol=1e-12)
-        code, _ = impute_cell(-3.0, item)
+        code, _ = decide(-3.0, item)
         assert code == 0
 
     def test_binary_at_location_is_exact_tie(self):
         # theta == b gives p1 == 0.5 exactly; the rule picks 1
         item = Binary2PL(1.5, 0.4, column="u")
-        code, probs = impute_cell(0.4, item)
+        code, probs = decide(0.4, item)
         assert probs[1] == 0.5
         assert code == 1
 
     def test_graded_extremes(self):
         item = GradedItem(1.3, (-1.0, 0.0, 1.0), column="v")
-        assert impute_cell(-5.0, item)[0] == 0
-        assert impute_cell(5.0, item)[0] == 3
+        assert decide(-5.0, item)[0] == 0
+        assert decide(5.0, item)[0] == 3
 
     def test_nominal_matches_manual_argmax(self):
         item = NominalItem((0.0, 0.8, -0.4), (0.0, 0.3, 0.9), column="w")
         for theta in (-2.0, 0.0, 1.5):
-            code, probs = impute_cell(theta, item)
+            code, probs = decide(theta, item)
             assert code == int(np.argmax(category_probs(theta, item)))
             assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
     def test_multiway_tie_takes_lowest_code(self):
         # zero slopes and intercepts: all three categories sit at 1/3
         item = NominalItem((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), column="w")
-        code, probs = impute_cell(0.7, item)
+        code, probs = decide(0.7, item)
         assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
         assert code == 0
 
@@ -188,7 +182,7 @@ class TestImputeDataset:
         result = impute_dataset(tiny_dataset(), tiny_model())
         model = tiny_model()
         for col, item in ((0, model.items[0]), (1, model.items[1])):
-            expected_code, expected_probs = impute_cell(0.0, item)
+            expected_code, expected_probs = decide(0.0, item)
             assert result.completed.cells[3, col] == expected_code
             idx = result.mask.tolist().index([3, col])
             probs = result.probabilities[idx]

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
 from irtimpute.errors import DataError
 from irtimpute.impute import ImputedDataset
-from irtimpute.metrics import report_text, score_cells
+from irtimpute.metrics import report_text, score, score_cells
 
 
 def binary_pair(truth_codes, imputed_codes):
@@ -153,6 +153,18 @@ class TestScoreCells:
         truth = CategoricalDataset(schemas, np.array([[1.0, 2.5]]))
         with pytest.raises(DataError, match="non-categorical"):
             score_cells(truth, truth, ((0, 1),))
+
+
+def test_score_checks_and_scores_the_imputed_cells():
+    truth, completed, mask = binary_pair([1, 1, 0, 0], [1, 0, 0, 1])
+    imputed = ImputedDataset(completed, mask, [
+        [0.4, 0.6] if code else [0.6, 0.4] for code in completed.cells[:, 0]])
+    assert score(truth, imputed) == score_cells(truth, completed, mask)
+    other = CategoricalDataset((ColumnSchema("w", "binary"),), truth.cells)
+    with pytest.raises(DataError) as caught:
+        score(other, imputed)
+    assert str(caught.value) == ("truth and completed datasets have "
+                                 "different schemas")
 
 
 class TestReportText:

@@ -6,6 +6,8 @@ complete column from all rows, regression moments from complete rows),
 which the EM estimates must reproduce.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,7 +15,11 @@ from scipy.stats import chi2
 
 from helpers import littles_test_loop
 from irtimpute.data import MISSING, CategoricalDataset, ColumnSchema
-from irtimpute.errors import DataError, SingularCovariance
+from irtimpute.errors import (
+    DataError,
+    NumericalFailure,
+    SingularCovariance,
+)
 from irtimpute import missingness
 from irtimpute.missingness import (
     LittleTestResult,
@@ -233,6 +239,20 @@ class TestLittlesTest:
         y[7, 1] = value
         with pytest.raises(DataError, match="^entries must be finite or NaN$"):
             littles_test(y)
+
+    @pytest.mark.parametrize("scale, offset", [(1e200, 0.0), (1e306, 1e307)],
+                             ids=["squares-overflow", "mean-overflows"])
+    def test_overflowing_moments_raise(self, scale, offset):
+        # two of three columns overflow their moment sums
+        rng = np.random.default_rng(1)
+        y = rng.normal(size=(60, 3))
+        y[:, :2] = offset + np.abs(y[:, :2]) * scale
+        y[rng.random(y.shape) < 0.2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^EM step: the "
+                               "covariance overflows; rescale the columns$"):
+                littles_test(y)
 
     def test_singular_solver_raises_after_ridge(self):
         with pytest.raises(SingularCovariance):

@@ -5,6 +5,7 @@ softmax arithmetic) before being frozen here.
 """
 
 import dataclasses
+import json
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,7 +19,10 @@ from helpers import (
     random_items,
     random_pattern,
 )
+from irtimpute.cli import main
+from irtimpute.data import CategoricalDataset, ColumnSchema, emit_csv
 from irtimpute.errors import CodeOutOfRange, DataError
+from irtimpute.estimation import FittedModel, build_grid, save_model
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
@@ -30,6 +34,7 @@ from irtimpute.models import (
     pattern_score,
     prob_2pl,
 )
+from irtimpute.simulate import simulate_items
 
 FAMILIES = ("2pl", "grm", "nrm")
 
@@ -459,3 +464,41 @@ class TestBinaryIsOneBoundaryGraded:
                   "from_x", "bound_events"}
         for cls in (Binary2PL, GradedItem):
             assert not shared & set(vars(cls))
+
+
+@pytest.mark.parametrize("item, message", [
+    ({"family": "2pl", "a": float("nan"), "b": 0.0},
+     "2PL parameters must be finite"),
+    ({"family": "grm", "a": 1.0, "boundaries": []},
+     "graded item needs at least one boundary"),
+    ({"family": "nrm", "slopes": [0.0, 1.0, 2.0], "intercepts": [0.0, 1.0]},
+     "slopes and intercepts must have equal length"),
+    ({"family": "nrm", "slopes": [0.0], "intercepts": [0.0]},
+     "nominal item needs at least two categories"),
+], ids=["slope-nan", "graded-no-boundary", "nominal-unequal",
+        "nominal-one-category"])
+def test_model_file_item_rejected(tmp_path, capsys, item, message):
+    # json writes a NaN as the bare token NaN and reads it back
+    schemas = (ColumnSchema("u", "binary"),)
+    emit_csv(CategoricalDataset(schemas, np.array([[0.0], [-1.0]])),
+             tmp_path / "d.csv")
+    (tmp_path / "d.cols").write_text("u: binary\n")
+    model = tmp_path / "model.json"
+    save_model(FittedModel((Binary2PL(1.0, 0.0, column="u"),), build_grid(),
+                           True, 0, 0.0, (0.0,)), model)
+    payload = json.loads(model.read_text())
+    payload["items"] = [dict(item, column="u")]
+    model.write_text(json.dumps(payload))
+    rc = main(["impute", "--data", str(tmp_path / "d.csv"),
+               "--schema", str(tmp_path / "d.cols"), "--model", str(model),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: data: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_simulate_items_rejects_unknown_family():
+    with pytest.raises(DataError) as caught:
+        simulate_items("3pl", 2, np.random.default_rng(0))
+    assert type(caught.value) is DataError
+    assert str(caught.value) == "unknown family '3pl'"

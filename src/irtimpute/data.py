@@ -206,7 +206,8 @@ class CategoricalDataset:
         """Integer codes for a categorical column (missing cells = -1)."""
         j = self._col(column)
         if not self.schemas[j].is_categorical:
-            raise DataError(f"column {self.schemas[j].name!r} is not categorical")
+            raise DataError(f"column {self.schemas[j].name!r} is not "
+                            "categorical; discretize first")
         return self.cells[:, j].astype(np.int64)
 
     def column_values(self, column: int | str) -> np.ndarray:

@@ -72,6 +72,7 @@ from .models import (
     _as_json,
     _check_code,
     _from_json,
+    _separate,
     log_category_probs,
 )
 
@@ -236,12 +237,6 @@ def _posteriors_and_loglik(log_joint: np.ndarray
     return posterior, case_loglik
 
 
-def _posterior(x: csr_array, log_table: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-case posterior over the grid and marginal log-likelihood."""
-    return _posteriors_and_loglik(x @ log_table)
-
-
 def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
                   ) -> np.ndarray:
     """The one rule binding a model to a dataset: ``items`` bind its feature
@@ -254,18 +249,15 @@ def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
             f"items are bound to {[i.column for i in items]!r} but the "
             f"feature columns are {names!r}"
         )
-    for j, item in zip(features, items):
-        schema = data.schemas[j]
-        if not schema.is_categorical:
+    codes = np.empty((data.n_rows, len(features)), dtype=np.int64)
+    for k, (j, item) in enumerate(zip(features, items)):
+        codes[:, k] = data.codes(j)
+        if data.schemas[j].arity != item.n_categories:
             raise DataError(
-                f"column {item.column!r} is not categorical; discretize first"
+                f"column {item.column!r} has arity {data.schemas[j].arity} "
+                f"but the item models {item.n_categories} categories"
             )
-        if schema.arity != item.n_categories:
-            raise DataError(
-                f"column {item.column!r} has arity {schema.arity} but the "
-                f"item models {item.n_categories} categories"
-            )
-    return data.cells[:, features].astype(np.int64)
+    return codes
 
 
 @dataclass(frozen=True)
@@ -289,7 +281,8 @@ def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
 
 def _e_step_core(x: csr_array, items: tuple[ItemModel, ...],
                  grid: QuadratureGrid) -> EStepResult:
-    posterior, case_loglik = _posterior(x, _log_table(items, grid))
+    posterior, case_loglik = _posteriors_and_loglik(
+        x @ _log_table(items, grid))
     # x.T is the CSC view of the same arrays; its product also adds each
     # output row's terms in case order.
     totals = x.T @ posterior
@@ -524,12 +517,6 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
     items = []
     for j in data.feature_indices:
         schema = data.schemas[j]
-        if not schema.is_categorical:
-            raise DataError(
-                f"feature column {schema.name!r} is continuous; "
-                "discretize it before fitting"
-            )
-        assert schema.arity is not None
         codes = data.codes(j)
         counts = np.bincount(codes[codes >= 0], minlength=schema.arity)
         if not counts.any():
@@ -545,15 +532,12 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
         proportions = counts / counts.sum()
         if schema.kind != "nominal":
             cum = np.clip(np.cumsum(proportions)[:-1], 1e-3, 1 - 1e-3)
-            bs = ndtri(cum)
-            for k in range(1, bs.size):
-                bs[k] = max(bs[k], bs[k - 1] + 1e-3)
+            bs = _separate(ndtri(cum), 1e-3)
             family = Binary2PL if schema.kind == "binary" else GradedItem
             items.append(family.from_bounds(1.0, bs, schema.name))
         else:
             free = rng.uniform(-0.01, 0.01, size=2 * (schema.arity - 1))
-            items.append(NominalItem((0.0, *free[: schema.arity - 1]),
-                                     (0.0, *free[schema.arity - 1:]),
+            items.append(NominalItem(*NominalItem.kernel.natural(free),
                                      column=schema.name))
     max_arity = max(item.n_categories for item in items)
     if data.n_rows < 10 * max_arity:
@@ -688,8 +672,8 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
 
 def _eap(codes: np.ndarray, model: FittedModel
          ) -> tuple[np.ndarray, np.ndarray]:
-    posterior, _ = _posterior(_design(codes, model.items),
-                              _log_table(model.items, model.grid))
+    posterior, _ = _posteriors_and_loglik(
+        _design(codes, model.items) @ _log_table(model.items, model.grid))
     nodes = model.grid.node_array()
     means = posterior @ nodes
     second = posterior @ (nodes ** 2)

@@ -26,8 +26,9 @@ number is below ``_MIN_RCOND`` (a constant column makes Σ singular), each
 pattern's observed block is solved on its own with one ridge retry, and a
 block that stays singular raises ``SingularCovariance``.  Both paths share
 the step that fills the missing entries and adds the residual covariance.
-A Σ that is not finite (the moment sums overflowed) raises
-``NumericalFailure``; a mean that overflows makes Σ overflow too.
+Each column is centred on its observed mean first: the statistic does not
+depend on location, and centred, E[xxᵀ] − μμᵀ keeps its digits.  A centre
+or Σ that is not finite (the sums overflowed) raises ``NumericalFailure``.
 """
 
 from __future__ import annotations
@@ -171,11 +172,15 @@ def _groups(patterns: np.ndarray, counts: np.ndarray
     return int(skip), groups
 
 
-def _precision(cov: np.ndarray) -> np.ndarray | None:
-    """Σ⁻¹, or None when Σ is too close to singular."""
-    if not np.isfinite(cov).all():
+def _check_moments(moments: np.ndarray) -> None:
+    if not np.isfinite(moments).all():
         raise NumericalFailure(
             "EM step: the covariance overflows; rescale the columns")
+
+
+def _precision(cov: np.ndarray) -> np.ndarray | None:
+    """Σ⁻¹, or None when Σ is too close to singular."""
+    _check_moments(cov)
     well_posed = np.linalg.cond(cov) * _MIN_RCOND <= 1.0
     return np.linalg.inv(cov) if well_posed else None
 
@@ -286,6 +291,10 @@ def littles_test(y: np.ndarray) -> LittleTestResult:
     if not observed.any(axis=0).all():
         empty = int(np.flatnonzero(~observed.any(axis=0))[0])
         raise DataError(f"column {empty} has no observed values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = np.nanmean(y, axis=0)
+    _check_moments(centre)
+    y = y - centre
 
     # one pattern index per row; packed bytes keep the key exact for any p
     _, first, inverse, counts = np.unique(

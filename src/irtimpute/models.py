@@ -47,7 +47,7 @@ command that computes no probability (``evaluate``) never loads scipy.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -87,6 +87,13 @@ _GAP_MIN = 1e-6
 def _check_finite(name: str, values) -> None:
     if not np.all(np.isfinite(values)):
         raise DataError(f"{name} must be finite")
+
+
+def _separate(bs: np.ndarray, gap: float) -> np.ndarray:
+    """Raise each sorted boundary, in place, to ``gap`` above the one below."""
+    for j in range(1, bs.shape[-1]):
+        bs[..., j] = np.maximum(bs[..., j], bs[..., j - 1] + gap)
+    return bs
 
 
 # A parameter clipped to a box edge in x-space comes back through exp (and,
@@ -199,10 +206,9 @@ class _Cumulative:
         X = np.array(X, dtype=np.float64)
         X[..., 0] = np.clip(X[..., 0], np.log(SLOPE_BOUNDS[0]),
                             np.log(SLOPE_BOUNDS[1]))
-        bs = np.clip(cls.boundaries(X), -LOCATION_BOUND, LOCATION_BOUND)
         # clipping can collapse neighbors; restore a strict minimal gap
-        for j in range(1, bs.shape[-1]):
-            bs[..., j] = np.maximum(bs[..., j], bs[..., j - 1] + _GAP_MIN)
+        bs = _separate(np.clip(cls.boundaries(X), -LOCATION_BOUND,
+                               LOCATION_BOUND), _GAP_MIN)
         X[..., 1] = bs[..., 0]
         X[..., 2:] = np.log(np.diff(bs, axis=-1))
         return X
@@ -325,6 +331,18 @@ class _CumulativeFamily(ItemModel):
     ``bounds`` view: a binary item is a graded item with one boundary."""
 
     kernel = _Cumulative
+    label: ClassVar[str]  # names the family in error messages
+
+    def __post_init__(self) -> None:
+        _check_finite(f"{self.label} parameters", (self.a, *self.bounds))
+        if self.a <= 0:
+            raise DataError(
+                f"{self.label} slope must be positive, got {self.a}")
+        if len(self.bounds) < 1:
+            raise DataError(f"{self.label} item needs at least one boundary")
+        if np.any(np.diff(self.bounds) <= 0):
+            raise DataError(
+                f"boundaries must be strictly increasing, got {self.bounds}")
 
     @property
     def n_categories(self) -> int:
@@ -365,11 +383,7 @@ class Binary2PL(_CumulativeFamily):
 
     family = "2pl"
     kind = "binary"
-
-    def __post_init__(self) -> None:
-        _check_finite("2PL parameters", [self.a, self.b])
-        if self.a <= 0:
-            raise DataError(f"2PL slope must be positive, got {self.a}")
+    label = "2PL"
 
     @property
     def bounds(self) -> tuple[float]:
@@ -396,21 +410,12 @@ class GradedItem(_CumulativeFamily):
 
     family = "grm"
     kind = "ordinal"
+    label = "graded"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "boundaries", tuple(float(b) for b in self.boundaries)
-        )
-        _check_finite("graded parameters", (self.a, *self.boundaries))
-        if self.a <= 0:
-            raise DataError(f"graded slope must be positive, got {self.a}")
-        if len(self.boundaries) < 1:
-            raise DataError("graded item needs at least one boundary")
-        if np.any(np.diff(self.boundaries) <= 0):
-            raise DataError(
-                f"boundaries must be strictly increasing, got "
-                f"{self.boundaries}"
-            )
+        object.__setattr__(self, "boundaries",
+                           tuple(float(b) for b in self.boundaries))
+        super().__post_init__()
 
     @property
     def bounds(self) -> tuple[float, ...]:
@@ -465,8 +470,7 @@ class NominalItem(ItemModel):
         return np.array([*self.slopes[1:], *self.intercepts[1:]])
 
     def with_vector(self, vector: np.ndarray) -> NominalItem:
-        m = len(self.slopes)
-        return NominalItem((0.0, *vector[: m - 1]), (0.0, *vector[m - 1:]),
+        return NominalItem(*self.kernel.natural(np.asarray(vector)),
                            column=self.column)
 
     # nominal parameters are unconstrained: x-space is the flat vector

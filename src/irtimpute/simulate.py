@@ -16,6 +16,7 @@ from .models import (
     GradedItem,
     ItemModel,
     NominalItem,
+    _separate,
     category_probs,
 )
 
@@ -52,14 +53,14 @@ def simulate_items(
         elif family == "grm":
             bs = np.sort(rng.uniform(*LOCATION_RANGE, size=n_categories - 1))
             # keep boundaries separated so every category carries real mass
-            for k in range(1, bs.size):
-                bs[k] = max(bs[k], bs[k - 1] + 0.15)
+            _separate(bs, 0.15)
             items.append(GradedItem(a, tuple(bs), column=column))
         else:
-            slopes = (0.0, *rng.uniform(*SLOPE_RANGE, size=n_categories - 1))
-            intercepts = (0.0, *rng.uniform(*LOCATION_RANGE,
-                                            size=n_categories - 1))
-            items.append(NominalItem(slopes, intercepts, column=column))
+            free = np.concatenate([
+                rng.uniform(*SLOPE_RANGE, size=n_categories - 1),
+                rng.uniform(*LOCATION_RANGE, size=n_categories - 1)])
+            items.append(NominalItem(*NominalItem.kernel.natural(free),
+                                     column=column))
     return tuple(items)
 
 

@@ -711,6 +711,36 @@ class TestEvaluateCommand:
         assert [str(w.message) for w in caught] == []
         assert "imputed cells: 60" in out
 
+    def test_blanked_cell_missing_in_the_truth_is_warned(self, corpus, holed,
+                                                         tmp_path, capsys):
+        # the truth lacks one of item02's 60 blanked cells: it is filled
+        # but cannot be scored
+        schema = corpus / "truth.cols"
+        schemas = load_schema(schema)
+        truth = load_csv(corpus / "truth.csv", schemas)
+        j = truth.column_index("item02")
+        blanked = load_csv(holed, schemas).cells[:, j] == MISSING
+        cells = np.array(truth.cells)
+        cells[np.flatnonzero(blanked)[0], j] = MISSING
+        gaps = tmp_path / "gaps.csv"
+        emit_csv(truth.with_cells(cells), gaps)
+        completed = tmp_path / "completed.csv"
+        assert run(["impute", "--data", holed, "--schema", schema,
+                    "--out", completed]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            # show each warning as a user sees it, in main's format
+            warnings.showwarning = lambda *args, **_: sys.stderr.write(
+                warnings.formatwarning(*args[:4]))
+            rc = run(["evaluate", "--truth", gaps, "--with-missing", holed,
+                      "--imputed", completed, "--schema", schema])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert err == ("warning: 1 blanked cells are missing in the truth too "
+                       "and cannot be scored\n")
+        assert "imputed cells: 59" in out
+
     def test_blanked_excluded_column_is_not_scored(self, corpus, holed,
                                                    tmp_path, capsys):
         both = tmp_path / "both.csv"

@@ -155,7 +155,8 @@ class TestCategoricalDataset:
 
     def test_codes_rejects_continuous(self):
         data = toy_dataset()
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^column 'z' is not categorical; "
+                                            "discretize first$"):
             data.codes("z")
 
     def test_to_numeric_maps_missing_to_nan(self):

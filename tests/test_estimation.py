@@ -35,6 +35,7 @@ from irtimpute.errors import (
     DataError,
     EmptyCategory,
     InsufficientData,
+    NewtonDiverged,
     NumericalFailure,
     UnobservedCategory,
 )
@@ -45,7 +46,6 @@ from irtimpute.estimation import (
     _design,
     _m_step,
     _objective,
-    _posterior,
     _posteriors_and_loglik,
     _solve_free,
     build_grid,
@@ -58,6 +58,7 @@ from irtimpute.estimation import (
     m_step_item,
     save_model,
 )
+from irtimpute.impute import impute_dataset
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
@@ -249,7 +250,7 @@ class TestSparseEStep:
                  Binary2PL(1.0, 0.0, column="v"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return _posterior(_design(codes, items), table)
+            return _posteriors_and_loglik(_design(codes, items) @ table)
 
     def test_unobserved_minus_inf_leaves_posterior_finite(self):
         codes = np.array([[1, MISSING], [1, 0], [MISSING, MISSING]])
@@ -381,6 +382,19 @@ class TestMStep:
         hess = fd_hessian(reference_objective(params, r, nodes), x)
         assert_allclose(info[0], -hess, rtol=1e-7)
 
+    def test_no_improving_step_names_the_item(self, monkeypatch):
+        # a descent direction cannot improve an interior item whose counts
+        # are off its optimum, so every halving fails
+        grid = build_grid()
+        truth = Binary2PL(1.5, 0.5)
+        counts = (300.0 * grid.weight_array()[:, None]
+                  * category_probs(grid.node_array(), truth))
+        monkeypatch.setattr(estimation, "_projected_direction",
+                            lambda kernel, x, info, g, held: -g)
+        with pytest.raises(NewtonDiverged, match="^item 'u': no improving "
+                                                 "step with gradient "):
+            m_step_item(Binary2PL(1.0, 0.0, column="u"), counts, grid)
+
     def test_singular_item_solves_alone(self):
         # one singular system sends the batch to per-item solves; that item
         # gets NaN, the others what a per-item solve gives them
@@ -503,12 +517,22 @@ class TestFit:
         assert str(caught.value) == message
 
     def test_continuous_feature_rejected(self):
+        # fit, e_step, eap_scores and impute_dataset read a column's codes
+        # through one rule
         schemas = (ColumnSchema("u", "binary"), ColumnSchema("x", "continuous"))
-        cells = np.column_stack([
-            np.tile([0.0, 1.0], 15), np.linspace(0, 1, 30)
-        ])
-        with pytest.raises(DataError, match="discretize"):
-            fit(CategoricalDataset(schemas, cells))
+        data = CategoricalDataset(schemas, np.column_stack([
+            np.tile([0.0, 1.0], 15), np.linspace(0, 1, 30)]))
+        items = (Binary2PL(1.0, 0.0, column="u"),
+                 Binary2PL(1.0, 0.0, column="x"))
+        model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
+        for call in (lambda: fit(data),
+                     lambda: e_step(data, items, build_grid()),
+                     lambda: eap_scores(data, model),
+                     lambda: impute_dataset(data, model)):
+            with pytest.raises(DataError) as caught:
+                call()
+            assert str(caught.value) == ("column 'x' is not categorical; "
+                                         "discretize first")
 
     def test_iteration_cap_sets_flag_not_error(self):
         # a SQUAREM cycle takes four maps: caps below four run plain maps,

@@ -209,6 +209,15 @@ def test_array_fields_compare_by_value(make, changed):
 
 @pytest.mark.parametrize("make", [_dataset, _imputed, _report],
                          ids=["dataset", "imputed", "report"])
+def test_array_holders_differ_from_other_types(make):
+    # ``_fields_equal`` defers to the other operand, and Python then falls
+    # back to identity
+    assert make() != object()
+    assert (make() == make().__class__.__name__) is False
+
+
+@pytest.mark.parametrize("make", [_dataset, _imputed, _report],
+                         ids=["dataset", "imputed", "report"])
 def test_array_holders_are_unhashable(make):
     assert not isinstance(make(), collections.abc.Hashable)
     with pytest.raises(TypeError, match="unhashable"):

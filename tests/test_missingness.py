@@ -254,6 +254,21 @@ class TestLittlesTest:
                                "covariance overflows; rescale the columns$"):
                 littles_test(y)
 
+    def test_statistic_ignores_a_column_shift(self):
+        # centred on the observed means, a shift that dwarfs the spread
+        # leaves the moments, and so the statistic, as they were
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=(200, 3))
+        y[rng.random(y.shape) < 0.2] = np.nan
+        base = littles_test(y)
+        for shift in (1e6, 1e7, 1e9):
+            shifted = y + [0.0, shift, 0.0]
+            result = littles_test(shifted)
+            if shift <= 1e7:
+                assert_allclose(result.statistic, base.statistic, rtol=1e-8)
+            assert (result.df, result.n_patterns) == (base.df,
+                                                      base.n_patterns)
+
     def test_singular_solver_raises_after_ridge(self):
         with pytest.raises(SingularCovariance):
             _solve_observed(np.zeros((2, 2)), np.ones(2), "test")

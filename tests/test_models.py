@@ -464,18 +464,29 @@ class TestBinaryIsOneBoundaryGraded:
                   "from_x", "bound_events"}
         for cls in (Binary2PL, GradedItem):
             assert not shared & set(vars(cls))
+        # their checks too: a graded item only converts its boundaries
+        assert "__post_init__" not in vars(Binary2PL)
 
 
 @pytest.mark.parametrize("item, message", [
     ({"family": "2pl", "a": float("nan"), "b": 0.0},
      "2PL parameters must be finite"),
+    ({"family": "2pl", "a": 0.0, "b": 0.0},
+     "2PL slope must be positive, got 0.0"),
+    ({"family": "grm", "a": 1.0, "boundaries": [0.0, float("inf")]},
+     "graded parameters must be finite"),
+    ({"family": "grm", "a": -1.0, "boundaries": [0.0]},
+     "graded slope must be positive, got -1.0"),
     ({"family": "grm", "a": 1.0, "boundaries": []},
      "graded item needs at least one boundary"),
+    ({"family": "grm", "a": 1.0, "boundaries": [0.5, 0.5]},
+     "boundaries must be strictly increasing, got (0.5, 0.5)"),
     ({"family": "nrm", "slopes": [0.0, 1.0, 2.0], "intercepts": [0.0, 1.0]},
      "slopes and intercepts must have equal length"),
     ({"family": "nrm", "slopes": [0.0], "intercepts": [0.0]},
      "nominal item needs at least two categories"),
-], ids=["slope-nan", "graded-no-boundary", "nominal-unequal",
+], ids=["slope-nan", "slope-zero", "graded-inf", "graded-slope-negative",
+        "graded-no-boundary", "graded-unordered", "nominal-unequal",
         "nominal-one-category"])
 def test_model_file_item_rejected(tmp_path, capsys, item, message):
     # json writes a NaN as the bare token NaN and reads it back

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import logging
 import os
 import sys
@@ -132,7 +133,8 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _add_io_options(parser, data_help="input CSV (header row required)"):
-    parser.add_argument("--data", required=True, help=data_help)
+    if data_help is not None:
+        parser.add_argument("--data", required=True, help=data_help)
     parser.add_argument("--schema", required=True,
                         help="schema file (one 'name: kind ...' line per column)")
     parser.add_argument(
@@ -160,6 +162,16 @@ def _add_fit_options(parser):
     parser.add_argument("--tol", type=float,
                         help="EM parameter-change tolerance (default 1e-4)")
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
+
+
+def _add_injection_options(parser, target_help: str):
+    parser.add_argument("--target", required=True, help=target_help)
+    parser.add_argument("--conditional",
+                        help="fully observed column driving deletion "
+                             "(mar only)")
+    parser.add_argument("--direction", choices=("top", "bottom"),
+                        help="which conditional extreme loses cells "
+                             "(mar only, default top)")
 
 
 def build_parser() -> _Parser:
@@ -193,16 +205,11 @@ def build_parser() -> _Parser:
                                         "deleting target cells.")
     _add_io_options(p)
     p.add_argument("--out", required=True, help="CSV to write")
-    p.add_argument("--target", required=True, help="column losing cells")
+    _add_injection_options(p, "column losing cells")
     p.add_argument("--fraction", required=True, type=float,
                    help="fraction of rows to blank, in (0, 1)")
     p.add_argument("--mechanism", required=True, choices=("mcar", "mar"))
     p.add_argument("--seed", type=int, help="RNG seed (mcar only)")
-    p.add_argument("--conditional",
-                   help="fully observed column driving deletion (mar only)")
-    p.add_argument("--direction", choices=("top", "bottom"),
-                   help="which conditional extreme loses cells "
-                        "(mar only, default top)")
 
     p = commands.add_parser("mcar-test",
                             help="Little's completely-at-random test",
@@ -219,10 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--with-missing", required=True,
                    help="the dataset the imputer saw")
     p.add_argument("--imputed", required=True, help="completed CSV to score")
-    p.add_argument("--schema", required=True, help="shared schema file")
-    p.add_argument("--missing-tokens", default=",-1", metavar="T1,T2,...",
-                   help="comma-separated cell values read as missing")
-    p.add_argument("--config", help="key = value file of defaults")
+    _add_io_options(p, data_help=None)
 
     p = commands.add_parser("bench", help="full inject/fit/impute sweep",
                             description="For every (mechanism, fraction) "
@@ -231,11 +235,8 @@ def build_parser() -> _Parser:
                                         "run the MCAR test.")
     _add_io_options(p, data_help="complete CSV serving as ground truth")
     _add_fit_options(p)
-    p.add_argument("--target", required=True,
-                   help="categorical feature column to blank and restore")
-    p.add_argument("--conditional",
-                   help="column driving the at-random deletions")
-    p.add_argument("--direction", choices=("top", "bottom"), default="top")
+    _add_injection_options(
+        p, "categorical feature column to blank and restore")
     p.add_argument("--fractions", default="0.05,0.1,0.3,0.5",
                    metavar="F1,F2,...", help="missingness fractions "
                                              "(default 0.05,0.1,0.3,0.5)")
@@ -254,10 +255,8 @@ def _missing_tokens(args: argparse.Namespace) -> tuple[str, ...]:
     return tuple(args.missing_tokens.split(","))
 
 
-def _load_inputs(args: argparse.Namespace, path: str
-                 ) -> tuple[tuple[ColumnSchema, ...], CategoricalDataset]:
-    schemas = load_schema(args.schema)
-    return schemas, load_csv(path, schemas, _missing_tokens(args))
+def _load_inputs(args: argparse.Namespace) -> CategoricalDataset:
+    return load_csv(args.data, load_schema(args.schema), _missing_tokens(args))
 
 
 def _check_column(schemas, name: str, flag: str) -> ColumnSchema:
@@ -265,6 +264,33 @@ def _check_column(schemas, name: str, flag: str) -> ColumnSchema:
         if schema.name == name:
             return schema
     raise UsageError(f"{flag}: no column named {name!r} in the schema")
+
+
+def _check_injection(args: argparse.Namespace, schemas, mechanisms,
+                     fractions, fraction_flag: str) -> ColumnSchema:
+    """The target's schema, once the flags suit a run of ``mechanisms`` at
+    ``fractions``, given by ``fraction_flag``."""
+    if not all(0.0 < f < 1.0 for f in fractions):
+        raise UsageError(f"{fraction_flag} must lie in (0, 1)")
+    target = _check_column(schemas, args.target, "--target")
+    if "mar" in mechanisms:
+        if args.conditional is None:
+            raise UsageError("mar injection needs --conditional")
+        _check_column(schemas, args.conditional, "--conditional")
+    elif args.conditional or args.direction:
+        raise UsageError("--conditional/--direction are mar-only flags")
+    return target
+
+
+def _inject(data: CategoricalDataset, args: argparse.Namespace,
+            mechanism: str, fraction: float, seed: int | None
+            ) -> CategoricalDataset:
+    """``data`` with ``fraction`` of the target blanked; mar ignores seed."""
+    if mechanism == "mar":
+        return inject_mar(data, args.target, args.conditional, fraction,
+                          args.direction or "top")
+    logger.info("mcar injection of %g with seed %d", fraction, seed)
+    return inject_mcar(data, args.target, fraction, seed)
 
 
 def _resolved_fit_options(args: argparse.Namespace) -> dict:
@@ -303,13 +329,12 @@ def _scored_cells(truth: CategoricalDataset, holed: CategoricalDataset
     return np.argwhere(filled & ~truth.missing_mask), unscoreable
 
 
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _, data = _load_inputs(args, args.data)
+    data = _load_inputs(args)
     model = _fit_on(data, _resolved_fit_options(args))
     save_model(model, args.out)
     sys.stdout.write(diagnostics_report(model))
@@ -325,18 +350,16 @@ def cmd_impute(args: argparse.Namespace) -> int:
             f"--{culprit.replace('_', '-')} only applies when fitting; "
             "it cannot modify the model loaded via --model"
         )
-    written = [os.path.realpath(path) for path in
+    outputs = [path for path in
                (args.out, args.probabilities, args.save_model) if path]
-    if len(set(written)) < len(written):
+    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
         raise UsageError("--out, --probabilities and --save-model must name "
                          "different files")
-    _, data = _load_inputs(args, args.data)
+    data = _load_inputs(args)
     if args.model:
         model = load_model(args.model)
     else:
         model = _fit_on(data, _resolved_fit_options(args))
-        if args.save_model:
-            save_model(model, args.save_model)
     view = apply_discretization(data, model.discretization)
     result = impute_dataset(view, model)
 
@@ -351,41 +374,29 @@ def cmd_impute(args: argparse.Namespace) -> int:
             "imputes their bins, not their values",
             stacklevel=2,
         )
-    # a failed sidecar must not leave a new completed CSV behind
-    outputs = [args.out] + ([args.probabilities] if args.probabilities
-                            else [])
+    # a failed output must not leave a new one of the others behind
     with replaced_together(*outputs) as temporaries:
         emit_csv(data.with_cells(out_cells), temporaries[0])
         if args.probabilities:
             emit_probabilities(view, result.mask, result.probabilities,
                                temporaries[1])
+        if args.save_model:
+            save_model(model, temporaries[-1])
     print(f"imputed {len(result.mask)} cells")
     return 0
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
     schemas = load_schema(args.schema)
-    _check_column(schemas, args.target, "--target")
-    if args.mechanism == "mcar":
-        if args.seed is None:
-            raise UsageError("mcar injection needs --seed")
-        if args.conditional or args.direction:
-            raise UsageError("--conditional/--direction are mar-only flags")
-    else:
-        if args.conditional is None:
-            raise UsageError("mar injection needs --conditional")
-        if args.seed is not None:
-            raise UsageError("mar injection is deterministic; --seed "
-                             "applies to mcar only")
-        _check_column(schemas, args.conditional, "--conditional")
+    _check_injection(args, schemas, (args.mechanism,), (args.fraction,),
+                     "--fraction")
+    if args.mechanism == "mcar" and args.seed is None:
+        raise UsageError("mcar injection needs --seed")
+    if args.mechanism == "mar" and args.seed is not None:
+        raise UsageError("mar injection is deterministic; --seed applies to "
+                         "mcar only")
     data = load_csv(args.data, schemas, _missing_tokens(args))
-
-    if args.mechanism == "mcar":
-        logger.info("mcar injection with seed %d", args.seed)
-        out = inject_mcar(data, args.target, args.fraction, args.seed)
-    else:
-        out = inject_mar(data, args.target, args.conditional,
-                         args.fraction, args.direction or "top")
+    out = _inject(data, args, args.mechanism, args.fraction, args.seed)
     emit_csv(out, args.out)
     removed = int(np.sum(out.cells[:, data.column_index(args.target)]
                          == MISSING))
@@ -394,7 +405,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_mcar_test(args: argparse.Namespace) -> int:
-    _, data = _load_inputs(args, args.data)
+    data = _load_inputs(args)
     result = littles_test(data.to_numeric(data.feature_indices))
     print("Little's MCAR test")
     print(f"statistic: {result.statistic:.6f}")
@@ -427,13 +438,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
     try:
-        fractions = tuple(float(tok) for tok in text.split(","))
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise UsageError(f"--fractions: {text!r} is not a comma-separated "
                          "list of numbers") from None
-    if not fractions or not all(0.0 < f < 1.0 for f in fractions):
-        raise UsageError("--fractions must all lie in (0, 1)")
-    return fractions
 
 
 def _parse_mechanisms(text: str) -> tuple[str, ...]:
@@ -457,54 +465,39 @@ def cmd_bench(args: argparse.Namespace) -> int:
     fractions = _parse_fractions(args.fractions)
     mechanisms = _parse_mechanisms(args.mechanisms)
     schemas = load_schema(args.schema)
-    target_schema = _check_column(schemas, args.target, "--target")
+    target_schema = _check_injection(args, schemas, mechanisms, fractions,
+                                     "--fractions")
     if not target_schema.is_categorical or target_schema.role != "feature":
         raise UsageError("--target must be a categorical feature column")
-    if "mar" in mechanisms:
-        if args.conditional is None:
-            raise UsageError("mar benchmarking needs --conditional")
-        _check_column(schemas, args.conditional, "--conditional")
     truth = load_csv(args.data, schemas, _missing_tokens(args))
 
     options = _resolved_fit_options(args)
     little_rows = []
     f1_rows = []
-    cell_index = 0
-    for mechanism in mechanisms:
-        for fraction in fractions:
-            seed = options["seed"] + cell_index
-            cell_index += 1
-            if mechanism == "mcar":
-                injected = inject_mcar(truth, args.target, fraction, seed)
-                logger.info("cell %d: mcar %g seed %d", cell_index, fraction,
-                            seed)
-            else:
-                injected = inject_mar(truth, args.target,
-                                      args.conditional, fraction,
-                                      args.direction)
-                logger.info("cell %d: mar %g (deterministic)", cell_index,
-                            fraction)
-            little = littles_test(
-                injected.to_numeric(injected.feature_indices))
+    for cell_index, (mechanism, fraction) in enumerate(
+            itertools.product(mechanisms, fractions)):
+        injected = _inject(truth, args, mechanism, fraction,
+                           options["seed"] + cell_index)
+        little = littles_test(injected.to_numeric(injected.feature_indices))
 
-            model = _fit_on(injected, options)
-            view = apply_discretization(injected, model.discretization)
-            result = impute_dataset(view, model)
-            truth_view = apply_discretization(truth, model.discretization)
-            mask, _ = _scored_cells(truth, injected)
-            scored = score_cells(truth_view, result.completed, mask)
-            baseline = score_cells(
-                truth_view, _majority_fill(view, args.target), mask)
+        model = _fit_on(injected, options)
+        view = apply_discretization(injected, model.discretization)
+        result = impute_dataset(view, model)
+        truth_view = apply_discretization(truth, model.discretization)
+        mask, _ = _scored_cells(truth, injected)
+        scored = score_cells(truth_view, result.completed, mask)
+        baseline = score_cells(
+            truth_view, _majority_fill(view, args.target), mask)
 
-            cells = len(mask)
-            little_rows.append(
-                f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
-                f"{little.statistic:<12.6f} {little.df:<4d} "
-                f"{little.p_value:.6g}")
-            f1_rows.append(
-                f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
-                f"{scored.macro_f1:<12.6f} {scored.micro_f1:<12.6f} "
-                f"{baseline.macro_f1:<15.6f} {baseline.micro_f1:.6f}")
+        cells = len(mask)
+        little_rows.append(
+            f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
+            f"{little.statistic:<12.6f} {little.df:<4d} "
+            f"{little.p_value:.6g}")
+        f1_rows.append(
+            f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
+            f"{scored.macro_f1:<12.6f} {scored.micro_f1:<12.6f} "
+            f"{baseline.macro_f1:<15.6f} {baseline.micro_f1:.6f}")
 
     lines = [
         "imputation benchmark",

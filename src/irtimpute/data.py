@@ -106,16 +106,20 @@ class ColumnSchema:
             raise DataError(f"column {self.name!r}: binary arity must be 2")
         if arity < 2:
             raise DataError(f"column {self.name!r}: arity must be >= 2")
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(str(k) for k in range(arity)))
         labels = self.labels
-        assert labels is not None
+        if labels is None:
+            labels = tuple(str(k) for k in range(arity))
+            object.__setattr__(self, "labels", labels)
         if len(labels) != arity:
             raise DataError(
                 f"column {self.name!r}: {len(labels)} labels for arity {arity}"
             )
         if len(set(labels)) != arity:
             raise DataError(f"column {self.name!r}: duplicate labels")
+        for label in labels:
+            if not label or label != label.strip():
+                raise DataError(f"column {self.name!r}: label {label!r} is "
+                                "empty or padded with spaces")
 
     @property
     def is_categorical(self) -> bool:
@@ -302,9 +306,9 @@ def load_csv(
     """Read a CSV file with a header row into a typed dataset.
 
     The header must list exactly the schema column names, in order.  Cells
-    equal to one of ``missing_tokens`` (after stripping whitespace) load as
-    missing.  Categorical cells must match a declared label; continuous cells
-    must parse as finite floats and may not equal the -1 sentinel.
+    equal to one of ``missing_tokens`` once stripped, which no label may
+    equal, load as missing.  Categorical cells must match a declared label;
+    continuous cells must be finite floats other than the -1 sentinel.
 
     Records are read in blocks of ``_BLOCK`` rows and converted a column at a
     time; the first error in row-major order is raised, and a row with the
@@ -415,6 +419,10 @@ class _CellLookup(dict):
         self.codes = ({label: float(code)
                        for code, label in enumerate(schema.labels)}
                       if schema.is_categorical else None)
+        for label in self.codes or ():
+            if label in missing:
+                raise DataError(f"column {schema.name!r}: label {label!r} "
+                                "is a missing token")
 
     def value(self, text: str, where: str = "") -> float:
         """One raw cell's value, or the error for it that names ``where``."""
@@ -544,13 +552,18 @@ def replaced_together(*paths: str | Path):
     The block writes every temporary path; when it exits normally,
     ``os.replace`` moves each over its target, so only a failing rename
     can leave the targets from different runs.  On an error in the block
-    the temporary files are removed and every target is left as it was.
+    the temporary files are removed, every target is left as it was, and
+    an ``OSError`` names the target where it named its temporary path.
     """
     temporaries = [f"{os.fspath(path)}.{os.getpid()}.tmp" for path in paths]
     try:
         yield temporaries
         for temporary, path in zip(temporaries, paths):
             os.replace(temporary, path)
+    except OSError as exc:
+        if exc.filename in temporaries:
+            exc.filename = os.fspath(paths[temporaries.index(exc.filename)])
+        raise
     finally:
         for temporary in temporaries:
             if os.path.exists(temporary):

@@ -56,16 +56,6 @@ def _raise_first_bad(mask: np.ndarray, checks) -> None:
         raise DataError(f"cell ({row}, {col}){message(cell)}")
 
 
-def _padded(rows) -> np.ndarray:
-    """Probability vectors as a float64 matrix, NaN past each one's end."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        return rows.astype(np.float64, copy=False)
-    ends = np.array([len(row) for row in rows], dtype=np.int64)[:, None]
-    out = np.full((len(rows), ends.max(initial=0)), np.nan)
-    out[np.arange(out.shape[1]) < ends] = np.concatenate([[], *rows])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ImputedDataset:
     """A completed dataset plus what was filled in and how confidently.
@@ -73,8 +63,8 @@ class ImputedDataset:
     ``mask`` is an ``(n, 2)`` int64 array of the imputed (row, column)
     positions in row-major order; ``probabilities`` is an ``(n, K)``
     float64 matrix whose row ``i`` holds the model's category distribution
-    for cell ``i``, NaN past that column's arity.  Sequences of pairs and
-    of probability vectors are converted to these arrays.
+    for cell ``i``, NaN past that column's arity.  Anything ``np.asarray``
+    turns into these arrays is converted, such as a sequence of pairs.
     """
 
     completed: CategoricalDataset
@@ -86,11 +76,15 @@ class ImputedDataset:
     def __post_init__(self) -> None:
         cells = self.completed.cells
         mask, inside, rows, cols = _positions(self.mask, cells.shape)
-        probs = _padded(self.probabilities)
+        try:
+            probs = np.asarray(self.probabilities, dtype=np.float64)
+        except ValueError:  # rows of unequal length
+            probs = None
+        if probs is None or probs.ndim != 2 or len(probs) != len(mask):
+            raise DataError("probabilities must be a matrix aligned with the "
+                            "mask, one row per cell, NaN past its arity")
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "probabilities", probs)
-        if len(mask) != len(probs):
-            raise DataError("mask and probabilities must align")
         values = cells[rows, cols]
         arity = np.array([s.arity or 0 for s in self.completed.schemas])[cols]
         count = np.count_nonzero(~np.isnan(probs), axis=1)

@@ -268,6 +268,11 @@ def _em_normal(y: np.ndarray, filled: np.ndarray, n_complete: int,
     return mean, cov
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous uint8 matrix as one ``np.void`` key."""
+    return rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+
+
 def littles_test(y: np.ndarray) -> LittleTestResult:
     """Little's completely-at-random test on a numeric matrix.
 
@@ -298,7 +303,7 @@ def littles_test(y: np.ndarray) -> LittleTestResult:
 
     # one pattern index per row; packed bytes keep the key exact for any p
     _, first, inverse, counts = np.unique(
-        np.packbits(observed, axis=1), axis=0, return_index=True,
+        _row_keys(np.packbits(observed, axis=1)), return_index=True,
         return_inverse=True, return_counts=True)
     if counts.size == 1:
         return LittleTestResult(0.0, 0, 1.0, 1)

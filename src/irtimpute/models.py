@@ -18,11 +18,11 @@ the keyword ``column``; the family owns every rule differing by family:
 ``to_x``/``from_x``; ``bound_events`` for parameters resting on a box
 edge; and ``describe``.  A binary item is a graded item with one boundary,
 so those two share one body for all but ``describe``, through a ``bounds``
-view and ``from_bounds(a, bounds)``.  The families share ``probs``, the
-exponential of ``log_probs``: the E-step, EAP scoring, the M-step and the
-imputed cells' probability vectors all read one likelihood.
-:func:`category_probs` and :func:`log_category_probs` are one-line calls to
-these methods; :func:`prob_2pl` is the plain binary curve.
+view and ``from_bounds(a, bounds)``.  The E-step, EAP scoring, the M-step
+and the imputed cells' probability vectors all read one likelihood,
+``log_probs``: :func:`log_category_probs` calls it, and
+:func:`category_probs` is its exponential.  :func:`prob_2pl` is the plain
+binary curve.
 
 Each family also names its ``kernel``, the M-step's rules on stacked arrays
 (items on the leading axes, x-space coordinates on the last): ``natural``
@@ -304,10 +304,6 @@ class ItemModel:
 
     column: str = field(default="", kw_only=True)
 
-    def probs(self, theta) -> np.ndarray:
-        """Category probabilities at ``theta``; shape ``(..., m)``."""
-        return np.exp(self.log_probs(theta))
-
     def to_dict(self) -> dict:
         """Model-file entry: the fields plus the ``family`` key."""
         return _as_json(self)
@@ -507,7 +503,7 @@ def category_probs(theta, item: ItemModel):
 
     The exponential of :func:`log_category_probs`, the values the fit uses.
     """
-    return item.probs(theta)
+    return np.exp(item.log_probs(theta))
 
 
 def log_category_probs(theta, item: ItemModel):

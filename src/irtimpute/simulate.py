@@ -12,8 +12,7 @@ import numpy as np
 from .data import CategoricalDataset, ColumnSchema
 from .errors import DataError
 from .models import (
-    Binary2PL,
-    GradedItem,
+    _CLASS_BY_FAMILY,
     ItemModel,
     NominalItem,
     _separate,
@@ -41,20 +40,19 @@ def simulate_items(
     slope draws and free intercepts location draws (category 0 stays
     anchored at zero).
     """
-    if family not in ("2pl", "grm", "nrm"):
+    if family not in _CLASS_BY_FAMILY:
         raise DataError(f"unknown family {family!r}")
+    # a binary item is a graded item with one boundary
+    n_bounds = 1 if family == "2pl" else n_categories - 1
     items = []
     for i in range(n_items):
         a = float(rng.uniform(*SLOPE_RANGE))
         column = f"{name_prefix}{i:02d}"
-        if family == "2pl":
-            items.append(Binary2PL(a, float(rng.uniform(*LOCATION_RANGE)),
-                                   column=column))
-        elif family == "grm":
-            bs = np.sort(rng.uniform(*LOCATION_RANGE, size=n_categories - 1))
+        if family != "nrm":
+            bs = np.sort(rng.uniform(*LOCATION_RANGE, size=n_bounds))
             # keep boundaries separated so every category carries real mass
             _separate(bs, 0.15)
-            items.append(GradedItem(a, tuple(bs), column=column))
+            items.append(_CLASS_BY_FAMILY[family].from_bounds(a, bs, column))
         else:
             free = np.concatenate([
                 rng.uniform(*SLOPE_RANGE, size=n_categories - 1),

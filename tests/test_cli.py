@@ -245,6 +245,19 @@ class TestInject:
         assert run(base + ["--mechanism", "mar"]) == 1           # no cond
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fraction", ["2", "0", "nan"])
+    def test_fraction_outside_unit_interval_is_usage_error(
+            self, corpus, tmp_path, capsys, fraction):
+        capsys.readouterr()
+        rc = run(["inject", "--data", corpus / "truth.csv",
+                  "--schema", corpus / "truth.cols", "--target", "item02",
+                  "--fraction", fraction, "--mechanism", "mcar",
+                  "--seed", "1", "--out", tmp_path / "x.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: usage: --fraction must lie in (0, 1)\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_target_fails_before_reading_data(self, corpus, tmp_path):
         rc = run(["inject", "--data", tmp_path / "never-read.csv",
                   "--schema", corpus / "truth.cols", "--target", "ghost",
@@ -533,6 +546,55 @@ class TestDataErrorBoundary:
         self.assert_one_data_error(rc, capsys)
         assert out.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("command, out", [
+        ("fit", "m.json"), ("impute", "x.csv")])
+    def test_write_error_names_the_given_path(self, corpus, holed, tmp_path,
+                                              capsys, command, out):
+        target = tmp_path / "absent-dir" / out
+        capsys.readouterr()
+        rc = run([command, "--data", holed, "--schema", corpus / "truth.cols",
+                  "--out", target])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: data: [Errno 2] No such file or directory: "
+            f"'{target}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_impute_keeps_the_saved_model(self, corpus, holed,
+                                                 tmp_path, capsys):
+        # the model file is replaced together with the completed CSV
+        saved = tmp_path / "m.json"
+        argv = ["impute", "--data", holed, "--schema", corpus / "truth.cols",
+                "--save-model", saved,
+                "--out", tmp_path / "absent-dir" / "x.csv"]
+        capsys.readouterr()
+        self.assert_one_data_error(run(argv), capsys)
+        assert list(tmp_path.iterdir()) == []
+        saved.write_text("previous\n")
+        self.assert_one_data_error(run(argv), capsys)
+        assert saved.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    def test_label_equal_to_a_missing_token(self, tmp_path, capsys):
+        (tmp_path / "d.cols").write_text("c: nominal labels=-1|0|1\n")
+        (tmp_path / "d.csv").write_text("c\n-1\n0\n1\n-1\n")
+        argv = ["inject", "--data", tmp_path / "d.csv",
+                "--schema", tmp_path / "d.cols", "--target", "c",
+                "--fraction", "0.25", "--mechanism", "mcar", "--seed", "1",
+                "--out", tmp_path / "out.csv"]
+        capsys.readouterr()
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("error: data: column 'c': label '-1' is a missing "
+                       "token\n")
+        assert not (tmp_path / "out.csv").exists()
+        assert run(argv + ["--missing-tokens", ""]) == 0
+        # one of the four cells is blanked, written "" as a lone empty
+        # field; the -1 labels are kept
+        cells = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert cells.count('""') == 1 and "-1" in cells
 
 
 class TestProbabilitySidecar:
@@ -883,6 +945,25 @@ class TestBenchCommand:
         assert run(base + ["--fractions", "1.5"]) == 1
         assert run(base + ["--mechanisms", "mcar,magic"]) == 1
         assert run(base + ["--mechanisms", "mar"]) == 1   # needs conditional
+
+    @pytest.mark.parametrize("tail, message", [
+        (["--mechanisms", "mar"], "mar injection needs --conditional"),
+        (["--mechanisms", "mcar", "--direction", "bottom"],
+         "--conditional/--direction are mar-only flags"),
+        (["--mechanisms", "mcar", "--conditional", "item00"],
+         "--conditional/--direction are mar-only flags"),
+        (["--fractions", "0.1,2"], "--fractions must lie in (0, 1)"),
+    ], ids=["mar-without-conditional", "mcar-with-direction",
+            "mcar-with-conditional", "fraction-above-one"])
+    def test_injection_flags_follow_inject_rules(self, corpus, tmp_path,
+                                                 capsys, tail, message):
+        capsys.readouterr()
+        rc = run(["bench", "--data", corpus / "truth.csv",
+                  "--schema", corpus / "truth.cols", "--target", "item02",
+                  "--fractions", "0.1", *tail, "--out", tmp_path / "r.txt"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+        assert not (tmp_path / "r.txt").exists()
 
     def test_truth_with_missing_continuous_cells(self, corpus, tmp_path):
         # wear misses 15 values in the truth; those cells are filled but

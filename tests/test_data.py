@@ -64,6 +64,19 @@ class TestColumnSchema:
         with pytest.raises(DataError):
             ColumnSchema("x", "ordinal", arity=3, role="target")
 
+    @pytest.mark.parametrize("line", ["c: nominal labels=|x|y",
+                                      "c: nominal labels=x|y|"])
+    def test_empty_label_is_refused(self, line):
+        # emit_csv writes an empty label as it writes a missing cell
+        with pytest.raises(DataError, match="label '' is empty"):
+            parse_schema(line)
+
+    @pytest.mark.parametrize("labels", [(" a", "b"), ("a", "b\t")])
+    def test_padded_label_is_refused(self, labels):
+        # load_csv strips each cell, so a padded label never matches
+        with pytest.raises(DataError, match="padded with spaces"):
+            ColumnSchema("c", "nominal", labels=labels)
+
 
 class TestSchemaFile:
     TEXT = """\
@@ -206,6 +219,21 @@ class TestCsvRoundTrip:
         data = load_csv(path, (ColumnSchema("u", "binary"),),
                         missing_tokens=("NA",))
         assert_array_equal(data.cells, [[MISSING], [1]])
+
+    def test_label_equal_to_a_missing_token_is_refused(self, tmp_path):
+        schemas = (ColumnSchema("u", "binary"),
+                   ColumnSchema("c", "nominal", labels=("-1", "0", "1")))
+        path = tmp_path / "m.csv"
+        path.write_text("u,c\n1,-1\n0,1\n")
+        with pytest.raises(DataError) as caught:
+            load_csv(path, schemas)
+        assert str(caught.value) == "column 'c': label '-1' is a missing token"
+        # with only the empty token missing, -1 is a label and round-trips
+        data = load_csv(path, schemas, missing_tokens=("",))
+        assert_array_equal(data.cells, [[1, 0], [0, 2]])
+        emit_csv(data, tmp_path / "back.csv")
+        back = (tmp_path / "back.csv").read_bytes()
+        assert back == path.read_bytes().replace(b"\n", b"\r\n")
 
     def test_unknown_label(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -376,7 +376,8 @@ class TestMStep:
         grid = build_grid()
         nodes = grid.node_array()
         params = random_item(np.random.default_rng(113), family, m=m)
-        r = 300.0 * grid.weight_array()[:, None] * params.probs(nodes)
+        r = (300.0 * grid.weight_array()[:, None]
+             * category_probs(nodes, params))
         x = params.to_x()
         _, _, info = _objective(params.kernel, x[None], r[None], nodes)
         hess = fd_hessian(reference_objective(params, r, nodes), x)

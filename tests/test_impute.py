@@ -103,6 +103,11 @@ class TestImputedDataset:
         with pytest.raises(DataError, match="align"):
             ImputedDataset(self.completed(), ((0, 1),), ())
 
+    def test_ragged_probabilities_rejected(self):
+        with pytest.raises(DataError, match="NaN past its arity"):
+            ImputedDataset(self.completed(), ((0, 1), (1, 0)),
+                           ([0.5, 0.3, 0.2], [0.4, 0.6]))
+
     def test_detects_missing_cell_in_mask(self):
         with pytest.raises(DataError, match="left missing"):
             ImputedDataset(tiny_dataset(), ((0, 1),),
@@ -137,10 +142,10 @@ class TestImputedDataset:
         # missing; the error names whichever the mask lists first
         with pytest.raises(DataError, match=r"cell \(0, 1\): stored code 2"):
             ImputedDataset(self.completed(), ((0, 1), (1, 0)),
-                           (np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.6])))
+                           [[0.5, 0.3, 0.2], [0.4, 0.6, np.nan]])
         with pytest.raises(DataError, match=r"cell \(1, 0\) left missing"):
             ImputedDataset(self.completed(), ((1, 0), (0, 1)),
-                           (np.array([0.4, 0.6]), np.array([0.5, 0.3, 0.2])))
+                           [[0.4, 0.6, np.nan], [0.5, 0.3, 0.2]])
 
 
 class TestImputeDataset:

@@ -187,7 +187,7 @@ def _dataset(last=2):
 def _imputed(low=0.1):
     # the binary cell's row is NaN past its two probabilities
     return ImputedDataset(_dataset(), ((0, 0), (1, 1)),
-                          ([0.3, 0.7], [low, 0.2, 0.7]))
+                          ([0.3, 0.7, np.nan], [low, 0.2, 0.7]))
 
 
 def _report(extra=0):

@@ -23,6 +23,7 @@ from irtimpute.errors import (
 from irtimpute import missingness
 from irtimpute.missingness import (
     LittleTestResult,
+    _row_keys,
     _solve_observed,
     inject_mar,
     inject_mcar,
@@ -362,6 +363,20 @@ class TestBlockedLittlesTest:
         y = every_missing_count()
         assert set(np.isnan(y).sum(axis=1)) == set(range(6))
         assert self.assert_matches_loop(y).n_patterns > 40
+
+    @pytest.mark.parametrize("p", [3, 8, 9, 14, 70])
+    def test_row_keys_group_as_unique_rows(self, p):
+        # the one-dimensional void keys give np.unique(axis=0)'s groups
+        packed = np.packbits(~np.isnan(code_matrix(p, 400, p, 0.2)), axis=1)
+        keyed = np.unique(_row_keys(packed), return_index=True,
+                          return_inverse=True, return_counts=True)
+        rows = np.unique(packed, axis=0, return_index=True,
+                         return_inverse=True, return_counts=True)
+        assert_array_equal(
+            keyed[0].view(np.uint8).reshape(rows[0].shape), rows[0])
+        for got, expected in zip(keyed[1:], rows[1:]):
+            assert_array_equal(got, expected.ravel())
+        assert len(rows[0]) >= 8
 
     def test_groups_split_at_the_entry_limit(self, monkeypatch):
         # each pattern's arithmetic does not depend on its group's size

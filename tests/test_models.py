@@ -357,7 +357,7 @@ class TestFamilyProtocol:
     def test_vector_and_dict_round_trips(self, family):
         item = random_item(np.random.default_rng(47), family, m=4)
         assert item.family == family
-        assert item.n_categories == item.probs(0.0).shape[-1]
+        assert item.n_categories == category_probs(0.0, item).shape[-1]
         assert item.with_vector(item.vector()) == item
         assert type(item).from_dict(item.to_dict()) == item
 

@@ -29,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    DEFAULT_BINS,
     MISSING,
+    MISSING_TOKENS,
     CategoricalDataset,
     ColumnSchema,
     apply_discretization,
@@ -52,21 +54,16 @@ from .estimation import (
 )
 from .impute import impute_dataset
 from .metrics import report_text, score_cells
-from .missingness import inject_mar, inject_mcar, littles_test
+from .missingness import (DEFAULT_DIRECTION, MAR_DIRECTIONS, inject_mar,
+                          inject_mcar, littles_test)
 
 __all__ = ["main"]
 
 logger = logging.getLogger("irtimpute")
 
-_FIT_DEFAULTS = {
-    "bins": 4,
-    "grid_size": 61,
-    "grid_lo": -6.0,
-    "grid_hi": 6.0,
-    "max_iter": 500,
-    "tol": 1e-4,
-    "seed": 0,
-}
+# destinations of the fit flags, each None unless given
+_FIT_FLAGS = ("bins", "grid_size", "grid_lo", "grid_hi", "max_iter", "tol",
+              "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +135,33 @@ def _add_io_options(parser, data_help="input CSV (header row required)"):
     parser.add_argument("--schema", required=True,
                         help="schema file (one 'name: kind ...' line per column)")
     parser.add_argument(
-        "--missing-tokens", default=",-1", metavar="T1,T2,...",
-        help="comma-separated cell values read as missing "
-             "(default: the empty string and -1)")
+        "--missing-tokens", default=",".join(MISSING_TOKENS),
+        type=lambda text: tuple(text.split(",")), metavar="T1,T2,...",
+        help="comma-separated cell values read as missing (default %(default)r)")
     parser.add_argument("--config", help="key = value file of defaults; "
                                          "explicit flags override")
 
 
 def _add_fit_options(parser):
     """Fit hyperparameters, None unless given, so that a command can tell
-    whether the user supplied them; see :func:`_resolved_fit_options`."""
-    parser.add_argument("--bins", type=int,
-                        help="quantile bins for continuous features (default 4)")
+    whether the user supplied them; see :func:`_fit_options`."""
+    lo, hi = FitConfig.grid_range
+    parser.add_argument("--bins", type=int, help="quantile bins for "
+                        f"continuous features (default {DEFAULT_BINS})")
     parser.add_argument("--grid-size", type=int,
-                        help="quadrature nodes (default 61)")
+                        help=f"quadrature nodes (default {FitConfig.grid_size})")
     parser.add_argument("--grid-lo", type=float,
-                        help="lowest trait node (default -6)")
+                        help=f"lowest trait node (default {lo})")
     parser.add_argument("--grid-hi", type=float,
-                        help="highest trait node (default 6)")
+                        help=f"highest trait node (default {hi})")
     parser.add_argument("--max-iter", type=int,
                         help="cap on EM maps, one E-step plus one M-step each "
-                             "(default 500)")
+                             f"(default {FitConfig.max_iter})")
     parser.add_argument("--tol", type=float,
-                        help="EM parameter-change tolerance (default 1e-4)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
+                        help="EM parameter-change tolerance "
+                             f"(default {FitConfig.tol})")
+    parser.add_argument("--seed", type=int,
+                        help=f"random seed (default {FitConfig.seed})")
 
 
 def _add_injection_options(parser, target_help: str):
@@ -169,9 +169,9 @@ def _add_injection_options(parser, target_help: str):
     parser.add_argument("--conditional",
                         help="fully observed column driving deletion "
                              "(mar only)")
-    parser.add_argument("--direction", choices=("top", "bottom"),
+    parser.add_argument("--direction", choices=MAR_DIRECTIONS,
                         help="which conditional extreme loses cells "
-                             "(mar only, default top)")
+                             f"(mar only, default {DEFAULT_DIRECTION})")
 
 
 def build_parser() -> _Parser:
@@ -238,10 +238,10 @@ def build_parser() -> _Parser:
     _add_injection_options(
         p, "categorical feature column to blank and restore")
     p.add_argument("--fractions", default="0.05,0.1,0.3,0.5",
-                   metavar="F1,F2,...", help="missingness fractions "
-                                             "(default 0.05,0.1,0.3,0.5)")
+                   metavar="F1,F2,...",
+                   help="missingness fractions (default %(default)s)")
     p.add_argument("--mechanisms", default="mcar,mar", metavar="M1,M2",
-                   help="comma-separated subset of mcar,mar (default both)")
+                   help="comma-separated mechanisms (default %(default)s)")
     p.add_argument("--out", help="report file (default: stdout)")
 
     return parser
@@ -251,12 +251,8 @@ def build_parser() -> _Parser:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _missing_tokens(args: argparse.Namespace) -> tuple[str, ...]:
-    return tuple(args.missing_tokens.split(","))
-
-
 def _load_inputs(args: argparse.Namespace) -> CategoricalDataset:
-    return load_csv(args.data, load_schema(args.schema), _missing_tokens(args))
+    return load_csv(args.data, load_schema(args.schema), args.missing_tokens)
 
 
 def _check_column(schemas, name: str, flag: str) -> ColumnSchema:
@@ -277,6 +273,8 @@ def _check_injection(args: argparse.Namespace, schemas, mechanisms,
         if args.conditional is None:
             raise UsageError("mar injection needs --conditional")
         _check_column(schemas, args.conditional, "--conditional")
+        if args.conditional == args.target:
+            raise UsageError("--conditional must differ from --target")
     elif args.conditional or args.direction:
         raise UsageError("--conditional/--direction are mar-only flags")
     return target
@@ -288,36 +286,37 @@ def _inject(data: CategoricalDataset, args: argparse.Namespace,
     """``data`` with ``fraction`` of the target blanked; mar ignores seed."""
     if mechanism == "mar":
         return inject_mar(data, args.target, args.conditional, fraction,
-                          args.direction or "top")
+                          args.direction or DEFAULT_DIRECTION)
     logger.info("mcar injection of %g with seed %d", fraction, seed)
     return inject_mcar(data, args.target, fraction, seed)
 
 
-def _resolved_fit_options(args: argparse.Namespace) -> dict:
-    return {
-        key: default if getattr(args, key) is None else getattr(args, key)
-        for key, default in _FIT_DEFAULTS.items()
-    }
+def _given_fit_flags(args: argparse.Namespace) -> dict:
+    return {key: getattr(args, key) for key in _FIT_FLAGS
+            if getattr(args, key) is not None}
 
 
-def _fit_on(data: CategoricalDataset, options: dict) -> FittedModel:
+def _fit_options(args: argparse.Namespace) -> tuple[int, FitConfig]:
+    """The bin count and fit configuration: the fit flags given, on top of
+    the library's defaults."""
+    given = _given_fit_flags(args)
+    lo, hi = FitConfig.grid_range
+    grid_range = (given.pop("grid_lo", lo), given.pop("grid_hi", hi))
+    return (given.pop("bins", DEFAULT_BINS),
+            FitConfig(grid_range=grid_range, **given))
+
+
+def _fit_on(data: CategoricalDataset, bins: int, config: FitConfig
+            ) -> FittedModel:
     """Discretize continuous features, then fit; the model keeps the cut
     points, in column-name order."""
-    data, maps = discretize_dataset(data, options["bins"])
+    data, maps = discretize_dataset(data, bins)
     for mapping in maps.values():
         logger.info("discretized %r into %d bins, cuts %s",
                     mapping.column, mapping.bins, list(mapping.cuts))
-    fit_config = FitConfig(
-        grid_size=options["grid_size"],
-        grid_range=(options["grid_lo"], options["grid_hi"]),
-        max_iter=options["max_iter"],
-        tol=options["tol"],
-        seed=options["seed"],
-    )
-    logger.info("fitting %d cases with seed %d", data.n_rows,
-                options["seed"])
+    logger.info("fitting %d cases with seed %d", data.n_rows, config.seed)
     ordered = tuple(maps[column] for column in sorted(maps))
-    return dataclasses.replace(fit(data, fit_config), discretization=ordered)
+    return dataclasses.replace(fit(data, config), discretization=ordered)
 
 
 def _scored_cells(truth: CategoricalDataset, holed: CategoricalDataset
@@ -335,15 +334,14 @@ def _scored_cells(truth: CategoricalDataset, holed: CategoricalDataset
 
 def cmd_fit(args: argparse.Namespace) -> int:
     data = _load_inputs(args)
-    model = _fit_on(data, _resolved_fit_options(args))
+    model = _fit_on(data, *_fit_options(args))
     save_model(model, args.out)
     sys.stdout.write(diagnostics_report(model))
     return 0
 
 
 def cmd_impute(args: argparse.Namespace) -> int:
-    fit_flags = [key for key in _FIT_DEFAULTS
-                 if getattr(args, key) is not None]
+    fit_flags = list(_given_fit_flags(args))
     if args.model and (fit_flags or args.save_model):
         culprit = fit_flags[0] if fit_flags else "save-model"
         raise UsageError(
@@ -359,7 +357,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     if args.model:
         model = load_model(args.model)
     else:
-        model = _fit_on(data, _resolved_fit_options(args))
+        model = _fit_on(data, *_fit_options(args))
     view = apply_discretization(data, model.discretization)
     result = impute_dataset(view, model)
 
@@ -395,7 +393,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     if args.mechanism == "mar" and args.seed is not None:
         raise UsageError("mar injection is deterministic; --seed applies to "
                          "mcar only")
-    data = load_csv(args.data, schemas, _missing_tokens(args))
+    data = load_csv(args.data, schemas, args.missing_tokens)
     out = _inject(data, args, args.mechanism, args.fraction, args.seed)
     emit_csv(out, args.out)
     removed = int(np.sum(out.cells[:, data.column_index(args.target)]
@@ -417,10 +415,9 @@ def cmd_mcar_test(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     schemas = load_schema(args.schema)
-    tokens = _missing_tokens(args)
-    truth = load_csv(args.truth, schemas, tokens)
-    holed = load_csv(args.with_missing, schemas, tokens)
-    imputed = load_csv(args.imputed, schemas, tokens)
+    truth = load_csv(args.truth, schemas, args.missing_tokens)
+    holed = load_csv(args.with_missing, schemas, args.missing_tokens)
+    imputed = load_csv(args.imputed, schemas, args.missing_tokens)
     if not truth.n_rows == holed.n_rows == imputed.n_rows:
         raise DataError("the three datasets must have the same rows")
 
@@ -469,18 +466,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                      "--fractions")
     if not target_schema.is_categorical or target_schema.role != "feature":
         raise UsageError("--target must be a categorical feature column")
-    truth = load_csv(args.data, schemas, _missing_tokens(args))
+    truth = load_csv(args.data, schemas, args.missing_tokens)
 
-    options = _resolved_fit_options(args)
+    bins, config = _fit_options(args)
     little_rows = []
     f1_rows = []
     for cell_index, (mechanism, fraction) in enumerate(
             itertools.product(mechanisms, fractions)):
         injected = _inject(truth, args, mechanism, fraction,
-                           options["seed"] + cell_index)
+                           config.seed + cell_index)
         little = littles_test(injected.to_numeric(injected.feature_indices))
 
-        model = _fit_on(injected, options)
+        model = _fit_on(injected, bins, config)
         view = apply_discretization(injected, model.discretization)
         result = impute_dataset(view, model)
         truth_view = apply_discretization(truth, model.discretization)
@@ -499,14 +496,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{scored.macro_f1:<12.6f} {scored.micro_f1:<12.6f} "
             f"{baseline.macro_f1:<15.6f} {baseline.micro_f1:.6f}")
 
+    direction = ((args.direction or DEFAULT_DIRECTION)
+                 if "mar" in mechanisms else "-")
     lines = [
         "imputation benchmark",
         f"target: {args.target}",
         f"conditional: {args.conditional or '-'}",
+        f"direction: {direction}",
         f"mechanisms: {' '.join(mechanisms)}",
         f"fractions: {' '.join(f'{f:g}' for f in fractions)}",
-        f"base seed: {options['seed']}",
-        f"bins: {options['bins']}",
+        f"base seed: {config.seed}",
+        f"bins: {bins}",
         "",
         "Little's MCAR test on each injected dataset",
         f"{'mechanism':<9} {'fraction':<8} {'cells':<6} "
@@ -550,15 +550,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_expand_config(raw))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
     except IrtImputeError as exc:
-        kind = {3: "numerical"}.get(exc.exit_code, "data")
-        print(f"error: {kind}: {exc}", file=sys.stderr)
+        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:  # unreadable/unwritable file
-        print(f"error: data: {exc}", file=sys.stderr)
+        print(f"error: {DataError.kind}: {exc}", file=sys.stderr)
         return DataError.exit_code
     finally:
         warnings.formatwarning = formatwarning

@@ -38,6 +38,10 @@ from .errors import (
 
 MISSING = -1
 
+# defaults of the loader and the discretizer, which the CLI reads too
+MISSING_TOKENS = ("", "-1")
+DEFAULT_BINS = 4
+
 KINDS = ("binary", "ordinal", "nominal", "continuous")
 ROLES = ("feature", "id", "excluded")
 
@@ -301,7 +305,7 @@ def load_schema(path: str | Path) -> tuple[ColumnSchema, ...]:
 def load_csv(
     path: str | Path,
     schemas: tuple[ColumnSchema, ...],
-    missing_tokens: tuple[str, ...] = ("", "-1"),
+    missing_tokens: tuple[str, ...] = MISSING_TOKENS,
 ) -> CategoricalDataset:
     """Read a CSV file with a header row into a typed dataset.
 
@@ -610,7 +614,7 @@ class DiscretizationMap:
 
 def discretize(
     values: np.ndarray,
-    bins: int = 4,
+    bins: int = DEFAULT_BINS,
     column: str = "x",
 ) -> tuple[DiscretizationMap, np.ndarray]:
     """Quantile-bin a continuous vector into ``bins`` ordinal codes.
@@ -645,7 +649,7 @@ def discretize(
 
 def discretize_dataset(
     data: CategoricalDataset,
-    bins: int = 4,
+    bins: int = DEFAULT_BINS,
 ) -> tuple[CategoricalDataset, dict[str, DiscretizationMap]]:
     """Quantile-bin every continuous *feature* column of a dataset.
 

@@ -1,28 +1,29 @@
 """Exception hierarchy.
 
-Three broad classes map onto the CLI exit codes: usage errors (1),
-data/validation errors (2), and numerical failures (3).
+Three broad classes each carry the ``kind`` the CLI prints and its exit
+code: usage errors (``usage``, 1), data/validation errors (``data``, 2),
+and numerical failures (``numerical``, 3).
 """
 
 from __future__ import annotations
 
 
 class IrtImputeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a data error unless narrower."""
 
+    kind = "data"
     exit_code = 2
 
 
 class UsageError(IrtImputeError):
     """Bad command-line arguments or option combinations."""
 
+    kind = "usage"
     exit_code = 1
 
 
 class DataError(IrtImputeError):
     """Invalid, inconsistent, or unusable input data."""
-
-    exit_code = 2
 
 
 class UnknownLabel(DataError):
@@ -52,6 +53,7 @@ class InsufficientData(DataError):
 class NumericalFailure(IrtImputeError):
     """A numerical routine produced non-finite or unusable results."""
 
+    kind = "numerical"
     exit_code = 3
 
 

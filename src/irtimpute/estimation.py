@@ -129,23 +129,10 @@ class QuadratureGrid:
         return np.asarray(self.weights)
 
 
-def build_grid(size: int = 61, grid_range: tuple[float, float] = (-6.0, 6.0)
-               ) -> QuadratureGrid:
-    """Equally spaced nodes with standard-normal weights normalized to 1."""
-    lo, hi = grid_range
-    if size < 11:
-        raise DataError("grid size must be at least 11")
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise DataError(f"invalid grid range [{lo}, {hi}]")
-    nodes = np.linspace(lo, hi, size)
-    # scipy.stats.norm.pdf's own formula: the same weights, bit for bit
-    weights = np.exp(-nodes**2 / 2.0) / np.sqrt(2 * np.pi)
-    weights /= weights.sum()
-    return QuadratureGrid(tuple(nodes), tuple(weights))
-
-
 @dataclass(frozen=True)
 class FitConfig:
+    """Fit settings; the CLI's defaults too."""
+
     grid_size: int = 61
     grid_range: tuple[float, float] = (-6.0, 6.0)
     max_iter: int = 500
@@ -160,6 +147,22 @@ class FitConfig:
             raise DataError("iteration cap must be at least 1")
         if self.seed < 0:
             raise DataError("seed must be nonnegative")
+
+
+def build_grid(size: int = FitConfig.grid_size,
+               grid_range: tuple[float, float] = FitConfig.grid_range
+               ) -> QuadratureGrid:
+    """Equally spaced nodes with standard-normal weights normalized to 1."""
+    lo, hi = grid_range
+    if size < 11:
+        raise DataError("grid size must be at least 11")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise DataError(f"invalid grid range [{lo}, {hi}]")
+    nodes = np.linspace(lo, hi, size)
+    # scipy.stats.norm.pdf's own formula: the same weights, bit for bit
+    weights = np.exp(-nodes**2 / 2.0) / np.sqrt(2 * np.pi)
+    weights /= weights.sum()
+    return QuadratureGrid(tuple(nodes), tuple(weights))
 
 
 @dataclass(frozen=True)

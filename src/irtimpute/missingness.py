@@ -48,6 +48,11 @@ __all__ = ["LittleTestResult", "inject_mcar", "inject_mar", "littles_test"]
 # Injection
 # ---------------------------------------------------------------------------
 
+# which conditional extreme inject_mar blanks
+DEFAULT_DIRECTION = "top"
+MAR_DIRECTIONS = (DEFAULT_DIRECTION, "bottom")
+
+
 def _target_index(data: CategoricalDataset, target: str) -> int:
     j = data.column_index(target)
     if np.any(data.cells[:, j] == MISSING):
@@ -83,7 +88,8 @@ def inject_mcar(data: CategoricalDataset, target: str, fraction: float,
 
 
 def inject_mar(data: CategoricalDataset, target: str, conditional: str,
-               fraction: float, direction: str = "top") -> CategoricalDataset:
+               fraction: float, direction: str = DEFAULT_DIRECTION
+               ) -> CategoricalDataset:
     """Blank the target in the rows with the most extreme conditional values.
 
     ``direction="top"`` removes the target from the ``floor(fraction * N)``
@@ -95,8 +101,9 @@ def inject_mar(data: CategoricalDataset, target: str, conditional: str,
     c = data.column_index(conditional)
     if c == j:
         raise DataError("conditional column must differ from the target")
-    if direction not in ("top", "bottom"):
-        raise DataError(f"direction must be 'top' or 'bottom', got {direction!r}")
+    if direction not in MAR_DIRECTIONS:
+        raise DataError(
+            f"direction must be one of {MAR_DIRECTIONS}, got {direction!r}")
     values = data.cells[:, c]
     if np.any(values == MISSING):
         raise DataError(

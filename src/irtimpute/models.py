@@ -278,9 +278,13 @@ def _as_json(value):
 def _from_json(hint, value, name: str = "value"):
     """``value`` read back from model-file form as the type ``hint``: a
     float takes an int or a float, a tuple a list, any other type only
-    itself, and a dataclass field left out takes its default."""
+    itself, and a dataclass field left out takes its default.  An item is
+    read as the class its ``family`` key names."""
     if hint is ItemModel:
-        return ItemModel.from_dict(value)
+        family = value["family"]
+        if family not in _CLASS_BY_FAMILY:
+            raise DataError(f"unknown item family {family!r}")
+        hint = _CLASS_BY_FAMILY[family]
     if is_dataclass(hint):
         hints = get_type_hints(hint)
         return hint(**{f.name: _from_json(hints[f.name], value[f.name], f.name)
@@ -303,23 +307,6 @@ class ItemModel:
     keyword."""
 
     column: str = field(default="", kw_only=True)
-
-    def to_dict(self) -> dict:
-        """Model-file entry: the fields plus the ``family`` key."""
-        return _as_json(self)
-
-    @staticmethod
-    def from_dict(entry: dict) -> ItemModel:
-        """The item of the family ``entry`` names."""
-        try:
-            family, column = entry["family"], entry["column"]
-            if not isinstance(column, str):
-                raise DataError(f"item column {column!r} is not a string")
-            if family not in _CLASS_BY_FAMILY:
-                raise DataError(f"unknown item family {family!r}")
-            return _from_json(_CLASS_BY_FAMILY[family], entry)
-        except KeyError as exc:
-            raise DataError(f"item entry missing key {exc}") from None
 
 
 class _CumulativeFamily(ItemModel):

@@ -1,9 +1,12 @@
 """End-to-end command-line runs: exit codes, files written, determinism."""
 
 import ast
+import dataclasses
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -26,6 +29,7 @@ from irtimpute.data import (
     MISSING,
     CategoricalDataset,
     ColumnSchema,
+    discretize_dataset,
     emit_csv,
     emit_probabilities,
     format_schema,
@@ -33,7 +37,7 @@ from irtimpute.data import (
     load_schema,
 )
 from irtimpute.errors import NumericalFailure, UsageError
-from irtimpute.estimation import load_model, save_model
+from irtimpute.estimation import FitConfig, fit, load_model, save_model
 from irtimpute.simulate import simulate_dataset, simulate_items
 
 from helpers import write_probabilities_loop
@@ -258,6 +262,18 @@ class TestInject:
             "error: usage: --fraction must lie in (0, 1)\n")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_conditional_equal_to_target_is_usage_error(self, corpus,
+                                                        tmp_path, capsys):
+        capsys.readouterr()
+        rc = run(["inject", "--data", tmp_path / "never-read.csv",
+                  "--schema", corpus / "truth.cols", "--target", "item02",
+                  "--fraction", "0.2", "--mechanism", "mar",
+                  "--conditional", "item02", "--out", tmp_path / "x.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: usage: --conditional must differ from --target\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_target_fails_before_reading_data(self, corpus, tmp_path):
         rc = run(["inject", "--data", tmp_path / "never-read.csv",
                   "--schema", corpus / "truth.cols", "--target", "ghost",
@@ -300,6 +316,20 @@ class TestFitCommand:
         assert run(args + ["--out", tmp_path / "b.json"]) == 0
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
+
+    def test_defaults_are_the_librarys(self, corpus, holed, tmp_path):
+        # fit with no fit flags against the library pipeline at its own
+        # defaults, on data with blanks and a continuous column
+        out = tmp_path / "cli.json"
+        assert run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
+                    "--out", out]) == 0
+        data, maps = discretize_dataset(
+            load_csv(holed, load_schema(corpus / "truth.cols")))
+        model = dataclasses.replace(
+            fit(data, FitConfig()),
+            discretization=tuple(maps[column] for column in sorted(maps)))
+        save_model(model, tmp_path / "library.json")
+        assert (tmp_path / "library.json").read_bytes() == out.read_bytes()
 
     def test_library_save_reproduces_cli_model_file(self, corpus, holed,
                                                    tmp_path):
@@ -964,6 +994,51 @@ class TestBenchCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: usage: {message}\n"
         assert not (tmp_path / "r.txt").exists()
+
+    def test_conditional_equal_to_target_fits_nothing(
+            self, corpus, tmp_path, capsys, caplog, monkeypatch):
+        monkeypatch.setenv("IRTIMPUTE_LOG", "INFO")
+        caplog.set_level(logging.INFO, logger="irtimpute")
+        base = ["bench", "--data", corpus / "truth.csv",
+                "--schema", corpus / "truth.cols", "--target", "item02",
+                "--fractions", "0.1", "--out", tmp_path / "r.txt"]
+        capsys.readouterr()
+        # mcar cells run first, so a late refusal would follow a fit
+        assert run(base + ["--conditional", "item02"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: usage: --conditional must differ from --target"]
+        assert not [r for r in caplog.records
+                    if r.getMessage().startswith("fitting")]
+        assert not (tmp_path / "r.txt").exists()
+        # the same run with another conditional column logs its fits
+        assert run(base + ["--conditional", "item00"]) == 0
+        assert [r for r in caplog.records
+                if r.getMessage().startswith("fitting")]
+
+    def test_report_names_the_direction(self, corpus, tmp_path):
+        base = ["bench", "--data", corpus / "truth.csv",
+                "--schema", corpus / "truth.cols", "--target", "item02",
+                "--fractions", "0.3"]
+        reports = {}
+        for name, tail in [("top", ["--conditional", "item00"]),
+                           ("bottom", ["--conditional", "item00",
+                                       "--direction", "bottom"]),
+                           ("mcar", ["--mechanisms", "mcar"])]:
+            out = tmp_path / f"{name}.txt"
+            assert run(base + tail + ["--out", out]) == 0
+            reports[name] = out.read_text().splitlines()
+        top, bottom = reports["top"], reports["bottom"]
+        assert "direction: -" in reports["mcar"]
+        # the line sits in the header, above the F1 table
+        at = top.index("direction: top")
+        assert at == bottom.index("direction: bottom")
+        assert at < top.index("imputed-cell F1, model vs majority baseline")
+        del top[at], bottom[at]
+        # beside that line, the reports differ in their numbers alone
+        assert top != bottom
+        number = re.compile(r"\s*-?\d[\d.e+-]*")
+        assert [number.sub(" #", line) for line in top] == \
+            [number.sub(" #", line) for line in bottom]
 
     def test_truth_with_missing_continuous_cells(self, corpus, tmp_path):
         # wear misses 15 values in the truth; those cells are filled but

@@ -63,6 +63,7 @@ from irtimpute.models import (
     Binary2PL,
     GradedItem,
     NominalItem,
+    _as_json,
     category_probs,
     log_category_probs,
     pattern_loglik,
@@ -723,7 +724,7 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         assert set(payload) == {"format", "version"} | {
             f.name for f in dataclasses.fields(FittedModel)}
-        assert payload["items"] == [item.to_dict() for item in model.items]
+        assert payload["items"] == [_as_json(item) for item in model.items]
         assert payload["grid"] == {"nodes": list(model.grid.nodes),
                                    "weights": list(model.grid.weights)}
         assert payload["discretization"] == [

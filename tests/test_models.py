@@ -28,6 +28,8 @@ from irtimpute.models import (
     GradedItem,
     ItemModel,
     NominalItem,
+    _as_json,
+    _from_json,
     category_probs,
     log_category_probs,
     pattern_loglik,
@@ -312,11 +314,11 @@ class TestSerialization:
     def test_dict_roundtrip(self, family):
         rng = np.random.default_rng(43)
         item = dataclasses.replace(random_item(rng, family, m=4), column="col")
-        assert ItemModel.from_dict(item.to_dict()) == item
+        assert _from_json(ItemModel, _as_json(item)) == item
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DataError):
-            ItemModel.from_dict({"column": "c", "family": "rasch", "a": 1.0})
+            _from_json(ItemModel, {"column": "c", "family": "rasch", "a": 1.0})
 
 
 class TestItemIsItsFamily:
@@ -336,7 +338,7 @@ class TestItemIsItsFamily:
     def test_rebuilt_items_keep_their_column(self, family):
         item = dataclasses.replace(
             random_item(np.random.default_rng(73), family), column="kept")
-        assert ItemModel.from_dict(item.to_dict()).column == "kept"
+        assert _from_json(ItemModel, _as_json(item)).column == "kept"
         assert item.from_x(item.to_x()).column == "kept"
         assert item.with_vector(item.vector()).column == "kept"
         assert dataclasses.replace(item, column="new").column == "new"
@@ -359,7 +361,22 @@ class TestFamilyProtocol:
         assert item.family == family
         assert item.n_categories == category_probs(0.0, item).shape[-1]
         assert item.with_vector(item.vector()) == item
-        assert type(item).from_dict(item.to_dict()) == item
+        assert _from_json(ItemModel, _as_json(item)) == item
+
+    @pytest.mark.parametrize("family, m", [("2pl", 2)] + [
+        (family, m) for family in ("grm", "nrm") for m in range(2, 7)])
+    def test_m_step_reads_the_items_log_probs(self, family, m):
+        # the M-step's objective at x is the likelihood that the E-step,
+        # EAP and imputation read from the item it returns, bit for bit
+        nodes = build_grid().node_array()
+        rng = np.random.default_rng(59)
+        for _ in range(15):
+            item = random_item(rng, family, m=m)
+            x = item.to_x()
+            natural = item.kernel.natural(x[None])
+            np.testing.assert_array_equal(
+                item.kernel.derivatives(*natural, nodes)[0][0],
+                item.from_x(x).log_probs(nodes))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_x_space_round_trip_and_interior_clamp(self, family):

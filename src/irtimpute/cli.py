@@ -54,8 +54,9 @@ from .estimation import (
 )
 from .impute import impute_dataset
 from .metrics import report_text, score_cells
-from .missingness import (DEFAULT_DIRECTION, MAR_DIRECTIONS, inject_mar,
-                          inject_mcar, littles_test)
+from .missingness import (DEFAULT_DIRECTION, MAR_DIRECTIONS,
+                          conditional_values, inject_mar, inject_mcar,
+                          littles_test)
 
 __all__ = ["main"]
 
@@ -467,6 +468,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not target_schema.is_categorical or target_schema.role != "feature":
         raise UsageError("--target must be a categorical feature column")
     truth = load_csv(args.data, schemas, args.missing_tokens)
+    if "mar" in mechanisms:
+        # refused here, not at the first mar cell after the mcar fits
+        conditional_values(truth, args.conditional)
 
     bins, config = _fit_options(args)
     little_rows = []

@@ -42,7 +42,11 @@ give cannot turn into ``0 × -inf = nan``.
 Convergence is declared when a cycle's closing map changes no parameter by
 more than the tolerance, not on the log-likelihood change.  Scoring is the
 posterior mean (and SD) of the trait on the same grid; missing cells simply
-drop out of the pattern likelihood.
+drop out of the pattern likelihood.  Scoring builds ``X @ L`` without the
+design: each case's row starts from the log prior and gathers its items'
+rows of ``L`` in item order, the same additions in the same order, so it
+matches the product bit for bit and needs no scipy.  Only the fit imports
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -513,7 +517,7 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
     a seeded +-0.01 jitter to break the symmetry of the anchored softmax.
     Raises for data that cannot be fitted.
     """
-    from scipy.special import ndtri
+    from statistics import NormalDist
     if not data.feature_indices:
         raise DataError("dataset has no feature columns")
     rng = np.random.default_rng(config.seed)
@@ -535,7 +539,8 @@ def _initial_items(data: CategoricalDataset, config: FitConfig
         proportions = counts / counts.sum()
         if schema.kind != "nominal":
             cum = np.clip(np.cumsum(proportions)[:-1], 1e-3, 1 - 1e-3)
-            bs = _separate(ndtri(cum), 1e-3)
+            bs = _separate(np.array([NormalDist().inv_cdf(p) for p in cum]),
+                           1e-3)
             family = Binary2PL if schema.kind == "binary" else GradedItem
             items.append(family.from_bounds(1.0, bs, schema.name))
         else:
@@ -673,10 +678,42 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
 # EAP scoring
 # ---------------------------------------------------------------------------
 
+# rows of the log joint built at a time: at 61 nodes a block and its
+# gathered item rows take 0.5 MB each, so both stay in a core's L2 cache
+_JOINT_BLOCK = 1024
+
+
+def _log_joint(codes: np.ndarray, items: tuple[ItemModel, ...],
+               grid: QuadratureGrid) -> np.ndarray:
+    """Every case's log prior plus log pattern likelihood, cases × nodes.
+
+    The bits of ``_design(codes, items) @ _log_table(items, grid)``: each
+    row starts from the log prior and adds the items' rows in item order.
+    A missing cell adds a zero row, which changes no sum.  Rows go in
+    blocks of ``_JOINT_BLOCK``, so the added rows stay in cache.
+    """
+    table = _log_table(items, grid)
+    starts = np.cumsum([1, *(item.n_categories for item in items)])
+    # codes are in range, and "wrap" sends code -1 to the zero row appended
+    # to each item's table; it skips the bounds check "raise" makes
+    tables = [np.vstack([table[lo:hi], np.zeros((1, grid.size))])
+              for lo, hi in zip(starts[:-1], starts[1:])]
+    joint = np.empty((codes.shape[0], grid.size))
+    term = np.empty((min(_JOINT_BLOCK, codes.shape[0]), grid.size))
+    for lo in range(0, codes.shape[0], _JOINT_BLOCK):
+        rows = joint[lo:lo + _JOINT_BLOCK]
+        gathered = term[:len(rows)]
+        rows[:] = table[0]
+        for item_table, item_codes in zip(tables, codes[lo:lo + len(rows)].T):
+            np.take(item_table, item_codes, axis=0, out=gathered, mode="wrap")
+            rows += gathered
+    return joint
+
+
 def _eap(codes: np.ndarray, model: FittedModel
          ) -> tuple[np.ndarray, np.ndarray]:
     posterior, _ = _posteriors_and_loglik(
-        _design(codes, model.items) @ _log_table(model.items, model.grid))
+        _log_joint(codes, model.items, model.grid))
     nodes = model.grid.node_array()
     means = posterior @ nodes
     second = posterior @ (nodes ** 2)

@@ -10,7 +10,9 @@ Little's test compares per-pattern observed means against the maximum
 likelihood estimates under multivariate normality; a small p-value rejects
 the completely-at-random hypothesis.  Category codes enter as plain
 numbers, a deliberate approximation for categorical data (the test is a
-mean-comparison screen, not a distributional fit).
+mean-comparison screen, not a distributional fit).  Its degrees of freedom
+are an integer, so the χ² p-value is a finite sum (``_chi2_tail``) and the
+test needs no scipy.
 
 Rows are grouped by ``np.unique`` over the bit-packed observed masks
 (exact for any column count) and sorted by pattern, the patterns by their
@@ -33,6 +35,8 @@ or Σ that is not finite (the sums overflowed) raises ``NumericalFailure``.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -87,6 +91,17 @@ def inject_mcar(data: CategoricalDataset, target: str, fraction: float,
     return data.with_cells(cells)
 
 
+def conditional_values(data: CategoricalDataset, conditional: str
+                       ) -> np.ndarray:
+    """The column a mar injection ranks rows by; it must be fully observed."""
+    values = data.cells[:, data.column_index(conditional)]
+    if np.any(values == MISSING):
+        raise DataError(
+            f"conditional column {conditional!r} must be fully observed"
+        )
+    return values
+
+
 def inject_mar(data: CategoricalDataset, target: str, conditional: str,
                fraction: float, direction: str = DEFAULT_DIRECTION
                ) -> CategoricalDataset:
@@ -98,17 +113,12 @@ def inject_mar(data: CategoricalDataset, target: str, conditional: str,
     deterministic.  Row order of the output matches the input.
     """
     j = _target_index(data, target)
-    c = data.column_index(conditional)
-    if c == j:
+    if data.column_index(conditional) == j:
         raise DataError("conditional column must differ from the target")
     if direction not in MAR_DIRECTIONS:
         raise DataError(
             f"direction must be one of {MAR_DIRECTIONS}, got {direction!r}")
-    values = data.cells[:, c]
-    if np.any(values == MISSING):
-        raise DataError(
-            f"conditional column {conditional!r} must be fully observed"
-        )
+    values = conditional_values(data, conditional)
     if np.all(values == values[0]):
         warnings.warn(
             f"conditional column {conditional!r} is constant; the selection "
@@ -275,6 +285,39 @@ def _em_normal(y: np.ndarray, filled: np.ndarray, n_complete: int,
     return mean, cov
 
 
+# Terms of the χ² tail more than this far (in log) below the largest one
+# are left out: even 10⁶ of them cannot change the sum's last bit.
+_TAIL_WINDOW = 50.0
+
+
+def _chi2_tail(x: float, df: int) -> float:
+    """P(χ² > x) with ``df`` > 0 degrees of freedom, for a finite ``x``.
+
+    With y = x / 2 and h = 1/2 for odd ``df`` (else 0), the tail is
+    [erfc √y, for odd df] + Σ e⁻ʸ y^(i+h) / Γ(i+h+1) over i < df // 2.
+    The terms rise to their largest at i = ⌊y − h⌋ and fall away on both
+    sides, so the sum walks out from there until they drop below the
+    window.
+    """
+    if x <= 0:
+        return 1.0
+    y, h, n = x / 2.0, 0.5 * (df % 2), df // 2
+    head = math.erfc(math.sqrt(y)) if h else 0.0
+    if n == 0:
+        return head
+    log_y = math.log(y)
+
+    def log_term(i: int) -> float:
+        return (i + h) * log_y - y - math.lgamma(i + h + 1.0)
+
+    peak = min(max(int(y - h), 0), n - 1)
+    floor = log_term(peak) - _TAIL_WINDOW
+    terms = []
+    for side in (range(peak, -1, -1), range(peak + 1, n)):
+        terms += itertools.takewhile(lambda t: t > floor, map(log_term, side))
+    return head + math.fsum(map(math.exp, terms))
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of a C-contiguous uint8 matrix as one ``np.void`` key."""
     return rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
@@ -346,6 +389,5 @@ def littles_test(y: np.ndarray) -> LittleTestResult:
     df = int(patterns.sum()) - y.shape[1]
     if df <= 0:
         return LittleTestResult(statistic, 0, 1.0, counts.size)
-    from scipy.special import chdtrc
-    p_value = float(chdtrc(df, statistic))
+    p_value = _chi2_tail(statistic, df)
     return LittleTestResult(statistic, df, p_value, counts.size)

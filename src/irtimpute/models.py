@@ -33,15 +33,17 @@ carries those to x-space; and ``clamp``, the projection onto the parameter
 boxes.  Binary and graded items share the cumulative kernel, nominal items
 use the softmax one.
 
-Log-probabilities are computed directly in log space (``log_expit``, a
+Log-probabilities are computed directly in log space (``_log_expit``, a
 max-subtracted log-softmax), so they cannot overflow and tail categories
 stay accurate far into the extremes.  A graded category's probability is
 not the difference of two boundary curves, which loses every digit once
 both curves round to 1.
 
-``scipy.special`` is imported inside the functions that call it, here and
-in :mod:`irtimpute.estimation` and :mod:`irtimpute.missingness`, so a
-command that computes no probability (``evaluate``) never loads scipy.
+The logistic functions are numpy ufunc chains: ``_log_expit`` is
+``-logaddexp(0, -x)``, the same bits as ``scipy.special.log_expit``, and
+``_expit`` is ``1 / (1 + exp(-x))``, within a few ulps of
+``scipy.special.expit``.  No probability needs scipy, so a command that
+only applies a saved model (``impute --model``) runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -115,13 +117,23 @@ def _bound_events(column: str, slope: float | None, locations) -> list[str]:
     return events
 
 
+def _log_expit(x):
+    """``log(sigmoid(x))``, accurate for large ``|x|`` of either sign."""
+    return -np.logaddexp(0.0, -x)
+
+
+def _expit(x):
+    """``sigmoid(x)``; 0 where ``exp(-x)`` overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _cumulative_log_probs(z: np.ndarray) -> np.ndarray:
     """Log category probabilities from boundary logits ``z`` (..., m - 1)."""
-    from scipy.special import log_expit
     m = z.shape[-1] + 1
     out = np.empty(z.shape[:-1] + (m,))
-    out[..., 0] = log_expit(-z[..., 0])
-    out[..., m - 1] = log_expit(z[..., m - 2])
+    out[..., 0] = _log_expit(-z[..., 0])
+    out[..., m - 1] = _log_expit(z[..., m - 2])
     if m > 2:
         # log(sigmoid(x) - sigmoid(y)) for x > y, rearranged so each
         # factor is evaluated in log space:
@@ -130,7 +142,7 @@ def _cumulative_log_probs(z: np.ndarray) -> np.ndarray:
         y = z[..., 1:]
         with np.errstate(divide="ignore"):
             out[..., 1:-1] = (
-                log_expit(x) + log_expit(-y) + np.log1p(-np.exp(y - x))
+                _log_expit(x) + _log_expit(-y) + np.log1p(-np.exp(y - x))
             )
     return out
 
@@ -167,7 +179,6 @@ class _Cumulative:
     @staticmethod
     def derivatives(a: np.ndarray, bs: np.ndarray, theta: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        from scipy.special import expit
         t = theta[None, :, None] - bs[:, None, :]
         a = a[:, None, None]
         z = a * t
@@ -179,7 +190,7 @@ class _Cumulative:
         # density of each boundary curve, with flat virtual boundaries at
         # the ends (s_0 = s_m = 0)
         s = np.zeros(z.shape[:-1] + (m + 1,))
-        s[..., 1:-1] = expit(z) * expit(-z)
+        s[..., 1:-1] = _expit(z) * _expit(-z)
         ts = np.zeros_like(s)
         ts[..., 1:-1] = t * s[..., 1:-1]
         d_theta = a * (s[..., :-1] - s[..., 1:]) * inv_pi
@@ -479,9 +490,8 @@ _CLASS_BY_FAMILY = {cls.family: cls for cls in (Binary2PL, GradedItem,
 
 def prob_2pl(theta, a: float, b: float):
     """P(u = 1 | theta) for a binary two-parameter logistic item."""
-    from scipy.special import expit
     theta = np.asarray(theta, dtype=np.float64)
-    out = expit(a * (theta - b))
+    out = _expit(a * (theta - b))
     return float(out) if out.ndim == 0 else out
 
 

@@ -42,6 +42,15 @@ from irtimpute.models import (
 )
 
 
+def ulp_distance(got, want) -> np.ndarray:
+    """``|got - want|`` in units in the last place of ``want``; 0 where the
+    two are equal, infinities included."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    spacing = np.spacing(np.maximum(np.abs(want), np.finfo(float).tiny))
+    with np.errstate(invalid="ignore"):
+        return np.where(got == want, 0.0, np.abs(got - want) / spacing)
+
+
 def random_item(rng: np.random.Generator, family: str, m: int = 4,
                 min_gap: float = 0.3) -> ItemModel:
     """One random item with well-separated parameters.

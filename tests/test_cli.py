@@ -377,7 +377,7 @@ def test_cli_imports_no_private_name():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats takes most of a CLI start-up; scipy.special serves instead
+    # scipy.stats takes most of a CLI start-up; no command needs it
     src = str(Path(irtimpute.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
@@ -388,8 +388,7 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_cli_import_leaves_out_scipy():
-    # commands load scipy where they compute probabilities, so evaluate,
-    # which computes none, starts on numpy alone
+    # only the fit's sparse E-step loads scipy, when it runs
     src = str(Path(irtimpute.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c",
@@ -398,6 +397,57 @@ def test_cli_import_leaves_out_scipy():
         env=dict(os.environ, PYTHONPATH=src), check=True,
         capture_output=True, text=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def scipy_loaded_by(argv) -> tuple[list[str], list[str]]:
+    """Run ``main(argv)`` in a child process, which must exit 0; return its
+    stdout lines and the scipy modules it loaded."""
+    src = str(Path(irtimpute.__file__).resolve().parents[1])
+    argv = [str(token) for token in argv]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from irtimpute.cli import main; "
+         f"rc = main({argv!r}); "
+         "print(rc, sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True, timeout=60)
+    lines = out.stdout.splitlines()
+    rc, loaded = lines[-1].split(" ", 1)
+    assert rc == "0"
+    return lines[:-1], ast.literal_eval(loaded)
+
+
+class TestScipyImports:
+    """Only the fit's sparse E-step imports scipy, and only scipy.sparse."""
+
+    def test_applying_a_model_loads_no_scipy(self, corpus, holed, tmp_path):
+        model, filled = tmp_path / "model.json", tmp_path / "filled.csv"
+        cols = corpus / "truth.cols"
+        assert run(["fit", "--data", holed, "--schema", cols,
+                    "--out", model]) == 0
+        for argv in (["impute", "--data", holed, "--schema", cols,
+                      "--model", model, "--out", filled,
+                      "--probabilities", tmp_path / "probs.csv"],
+                     ["evaluate", "--truth", corpus / "truth.csv",
+                      "--with-missing", holed, "--imputed", filled,
+                      "--schema", cols]):
+            _, loaded = scipy_loaded_by(argv)
+            assert loaded == [], argv[0]
+
+    def test_fitting_loads_only_scipy_sparse(self, corpus, holed, tmp_path):
+        cols = corpus / "truth.cols"
+        for argv in (["fit", "--data", holed, "--schema", cols,
+                      "--out", tmp_path / "model.json"],
+                     ["impute", "--data", holed, "--schema", cols,
+                      "--out", tmp_path / "filled.csv"],
+                     ["bench", "--data", corpus / "truth.csv", "--schema", cols,
+                      "--target", "item02", "--mechanisms", "mcar",
+                      "--fractions", "0.2", "--out", tmp_path / "r.txt"]):
+            _, loaded = scipy_loaded_by(argv)
+            assert "scipy.sparse" in loaded, argv[0]
+            assert not [m for m in loaded if m.startswith("scipy.special")], \
+                argv[0]
 
 
 class TestDataErrorBoundary:
@@ -860,23 +910,11 @@ class TestMcarTestCommand:
         assert 0.0 <= float(fields["p-value"]) <= 1.0
 
     def test_leaves_out_scipy_sparse(self, corpus, holed):
-        # Little's test works on dense arrays; only chdtrc comes from scipy
-        src = str(Path(irtimpute.__file__).resolve().parents[1])
-        argv = ["mcar-test", "--data", str(holed),
-                "--schema", str(corpus / "truth.cols")]
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from irtimpute.cli import main; "
-             f"rc = main({argv!r}); "
-             "print(rc, [m for m in sys.modules if m.startswith('scipy.')])"],
-            env=dict(os.environ, PYTHONPATH=src), check=True,
-            capture_output=True, text=True, timeout=60)
-        lines = out.stdout.splitlines()
+        # Little's test works on dense arrays and sums its own χ² tail
+        lines, loaded = scipy_loaded_by(
+            ["mcar-test", "--data", holed, "--schema", corpus / "truth.cols"])
         assert lines[0] == "Little's MCAR test"
-        rc, loaded = lines[-1].split(" ", 1)
-        assert rc == "0"
-        assert "scipy.special" in loaded
-        assert "scipy.sparse" not in loaded
+        assert loaded == []
 
     def test_complete_data_is_single_pattern(self, corpus, capsys):
         rc = run(["mcar-test", "--data", corpus / "truth.csv",
@@ -1014,6 +1052,23 @@ class TestBenchCommand:
         assert run(base + ["--conditional", "item00"]) == 0
         assert [r for r in caplog.records
                 if r.getMessage().startswith("fitting")]
+
+    def test_conditional_with_gaps_fits_nothing(
+            self, corpus, holed, tmp_path, capsys, caplog, monkeypatch):
+        monkeypatch.setenv("IRTIMPUTE_LOG", "INFO")
+        caplog.set_level(logging.INFO, logger="irtimpute")
+        capsys.readouterr()
+        # item02 has missing cells in the holed file; mcar cells run first
+        rc = run(["bench", "--data", holed, "--schema", corpus / "truth.cols",
+                  "--target", "item00", "--conditional", "item02",
+                  "--fractions", "0.1,0.3", "--out", tmp_path / "r.txt"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: data: conditional column 'item02' must be "
+                       "fully observed"]
+        assert not [r for r in caplog.records
+                    if r.getMessage().startswith(("fitting", "mcar"))]
+        assert not (tmp_path / "r.txt").exists()
 
     def test_report_names_the_direction(self, corpus, tmp_path):
         base = ["bench", "--data", corpus / "truth.csv",

@@ -9,10 +9,12 @@ frozen (seeds recorded with each test).
 import dataclasses
 import json
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from helpers import (
@@ -22,6 +24,7 @@ from helpers import (
     random_item,
     reference_m_step,
     reference_objective,
+    ulp_distance,
 )
 from irtimpute import estimation
 from irtimpute.data import (
@@ -44,6 +47,7 @@ from irtimpute.estimation import (
     FittedModel,
     QuadratureGrid,
     _design,
+    _log_table,
     _m_step,
     _objective,
     _posteriors_and_loglik,
@@ -207,23 +211,28 @@ class TestEStep:
                 _posteriors_and_loglik(log_joint)
 
 
+def mixed_codes(seed):
+    """2PL, graded and nominal items with 2000 rows of their codes: 20 % of
+    cells missing and the last row missing everywhere."""
+    rng = np.random.default_rng(seed)
+    items = (
+        dataclasses.replace(random_item(rng, "2pl"), column="u"),
+        dataclasses.replace(random_item(rng, "grm", m=4), column="v"),
+        dataclasses.replace(random_item(rng, "nrm", m=3), column="w"),
+    )
+    codes = np.column_stack([rng.integers(item.n_categories, size=2000)
+                             for item in items])
+    codes[rng.uniform(size=codes.shape) < 0.2] = MISSING
+    codes[-1] = MISSING
+    return items, codes
+
+
 class TestSparseEStep:
     def test_bit_identical_to_dense_loop(self):
-        # 2PL, graded and nominal items; 20 % of cells missing and the last
-        # row missing everywhere
-        rng = np.random.default_rng(17)
-        items = (
-            dataclasses.replace(random_item(rng, "2pl"), column="u"),
-            dataclasses.replace(random_item(rng, "grm", m=4), column="v"),
-            dataclasses.replace(random_item(rng, "nrm", m=3), column="w"),
-        )
+        items, codes = mixed_codes(17)
         schemas = (ColumnSchema("u", "binary"),
                    ColumnSchema("v", "ordinal", arity=4),
                    ColumnSchema("w", "nominal", arity=3))
-        codes = np.column_stack([rng.integers(item.n_categories, size=2000)
-                                 for item in items])
-        codes[rng.uniform(size=codes.shape) < 0.2] = MISSING
-        codes[-1] = MISSING
         data = CategoricalDataset(schemas, codes.astype(float))
         grid = build_grid()
         result = e_step(data, items, grid)
@@ -252,6 +261,20 @@ class TestSparseEStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return _posteriors_and_loglik(_design(codes, items) @ table)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("seed", [17, 19])
+    def test_eap_log_joint_is_the_sparse_product(self, seed, block,
+                                                  monkeypatch):
+        # scoring gathers and adds rows without the design; a block of 7
+        # rows puts seams inside the 2000 rows and leaves a short last block
+        if block is not None:
+            monkeypatch.setattr(estimation, "_JOINT_BLOCK", block)
+        items, codes = mixed_codes(seed)
+        grid = build_grid()
+        want = _design(codes, items) @ _log_table(items, grid)
+        got = estimation._log_joint(codes, items, grid)
+        assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_unobserved_minus_inf_leaves_posterior_finite(self):
         codes = np.array([[1, MISSING], [1, 0], [MISSING, MISSING]])
@@ -431,6 +454,21 @@ class TestMStep:
 
 
 class TestFit:
+    def test_initial_boundaries_are_normal_quantiles(self):
+        # statistics' inverse normal stands in for scipy's ndtri
+        p = np.linspace(1e-3, 1 - 1e-3, 20001)
+        got = [NormalDist().inv_cdf(v) for v in p]
+        assert ulp_distance(got, ndtri(p)).max() <= 8
+        # and gives a graded column's starting boundaries
+        rng = np.random.default_rng(73)
+        codes = rng.choice(12, size=3000, p=rng.dirichlet(np.full(12, 4.0)))
+        data = CategoricalDataset((ColumnSchema("v", "ordinal", arity=12),),
+                                  codes[:, None].astype(float))
+        (item,) = estimation._initial_items(data, FitConfig())
+        cum = np.cumsum(np.bincount(codes, minlength=12) / codes.size)[:-1]
+        want = ndtri(np.clip(cum, 1e-3, 1 - 1e-3))
+        assert ulp_distance(item.boundaries, want).max() <= 8
+
     def test_small_recovery_smoke(self):
         # N=600, 6 binary items: loose sanity bound; the full frozen
         # N=2000 recovery runs live in the acceptance suite

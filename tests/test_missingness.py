@@ -6,11 +6,13 @@ complete column from all rows, regression moments from complete rows),
 which the EM estimates must reproduce.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import chdtrc
 from scipy.stats import chi2
 
 from helpers import littles_test_loop
@@ -23,6 +25,7 @@ from irtimpute.errors import (
 from irtimpute import missingness
 from irtimpute.missingness import (
     LittleTestResult,
+    _chi2_tail,
     _row_keys,
     _solve_observed,
     inject_mar,
@@ -162,6 +165,32 @@ def monotone_bivariate_oracle(y, n_complete):
     tail = y[n_complete:, 0].mean() - mu1
     stat += (len(y) - n_complete) * tail * tail / s11
     return stat, chi2.sf(stat, 1)
+
+
+class TestChiSquareTail:
+    """The finite-sum χ² tail against scipy's chdtrc, its oracle."""
+
+    def test_matches_chdtrc(self):
+        rng = np.random.default_rng(37)
+        dfs = np.concatenate([np.arange(1, 21), np.unique(np.round(
+            np.exp(rng.uniform(np.log(21), np.log(300_000), 60))))])
+        for df in dfs.astype(int):
+            sd = math.sqrt(2.0 * df)
+            for x in np.maximum(df + sd * rng.uniform(-6.0, 6.0, 6), 1e-3):
+                got, want = _chi2_tail(float(x), int(df)), chdtrc(df, x)
+                assert abs(got - want) <= 1e-9 * want, (df, x)
+                assert f"{got:.6g}" == f"{want:.6g}", (df, x)
+
+    def test_closed_forms_of_one_and_two_df(self):
+        for x in (1e-6, 0.3, 1.0, 7.5, 40.0, 300.0):
+            assert_allclose(_chi2_tail(x, 1), math.erfc(math.sqrt(x / 2)),
+                            rtol=1e-15)
+            assert_allclose(_chi2_tail(x, 2), math.exp(-x / 2), rtol=1e-15)
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 100_218])
+    def test_nonpositive_statistic_has_tail_one(self, df):
+        assert _chi2_tail(0.0, df) == 1.0
+        assert _chi2_tail(-3.0, df) == 1.0
 
 
 class TestLittlesTest:

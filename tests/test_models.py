@@ -10,14 +10,15 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy.special import log_expit
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit, log_expit
 
 from helpers import (
     finite_difference_score,
     random_item,
     random_items,
     random_pattern,
+    ulp_distance,
 )
 from irtimpute.cli import main
 from irtimpute.data import CategoricalDataset, ColumnSchema, emit_csv
@@ -29,7 +30,9 @@ from irtimpute.models import (
     ItemModel,
     NominalItem,
     _as_json,
+    _expit,
     _from_json,
+    _log_expit,
     category_probs,
     log_category_probs,
     pattern_loglik,
@@ -192,6 +195,23 @@ class TestLogProbs:
         for z in (-60.0, -45.0, 40.0, 55.0):
             logs = log_category_probs(b + z / a, item)
             assert_allclose(logs, [log_expit(-z), log_expit(z)], rtol=1e-12)
+
+
+class TestLogisticAgainstScipy:
+    """The numpy logistic functions against their scipy.special oracles."""
+
+    X = np.concatenate([
+        np.random.default_rng(29).normal(0.0, 40.0, 200_000),
+        np.random.default_rng(31).uniform(-800.0, 800.0, 200_000),
+        [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf],
+    ])
+
+    def test_log_expit_is_scipys_bit_for_bit(self):
+        assert_array_equal(_log_expit(self.X).view(np.int64),
+                           log_expit(self.X).view(np.int64))
+
+    def test_expit_within_four_ulp(self):
+        assert ulp_distance(_expit(self.X), expit(self.X)).max() <= 4
 
 
 class TestOneProbabilityPath:

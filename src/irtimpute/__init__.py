@@ -48,6 +48,7 @@ from .estimation import (
     eap_score,
     eap_scores,
     fit,
+    fit_many,
     load_model,
     m_step_item,
     save_model,

@@ -18,6 +18,7 @@ Failures print one ``error: <kind>: <message>`` line to stderr.  Set the
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import logging
@@ -34,6 +35,7 @@ from .data import (
     MISSING_TOKENS,
     CategoricalDataset,
     ColumnSchema,
+    DiscretizationMap,
     apply_discretization,
     atomic_write,
     discretize_dataset,
@@ -49,6 +51,7 @@ from .estimation import (
     FittedModel,
     diagnostics_report,
     fit,
+    fit_many,
     load_model,
     save_model,
 )
@@ -307,17 +310,24 @@ def _fit_options(args: argparse.Namespace) -> tuple[int, FitConfig]:
             FitConfig(grid_range=grid_range, **given))
 
 
-def _fit_on(data: CategoricalDataset, bins: int, config: FitConfig
-            ) -> FittedModel:
-    """Discretize continuous features, then fit; the model keeps the cut
+def _fit_input(data: CategoricalDataset, bins: int, config: FitConfig
+               ) -> tuple[CategoricalDataset, tuple[DiscretizationMap, ...]]:
+    """``data`` with its continuous features discretized, and the cut
     points, in column-name order."""
     data, maps = discretize_dataset(data, bins)
     for mapping in maps.values():
         logger.info("discretized %r into %d bins, cuts %s",
                     mapping.column, mapping.bins, list(mapping.cuts))
     logger.info("fitting %d cases with seed %d", data.n_rows, config.seed)
-    ordered = tuple(maps[column] for column in sorted(maps))
-    return dataclasses.replace(fit(data, config), discretization=ordered)
+    return data, tuple(maps[column] for column in sorted(maps))
+
+
+def _fit_on(data: CategoricalDataset, bins: int, config: FitConfig
+            ) -> FittedModel:
+    """Discretize continuous features, then fit; the model keeps the cut
+    points."""
+    data, maps = _fit_input(data, bins, config)
+    return dataclasses.replace(fit(data, config), discretization=maps)
 
 
 def _scored_cells(truth: CategoricalDataset, holed: CategoricalDataset
@@ -459,7 +469,36 @@ def _majority_fill(view: CategoricalDataset, target: str
     return view.with_cells(cells)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def _bench_rows(truth: CategoricalDataset, target: str, model: FittedModel,
+                blanked: np.ndarray, little, maps, cell) -> tuple[str, str]:
+    """One bench cell's rows of the Little's-test and F1 tables: impute the
+    cell, ``truth`` with ``blanked`` as its target column, with ``model``
+    and score its blanked cells."""
+    mechanism, fraction = cell
+    cells = np.array(truth.cells)
+    cells[:, truth.column_index(target)] = blanked
+    injected = truth.with_cells(cells)
+    model = dataclasses.replace(model, discretization=maps)
+    view = apply_discretization(injected, model.discretization)
+    result = impute_dataset(view, model)
+    truth_view = apply_discretization(truth, model.discretization)
+    mask, _ = _scored_cells(truth, injected)
+    scored = score_cells(truth_view, result.completed, mask)
+    baseline = score_cells(truth_view, _majority_fill(view, target), mask)
+    cells = len(mask)
+    return (f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
+            f"{little.statistic:<12.6f} {little.df:<4d} "
+            f"{little.p_value:.6g}",
+            f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
+            f"{scored.macro_f1:<12.6f} {scored.micro_f1:<12.6f} "
+            f"{baseline.macro_f1:<15.6f} {baseline.micro_f1:.6f}")
+
+
+def _bench_setup(args: argparse.Namespace
+                 ) -> tuple[CategoricalDataset, tuple[str, ...],
+                            tuple[float, ...]]:
+    """The truth and the sweep's mechanisms and fractions, once the flags
+    and the conditional column pass."""
     fractions = _parse_fractions(args.fractions)
     mechanisms = _parse_mechanisms(args.mechanisms)
     schemas = load_schema(args.schema)
@@ -471,35 +510,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if "mar" in mechanisms:
         # refused here, not at the first mar cell after the mcar fits
         conditional_values(truth, args.conditional)
+    return truth, mechanisms, fractions
 
-    bins, config = _fit_options(args)
-    little_rows = []
-    f1_rows = []
-    for cell_index, (mechanism, fraction) in enumerate(
-            itertools.product(mechanisms, fractions)):
-        injected = _inject(truth, args, mechanism, fraction,
-                           config.seed + cell_index)
-        little = littles_test(injected.to_numeric(injected.feature_indices))
 
-        model = _fit_on(injected, bins, config)
-        view = apply_discretization(injected, model.discretization)
-        result = impute_dataset(view, model)
-        truth_view = apply_discretization(truth, model.discretization)
-        mask, _ = _scored_cells(truth, injected)
-        scored = score_cells(truth_view, result.completed, mask)
-        baseline = score_cells(
-            truth_view, _majority_fill(view, args.target), mask)
-
-        cells = len(mask)
-        little_rows.append(
-            f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
-            f"{little.statistic:<12.6f} {little.df:<4d} "
-            f"{little.p_value:.6g}")
-        f1_rows.append(
-            f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
-            f"{scored.macro_f1:<12.6f} {scored.micro_f1:<12.6f} "
-            f"{baseline.macro_f1:<15.6f} {baseline.micro_f1:.6f}")
-
+def _write_bench_report(args: argparse.Namespace, mechanisms, fractions,
+                        bins: int, config: FitConfig, little_rows, f1_rows
+                        ) -> None:
     direction = ((args.direction or DEFAULT_DIRECTION)
                  if "mar" in mechanisms else "-")
     lines = [
@@ -529,6 +545,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    truth, mechanisms, fractions = _bench_setup(args)
+    bins, config = _fit_options(args)
+    sweep = list(itertools.product(mechanisms, fractions))
+    prepared: collections.deque = collections.deque()
+
+    def fit_inputs():
+        # fit_many reads the cells a group at a time and fits each group
+        # together
+        for cell_index, (mechanism, fraction) in enumerate(sweep):
+            injected = _inject(truth, args, mechanism, fraction,
+                               config.seed + cell_index)
+            little = littles_test(
+                injected.to_numeric(injected.feature_indices))
+            data, maps = _fit_input(injected, bins, config)
+            # the cell differs from the truth in its target column alone
+            prepared.append((injected.column_values(args.target),
+                             little, maps))
+            yield data
+
+    # fit_many comes first: it prepares a cell before the cell is taken
+    rows = [_bench_rows(truth, args.target, model, *prepared.popleft(), cell)
+            for model, cell in zip(fit_many(fit_inputs(), config), sweep)]
+    _write_bench_report(args, mechanisms, fractions, bins, config,
+                        *zip(*rows))
     return 0
 
 

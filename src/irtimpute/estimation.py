@@ -13,7 +13,10 @@ grid carrying standard-normal prior weights.  One EM map is:
   (Bock & Aitkin 1981); coordinates pressed out of the parameter box are
   held, as in Bertsekas's projected Newton.  Items that share a kernel and
   a category count take one stacked Newton, but every item converges,
-  halves its step and fails on its own.
+  halves its step and fails on its own: a failed item is reported, not
+  raised, and its fit gets the error it would get alone.  An item whose
+  trial step rounds back to its point leaves the step-halving, since
+  every shorter step would repeat that trial.
 
 The fit runs the map in SQUAREM cycles (Varadhan & Roland 2008, step length
 S3) over the stacked x-space vector of all items.  Two maps x1 = F(x0) and
@@ -23,6 +26,18 @@ the parameter boxes and one map is taken from it.  A monotone guard keeps
 x2 instead when the projected point's log-likelihood is below x1's, so the
 log-likelihood never falls.  A plain map ends each cycle; near the
 iteration cap, which counts maps, only plain maps run.
+
+:func:`fit_many` runs several fits in lockstep, and :func:`fit` is its
+one-fit case.  Every active fit takes each phase of a cycle together: x1,
+x2, the guarded extrapolation, the map of each kept trial point, and the
+closing map.  Each fit keeps its own trace, clamp events, convergence test
+and iteration cap.  The E-steps stay per fit, but each phase's M-steps are
+one stacked call over the items of every fit, so a kernel's Newton runs
+once per phase, not once per fit.  No item's update depends on the other
+rows of its stack, so each fit gets the bits it gets alone.  A failed
+fit's error waits until the models of the fits before it are out.  The
+datasets are read in groups whose designs stay within ``DESIGN_BUDGET``
+bytes, so a group of large fits holds about what one fit holds.
 
 The E-step is two sparse products.  The code matrix is encoded once per fit
 as a CSR design ``X`` of shape cases × (1 + ΣK): column 0 holds ones, then
@@ -55,7 +70,7 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -64,6 +79,7 @@ from .errors import (
     DataError,
     EmptyCategory,
     InsufficientData,
+    IrtImputeError,
     NewtonDiverged,
     NumericalFailure,
     UnobservedCategory,
@@ -89,6 +105,11 @@ COUNT_FLOOR = 1e-10
 # (relative to the objective's magnitude).
 NEWTON_MAX_ITER = 20
 NEWTON_TOL = 1e-8
+
+# Bytes of design that :func:`fit_many` holds in one lockstep group.  At
+# 1 500 cases of 13 items a design takes 0.26 MB, so a six-cell bench is one
+# group; a design over half of this runs alone.
+DESIGN_BUDGET = 4 * 2**20
 
 MODEL_FORMAT = "irtimpute-model"
 MODEL_VERSION = 1
@@ -201,11 +222,16 @@ def _design(codes: np.ndarray, items: tuple[ItemModel, ...]) -> csr_array:
     from scipy.sparse import csr_array
     sizes = [item.n_categories for item in items]
     starts = np.cumsum([1, *sizes])
-    n = codes.shape[0]
-    columns = np.column_stack([np.zeros(n, np.int64), codes + starts[:-1]])
+    n, k = codes.shape
+    # int32 indices where they fit take half the bytes, and the products
+    # add the same terms
+    index = np.int32 if n * (1 + k) < 2**31 else np.int64
+    columns = np.zeros((n, 1 + k), index)
+    np.add(codes, starts[:-1], out=columns[:, 1:], casting="unsafe")
     present = np.column_stack([np.ones(n, bool), codes >= 0])
     indices = columns[present]
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    indptr = np.zeros(n + 1, index)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
     return csr_array((np.ones(indices.size), indices, indptr),
                      shape=(n, int(starts[-1])))
 
@@ -395,20 +421,23 @@ def _projected_direction(kernel, x: np.ndarray, info: np.ndarray,
 
 
 def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
-                     nodes: np.ndarray, columns: list[str]) -> np.ndarray:
+                     nodes: np.ndarray, columns: list[str]
+                     ) -> tuple[np.ndarray, list[tuple[int, NumericalFailure]]]:
     """Projected Newton with the expected information, one row per item.
 
     Coordinates the parameter box stops are held before each step
     (Bertsekas's projected Newton); step-halving, convergence and failure
-    are decided per item.
+    are decided per item.  Returns the solved rows and the failed ones,
+    each with its error, in the order a row-by-row loop meets them: the
+    rows with a non-finite start first, then by Newton step and row.
     """
     x = kernel.clamp(x0)
     f, g, info = _objective(kernel, x, r, nodes)
     bad = ~(np.isfinite(f) & np.all(np.isfinite(g), axis=1))
-    if bad.any():
-        raise NumericalFailure(
-            f"item {columns[np.argmax(bad)]!r}: non-finite objective at start")
-    active = np.arange(len(x))
+    failures = [(i, NumericalFailure(
+        f"item {columns[i]!r}: non-finite objective at start"))
+        for i in np.flatnonzero(bad)]
+    active = np.flatnonzero(~bad)
     for _ in range(NEWTON_MAX_ITER):
         scale = np.maximum(1.0, np.abs(f[active]))
         # converge on the projected gradient: a held coordinate cannot move
@@ -421,30 +450,37 @@ def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
                                      g[active], held)
         step = 1.0
         trying = np.arange(active.size)
+        stalled = []
         for _ in range(60):
             rows = active[trying]
-            x_new = kernel.clamp(x[rows] + step * delta[trying])
+            moved = x[rows] + step * delta[trying]
+            # a step that rounds back to the point: every shorter step
+            # repeats this trial
+            still = np.all(moved == x[rows], axis=1)
+            x_new = kernel.clamp(moved)
             f_new, g_new, info_new = _objective(kernel, x_new, r[rows], nodes)
             up = np.isfinite(f_new) & (f_new > f[rows])
             done = rows[up]
             x[done], f[done], g[done], info[done] = (
                 x_new[up], f_new[up], g_new[up], info_new[up])
-            trying = trying[~up]
+            stalled.append(trying[still & ~up])
+            trying = trying[~(up | still)]
             if not trying.size:
                 break
             step *= 0.5
+        failed = np.sort(np.concatenate([trying, *stalled]))
         # flat to machine precision along every probe: either at the
         # optimum (possibly pressed against a bound) or genuinely stuck
         # with a large gradient
-        for i in active[trying]:
+        for i in active[failed]:
             gmax = np.max(np.abs(g[i]))
             if (gmax > 1e3 * NEWTON_TOL * max(1.0, abs(f[i]))
                     and not _at_bound(kernel, x[i:i + 1])):
-                raise NewtonDiverged(
+                failures.append((i, NewtonDiverged(
                     f"item {columns[i]!r}: no improving step with gradient "
-                    f"{gmax:.3e}")
-        active = np.delete(active, trying)
-    return x
+                    f"{gmax:.3e}")))
+        active = np.delete(active, failed)
+    return x, failures
 
 
 def _at_bound(kernel, x: np.ndarray) -> bool:
@@ -473,28 +509,65 @@ def _floored_counts(item: ItemModel, expected_counts: np.ndarray,
     return np.maximum(r, COUNT_FLOOR)
 
 
+def _m_steps(fits: list[tuple[tuple[ItemModel, ...], tuple]],
+             grid: QuadratureGrid) -> list:
+    """The M-steps of several fits, each given as (items, expected counts).
+
+    Items of every fit that share a kernel and a category count take one
+    stacked Newton.  Returns per fit its updated items and the clamp
+    events of their parameters, or the error :func:`_m_step` raises for
+    it alone.
+    """
+    outcomes: list = [None] * len(fits)
+    groups: dict = {}
+    for k, (items, expected_counts) in enumerate(fits):
+        try:
+            counts = [_floored_counts(item, r, grid)
+                      for item, r in zip(items, expected_counts)]
+        except DataError as exc:
+            outcomes[k] = exc
+            continue
+        for i, (item, r) in enumerate(zip(items, counts)):
+            groups.setdefault((item.kernel, item.n_categories),
+                              []).append((k, i, r))
+    x = [[None] * len(items) for items, _ in fits]
+    # per fit, its first error in each group
+    errors: list[dict] = [{} for _ in fits]
+    for key, members in groups.items():
+        solved, failures = _newton_maximize(
+            key[0], np.array([fits[k][0][i].to_x() for k, i, _ in members]),
+            np.array([r for _, _, r in members]), grid.node_array(),
+            [fits[k][0][i].column for k, i, _ in members])
+        for row, error in failures:
+            errors[members[row][0]].setdefault(key, error)
+        for (k, i, _), row in zip(members, solved):
+            x[k][i] = row
+    for k, (items, _) in enumerate(fits):
+        if outcomes[k] is not None:
+            continue
+        # alone, the fit's groups would run in the order of its items
+        keys = dict.fromkeys((item.kernel, item.n_categories)
+                             for item in items)
+        failed = [errors[k][key] for key in keys if key in errors[k]]
+        if failed:
+            outcomes[k] = failed[0]
+            continue
+        updated = tuple(item.from_x(row) for item, row in zip(items, x[k]))
+        outcomes[k] = (updated, [event for item in updated
+                                 for event in item.bound_events()])
+    return outcomes
+
+
 def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid
             ) -> tuple[tuple[ItemModel, ...], list[str]]:
     """Improve every item against its expected counts.
 
     Returns the updated items and the clamp events of their parameters.
     """
-    counts = [_floored_counts(item, r, grid)
-              for item, r in zip(items, expected_counts)]
-    groups: dict = {}
-    for i, item in enumerate(items):
-        groups.setdefault((item.kernel, item.n_categories), []).append(i)
-    x = [None] * len(items)
-    for (kernel, _), members in groups.items():
-        solved = _newton_maximize(
-            kernel, np.array([items[i].to_x() for i in members]),
-            np.array([counts[i] for i in members]), grid.node_array(),
-            [items[i].column for i in members])
-        for i, row in zip(members, solved):
-            x[i] = row
-    updated = tuple(item.from_x(row) for item, row in zip(items, x))
-    events = [event for item in updated for event in item.bound_events()]
-    return updated, events
+    (outcome,) = _m_steps([(items, expected_counts)], grid)
+    if isinstance(outcome, IrtImputeError):
+        raise outcome
+    return outcome
 
 
 def m_step_item(item: ItemModel, expected_counts: np.ndarray,
@@ -598,80 +671,191 @@ def _step_length(r: np.ndarray, v: np.ndarray) -> float:
     return min(-np.sqrt(rr / vv), -1.0) if vv > 0 else -1.0
 
 
-class _EMMap:
-    """The EM map of one fit: each call is one E-step and one M-step.
+@dataclass(eq=False)
+class _Run:
+    """One fit in a lockstep group: its design, its point and its record.
 
     ``trace`` gets each map's log-likelihood, so its length counts the
     maps; ``clamp_events`` are the last M-step's.
     """
 
-    def __init__(self, design: csr_array, grid: QuadratureGrid) -> None:
-        self.design, self.grid = design, grid
-        self.trace: list[float] = []
-        self.clamp_events: list[str] = []
+    design: csr_array | None   # dropped after the final E-step
+    items: tuple[ItemModel, ...]
+    trace: list[float] = field(default_factory=list)
+    clamp_events: list[str] = field(default_factory=list)
+    converged: bool = False
+    error: IrtImputeError | None = None
 
-    def __call__(self, items: tuple[ItemModel, ...],
-                 es: EStepResult | None = None) -> tuple[ItemModel, ...]:
-        """The map from ``items``; ``es`` is their E-step if already run."""
-        if es is None:
-            es = _e_step_core(self.design, items, self.grid)
-        self.trace.append(es.marginal_loglik)
-        items, self.clamp_events = _m_step(items, es.expected_counts,
-                                           self.grid)
-        return items
+    @property
+    def design_bytes(self) -> int:
+        x = self.design
+        return x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
 
-    def squarem(self, items: tuple[ItemModel, ...]) -> tuple[ItemModel, ...]:
-        """Two maps, x1 = F(x0) and x2 = F(x1), then the map of the
-        extrapolated point x0 - 2 alpha r + alpha^2 v when its
-        log-likelihood is at least x1's, else x2 (the monotone guard)."""
-        x0 = _stacked_x(items)
-        one = self(items)
-        two = self(one)
-        x1, x2 = _stacked_x(one), _stacked_x(two)
-        r, v = x1 - x0, x2 - 2.0 * x1 + x0
+
+def _e_step(run: _Run, items: tuple[ItemModel, ...], grid: QuadratureGrid
+            ) -> tuple[tuple[np.ndarray, ...], float] | None:
+    """The expected counts and log-likelihood of ``run`` at ``items``, or
+    None when the E-step fails, which records the run's error.  The
+    posterior is dropped once its counts are taken."""
+    try:
+        es = _e_step_core(run.design, items, grid)
+    except IrtImputeError as exc:
+        run.error = exc
+        return None
+    return es.expected_counts, es.marginal_loglik
+
+
+def _maps(points: dict, grid: QuadratureGrid, e_steps: dict | None = None
+          ) -> dict:
+    """One EM map from each run's point, ``{run: items}``; the M-steps of
+    all the runs are one :func:`_m_steps` call.  ``e_steps`` holds the
+    E-step of a point that has had one.  Returns ``{run: items}`` for the
+    runs whose map succeeds; a failed run records its error."""
+    e_steps = e_steps or {}
+    taken = {}
+    for run, items in points.items():
+        es = e_steps.get(run) or _e_step(run, items, grid)
+        if es is not None:
+            run.trace.append(es[1])
+            taken[run] = es[0]
+    outcomes = _m_steps([(points[run], counts)
+                         for run, counts in taken.items()], grid)
+    mapped = {}
+    for run, outcome in zip(taken, outcomes):
+        if isinstance(outcome, IrtImputeError):
+            run.error = outcome
+        else:
+            mapped[run], run.clamp_events = outcome
+    return mapped
+
+
+def _squarem(runs: list[_Run], grid: QuadratureGrid) -> None:
+    """A SQUAREM cycle but its closing map, every run in each phase.
+
+    Two maps, x1 = F(x0) and x2 = F(x1), then each run moves to the map of
+    its extrapolated point x0 - 2 alpha r + alpha^2 v when that point's
+    log-likelihood is at least x1's, else to x2 (the monotone guard).
+    """
+    x0 = {run: run.items for run in runs}
+    x1 = _maps(x0, grid)
+    x2 = _maps(x1, grid)
+    trials, e_steps = {}, {}
+    for run, two in x2.items():
+        start, one = _stacked_x(x0[run]), _stacked_x(x1[run])
+        r, v = one - start, _stacked_x(two) - 2.0 * one + start
         alpha = _step_length(r, v)
-        trial = _at_stacked_x(items, x0 - 2.0 * alpha * r + alpha**2 * v)
-        es = _e_step_core(self.design, trial, self.grid)
-        kept = es.marginal_loglik >= self.trace[-1]
+        trial = _at_stacked_x(x0[run], start - 2.0 * alpha * r
+                              + alpha**2 * v)
+        es = _e_step(run, trial, grid)
+        if es is None:
+            continue
+        kept = es[1] >= run.trace[-1]
         logger.debug("squarem: alpha %.6g, extrapolation %s, loglik %.6f "
                      "(%.6f at x1)", alpha, "kept" if kept else "rejected",
-                     es.marginal_loglik, self.trace[-1])
-        return self(trial, es) if kept else two
+                     es[1], run.trace[-1])
+        if kept:
+            trials[run], e_steps[run] = trial, es
+        else:
+            run.items = two
+    for run, items in _maps(trials, grid, e_steps).items():
+        run.items = items
+
+
+def _before_failure(runs: list[_Run], active) -> list[_Run]:
+    """The ``active`` runs that come before every failed run of ``runs``:
+    no later run's model is ever yielded."""
+    failed = next((k for k, run in enumerate(runs) if run.error is not None),
+                  len(runs))
+    return [run for run in active if run in runs[:failed]]
+
+
+def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
+               ) -> Iterator[FittedModel]:
+    """Run the EM of every run in lockstep, then yield their models in
+    order up to the first failed run, whose error is raised then."""
+    active = runs
+    while active:
+        # a cycle takes up to four maps; nearer the cap, plain maps
+        _squarem([run for run in active
+                  if config.max_iter - len(run.trace) >= 4], grid)
+        old = {run: run.items for run in _before_failure(runs, active)}
+        for run, items in _maps(old, grid).items():
+            delta = max(float(np.max(np.abs(new.vector() - prior.vector())))
+                        for new, prior in zip(items, old[run]))
+            run.items, run.converged = items, delta < config.tol
+        active = [run for run in _before_failure(runs, old)
+                  if not run.converged and len(run.trace) < config.max_iter]
+    models = []
+    for run in _before_failure(runs, runs):
+        iterations = len(run.trace)
+        items = _canonicalize_orientation(run.items)
+        final = _e_step(run, items, grid)
+        run.design = None
+        if final is None:
+            break
+        run.trace.append(final[1])
+        models.append(FittedModel(
+            items=items,
+            grid=grid,
+            converged=run.converged,
+            iterations=iterations,
+            final_loglik=final[1],
+            loglik_trace=tuple(run.trace),
+            clamp_events=tuple(run.clamp_events),
+        ))
+    yield from models
+    for run in runs:
+        if run.error is not None:
+            raise run.error
+
+
+def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig
+          ) -> Iterator[_Run]:
+    """A run per dataset, in order, each at its starting items."""
+    for data in datasets:
+        items = _initial_items(data, config)
+        yield _Run(_design(_codes_matrix(data, items), items), items)
+
+
+def fit_many(datasets: Iterable[CategoricalDataset],
+             config: FitConfig | None = None) -> Iterator[FittedModel]:
+    """Fit each dataset as :func:`fit` does, yielding the models in order.
+
+    The same models and errors as ``(fit(d, config) for d in datasets)``:
+    a dataset's error, or a package error raised by ``datasets`` itself,
+    comes after the models of the datasets before it, and no later dataset
+    is read.  The datasets are read in groups, whose fits run in lockstep;
+    see ``DESIGN_BUDGET``.
+    """
+    config = config or FitConfig()
+    grid = build_grid(config.grid_size, config.grid_range)
+    runs = _runs(datasets, config)
+    done = False
+    while not done:
+        group, held, error = [], 0, None
+        try:
+            for run in runs:
+                group.append(run)
+                held += run.design_bytes
+                # one more design of this size would pass the budget
+                if held + run.design_bytes > DESIGN_BUDGET:
+                    break
+            else:
+                done = True
+        except IrtImputeError as exc:  # raised in turn, as a loop would
+            error, done = exc, True
+        if group:
+            yield from _fit_group(group, grid, config)
+        if error is not None:
+            raise error
 
 
 def fit(data: CategoricalDataset, config: FitConfig | None = None
         ) -> FittedModel:
     """Fit all feature columns by SQUAREM-accelerated EM over the grid;
     ``config.max_iter`` caps the EM maps."""
-    config = config or FitConfig()
-    grid = build_grid(config.grid_size, config.grid_range)
-    items = _initial_items(data, config)
-    em = _EMMap(_design(_codes_matrix(data, items), items), grid)
-    converged = False
-    while not converged and len(em.trace) < config.max_iter:
-        # a cycle takes up to four maps; nearer the cap, plain maps
-        if config.max_iter - len(em.trace) >= 4:
-            items = em.squarem(items)
-        new_items = em(items)
-        delta = max(
-            float(np.max(np.abs(new.vector() - old.vector())))
-            for new, old in zip(new_items, items)
-        )
-        items = new_items
-        converged = delta < config.tol
-    iterations = len(em.trace)
-    items = _canonicalize_orientation(items)
-    final = _e_step_core(em.design, items, grid)
-    em.trace.append(final.marginal_loglik)
-    return FittedModel(
-        items=items,
-        grid=grid,
-        converged=converged,
-        iterations=iterations,
-        final_loglik=final.marginal_loglik,
-        loglik_trace=tuple(em.trace),
-        clamp_events=tuple(em.clamp_events),
-    )
+    (model,) = fit_many([data], config)
+    return model
 
 
 # ---------------------------------------------------------------------------

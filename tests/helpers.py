@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 from scipy.stats import chi2
 
-from irtimpute.data import MISSING, CategoricalDataset
+from irtimpute import cli
+from irtimpute.data import MISSING, CategoricalDataset, apply_discretization
 from irtimpute.errors import (
     DataError,
+    IrtImputeError,
     NewtonDiverged,
     NumericalFailure,
     UnknownLabel,
@@ -31,7 +34,13 @@ from irtimpute.estimation import (
     _posteriors_and_loglik,
     build_grid,
 )
-from irtimpute.missingness import LittleTestResult, _solve_observed
+from irtimpute.impute import impute_dataset
+from irtimpute.metrics import score_cells
+from irtimpute.missingness import (
+    LittleTestResult,
+    _solve_observed,
+    littles_test,
+)
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
@@ -235,6 +244,18 @@ def reference_m_step(items, expected_counts, grid):
         updated.append(item.from_x(x))
     events = [event for item in updated for event in item.bound_events()]
     return tuple(updated), events
+
+
+def reference_m_steps(fits, grid):
+    """``estimation._m_steps`` with each fit's M-step taken alone by
+    :func:`reference_m_step` (reference)."""
+    outcomes = []
+    for items, expected_counts in fits:
+        try:
+            outcomes.append(reference_m_step(items, expected_counts, grid))
+        except IrtImputeError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def em_loop_fit(data, config=None):
@@ -451,3 +472,38 @@ def write_probabilities_loop(path, view, result):
              *("" if math.isnan(p) else repr(p) for p in probs.tolist())]
             for (row, col), probs in zip(result.mask.tolist(),
                                          result.probabilities))
+
+
+def bench_loop(args) -> int:
+    """``irtimpute bench`` as a loop over its cells, each injected, tested,
+    fitted by ``fit``, imputed and scored before the next (reference for
+    the cells that ``bench`` fits together).  Takes the place of
+    ``cli.cmd_bench``."""
+    truth, mechanisms, fractions = cli._bench_setup(args)
+    bins, config = cli._fit_options(args)
+    little_rows, f1_rows = [], []
+    for cell_index, (mechanism, fraction) in enumerate(
+            itertools.product(mechanisms, fractions)):
+        injected = cli._inject(truth, args, mechanism, fraction,
+                               config.seed + cell_index)
+        little = littles_test(injected.to_numeric(injected.feature_indices))
+        model = cli._fit_on(injected, bins, config)
+        view = apply_discretization(injected, model.discretization)
+        result = impute_dataset(view, model)
+        truth_view = apply_discretization(truth, model.discretization)
+        mask, _ = cli._scored_cells(truth, injected)
+        scored = score_cells(truth_view, result.completed, mask)
+        baseline = score_cells(
+            truth_view, cli._majority_fill(view, args.target), mask)
+        cells = len(mask)
+        little_rows.append(
+            f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
+            f"{little.statistic:<12.6f} {little.df:<4d} "
+            f"{little.p_value:.6g}")
+        f1_rows.append(
+            f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
+            f"{scored.macro_f1:<12.6f} {scored.micro_f1:<12.6f} "
+            f"{baseline.macro_f1:<15.6f} {baseline.micro_f1:.6f}")
+    cli._write_bench_report(args, mechanisms, fractions, bins, config,
+                            little_rows, f1_rows)
+    return 0

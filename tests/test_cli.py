@@ -19,6 +19,7 @@ import pytest
 import irtimpute
 import irtimpute.cli
 from irtimpute import data as data_module
+from irtimpute import estimation
 from irtimpute.cli import (
     _expand_config,
     _majority_fill,
@@ -40,7 +41,7 @@ from irtimpute.errors import NumericalFailure, UsageError
 from irtimpute.estimation import FitConfig, fit, load_model, save_model
 from irtimpute.simulate import simulate_dataset, simulate_items
 
-from helpers import write_probabilities_loop
+from helpers import bench_loop, write_probabilities_loop
 
 
 @pytest.fixture(scope="module")
@@ -1111,6 +1112,102 @@ class TestBenchCommand:
         lines = (tmp_path / "r.txt").read_text().splitlines()
         rows = [ln for ln in lines if ln.startswith(("mcar", "mar"))]
         assert [int(row.split()[2]) for row in rows] == [24, 72] * 4
+
+    @staticmethod
+    def against_loop(argv, out, capsys, monkeypatch, patch=None):
+        """Exit code, stderr and report of ``bench`` and then of the cell-by-
+        cell ``bench_loop``; ``patch()`` is applied afresh before each."""
+        outcomes = []
+        for command in (irtimpute.cli.cmd_bench, bench_loop):
+            monkeypatch.setitem(irtimpute.cli._COMMANDS, "bench", command)
+            if patch:
+                patch()
+            if out.exists():
+                out.unlink()
+            capsys.readouterr()
+            rc = run([*argv, "--out", out])
+            outcomes.append((rc, capsys.readouterr().err,
+                             out.read_bytes() if out.exists() else None))
+        return outcomes
+
+    @pytest.mark.parametrize("budget, groups", [
+        (estimation.DESIGN_BUDGET, [6]), (1, [1] * 6)],
+        ids=["one-group", "split"])
+    def test_report_equals_the_cell_by_cell_loop(
+            self, corpus, tmp_path, capsys, monkeypatch, budget, groups):
+        monkeypatch.setattr(estimation, "DESIGN_BUDGET", budget)
+        sizes = []
+        fit_group = estimation._fit_group
+
+        def counted(runs, *args):
+            sizes.append(len(runs))
+            return fit_group(runs, *args)
+
+        monkeypatch.setattr(estimation, "_fit_group", counted)
+        (rc, err, report), loop = self.against_loop(
+            ["bench", "--data", corpus / "truth.csv",
+             "--schema", corpus / "truth.cols", "--target", "item02",
+             "--conditional", "item00", "--fractions", "0.1,0.3,0.5"],
+            tmp_path / "r.txt", capsys, monkeypatch)
+        # then the loop's fits, one at a time
+        assert sizes == groups + [1] * 6
+        assert (rc, err) == (0, "")
+        assert (rc, err, report) == loop
+
+    def test_setup_error_of_a_later_cell_keeps_cell_order(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        # item02's category 2 lies only in rows ranked 30-39 by wear: the
+        # mar cell at 0.3 blanks all of them, after three cells that fit
+        schemas = load_schema(corpus / "truth.cols")
+        truth = load_csv(corpus / "truth.csv", schemas)
+        cells = np.array(truth.cells)
+        target = truth.column_index("item02")
+        ranked = np.argsort(-cells[:, truth.column_index("wear")],
+                            kind="stable")
+        cells[:, target] = np.minimum(cells[:, target], 1)
+        cells[ranked[30:40], target] = 2
+        data = tmp_path / "rare.csv"
+        emit_csv(truth.with_cells(cells), data)
+        (rc, err, report), loop = self.against_loop(
+            ["bench", "--data", data, "--schema", corpus / "truth.cols",
+             "--target", "item02", "--conditional", "wear",
+             "--fractions", "0.1,0.3"], tmp_path / "r.txt", capsys,
+            monkeypatch)
+        assert (rc, err, report) == (
+            2, "error: data: column 'item02': category code 2 never "
+               "observed\n", None)
+        assert loop == (rc, err, report)
+
+    def test_em_failure_of_an_earlier_cell_keeps_cell_order(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        # the cell at 0.3 fails at its second E-step, before the cell at
+        # 0.1 fails at its eighth; the cells are told apart by their
+        # designs' entries, 6 per row (the ones column and five features)
+        # less the blanked cells
+        failing = {240 * 6 - 24: 8, 240 * 6 - 72: 2}
+        e_step_core = estimation._e_step_core
+        calls: dict = {}
+
+        def e_step(x, items, grid):
+            calls[x.nnz] = calls.get(x.nnz, 0) + 1
+            if failing.get(x.nnz) == calls[x.nnz]:
+                raise NumericalFailure(
+                    f"E-step {calls[x.nnz]} of the fit with {x.nnz} entries")
+            return e_step_core(x, items, grid)
+
+        def patch():
+            calls.clear()
+            monkeypatch.setattr(estimation, "_e_step_core", e_step)
+
+        (rc, err, report), loop = self.against_loop(
+            ["bench", "--data", corpus / "truth.csv",
+             "--schema", corpus / "truth.cols", "--target", "item02",
+             "--mechanisms", "mcar", "--fractions", "0.1,0.2,0.3"],
+            tmp_path / "r.txt", capsys, monkeypatch, patch)
+        assert (rc, err, report) == (
+            3, "error: numerical: E-step 8 of the fit with 1416 entries\n",
+            None)
+        assert loop == (rc, err, report)
 
     def test_baseline_fills_only_the_target(self):
         schemas = (ColumnSchema("t", "ordinal", arity=3),

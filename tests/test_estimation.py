@@ -23,6 +23,7 @@ from helpers import (
     fd_hessian,
     random_item,
     reference_m_step,
+    reference_m_steps,
     reference_objective,
     ulp_distance,
 )
@@ -49,6 +50,7 @@ from irtimpute.estimation import (
     _design,
     _log_table,
     _m_step,
+    _m_steps,
     _objective,
     _posteriors_and_loglik,
     _solve_free,
@@ -58,6 +60,7 @@ from irtimpute.estimation import (
     eap_score,
     eap_scores,
     fit,
+    fit_many,
     load_model,
     m_step_item,
     save_model,
@@ -338,6 +341,30 @@ class TestMStep:
         assert len(calls) < 10
         assert_allclose(again.vector(), optimum.vector(), rtol=1e-12)
 
+    def test_search_stops_once_its_trial_rounds_to_the_point(
+            self, monkeypatch):
+        # a direction far below the point's precision: the first trial
+        # rounds back to the point, so no shorter step can help either,
+        # where 60 halvings of it used to follow
+        grid = build_grid()
+        counts = (300.0 * grid.weight_array()[:, None]
+                  * category_probs(grid.node_array(), Binary2PL(1.5, 0.5)))
+        calls = []
+        objective = estimation._objective
+
+        def counted(*args):
+            calls.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(estimation, "_objective", counted)
+        monkeypatch.setattr(estimation, "_projected_direction",
+                            lambda kernel, x, info, g, held: 1e-30 * g)
+        with pytest.raises(NewtonDiverged, match="^item 'u': no improving "
+                                                 "step with gradient "):
+            m_step_item(Binary2PL(2.0, -0.5, column="u"), counts, grid)
+        # the start and one trial
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("family", ("2pl", "grm", "nrm"))
     def test_objective_never_decreases(self, family):
         grid = build_grid()
@@ -420,6 +447,35 @@ class TestMStep:
                                                  "step with gradient "):
             m_step_item(Binary2PL(1.0, 0.0, column="u"), counts, grid)
 
+    def test_stacked_fits_fail_apart(self, monkeypatch):
+        # under a descent direction, a fit at its optimum still converges,
+        # one off its optimum fails, and one with an empty category fails
+        # before any Newton; each gets what it gets alone
+        grid = build_grid()
+        optimum = Binary2PL(1.5, 0.5, column="u")
+        counts = (300.0 * grid.weight_array()[:, None]
+                  * category_probs(grid.node_array(), optimum))
+        empty = np.ones((grid.size, 2))
+        empty[:, 1] = 0.0
+        fits = [((optimum,), (counts,)),
+                ((Binary2PL(1.0, 0.0, column="v"),), (counts,)),
+                ((Binary2PL(1.0, 0.0, column="w"),), (empty,))]
+        monkeypatch.setattr(estimation, "_projected_direction",
+                            lambda kernel, x, info, g, held: -g)
+        together = _m_steps(fits, grid)
+        for (items, expected), got in zip(fits, together):
+            try:
+                want = _m_step(items, expected, grid)
+            except (NewtonDiverged, EmptyCategory) as exc:
+                want = exc
+            if isinstance(want, Exception):
+                assert type(got) is type(want)
+                assert str(got) == str(want)
+            else:
+                assert got == want
+        assert [type(got) for got in together[1:]] == [NewtonDiverged,
+                                                       EmptyCategory]
+
     def test_singular_item_solves_alone(self):
         # one singular system sends the batch to per-item solves; that item
         # gets NaN, the others what a per-item solve gives them
@@ -492,7 +548,7 @@ class TestFit:
         cells[:, 4:] = rng.integers(0, 4, size=(1500, 2))
         data = data.with_cells(cells)
         got = fit(data, FitConfig(seed=0)).final_loglik
-        monkeypatch.setattr(estimation, "_m_step", reference_m_step)
+        monkeypatch.setattr(estimation, "_m_steps", reference_m_steps)
         want = fit(data, FitConfig(seed=0)).final_loglik
         assert got >= want - 1e-8 * abs(want)
 
@@ -604,7 +660,7 @@ class TestFit:
             [it.column for it in items]
 
 
-def _oracle_corpus(kind):
+def _oracle_corpus(kind, rows=800):
     """Simulated data for the plain-EM comparisons: one item family, or
     binary, graded and nominal items side by side."""
     rng = np.random.default_rng(211)
@@ -615,7 +671,7 @@ def _oracle_corpus(kind):
                                   name_prefix="n"))
     else:
         items = simulate_items(kind, 5, rng, n_categories=3)
-    return simulate_dataset(items, 800, seed=212)
+    return simulate_dataset(items, rows, seed=212)
 
 
 def _assert_same_optimum(got, want):
@@ -656,6 +712,103 @@ class TestSquarem:
         (record,) = caplog.records
         assert record.levelname == "DEBUG"
         assert "alpha" in record.getMessage()
+
+
+def _lockstep_corpora():
+    """Datasets of several sizes and item kinds whose fits take different
+    map counts; in the last, a column of noise clamps a location."""
+    datasets = [_oracle_corpus(kind, rows) for kind, rows
+                in (("grm", 300), ("mixed", 500), ("nrm", 800))]
+    rng = np.random.default_rng(133)
+    items = simulate_items("grm", 6, rng, n_categories=4)
+    noisy = simulate_dataset(items, 400, seed=134)
+    cells = np.array(noisy.cells)
+    cells[:, 4:] = rng.integers(0, 4, size=(400, 2))
+    return [*datasets, noisy.with_cells(cells)]
+
+
+class TestFitMany:
+    """The lockstep fits against one fit per dataset."""
+
+    @pytest.mark.parametrize("case", ["converged", "capped", "rejected",
+                                      "split"])
+    def test_equals_separate_fits(self, case, monkeypatch, caplog):
+        datasets = _lockstep_corpora()
+        config = FitConfig(seed=0, max_iter=13 if case == "capped" else 500)
+        if case == "rejected":
+            monkeypatch.setattr(estimation, "_step_length", lambda r, v: -1e3)
+        alone = [fit(data, config) for data in datasets]
+        if case == "split":
+            monkeypatch.setattr(estimation, "DESIGN_BUDGET", 1)
+        groups = []
+        fit_group = estimation._fit_group
+
+        def counted(runs, *args):
+            groups.append(len(runs))
+            return fit_group(runs, *args)
+
+        monkeypatch.setattr(estimation, "_fit_group", counted)
+        with caplog.at_level("DEBUG", logger="irtimpute.estimation"):
+            together = list(fit_many(datasets, config))
+        assert groups == ([1, 1, 1, 1] if case == "split" else [4])
+        assert together == alone
+        for got, want in zip(together, alone):
+            for a, b in zip(got.items, want.items):
+                assert a.vector().tobytes() == b.vector().tobytes()
+        # each case is what its name says
+        assert any(model.clamp_events for model in alone)
+        if case == "capped":
+            assert [m.converged for m in alone] == [True, True, False, False]
+            assert [m.iterations for m in alone] == [12, 12, 13, 13]
+        else:
+            assert all(model.converged for model in alone)
+            assert len({model.iterations for model in alone}) == 3
+        if case == "rejected":
+            assert "extrapolation rejected" in caplog.text
+            assert "extrapolation kept" not in caplog.text
+
+    def test_an_error_comes_after_the_models_before_it(self):
+        datasets = _lockstep_corpora()
+        unobserved = CategoricalDataset(
+            (ColumnSchema("v", "ordinal", arity=3),),
+            np.array([[0.0], [2.0]] * 20))
+        read = []
+
+        def feed():
+            for data in (datasets[0], datasets[1], unobserved, datasets[2]):
+                read.append(data)
+                yield data
+
+        config = FitConfig(seed=0)
+        fits = fit_many(feed(), config)
+        assert next(fits) == fit(datasets[0], config)
+        assert next(fits) == fit(datasets[1], config)
+        with pytest.raises(UnobservedCategory, match="category code 1"):
+            next(fits)
+        assert len(read) == 3
+
+    def test_the_first_dataset_to_fail_is_the_first_in_order(
+            self, monkeypatch):
+        # the third fit fails at its second E-step, before the second fails
+        # at its eighth; a loop of fits meets the second's error first
+        datasets = _lockstep_corpora()
+        failing = {500: 8, 800: 2}
+        calls: dict = {}
+        e_step_core = estimation._e_step_core
+
+        def e_step(x, items, grid):
+            rows = x.shape[0]
+            calls[rows] = calls.get(rows, 0) + 1
+            if failing.get(rows) == calls[rows]:
+                raise NumericalFailure(f"E-step {calls[rows]} of {rows}")
+            return e_step_core(x, items, grid)
+
+        monkeypatch.setattr(estimation, "_e_step_core", e_step)
+        fits = fit_many(datasets, FitConfig(seed=0))
+        assert next(fits).iterations == 12
+        with pytest.raises(NumericalFailure, match="^E-step 8 of 500$"):
+            next(fits)
+        assert calls[800] == 2
 
 
 def dense_grid_eap(pattern, items, size=10001, lo=-6.0, hi=6.0):

@@ -39,29 +39,35 @@ fit's error waits until the models of the fits before it are out.  The
 datasets are read in groups whose designs stay within ``DESIGN_BUDGET``
 bytes, so a group of large fits holds about what one fit holds.
 
-The E-step is two sparse products.  The code matrix is encoded once per fit
-as a CSR design ``X`` of shape cases × (1 + ΣK): column 0 holds ones, then
-each item has a block of one-hot columns, one per category, and a missing
-cell has no entry in its item's block.  Stacking the log prior weights on
-the transposed per-item log-probability tables gives ``L`` of shape
-(1 + ΣK) × nodes, so ``X @ L`` is every case's log prior plus log pattern
-likelihood, and ``X.T @ posterior`` holds every item's expected counts
-(block by block) with the node masses in row 0.  Scipy adds each output
-row's terms one at a time in index order, starting from zero: the prior
-first and then the items in order, or the cases in order.  That is the
-order of a plain per-item loop, so the products match such a loop bit for
-bit, and no BLAS thread count can change them.  An absent entry is never
-multiplied, so a log-probability of ``-inf`` on a category a case did not
-give cannot turn into ``0 × -inf = nan``.
+The E-step is two sparse products per block of cases.  The code matrix is
+encoded once per fit as CSR designs, one per ``_JOINT_BLOCK`` cases, of
+1 + ΣK columns: column 0 holds ones, then each item has a block of one-hot
+columns, one per category, and a missing cell has no entry in its item's
+block.  Stacking the log prior weights on the transposed per-item
+log-probability tables gives ``L`` of shape (1 + ΣK) × nodes, so ``X @ L``
+is every case's log prior plus log pattern likelihood, and ``X.T @
+posterior`` holds every item's expected counts (block by block) with the
+node masses in row 0.  Scipy adds each output row's terms one at a time in
+index order, starting from zero: the prior first and then the items in
+order, or the cases in order.  That is the order of a plain per-item loop,
+so the products match such a loop bit for bit, and no BLAS thread count
+can change them.  An absent entry is never multiplied, so a
+log-probability of ``-inf`` on a category a case did not give cannot turn
+into ``0 × -inf = nan``.  Each block's design leads with the 1 + ΣK rows of
+the identity, its carry rows.  The E-step writes the earlier blocks'
+totals into the carry rows of the block's posterior, so ``X.T @
+posterior`` adds them first and then the block's cases: the totals of one
+product over all the cases, bit for bit, while only one block's posterior
+is held.
 
 Convergence is declared when a cycle's closing map changes no parameter by
 more than the tolerance, not on the log-likelihood change.  Scoring is the
 posterior mean (and SD) of the trait on the same grid; missing cells simply
-drop out of the pattern likelihood.  Scoring builds ``X @ L`` without the
-design: each case's row starts from the log prior and gathers its items'
-rows of ``L`` in item order, the same additions in the same order, so it
-matches the product bit for bit and needs no scipy.  Only the fit imports
-``scipy.sparse``.
+drop out of the pattern likelihood.  Scoring walks the same blocks and
+builds ``X @ L`` without the design: each case's row starts from the log
+prior and gathers its items' rows of ``L`` in item order, the same
+additions in the same order, so it matches the product bit for bit and
+needs no scipy.  Only the fit imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -107,8 +113,9 @@ NEWTON_MAX_ITER = 20
 NEWTON_TOL = 1e-8
 
 # Bytes of design that :func:`fit_many` holds in one lockstep group.  At
-# 1 500 cases of 13 items a design takes 0.26 MB, so a six-cell bench is one
-# group; a design over half of this runs alone.
+# 1 500 cases of 13 items a design takes 0.26 MB in two blocks, carry rows
+# included, so a six-cell bench is one group; a design over half of this
+# runs alone.
 DESIGN_BUDGET = 4 * 2**20
 
 MODEL_FORMAT = "irtimpute-model"
@@ -212,8 +219,18 @@ class ThetaEstimate:
 # Vectorized likelihood core
 # ---------------------------------------------------------------------------
 
+# Cases per block of the likelihood core: the fit's E-step and EAP scoring
+# hold one block's log joint and posterior at a time.  At 61 nodes a block
+# and its gathered item rows take 0.5 MB each, so both stay in a core's L2
+# cache.  A multiple of 8, so that BLAS's row tails in ``posterior @ nodes``
+# fall where they fall in one product over all the cases.
+_JOINT_BLOCK = 1024
+
+
 def _design(codes: np.ndarray, items: tuple[ItemModel, ...]) -> csr_array:
-    """One-hot design matrix: cases × (1 + total categories).
+    """One-hot design matrix, (1 + ΣK + cases) × (1 + ΣK) for ΣK total
+    categories: the rows of the identity, which are the carry rows of
+    :func:`_e_step_core`, then one row per case.
 
     ``codes`` is an integer matrix aligned with ``items``; -1 marks a
     missing cell, which gets no entry.  Each row's column indices increase,
@@ -222,18 +239,28 @@ def _design(codes: np.ndarray, items: tuple[ItemModel, ...]) -> csr_array:
     from scipy.sparse import csr_array
     sizes = [item.n_categories for item in items]
     starts = np.cumsum([1, *sizes])
+    width = int(starts[-1])
     n, k = codes.shape
     # int32 indices where they fit take half the bytes, and the products
     # add the same terms
-    index = np.int32 if n * (1 + k) < 2**31 else np.int64
+    index = np.int32 if width + n * (1 + k) < 2**31 else np.int64
     columns = np.zeros((n, 1 + k), index)
     np.add(codes, starts[:-1], out=columns[:, 1:], casting="unsafe")
     present = np.column_stack([np.ones(n, bool), codes >= 0])
-    indices = columns[present]
-    indptr = np.zeros(n + 1, index)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    indices = np.concatenate([np.arange(width, dtype=index), columns[present]])
+    indptr = np.arange(width + n + 1, dtype=index)
+    np.cumsum(present.sum(axis=1), out=indptr[width + 1:])
+    indptr[width + 1:] += width
     return csr_array((np.ones(indices.size), indices, indptr),
-                     shape=(n, int(starts[-1])))
+                     shape=(width + n, width))
+
+
+def _blocks(codes: np.ndarray, items: tuple[ItemModel, ...]
+            ) -> tuple[csr_array, ...]:
+    """The design of each ``_JOINT_BLOCK`` cases, in case order; an empty
+    ``codes`` gets one block with no cases."""
+    return tuple(_design(codes[lo:lo + _JOINT_BLOCK], items)
+                 for lo in range(0, max(len(codes), 1), _JOINT_BLOCK))
 
 
 def _log_table(items: tuple[ItemModel, ...], grid: QuadratureGrid
@@ -295,12 +322,13 @@ def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
 
 @dataclass(frozen=True)
 class EStepResult:
-    """Expected counts per item plus posterior bookkeeping."""
+    """Expected counts per item plus posterior bookkeeping; ``posteriors``
+    is None unless asked for."""
 
     expected_counts: tuple[np.ndarray, ...]
     node_masses: np.ndarray
     marginal_loglik: float
-    posteriors: np.ndarray = field(repr=False)
+    posteriors: np.ndarray | None = field(default=None, repr=False)
 
 
 def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
@@ -308,17 +336,31 @@ def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
     """Posterior-weighted response counts r[i][node, category]; ``items``
     bind the feature columns of ``data`` (see :func:`_codes_matrix`)."""
     items = tuple(items)
-    return _e_step_core(_design(_codes_matrix(data, items), items), items,
-                        grid)
+    return _e_step_core(_blocks(_codes_matrix(data, items), items), items,
+                        grid, posteriors=True)
 
 
-def _e_step_core(x: csr_array, items: tuple[ItemModel, ...],
-                 grid: QuadratureGrid) -> EStepResult:
-    posterior, case_loglik = _posteriors_and_loglik(
-        x @ _log_table(items, grid))
-    # x.T is the CSC view of the same arrays; its product also adds each
-    # output row's terms in case order.
-    totals = x.T @ posterior
+def _e_step_core(blocks: tuple[csr_array, ...], items: tuple[ItemModel, ...],
+                 grid: QuadratureGrid, posteriors: bool = False
+                 ) -> EStepResult:
+    """The E-step over the :func:`_blocks` of a design, one block's
+    posterior at a time."""
+    table = _log_table(items, grid)
+    carry = table.shape[0]
+    totals = np.zeros_like(table)
+    case_logliks, kept = [], []
+    for x in blocks:
+        joint = x @ table
+        posterior, case_loglik = _posteriors_and_loglik(joint[carry:])
+        joint[:carry] = totals
+        # x.T is the CSC view of the same arrays; its product adds each
+        # output row's terms in row order, starting from zero, so the carry
+        # row puts the earlier blocks' total first and then the cases in
+        # order: the bits of one product over all the cases
+        totals = x.T @ joint
+        case_logliks.append(case_loglik)
+        if posteriors:
+            kept.append(posterior)
     counts = []
     start = 1
     for item in items:
@@ -328,8 +370,8 @@ def _e_step_core(x: csr_array, items: tuple[ItemModel, ...],
     return EStepResult(
         expected_counts=tuple(counts),
         node_masses=totals[0],
-        marginal_loglik=float(case_loglik.sum()),
-        posteriors=posterior,
+        marginal_loglik=float(np.concatenate(case_logliks).sum()),
+        posteriors=np.concatenate(kept) if posteriors else None,
     )
 
 
@@ -679,7 +721,7 @@ class _Run:
     maps; ``clamp_events`` are the last M-step's.
     """
 
-    design: csr_array | None   # dropped after the final E-step
+    design: tuple[csr_array, ...] | None   # dropped after the final E-step
     items: tuple[ItemModel, ...]
     trace: list[float] = field(default_factory=list)
     clamp_events: list[str] = field(default_factory=list)
@@ -688,15 +730,14 @@ class _Run:
 
     @property
     def design_bytes(self) -> int:
-        x = self.design
-        return x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
+        return sum(x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
+                   for x in self.design)
 
 
 def _e_step(run: _Run, items: tuple[ItemModel, ...], grid: QuadratureGrid
             ) -> tuple[tuple[np.ndarray, ...], float] | None:
     """The expected counts and log-likelihood of ``run`` at ``items``, or
-    None when the E-step fails, which records the run's error.  The
-    posterior is dropped once its counts are taken."""
+    None when the E-step fails, which records the run's error."""
     try:
         es = _e_step_core(run.design, items, grid)
     except IrtImputeError as exc:
@@ -814,7 +855,7 @@ def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig
     """A run per dataset, in order, each at its starting items."""
     for data in datasets:
         items = _initial_items(data, config)
-        yield _Run(_design(_codes_matrix(data, items), items), items)
+        yield _Run(_blocks(_codes_matrix(data, items), items), items)
 
 
 def fit_many(datasets: Iterable[CategoricalDataset],
@@ -862,19 +903,20 @@ def fit(data: CategoricalDataset, config: FitConfig | None = None
 # EAP scoring
 # ---------------------------------------------------------------------------
 
-# rows of the log joint built at a time: at 61 nodes a block and its
-# gathered item rows take 0.5 MB each, so both stay in a core's L2 cache
-_JOINT_BLOCK = 1024
+def _log_joints(codes: np.ndarray, items: tuple[ItemModel, ...],
+                grid: QuadratureGrid) -> Iterator[np.ndarray]:
+    """Each block's log prior plus log pattern likelihood, cases × nodes,
+    for the blocks of ``_JOINT_BLOCK`` cases in order.
 
+    The bits of the case rows of ``_design(codes, items) @ _log_table(items,
+    grid)``: each row starts from the log prior and adds the items' rows in
+    item order.  A missing cell adds a zero row, which changes no sum.
+    Every block is written into the same buffer, so the caller is done with
+    one block before it asks for the next.
 
-def _log_joint(codes: np.ndarray, items: tuple[ItemModel, ...],
-               grid: QuadratureGrid) -> np.ndarray:
-    """Every case's log prior plus log pattern likelihood, cases × nodes.
-
-    The bits of ``_design(codes, items) @ _log_table(items, grid)``: each
-    row starts from the log prior and adds the items' rows in item order.
-    A missing cell adds a zero row, which changes no sum.  Rows go in
-    blocks of ``_JOINT_BLOCK``, so the added rows stay in cache.
+    A last block of one row joins the block before it: numpy takes a
+    one-row ``posterior @ nodes`` as a dot product, whose sum is not the
+    one BLAS makes for that row in a matrix product.
     """
     table = _log_table(items, grid)
     starts = np.cumsum([1, *(item.n_categories for item in items)])
@@ -882,25 +924,34 @@ def _log_joint(codes: np.ndarray, items: tuple[ItemModel, ...],
     # to each item's table; it skips the bounds check "raise" makes
     tables = [np.vstack([table[lo:hi], np.zeros((1, grid.size))])
               for lo, hi in zip(starts[:-1], starts[1:])]
-    joint = np.empty((codes.shape[0], grid.size))
-    term = np.empty((min(_JOINT_BLOCK, codes.shape[0]), grid.size))
-    for lo in range(0, codes.shape[0], _JOINT_BLOCK):
-        rows = joint[lo:lo + _JOINT_BLOCK]
-        gathered = term[:len(rows)]
+    n = codes.shape[0]
+    cuts = list(range(0, n, _JOINT_BLOCK))
+    if n > 1 and n % _JOINT_BLOCK == 1:
+        del cuts[-1]
+    joint = np.empty((min(_JOINT_BLOCK + 1, n), grid.size))
+    term = np.empty_like(joint)
+    for lo, hi in zip(cuts, [*cuts[1:], n]):
+        block = codes[lo:hi]
+        rows, gathered = joint[:len(block)], term[:len(block)]
         rows[:] = table[0]
-        for item_table, item_codes in zip(tables, codes[lo:lo + len(rows)].T):
+        for item_table, item_codes in zip(tables, block.T):
             np.take(item_table, item_codes, axis=0, out=gathered, mode="wrap")
             rows += gathered
-    return joint
+        yield rows
 
 
 def _eap(codes: np.ndarray, model: FittedModel
          ) -> tuple[np.ndarray, np.ndarray]:
-    posterior, _ = _posteriors_and_loglik(
-        _log_joint(codes, model.items, model.grid))
     nodes = model.grid.node_array()
-    means = posterior @ nodes
-    second = posterior @ (nodes ** 2)
+    squares = nodes ** 2
+    means, second = np.empty((2, codes.shape[0]))
+    lo = 0
+    for joint in _log_joints(codes, model.items, model.grid):
+        posterior, _ = _posteriors_and_loglik(joint)
+        hi = lo + len(posterior)
+        means[lo:hi] = posterior @ nodes
+        second[lo:hi] = posterior @ squares
+        lo = hi
     variances = np.maximum(second - means ** 2, 0.0)
     return means, np.sqrt(variances)
 

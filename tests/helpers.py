@@ -24,9 +24,9 @@ from irtimpute.estimation import (
     NEWTON_TOL,
     FitConfig,
     FittedModel,
+    _blocks,
     _canonicalize_orientation,
     _codes_matrix,
-    _design,
     _e_step_core,
     _floored_counts,
     _initial_items,
@@ -153,6 +153,16 @@ def dense_e_step(codes, items, grid):
     return posterior, counts, posterior.sum(axis=0), float(case_loglik.sum())
 
 
+def design_cases(blocks):
+    """The cases of a fit's block design: its rows less the carry rows."""
+    return sum(x.shape[0] - x.shape[1] for x in blocks)
+
+
+def design_entries(blocks):
+    """The stored entries of a fit's block design, less the carry rows'."""
+    return sum(x.nnz - x.shape[1] for x in blocks)
+
+
 def reference_objective(item, r, nodes):
     """Objective and x-space gradient of one item built from each candidate."""
     def fg(x):
@@ -267,7 +277,7 @@ def em_loop_fit(data, config=None):
     config = config or FitConfig()
     grid = build_grid(config.grid_size, config.grid_range)
     items = _initial_items(data, config)
-    x = _design(_codes_matrix(data, items), items)
+    x = _blocks(_codes_matrix(data, items), items)
     trace, clamp_events = [], []
     converged = False
     iterations = 0

@@ -41,7 +41,7 @@ from irtimpute.errors import NumericalFailure, UsageError
 from irtimpute.estimation import FitConfig, fit, load_model, save_model
 from irtimpute.simulate import simulate_dataset, simulate_items
 
-from helpers import bench_loop, write_probabilities_loop
+from helpers import bench_loop, design_entries, write_probabilities_loop
 
 
 @pytest.fixture(scope="module")
@@ -746,6 +746,22 @@ class TestImputeCommand:
         assert "imputed 0 cells" in capsys.readouterr().out
         assert out.read_bytes() == (corpus / "truth.csv").read_bytes()
 
+    def test_header_only_file_with_a_model(self, corpus, holed, tmp_path,
+                                           capsys):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", holed,
+                    "--schema", corpus / "truth.cols", "--out", model]) == 0
+        header = tmp_path / "header.csv"
+        header.write_bytes(holed.read_bytes().splitlines(keepends=True)[0])
+        out = tmp_path / "filled.csv"
+        capsys.readouterr()
+        rc = run(["impute", "--data", header,
+                  "--schema", corpus / "truth.cols", "--model", model,
+                  "--out", out, "--probabilities", tmp_path / "probs.csv"])
+        assert rc == 0
+        assert "imputed 0 cells" in capsys.readouterr().out
+        assert out.read_bytes() == header.read_bytes()
+
     def test_model_flag_conflicts_with_fit_flags(self, corpus, holed,
                                                  tmp_path, capsys):
         rc = run(["impute", "--data", holed,
@@ -1188,12 +1204,13 @@ class TestBenchCommand:
         e_step_core = estimation._e_step_core
         calls: dict = {}
 
-        def e_step(x, items, grid):
-            calls[x.nnz] = calls.get(x.nnz, 0) + 1
-            if failing.get(x.nnz) == calls[x.nnz]:
+        def e_step(blocks, items, grid):
+            nnz = design_entries(blocks)
+            calls[nnz] = calls.get(nnz, 0) + 1
+            if failing.get(nnz) == calls[nnz]:
                 raise NumericalFailure(
-                    f"E-step {calls[x.nnz]} of the fit with {x.nnz} entries")
-            return e_step_core(x, items, grid)
+                    f"E-step {calls[nnz]} of the fit with {nnz} entries")
+            return e_step_core(blocks, items, grid)
 
         def patch():
             calls.clear()

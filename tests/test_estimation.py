@@ -8,7 +8,12 @@ frozen (seeds recorded with each test).
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -19,6 +24,7 @@ from scipy.stats import norm
 
 from helpers import (
     dense_e_step,
+    design_cases,
     em_loop_fit,
     fd_hessian,
     random_item,
@@ -47,7 +53,10 @@ from irtimpute.estimation import (
     FitConfig,
     FittedModel,
     QuadratureGrid,
+    _blocks,
+    _codes_matrix,
     _design,
+    _e_step_core,
     _log_table,
     _m_step,
     _m_steps,
@@ -230,13 +239,25 @@ def mixed_codes(seed):
     return items, codes
 
 
+def whole_log_joint(codes, items, table):
+    """``X @ table`` over one design of every case, less the carry rows."""
+    return (_design(codes, items) @ table)[len(table):]
+
+
+MIXED_SCHEMAS = (ColumnSchema("u", "binary"),
+                 ColumnSchema("v", "ordinal", arity=4),
+                 ColumnSchema("w", "nominal", arity=3))
+
+
 class TestSparseEStep:
-    def test_bit_identical_to_dense_loop(self):
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_bit_identical_to_dense_loop(self, block, monkeypatch):
+        # a block of 7 rows puts seams inside the 2000 rows and leaves a
+        # short last block
+        if block is not None:
+            monkeypatch.setattr(estimation, "_JOINT_BLOCK", block)
         items, codes = mixed_codes(17)
-        schemas = (ColumnSchema("u", "binary"),
-                   ColumnSchema("v", "ordinal", arity=4),
-                   ColumnSchema("w", "nominal", arity=3))
-        data = CategoricalDataset(schemas, codes.astype(float))
+        data = CategoricalDataset(MIXED_SCHEMAS, codes.astype(float))
         grid = build_grid()
         result = e_step(data, items, grid)
         posts, counts, masses, loglik = dense_e_step(codes, items, grid)
@@ -263,7 +284,8 @@ class TestSparseEStep:
                  Binary2PL(1.0, 0.0, column="v"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return _posteriors_and_loglik(_design(codes, items) @ table)
+            return _posteriors_and_loglik(whole_log_joint(codes, items,
+                                                          table))
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("seed", [17, 19])
@@ -275,8 +297,9 @@ class TestSparseEStep:
             monkeypatch.setattr(estimation, "_JOINT_BLOCK", block)
         items, codes = mixed_codes(seed)
         grid = build_grid()
-        want = _design(codes, items) @ _log_table(items, grid)
-        got = estimation._log_joint(codes, items, grid)
+        want = whole_log_joint(codes, items, _log_table(items, grid))
+        got = np.concatenate([joint.copy() for joint in
+                              estimation._log_joints(codes, items, grid)])
         assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_unobserved_minus_inf_leaves_posterior_finite(self):
@@ -290,6 +313,116 @@ class TestSparseEStep:
         with pytest.raises(NumericalFailure):
             self.posterior_with_impossible_categories(
                 np.array([[1, 0], [0, 1]]))
+
+
+def whole_moments(codes, items, grid):
+    """EAP means and SDs from one product over all the cases."""
+    posterior, _ = _posteriors_and_loglik(
+        whole_log_joint(codes, items, _log_table(items, grid)))
+    nodes = grid.node_array()
+    means = posterior @ nodes
+    return means, np.sqrt(np.maximum(posterior @ nodes**2 - means**2, 0.0))
+
+
+class TestBlocks:
+    """The likelihood core walks the cases in blocks of ``_JOINT_BLOCK``;
+    no block seam may change a bit."""
+
+    def test_blocked_eap_equals_whole_matrix_moments(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_JOINT_BLOCK", 16)
+        items, codes = mixed_codes(29)
+        codes = codes[:1999]    # not a multiple of 16: a short last block
+        model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
+        got = estimation._eap(codes, model)
+        want = whole_moments(codes, items, model.grid)
+        for a, b in zip(got, want):
+            assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("rows", [1, estimation._JOINT_BLOCK,
+                                      estimation._JOINT_BLOCK + 1])
+    def test_e_step_and_scores_at_the_seams(self, rows):
+        items, codes = mixed_codes(31)
+        codes = np.concatenate([codes, codes])[:rows]
+        data = CategoricalDataset(MIXED_SCHEMAS, codes.astype(float))
+        grid = build_grid()
+        result = e_step(data, items, grid)
+        posts, counts, masses, loglik = dense_e_step(codes, items, grid)
+        assert_array_equal(result.posteriors, posts)
+        for got, want in zip(result.expected_counts, counts):
+            assert_array_equal(got, want)
+        assert_array_equal(result.node_masses, masses)
+        assert result.marginal_loglik == loglik
+        model = FittedModel(items, grid, True, 0, 0.0, (0.0,))
+        for a, b in zip(eap_scores(data, model),
+                        whole_moments(codes, items, grid)):
+            assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("rows", [1, estimation._JOINT_BLOCK,
+                                      estimation._JOINT_BLOCK + 1])
+    def test_fit_at_the_seams(self, rows, monkeypatch):
+        items = simulate_items("grm", 3, np.random.default_rng(37),
+                               n_categories=3)
+        data = simulate_dataset(items, rows, seed=38)
+        config = FitConfig(seed=0)
+        if rows == 1:    # one case cannot give every category
+            with pytest.raises(UnobservedCategory):
+                fit(data, config)
+            return
+        blocked = fit(data, config)
+        # one block holds every case: one product over all of them
+        monkeypatch.setattr(estimation, "_JOINT_BLOCK", 2**20)
+        whole = fit(data, config)
+        assert blocked == whole
+        for a, b in zip(blocked.items, whole.items):
+            assert a.vector().tobytes() == b.vector().tobytes()
+
+    def test_scores_independent_of_blas_thread_count(self):
+        # two BLAS threads split one product over 10 001 rows off the
+        # kernel's row groups, which moved scores; a block of 1 024 rows
+        # splits on them
+        script = (
+            "import hashlib, numpy as np\n"
+            "from irtimpute.estimation import FittedModel, build_grid, "
+            "eap_scores\n"
+            "from irtimpute.simulate import simulate_dataset, simulate_items\n"
+            "items = simulate_items('grm', 5, np.random.default_rng(3), "
+            "n_categories=4)\n"
+            "model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))\n"
+            "means, sds = eap_scores(simulate_dataset(items, 10001, seed=4), "
+            "model)\n"
+            "print(hashlib.sha256(means.tobytes() + sds.tobytes())"
+            ".hexdigest())\n")
+        src = str(Path(estimation.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads)
+            digests.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert digests[0] == digests[1]
+
+    def test_memory_stays_below_half_a_posterior(self):
+        # 8 full blocks and a short one; the whole cases × nodes posterior
+        # would take rows × nodes × 8 bytes
+        rows = 8 * estimation._JOINT_BLOCK + 5
+        items = simulate_items("grm", 4, np.random.default_rng(41),
+                               n_categories=3)
+        data = simulate_dataset(items, rows, seed=42)
+        grid = build_grid()
+        model = FittedModel(items, grid, True, 0, 0.0, (0.0,))
+        blocks = _blocks(_codes_matrix(data, items), items)
+        bound = rows * grid.size * 8 / 2
+        for call in (lambda: _e_step_core(blocks, items, grid),
+                     lambda: eap_scores(data, model)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+
 
 class TestMStep:
     def test_stationary_counts_leave_parameters_unchanged(self):
@@ -796,12 +929,12 @@ class TestFitMany:
         calls: dict = {}
         e_step_core = estimation._e_step_core
 
-        def e_step(x, items, grid):
-            rows = x.shape[0]
+        def e_step(blocks, items, grid):
+            rows = design_cases(blocks)
             calls[rows] = calls.get(rows, 0) + 1
             if failing.get(rows) == calls[rows]:
                 raise NumericalFailure(f"E-step {calls[rows]} of {rows}")
-            return e_step_core(x, items, grid)
+            return e_step_core(blocks, items, grid)
 
         monkeypatch.setattr(estimation, "_e_step_core", e_step)
         fits = fit_many(datasets, FitConfig(seed=0))

@@ -1,0 +1,90 @@
+#!/bin/sh
+# Smoke run of the command line on small generated corpora: every
+# subcommand, the apply path with scipy blocked, reruns that must repeat
+# byte for byte, and two usage errors.  Run it from an empty directory,
+# where it writes its files.
+#
+# IRTIMPUTE names the command to run (default: the installed console
+# script).  From a checkout, without installing:
+#
+#   PYTHONPATH=/path/to/checkout/src IRTIMPUTE="python -m irtimpute.cli" \
+#     sh /path/to/checkout/.github/smoke.sh
+set -eu
+irtimpute=${IRTIMPUTE:-irtimpute}
+
+# applying a model, scoring it and Little's test need no scipy
+without_scipy() {
+  python -c "import sys; sys.modules['scipy'] = None; from irtimpute.cli import main; sys.exit(main(sys.argv[1:]))" "$@"
+}
+
+$irtimpute --help > /dev/null
+python - <<'EOF'
+import numpy as np
+from irtimpute.data import MISSING, emit_csv, format_schema
+from irtimpute.simulate import simulate_dataset, simulate_items
+items = simulate_items("grm", 4, np.random.default_rng(1), n_categories=3)
+data = simulate_dataset(items, 300, seed=2)
+# blank about 10 % of the cells, so that Little's test runs its EM
+cells = data.cells.copy()
+cells[np.random.default_rng(3).random(cells.shape) < 0.1] = MISSING
+emit_csv(data, "truth.csv")
+emit_csv(data.with_cells(cells), "corpus.csv")
+with open("corpus.cols", "w") as handle:
+    handle.write(format_schema(data.schemas))
+# 2 500 rows: three blocks of the likelihood core, the last short
+big = simulate_dataset(items, 2500, seed=5)
+cells = big.cells.copy()
+cells[np.random.default_rng(6).random(cells.shape) < 0.1] = MISSING
+emit_csv(big.with_cells(cells), "big.csv")
+EOF
+$irtimpute fit --data corpus.csv --schema corpus.cols --out model.json
+$irtimpute mcar-test --data corpus.csv --schema corpus.cols
+$irtimpute impute --data corpus.csv --schema corpus.cols \
+  --model model.json --out filled.csv --probabilities probs.csv
+$irtimpute evaluate --truth truth.csv --with-missing corpus.csv \
+  --imputed filled.csv --schema corpus.cols
+without_scipy impute --data corpus.csv --schema corpus.cols \
+  --model model.json --out filled.csv --probabilities probs.csv > /dev/null
+without_scipy evaluate --truth truth.csv --with-missing corpus.csv \
+  --imputed filled.csv --schema corpus.cols > /dev/null
+without_scipy mcar-test --data corpus.csv --schema corpus.cols > /dev/null
+
+# a fit over three blocks repeats itself, and applying it needs no scipy
+for run in 1 2; do
+  $irtimpute fit --data big.csv --schema corpus.cols --out big$run.json > /dev/null
+done
+cmp big1.json big2.json
+without_scipy impute --data big.csv --schema corpus.cols --model big1.json \
+  --out big-filled.csv --probabilities big-probs.csv > /dev/null
+
+$irtimpute inject --data truth.csv --schema corpus.cols \
+  --target item00 --fraction 0.2 --mechanism mcar --seed 4 \
+  --out injected.csv
+$irtimpute bench --data truth.csv --schema corpus.cols \
+  --target item00 --mechanisms mcar --fractions 0.2 --out bench.txt
+# four cells fitted together, each stopped by the iteration cap; a rerun
+# writes the same report
+for run in 1 2; do
+  $irtimpute bench --data truth.csv --schema corpus.cols \
+    --target item00 --conditional item01 --mechanisms mcar,mar \
+    --fractions 0.2,0.4 --max-iter 6 --out capped$run.txt
+done
+cmp capped1.txt capped2.txt
+$irtimpute impute --data corpus.csv --schema corpus.cols \
+  --save-model refit.json --out refit.csv
+$irtimpute inject --data truth.csv --schema corpus.cols \
+  --target item00 --fraction 0.2 --mechanism mar \
+  --conditional item01 --out mar.csv
+
+# a fraction outside (0, 1) is a usage error, exit code 1
+rc=0
+$irtimpute inject --data truth.csv --schema corpus.cols \
+  --target item00 --fraction 2 --mechanism mcar --seed 4 \
+  --out bad.csv || rc=$?
+test "$rc" -eq 1
+# so is a conditional column equal to the target
+rc=0
+$irtimpute inject --data truth.csv --schema corpus.cols \
+  --target item00 --fraction 0.2 --mechanism mar \
+  --conditional item00 --out bad.csv || rc=$?
+test "$rc" -eq 1

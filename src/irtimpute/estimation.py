@@ -14,9 +14,10 @@ grid carrying standard-normal prior weights.  One EM map is:
   held, as in Bertsekas's projected Newton.  Items that share a kernel and
   a category count take one stacked Newton, but every item converges,
   halves its step and fails on its own: a failed item is reported, not
-  raised, and its fit gets the error it would get alone.  An item whose
-  trial step rounds back to its point leaves the step-halving, since
-  every shorter step would repeat that trial.
+  raised, and its fit's error is that of its first failed item in item
+  order, as a loop over the items would raise.  An item whose trial step
+  rounds back to its point leaves the step-halving, since every shorter
+  step would repeat that trial.
 
 The fit runs the map in SQUAREM cycles (Varadhan & Roland 2008, step length
 S3) over the stacked x-space vector of all items.  Two maps x1 = F(x0) and
@@ -34,10 +35,12 @@ closing map.  Each fit keeps its own trace, clamp events, convergence test
 and iteration cap.  The E-steps stay per fit, but each phase's M-steps are
 one stacked call over the items of every fit, so a kernel's Newton runs
 once per phase, not once per fit.  No item's update depends on the other
-rows of its stack, so each fit gets the bits it gets alone.  A failed
-fit's error waits until the models of the fits before it are out.  The
-datasets are read in groups whose designs stay within ``DESIGN_BUDGET``
-bytes, so a group of large fits holds about what one fit holds.
+rows of its stack, so each fit gets the bits it gets alone.  A failure
+takes one path, whatever step failed: a dataset that cannot start, an
+E-step or an M-step records its error on its fit's run, and the error is
+raised once the models of the fits before it are out.  The datasets are
+read in groups whose designs stay within ``DESIGN_BUDGET`` bytes, so a
+group of large fits holds about what one fit holds.
 
 The E-step is two sparse products per block of cases.  The code matrix is
 encoded once per fit as CSR designs, one per ``_JOINT_BLOCK`` cases, of
@@ -191,9 +194,11 @@ def build_grid(size: int = FitConfig.grid_size,
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DataError(f"invalid grid range [{lo}, {hi}]")
     nodes = np.linspace(lo, hi, size)
-    # scipy.stats.norm.pdf's own formula: the same weights, bit for bit
-    weights = np.exp(-nodes**2 / 2.0) / np.sqrt(2 * np.pi)
-    weights /= weights.sum()
+    # scipy.stats.norm.pdf's own formula: the same weights, bit for bit; a
+    # range too wide for it gives weights the grid's own check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(-nodes**2 / 2.0) / np.sqrt(2 * np.pi)
+        weights /= weights.sum()
     return QuadratureGrid(tuple(nodes), tuple(weights))
 
 
@@ -241,14 +246,14 @@ def _design(codes: np.ndarray, items: tuple[ItemModel, ...]) -> csr_array:
     starts = np.cumsum([1, *sizes])
     width = int(starts[-1])
     n, k = codes.shape
-    # int32 indices where they fit take half the bytes, and the products
-    # add the same terms
-    index = np.int32 if width + n * (1 + k) < 2**31 else np.int64
-    columns = np.zeros((n, 1 + k), index)
+    # int32 indices take half the bytes of int64; a block of at most
+    # _JOINT_BLOCK cases is far below 2**31 entries
+    columns = np.zeros((n, 1 + k), np.int32)
     np.add(codes, starts[:-1], out=columns[:, 1:], casting="unsafe")
     present = np.column_stack([np.ones(n, bool), codes >= 0])
-    indices = np.concatenate([np.arange(width, dtype=index), columns[present]])
-    indptr = np.arange(width + n + 1, dtype=index)
+    indices = np.concatenate([np.arange(width, dtype=np.int32),
+                              columns[present]])
+    indptr = np.arange(width + n + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1), out=indptr[width + 1:])
     indptr[width + 1:] += width
     return csr_array((np.ones(indices.size), indices, indptr),
@@ -398,10 +403,12 @@ def _objective(kernel, x: np.ndarray, r: np.ndarray, nodes: np.ndarray
     """
     log_pi, _, d_params = kernel.derivatives(*kernel.natural(x), nodes)
     d = kernel.chain(x[:, None, None, :], d_params)
-    f = (r * log_pi).reshape(len(x), -1).sum(axis=1)
-    g = np.einsum("iqk,iqkp->ip", r, d)
-    weights = r.sum(axis=2, keepdims=True) * np.exp(log_pi)
-    info = np.einsum("iqk,iqkp,iqkr->ipr", weights, d, d)
+    # counts too large to sum give a non-finite objective; the caller fails it
+    with np.errstate(over="ignore"):
+        f = (r * log_pi).reshape(len(x), -1).sum(axis=1)
+        g = np.einsum("iqk,iqkp->ip", r, d)
+        weights = r.sum(axis=2, keepdims=True) * np.exp(log_pi)
+        info = np.einsum("iqk,iqkp,iqkr->ipr", weights, d, d)
     return f, g, info
 
 
@@ -464,21 +471,20 @@ def _projected_direction(kernel, x: np.ndarray, info: np.ndarray,
 
 def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
                      nodes: np.ndarray, columns: list[str]
-                     ) -> tuple[np.ndarray, list[tuple[int, NumericalFailure]]]:
+                     ) -> tuple[np.ndarray, dict[int, NumericalFailure]]:
     """Projected Newton with the expected information, one row per item.
 
     Coordinates the parameter box stops are held before each step
     (Bertsekas's projected Newton); step-halving, convergence and failure
-    are decided per item.  Returns the solved rows and the failed ones,
-    each with its error, in the order a row-by-row loop meets them: the
-    rows with a non-finite start first, then by Newton step and row.
+    are decided per item.  Returns the solved rows and the error of each
+    failed row, keyed by row.
     """
     x = kernel.clamp(x0)
     f, g, info = _objective(kernel, x, r, nodes)
     bad = ~(np.isfinite(f) & np.all(np.isfinite(g), axis=1))
-    failures = [(i, NumericalFailure(
-        f"item {columns[i]!r}: non-finite objective at start"))
-        for i in np.flatnonzero(bad)]
+    failures = {i: NumericalFailure(
+        f"item {columns[i]!r}: non-finite objective at start")
+        for i in np.flatnonzero(bad)}
     active = np.flatnonzero(~bad)
     for _ in range(NEWTON_MAX_ITER):
         scale = np.maximum(1.0, np.abs(f[active]))
@@ -518,9 +524,9 @@ def _newton_maximize(kernel, x0: np.ndarray, r: np.ndarray,
             gmax = np.max(np.abs(g[i]))
             if (gmax > 1e3 * NEWTON_TOL * max(1.0, abs(f[i]))
                     and not _at_bound(kernel, x[i:i + 1])):
-                failures.append((i, NewtonDiverged(
+                failures[i] = NewtonDiverged(
                     f"item {columns[i]!r}: no improving step with gradient "
-                    f"{gmax:.3e}")))
+                    f"{gmax:.3e}")
         active = np.delete(active, failed)
     return x, failures
 
@@ -541,8 +547,7 @@ def _floored_counts(item: ItemModel, expected_counts: np.ndarray,
         )
     if not np.all(np.isfinite(r) & (r >= 0)):
         raise DataError("expected counts must be finite and nonnegative")
-    totals = r.sum(axis=0)
-    zeros = np.flatnonzero(totals == 0)
+    zeros = np.flatnonzero(~r.any(axis=0))
     if zeros.size:
         raise EmptyCategory(
             f"column {item.column!r}: category {int(zeros[0])} has zero "
@@ -557,8 +562,9 @@ def _m_steps(fits: list[tuple[tuple[ItemModel, ...], tuple]],
 
     Items of every fit that share a kernel and a category count take one
     stacked Newton.  Returns per fit its updated items and the clamp
-    events of their parameters, or the error :func:`_m_step` raises for
-    it alone.
+    events of their parameters, or its error: a count error first, else
+    its first failed item's, in item order, as a loop over
+    :func:`m_step_item` raises.
     """
     outcomes: list = [None] * len(fits)
     groups: dict = {}
@@ -572,25 +578,19 @@ def _m_steps(fits: list[tuple[tuple[ItemModel, ...], tuple]],
         for i, (item, r) in enumerate(zip(items, counts)):
             groups.setdefault((item.kernel, item.n_categories),
                               []).append((k, i, r))
+    # per fit and item, its solved point or its error
     x = [[None] * len(items) for items, _ in fits]
-    # per fit, its first error in each group
-    errors: list[dict] = [{} for _ in fits]
     for key, members in groups.items():
         solved, failures = _newton_maximize(
             key[0], np.array([fits[k][0][i].to_x() for k, i, _ in members]),
             np.array([r for _, _, r in members]), grid.node_array(),
             [fits[k][0][i].column for k, i, _ in members])
-        for row, error in failures:
-            errors[members[row][0]].setdefault(key, error)
-        for (k, i, _), row in zip(members, solved):
-            x[k][i] = row
+        for row, ((k, i, _), point) in enumerate(zip(members, solved)):
+            x[k][i] = failures.get(row, point)
     for k, (items, _) in enumerate(fits):
         if outcomes[k] is not None:
             continue
-        # alone, the fit's groups would run in the order of its items
-        keys = dict.fromkeys((item.kernel, item.n_categories)
-                             for item in items)
-        failed = [errors[k][key] for key in keys if key in errors[k]]
+        failed = [row for row in x[k] if isinstance(row, IrtImputeError)]
         if failed:
             outcomes[k] = failed[0]
             continue
@@ -814,7 +814,7 @@ def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
                ) -> Iterator[FittedModel]:
     """Run the EM of every run in lockstep, then yield their models in
     order up to the first failed run, whose error is raised then."""
-    active = runs
+    active = _before_failure(runs, runs)
     while active:
         # a cycle takes up to four maps; nearer the cap, plain maps
         _squarem([run for run in active
@@ -852,43 +852,41 @@ def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
 
 def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig
           ) -> Iterator[_Run]:
-    """A run per dataset, in order, each at its starting items."""
-    for data in datasets:
-        items = _initial_items(data, config)
-        yield _Run(_blocks(_codes_matrix(data, items), items), items)
+    """A run per dataset, in order, each at its starting items.  A dataset
+    that cannot start, or a package error raised by ``datasets``, gives a
+    failed run with no design and no items, the last."""
+    try:
+        for data in datasets:
+            items = _initial_items(data, config)
+            yield _Run(_blocks(_codes_matrix(data, items), items), items)
+    except IrtImputeError as exc:
+        yield _Run((), (), error=exc)
 
 
 def fit_many(datasets: Iterable[CategoricalDataset],
              config: FitConfig | None = None) -> Iterator[FittedModel]:
     """Fit each dataset as :func:`fit` does, yielding the models in order.
 
-    The same models and errors as ``(fit(d, config) for d in datasets)``:
-    a dataset's error, or a package error raised by ``datasets`` itself,
-    comes after the models of the datasets before it, and no later dataset
-    is read.  The datasets are read in groups, whose fits run in lockstep;
-    see ``DESIGN_BUDGET``.
+    The same models and errors as ``(fit(d, config) for d in datasets)``.
+    A failed fit is a failed run, whichever step failed: its set-up, an
+    E-step or an M-step (whose error is its first failed item's), or a
+    package error raised by ``datasets`` itself.  Its error comes after
+    the models of the datasets before it, and no later dataset is read.
+    The datasets are read in groups, whose fits run in lockstep; see
+    ``DESIGN_BUDGET``.
     """
     config = config or FitConfig()
     grid = build_grid(config.grid_size, config.grid_range)
-    runs = _runs(datasets, config)
-    done = False
-    while not done:
-        group, held, error = [], 0, None
-        try:
-            for run in runs:
-                group.append(run)
-                held += run.design_bytes
-                # one more design of this size would pass the budget
-                if held + run.design_bytes > DESIGN_BUDGET:
-                    break
-            else:
-                done = True
-        except IrtImputeError as exc:  # raised in turn, as a loop would
-            error, done = exc, True
-        if group:
+    group, held = [], 0
+    for run in _runs(datasets, config):
+        group.append(run)
+        held += run.design_bytes
+        # one more design of this size would pass the budget
+        if held + run.design_bytes > DESIGN_BUDGET:
             yield from _fit_group(group, grid, config)
-        if error is not None:
-            raise error
+            group, held = [], 0
+    if group:
+        yield from _fit_group(group, grid, config)
 
 
 def fit(data: CategoricalDataset, config: FitConfig | None = None

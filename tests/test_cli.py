@@ -203,6 +203,24 @@ class TestExitCodes:
                   "--out", tmp_path / "m.json"])
         assert rc == 2
 
+    @pytest.mark.parametrize("grid_range", [("-1e200", "1e200"),
+                                            ("1e300", "1.0000001e300")])
+    def test_too_wide_a_grid_prints_one_line(self, corpus, tmp_path,
+                                             grid_range):
+        # in a child process, where numpy's warnings would print too
+        src = str(Path(irtimpute.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "irtimpute.cli", "fit",
+             "--data", str(corpus / "truth.csv"),
+             "--schema", str(corpus / "truth.cols"),
+             f"--grid-lo={grid_range[0]}", f"--grid-hi={grid_range[1]}",
+             "--out", str(tmp_path / "m.json")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: data: grid weights must be strictly "
+                               "positive\n")
+
     def test_numerical_failure_maps_to_three(self, corpus, tmp_path,
                                              monkeypatch, capsys):
         def explode(*args, **kwargs):

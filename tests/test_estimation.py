@@ -119,6 +119,14 @@ class TestBuildGrid:
             build_grid(5)
         with pytest.raises(DataError):
             build_grid(61, (2.0, -2.0))
+        # the squares overflow and the weights sum to zero; the grid's own
+        # check says so, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid_range in ((-1e200, 1e200), (1e300, 1.0000001e300)):
+                with pytest.raises(DataError, match="^grid weights must be "
+                                                    "strictly positive$"):
+                    build_grid(61, grid_range)
 
     def test_grid_invariants_enforced(self):
         with pytest.raises(DataError):
@@ -580,6 +588,43 @@ class TestMStep:
                                                  "step with gradient "):
             m_step_item(Binary2PL(1.0, 0.0, column="u"), counts, grid)
 
+    def test_counts_too_large_to_sum_fail_at_the_start(self):
+        grid = build_grid()
+        item = GradedItem.from_bounds(1.0, (-1.0, 1.0), column="v")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^item 'v': non-finite "
+                                                       "objective at start$"):
+                m_step_item(item, np.full((grid.size, 3), 1e307), grid)
+
+    def test_a_fit_fails_with_its_first_failed_item(self, monkeypatch):
+        # under a descent direction A, at its optimum, converges and B and
+        # C fail; a loop over the items meets B first, although C shares
+        # the kernel of the first item
+        grid = build_grid()
+        nodes = grid.node_array()
+        masses = 300.0 * grid.weight_array()[:, None]
+        a = GradedItem.from_bounds(1.2, (-0.5, 0.8), column="A")
+        graded = masses * category_probs(nodes, a)
+        binary = masses * category_probs(nodes, Binary2PL(1.5, 0.5))
+        c = GradedItem.from_bounds(1.0, (-1.0, 1.0), column="C")
+        fit_items = (a, Binary2PL(1.0, 0.0, column="B"), c)
+        fit_counts = (graded, binary, graded)
+        monkeypatch.setattr(estimation, "_projected_direction",
+                            lambda kernel, x, info, g, held: -g)
+        assert m_step_item(a, graded, grid) == a
+        for item, r in zip(fit_items[1:], fit_counts[1:]):
+            with pytest.raises(NewtonDiverged):
+                m_step_item(item, r, grid)
+        with pytest.raises(NewtonDiverged, match="^item 'B': "):
+            _m_step(fit_items, fit_counts, grid)
+        # stacked after a fit of C alone, C's row comes first in its group
+        alone, together = _m_steps([((c,), (graded,)),
+                                    (fit_items, fit_counts)], grid)
+        assert str(alone).startswith("item 'C': ")
+        assert type(together) is NewtonDiverged
+        assert str(together).startswith("item 'B': ")
+
     def test_stacked_fits_fail_apart(self, monkeypatch):
         # under a descent direction, a fit at its optimum still converges,
         # one off its optimum fails, and one with an empty category fails
@@ -942,6 +987,50 @@ class TestFitMany:
         with pytest.raises(NumericalFailure, match="^E-step 8 of 500$"):
             next(fits)
         assert calls[800] == 2
+
+    @pytest.mark.parametrize("step", ["m-step", "trial e-step",
+                                      "final e-step"])
+    def test_a_failed_step_fails_its_fit_alone(self, step, monkeypatch):
+        # the second of three fits fails at one step: the first model comes
+        # out, then the second's error, and no third model
+        datasets = _lockstep_corpora()[:3]
+        config = FitConfig(seed=0)
+        first = fit(datasets[0], config)
+        second = datasets[1].n_rows
+        calls: list = []
+        e_step_core = estimation._e_step_core
+
+        def e_step(blocks, items, grid):
+            if design_cases(blocks) == second:
+                calls.append(1)
+                if len(calls) == failing:
+                    raise NumericalFailure(f"{step} of the second fit")
+            return e_step_core(blocks, items, grid)
+
+        m_steps = estimation._m_steps
+
+        def m_step(fits, grid):
+            return [NumericalFailure(f"{step} of the second fit")
+                    if items[0].column == datasets[1].schemas[0].name
+                    else outcome
+                    for (items, _), outcome in zip(fits, m_steps(fits, grid))]
+
+        if step == "m-step":
+            monkeypatch.setattr(estimation, "_m_steps", m_step)
+        else:
+            # a first cycle's third E-step is its trial point's; counted
+            # in a fit that fails nowhere, the last E-step is the final one
+            failing = 0
+            monkeypatch.setattr(estimation, "_e_step_core", e_step)
+            fit(datasets[1], config)
+            failing = 3 if step == "trial e-step" else len(calls)
+            calls.clear()
+        fits = fit_many(datasets, config)
+        assert next(fits) == first
+        with pytest.raises(NumericalFailure,
+                           match=f"^{step} of the second fit$"):
+            next(fits)
+        assert list(fits) == []
 
 
 def dense_grid_eap(pattern, items, size=10001, lo=-6.0, hi=6.0):

@@ -36,6 +36,11 @@ big = simulate_dataset(items, 2500, seed=5)
 cells = big.cells.copy()
 cells[np.random.default_rng(6).random(cells.shape) < 0.1] = MISSING
 emit_csv(big.with_cells(cells), "big.csv")
+# one row with exactly one blank cell, alone and after big.csv's rows
+row = big.cells[:1].copy()
+row[0, 0] = MISSING
+emit_csv(big.with_cells(row), "one.csv")
+emit_csv(big.with_cells(np.vstack([cells, row])), "many.csv")
 EOF
 $irtimpute fit --data corpus.csv --schema corpus.cols --out model.json
 $irtimpute mcar-test --data corpus.csv --schema corpus.cols
@@ -56,6 +61,14 @@ done
 cmp big1.json big2.json
 without_scipy impute --data big.csv --schema corpus.cols --model big1.json \
   --out big-filled.csv --probabilities big-probs.csv > /dev/null
+# a case's probabilities do not depend on the cases scored with it
+for rows in one many; do
+  without_scipy impute --data $rows.csv --schema corpus.cols \
+    --model big1.json --out $rows-filled.csv \
+    --probabilities $rows-probs.csv > /dev/null
+done
+test "$(tail -n 1 one-probs.csv | cut -d, -f2-)" = \
+  "$(tail -n 1 many-probs.csv | cut -d, -f2-)"
 
 $irtimpute inject --data truth.csv --schema corpus.cols \
   --target item00 --fraction 0.2 --mechanism mcar --seed 4 \

@@ -70,11 +70,14 @@ drop out of the pattern likelihood.  Scoring walks the same blocks and
 builds ``X @ L`` without the design: each case's row starts from the log
 prior and gathers its items' rows of ``L`` in item order, the same
 additions in the same order, so it matches the product bit for bit and
-needs no scipy.  Only the fit imports ``scipy.sparse``.
+needs no scipy.  The moments are ``einsum`` sums over each case's row, not
+BLAS products, so a case's score depends neither on the cases scored with
+it nor on the BLAS thread count.  Only the fit imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -227,8 +230,8 @@ class ThetaEstimate:
 # Cases per block of the likelihood core: the fit's E-step and EAP scoring
 # hold one block's log joint and posterior at a time.  At 61 nodes a block
 # and its gathered item rows take 0.5 MB each, so both stay in a core's L2
-# cache.  A multiple of 8, so that BLAS's row tails in ``posterior @ nodes``
-# fall where they fall in one product over all the cases.
+# cache.  The cuts change no bit: scoring sums within each case's row, and
+# the E-step carries its totals across them.
 _JOINT_BLOCK = 1024
 
 
@@ -327,13 +330,11 @@ def _codes_matrix(data: CategoricalDataset, items: tuple[ItemModel, ...]
 
 @dataclass(frozen=True)
 class EStepResult:
-    """Expected counts per item plus posterior bookkeeping; ``posteriors``
-    is None unless asked for."""
+    """Expected counts per item, node masses and marginal log-likelihood."""
 
     expected_counts: tuple[np.ndarray, ...]
     node_masses: np.ndarray
     marginal_loglik: float
-    posteriors: np.ndarray | None = field(default=None, repr=False)
 
 
 def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
@@ -342,21 +343,21 @@ def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
     bind the feature columns of ``data`` (see :func:`_codes_matrix`)."""
     items = tuple(items)
     return _e_step_core(_blocks(_codes_matrix(data, items), items), items,
-                        grid, posteriors=True)
+                        grid)
 
 
 def _e_step_core(blocks: tuple[csr_array, ...], items: tuple[ItemModel, ...],
-                 grid: QuadratureGrid, posteriors: bool = False
-                 ) -> EStepResult:
+                 grid: QuadratureGrid) -> EStepResult:
     """The E-step over the :func:`_blocks` of a design, one block's
     posterior at a time."""
     table = _log_table(items, grid)
     carry = table.shape[0]
     totals = np.zeros_like(table)
-    case_logliks, kept = [], []
+    case_logliks = []
     for x in blocks:
         joint = x @ table
-        posterior, case_loglik = _posteriors_and_loglik(joint[carry:])
+        # the case rows become the block's posterior in place
+        _, case_loglik = _posteriors_and_loglik(joint[carry:])
         joint[:carry] = totals
         # x.T is the CSC view of the same arrays; its product adds each
         # output row's terms in row order, starting from zero, so the carry
@@ -364,8 +365,6 @@ def _e_step_core(blocks: tuple[csr_array, ...], items: tuple[ItemModel, ...],
         # order: the bits of one product over all the cases
         totals = x.T @ joint
         case_logliks.append(case_loglik)
-        if posteriors:
-            kept.append(posterior)
     counts = []
     start = 1
     for item in items:
@@ -376,7 +375,6 @@ def _e_step_core(blocks: tuple[csr_array, ...], items: tuple[ItemModel, ...],
         expected_counts=tuple(counts),
         node_masses=totals[0],
         marginal_loglik=float(np.concatenate(case_logliks).sum()),
-        posteriors=np.concatenate(kept) if posteriors else None,
     )
 
 
@@ -802,32 +800,28 @@ def _squarem(runs: list[_Run], grid: QuadratureGrid) -> None:
         run.items = items
 
 
-def _before_failure(runs: list[_Run], active) -> list[_Run]:
-    """The ``active`` runs that come before every failed run of ``runs``:
-    no later run's model is ever yielded."""
-    failed = next((k for k, run in enumerate(runs) if run.error is not None),
-                  len(runs))
-    return [run for run in active if run in runs[:failed]]
+def _before_failure(runs: list[_Run]) -> Iterator[_Run]:
+    """The runs up to the first failed one: no later run's model is ever
+    yielded."""
+    return itertools.takewhile(lambda run: run.error is None, runs)
 
 
 def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
                ) -> Iterator[FittedModel]:
     """Run the EM of every run in lockstep, then yield their models in
     order up to the first failed run, whose error is raised then."""
-    active = _before_failure(runs, runs)
-    while active:
+    while active := [run for run in _before_failure(runs) if not run.converged
+                     and len(run.trace) < config.max_iter]:
         # a cycle takes up to four maps; nearer the cap, plain maps
         _squarem([run for run in active
                   if config.max_iter - len(run.trace) >= 4], grid)
-        old = {run: run.items for run in _before_failure(runs, active)}
+        old = {run: run.items for run in _before_failure(active)}
         for run, items in _maps(old, grid).items():
             delta = max(float(np.max(np.abs(new.vector() - prior.vector())))
                         for new, prior in zip(items, old[run]))
             run.items, run.converged = items, delta < config.tol
-        active = [run for run in _before_failure(runs, old)
-                  if not run.converged and len(run.trace) < config.max_iter]
     models = []
-    for run in _before_failure(runs, runs):
+    for run in _before_failure(runs):
         iterations = len(run.trace)
         items = _canonicalize_orientation(run.items)
         final = _e_step(run, items, grid)
@@ -911,10 +905,6 @@ def _log_joints(codes: np.ndarray, items: tuple[ItemModel, ...],
     item order.  A missing cell adds a zero row, which changes no sum.
     Every block is written into the same buffer, so the caller is done with
     one block before it asks for the next.
-
-    A last block of one row joins the block before it: numpy takes a
-    one-row ``posterior @ nodes`` as a dot product, whose sum is not the
-    one BLAS makes for that row in a matrix product.
     """
     table = _log_table(items, grid)
     starts = np.cumsum([1, *(item.n_categories for item in items)])
@@ -922,14 +912,10 @@ def _log_joints(codes: np.ndarray, items: tuple[ItemModel, ...],
     # to each item's table; it skips the bounds check "raise" makes
     tables = [np.vstack([table[lo:hi], np.zeros((1, grid.size))])
               for lo, hi in zip(starts[:-1], starts[1:])]
-    n = codes.shape[0]
-    cuts = list(range(0, n, _JOINT_BLOCK))
-    if n > 1 and n % _JOINT_BLOCK == 1:
-        del cuts[-1]
-    joint = np.empty((min(_JOINT_BLOCK + 1, n), grid.size))
+    joint = np.empty((min(_JOINT_BLOCK, len(codes)), grid.size))
     term = np.empty_like(joint)
-    for lo, hi in zip(cuts, [*cuts[1:], n]):
-        block = codes[lo:hi]
+    for lo in range(0, len(codes), _JOINT_BLOCK):
+        block = codes[lo:lo + _JOINT_BLOCK]
         rows, gathered = joint[:len(block)], term[:len(block)]
         rows[:] = table[0]
         for item_table, item_codes in zip(tables, block.T):
@@ -947,8 +933,9 @@ def _eap(codes: np.ndarray, model: FittedModel
     for joint in _log_joints(codes, model.items, model.grid):
         posterior, _ = _posteriors_and_loglik(joint)
         hi = lo + len(posterior)
-        means[lo:hi] = posterior @ nodes
-        second[lo:hi] = posterior @ squares
+        # einsum, not BLAS: each case's sums depend on its row alone
+        means[lo:hi] = np.einsum("qn,n->q", posterior, nodes)
+        second[lo:hi] = np.einsum("qn,n->q", posterior, squares)
         lo = hi
     variances = np.maximum(second - means ** 2, 0.0)
     return means, np.sqrt(variances)
@@ -956,14 +943,14 @@ def _eap(codes: np.ndarray, model: FittedModel
 
 def eap_score(pattern, model: FittedModel) -> ThetaEstimate:
     """Posterior mean and SD of the trait for one response pattern."""
-    pattern = np.asarray(pattern, dtype=np.int64)
+    pattern = np.asarray(pattern)
     if pattern.shape != (len(model.items),):
         raise DataError(
             f"pattern has {pattern.size} entries for {len(model.items)} items"
         )
-    for code, item in zip(pattern, model.items):
-        _check_code(int(code), item)
-    means, sds = _eap(pattern[None, :], model)
+    codes = np.array([_check_code(code, item)
+                      for code, item in zip(pattern, model.items)], np.int64)
+    means, sds = _eap(codes[None, :], model)
     return ThetaEstimate(float(means[0]), float(sds[0]))
 
 

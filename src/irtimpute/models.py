@@ -516,12 +516,19 @@ def log_category_probs(theta, item: ItemModel):
 # Pattern likelihood and analytic score
 # ---------------------------------------------------------------------------
 
-def _check_code(code: int, item: ItemModel) -> None:
-    if code < -1 or code >= item.n_categories:
+def _check_code(code, item: ItemModel) -> int:
+    """``code`` as an int: -1 (missing) or one of ``item``'s categories.
+
+    A non-integral or non-finite code is out of range too, the rule
+    :class:`~irtimpute.data.CategoricalDataset` applies to its cells.
+    """
+    value = float(code)
+    if not (value.is_integer() and -1 <= value < item.n_categories):
         raise CodeOutOfRange(
             f"code {code} out of range for column {item.column!r} with "
             f"{item.n_categories} categories"
         )
+    return int(value)
 
 
 def pattern_loglik(pattern, items: tuple[ItemModel, ...], theta: float) -> float:
@@ -532,8 +539,7 @@ def pattern_loglik(pattern, items: tuple[ItemModel, ...], theta: float) -> float
     """
     total = 0.0
     for code, item in zip(pattern, items, strict=True):
-        code = int(code)
-        _check_code(code, item)
+        code = _check_code(code, item)
         if code == -1:
             continue
         total += float(log_category_probs(theta, item)[code])
@@ -574,8 +580,7 @@ def pattern_score(
     total_dtheta = 0.0
     grads: list[np.ndarray] = []
     for code, item in zip(pattern, items, strict=True):
-        code = int(code)
-        _check_code(code, item)
+        code = _check_code(code, item)
         if code == -1:
             grads.append(np.zeros_like(item.vector()))
             continue

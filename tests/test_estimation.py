@@ -83,6 +83,7 @@ from irtimpute.models import (
     category_probs,
     log_category_probs,
     pattern_loglik,
+    pattern_score,
 )
 from irtimpute.simulate import simulate_dataset, simulate_items
 
@@ -181,6 +182,19 @@ def brute_force_e_step(data, items, grid):
     return counts, masses, loglik, np.array(posteriors)
 
 
+def walked_posteriors(codes, items, grid):
+    """Every case's posterior as scoring makes it, block by block of
+    ``_log_joints``."""
+    return np.concatenate(
+        [_posteriors_and_loglik(joint)[0].copy()
+         for joint in estimation._log_joints(codes, items, grid)])
+
+
+def toy_posteriors(grid):
+    items = toy_items()
+    return walked_posteriors(_codes_matrix(toy_data(), items), items, grid)
+
+
 class TestEStep:
     def test_matches_brute_force_oracle(self):
         data, items = toy_data(), toy_items()
@@ -191,11 +205,11 @@ class TestEStep:
             assert_allclose(got, want, atol=1e-12)
         assert_allclose(result.node_masses, masses, atol=1e-12)
         assert_allclose(result.marginal_loglik, loglik, rtol=1e-12)
-        assert_allclose(result.posteriors, posts, atol=1e-12)
+        assert_allclose(toy_posteriors(grid), posts, atol=1e-12)
 
     def test_posterior_rows_sum_to_one(self):
-        result = e_step(toy_data(), toy_items(), build_grid())
-        assert_allclose(result.posteriors.sum(axis=1), 1.0, atol=1e-10)
+        posteriors = toy_posteriors(build_grid())
+        assert_allclose(posteriors.sum(axis=1), 1.0, atol=1e-10)
 
     def test_node_masses_sum_to_case_count(self):
         result = e_step(toy_data(), toy_items(), build_grid())
@@ -208,15 +222,14 @@ class TestEStep:
 
     def test_all_missing_case_has_prior_posterior(self):
         grid = build_grid()
-        result = e_step(toy_data(), toy_items(), grid)
-        assert_allclose(result.posteriors[4], grid.weight_array(), atol=1e-15)
+        assert_allclose(toy_posteriors(grid)[4], grid.weight_array(),
+                        atol=1e-15)
 
     def test_identical_cases_identical_posteriors(self):
-        schemas = (ColumnSchema("u", "binary"),)
-        data = CategoricalDataset(schemas, np.array([[1.0], [1.0]]))
         items = (Binary2PL(1.0, 0.0, column="u"),)
-        result = e_step(data, items, build_grid())
-        assert_array_equal(result.posteriors[0], result.posteriors[1])
+        posteriors = walked_posteriors(np.array([[1], [1]]), items,
+                                       build_grid())
+        assert_array_equal(posteriors[0], posteriors[1])
 
     def test_items_must_match_feature_columns(self):
         with pytest.raises(DataError):
@@ -269,7 +282,7 @@ class TestSparseEStep:
         grid = build_grid()
         result = e_step(data, items, grid)
         posts, counts, masses, loglik = dense_e_step(codes, items, grid)
-        assert_array_equal(result.posteriors, posts)
+        assert_array_equal(walked_posteriors(codes, items, grid), posts)
         assert len(result.expected_counts) == len(counts)
         for got, want in zip(result.expected_counts, counts):
             assert_array_equal(got, want)
@@ -324,12 +337,14 @@ class TestSparseEStep:
 
 
 def whole_moments(codes, items, grid):
-    """EAP means and SDs from one product over all the cases."""
+    """EAP means and SDs from one product and one ``einsum`` over all the
+    cases."""
     posterior, _ = _posteriors_and_loglik(
         whole_log_joint(codes, items, _log_table(items, grid)))
     nodes = grid.node_array()
-    means = posterior @ nodes
-    return means, np.sqrt(np.maximum(posterior @ nodes**2 - means**2, 0.0))
+    means = np.einsum("qn,n->q", posterior, nodes)
+    second = np.einsum("qn,n->q", posterior, nodes**2)
+    return means, np.sqrt(np.maximum(second - means**2, 0.0))
 
 
 class TestBlocks:
@@ -355,7 +370,7 @@ class TestBlocks:
         grid = build_grid()
         result = e_step(data, items, grid)
         posts, counts, masses, loglik = dense_e_step(codes, items, grid)
-        assert_array_equal(result.posteriors, posts)
+        assert_array_equal(walked_posteriors(codes, items, grid), posts)
         for got, want in zip(result.expected_counts, counts):
             assert_array_equal(got, want)
         assert_array_equal(result.node_masses, masses)
@@ -385,9 +400,7 @@ class TestBlocks:
             assert a.vector().tobytes() == b.vector().tobytes()
 
     def test_scores_independent_of_blas_thread_count(self):
-        # two BLAS threads split one product over 10 001 rows off the
-        # kernel's row groups, which moved scores; a block of 1 024 rows
-        # splits on them
+        # scoring takes no BLAS product, so the thread count moves no score
         script = (
             "import hashlib, numpy as np\n"
             "from irtimpute.estimation import FittedModel, build_grid, "
@@ -1032,6 +1045,30 @@ class TestFitMany:
             next(fits)
         assert list(fits) == []
 
+    @pytest.mark.parametrize("failing", [4, 8])
+    def test_no_later_fit_steps_after_a_failure(self, failing, monkeypatch):
+        # a cycle's fourth E-step is its closing map's: the second of three
+        # fits fails there, and the third takes none after that phase
+        datasets = _lockstep_corpora()[:3]
+        second, third = (data.n_rows for data in datasets[1:])
+        calls = {second: 0, third: 0}
+        e_step_core = estimation._e_step_core
+
+        def e_step(blocks, items, grid):
+            rows = design_cases(blocks)
+            if rows in calls:
+                calls[rows] += 1
+                if rows == second and calls[rows] == failing:
+                    raise NumericalFailure("the second fit")
+            return e_step_core(blocks, items, grid)
+
+        monkeypatch.setattr(estimation, "_e_step_core", e_step)
+        fits = fit_many(datasets, FitConfig(seed=0))
+        assert next(fits).iterations == 12
+        with pytest.raises(NumericalFailure, match="^the second fit$"):
+            next(fits)
+        assert calls[third] == failing
+
 
 def dense_grid_eap(pattern, items, size=10001, lo=-6.0, hi=6.0):
     """Reference EAP on a dense grid, computed from first principles."""
@@ -1094,6 +1131,17 @@ class TestEapScore:
         with pytest.raises(CodeOutOfRange):
             eap_score([2, 0, 0], self.hand_model())
 
+    @pytest.mark.parametrize("code", [1.5, -1.5, 0.5, np.nan, np.inf])
+    def test_non_integral_code_out_of_range(self, code):
+        # the rule CategoricalDataset applies: -1 or a category, nothing else
+        model = self.hand_model()
+        pattern = [code, 0, 0]
+        for call in (lambda: eap_score(pattern, model),
+                     lambda: pattern_loglik(pattern, model.items, 0.0),
+                     lambda: pattern_score(pattern, model.items, 0.0)):
+            with pytest.raises(CodeOutOfRange):
+                call()
+
     def test_pattern_length_checked(self):
         with pytest.raises(DataError):
             eap_score([1, 0], self.hand_model())
@@ -1109,8 +1157,8 @@ class TestEapScore:
         means, sds = eap_scores(data, model)
         for row in range(data.n_rows):
             single = eap_score([int(c) for c in data.cells[row]], model)
-            assert_allclose(means[row], single.eap_mean, atol=1e-12)
-            assert_allclose(sds[row], single.posterior_sd, atol=1e-12)
+            assert means[row] == single.eap_mean
+            assert sds[row] == single.posterior_sd
 
 
 class TestPersistence:

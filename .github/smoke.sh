@@ -41,6 +41,15 @@ row = big.cells[:1].copy()
 row[0, 0] = MISSING
 emit_csv(big.with_cells(row), "one.csv")
 emit_csv(big.with_cells(np.vstack([cells, row])), "many.csv")
+# corpus.csv with \n line ends, with \r\n ones, and with a quoted header
+# field, which sends it through csv.reader instead of the numpy split
+with open("corpus.csv", newline="") as handle:
+    text = handle.read().replace("\r\n", "\n")
+variants = {"lf": text, "crlf": text.replace("\n", "\r\n"),
+            "quoted": '"' + text.replace(",", '",', 1)}
+for name, variant in variants.items():
+    with open(f"corpus-{name}.csv", "w", newline="") as handle:
+        handle.write(variant)
 EOF
 $irtimpute fit --data corpus.csv --schema corpus.cols --out model.json
 $irtimpute mcar-test --data corpus.csv --schema corpus.cols
@@ -53,6 +62,17 @@ without_scipy impute --data corpus.csv --schema corpus.cols \
 without_scipy evaluate --truth truth.csv --with-missing corpus.csv \
   --imputed filled.csv --schema corpus.cols > /dev/null
 without_scipy mcar-test --data corpus.csv --schema corpus.cols > /dev/null
+
+# line ends and quoting do not change what a file reads as
+for variant in lf crlf quoted; do
+  $irtimpute impute --data corpus-$variant.csv --schema corpus.cols \
+    --model model.json --out filled-$variant.csv \
+    --probabilities probs-$variant.csv > /dev/null
+done
+for variant in crlf quoted; do
+  cmp filled-lf.csv filled-$variant.csv
+  cmp probs-lf.csv probs-$variant.csv
+done
 
 # a fit over three blocks repeats itself, and applying it needs no scipy
 for run in 1 2; do

@@ -7,8 +7,12 @@ sentinel ``-1`` in every column.  Because the sentinel lives in-band, a
 continuous column may not contain a legitimate value of exactly ``-1``; the
 loader rejects such files rather than corrupt them silently.
 
-CSV files are read and written in blocks of ``_BLOCK`` rows, a column at a
-time: each distinct token of a categorical column is parsed once, and labels
+CSV files are read and written in blocks of ``_BLOCK`` rows.  A plain file
+(not empty, ASCII only, no quote and no NUL, every line within
+``csv.field_size_limit()``) is split in numpy at its line ends and commas,
+and each distinct token of up to 7 bytes in a column is looked up once per
+block (a longer one, such as most continuous values, once per cell); every
+other file reads the same through ``csv.reader``, a column at a time.  Labels
 are written by indexing an array of them with the codes.  On bad input the
 loader raises the first error in row-major order; a row with the wrong number
 of fields fails before any of its cells is read.  Every file is written to a
@@ -22,9 +26,9 @@ import io
 import math
 import os
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -154,20 +158,22 @@ class CategoricalDataset:
             raise DataError(
                 f"cells shape {cells.shape} does not match {len(schemas)} columns"
             )
-        for j, schema in enumerate(schemas):
-            if not schema.is_categorical:
-                continue
-            col = cells[:, j]
-            observed = col[col != MISSING]
-            if observed.size and (
-                np.any(observed != np.floor(observed))
-                or np.any(observed < 0)
-                or np.any(observed >= schema.arity)
-            ):
-                raise CodeOutOfRange(
-                    f"column {schema.name!r}: codes must be integers in "
-                    f"0..{schema.arity - 1}"
-                )
+        categorical = [s for s in schemas if s.is_categorical]
+        columns = [s.is_categorical for s in schemas]
+        arity = [s.arity for s in categorical]
+        bad = np.zeros(len(categorical), bool)
+        # a block of rows at a time, which bounds the temporaries
+        for lo in range(0, len(cells), _BLOCK):
+            codes = cells[lo:lo + _BLOCK, columns]
+            # the integers from the sentinel -1 to arity - 1; NaN is none
+            bad |= ((codes != np.floor(codes)) | (codes < MISSING)
+                    | (codes >= arity)).any(axis=0)
+        if bad.any():
+            schema = categorical[int(np.argmax(bad))]
+            raise CodeOutOfRange(
+                f"column {schema.name!r}: codes must be integers in "
+                f"0..{schema.arity - 1}"
+            )
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -314,20 +320,22 @@ def load_csv(
     equal, load as missing.  Categorical cells must match a declared label;
     continuous cells must be finite floats other than the -1 sentinel.
 
-    Records are read in blocks of ``_BLOCK`` rows and converted a column at a
-    time; the first error in row-major order is raised, and a row with the
-    wrong number of fields fails before any cell of that row is read.  A file
-    without a quote or NUL character, whose lines all fit ``csv``'s field
-    limit, is split at line ends and commas, which reads it as
-    ``csv.reader`` does; any other file goes through ``csv.reader``.
+    Records are read in blocks of ``_BLOCK`` rows; the first error in
+    row-major order is raised, and a row with the wrong number of fields
+    fails before any cell of that row is read.  A plain file (see
+    :func:`_is_plain`) is split in numpy at line ends and commas, and each
+    distinct token of up to 7 bytes in a column is looked up once per block
+    (a longer one once per cell); every other file reads the same through
+    ``csv.reader``, a column at a time.
     """
     lookups = [_CellLookup(schema, frozenset(missing_tokens))
                for schema in schemas]
     n_cols = len(schemas)
     blocks = [np.empty((0, n_cols))]
     plain = _is_plain(path)
-    with open(path, newline="") as handle:
-        records = _plain_blocks(handle) if plain else _csv_blocks(handle)
+    records = _plain_blocks(*plain, lookups) if plain \
+        else _csv_blocks(path, lookups)
+    with closing(records):
         header = next(records)
         if header is None:
             raise DataError(f"{path}: empty file")
@@ -338,21 +346,15 @@ def load_csv(
                 f"{expected!r}"
             )
         first_row = 2
-        for lengths, columns in records:
+        for lengths, values, cell in records:
             ragged = np.flatnonzero(lengths != n_cols)
             # the rows before the first one with a wrong field count
             n = int(ragged[0]) if ragged.size else len(lengths)
-            block = np.empty((n, n_cols))
-            for j, (lookup, column) in enumerate(
-                    zip(lookups, columns(n, n_cols))):
-                read = (lookup.__getitem__ if lookup.codes is not None
-                        else lookup.parse)
-                block[:, j] = np.fromiter(map(read, column), np.float64, n)
+            block = values(n)
             bad = np.argwhere(np.isnan(block))
             if bad.size:
                 i, j = bad[0]
-                lookups[j].value(columns(n, n_cols)[j][i],
-                                 f"{path}:{first_row + i}")
+                lookups[j].value(cell(i, j), f"{path}:{first_row + i}")
             if ragged.size:
                 raise DataError(
                     f"{path}:{first_row + n}: {lengths[n]} fields, expected "
@@ -360,60 +362,206 @@ def load_csv(
                 )
             blocks.append(block)
             first_row += len(lengths)
-    return CategoricalDataset(tuple(schemas), np.concatenate(blocks))
+    cells = np.concatenate(blocks)
+    del blocks  # before the dataset copies the cells
+    return CategoricalDataset(tuple(schemas), cells)
 
 
-def _is_plain(path: str | Path) -> bool:
-    """True if the file holds no quote and no NUL, and no line longer than
-    ``csv.field_size_limit()`` bytes."""
+def _is_plain(path: str | Path
+              ) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+    """The file's bytes and the bounds of its lines (see
+    :func:`_line_bounds`) if it is plain, else None.
+
+    A plain file is not empty, is ASCII only, holds no quote and no NUL,
+    and has no line longer than ``csv.field_size_limit()`` bytes; split at
+    its line ends and commas, it gives the records ``csv.reader`` gives.
+    """
     raw = Path(path).read_bytes()
-    return (b'"' not in raw and b"\0" not in raw
-            and max(map(len, raw.splitlines()), default=0)
-            <= csv.field_size_limit())
+    if not raw or not raw.isascii() or b'"' in raw or b"\0" in raw:
+        return None
+    starts, ends = _line_bounds(raw)
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    return raw, starts, ends
 
 
-def _csv_blocks(handle):
+def _csv_blocks(path: str | Path, lookups: list[_CellLookup]):
     """The header record (None for an empty file), then per block of
-    records their field counts and a function ``columns(n, n_cols)``
-    giving the columns of the first ``n`` records."""
-    reader = csv.reader(handle)
-    try:
-        yield next(reader, None)
-        for records in iter(lambda: list(islice(reader, _BLOCK)), []):
-            lengths = np.fromiter(map(len, records), np.intp, len(records))
+    records: their field counts, a function ``values(n)`` giving the cell
+    values of the first ``n`` records (NaN for a bad cell), and a function
+    ``cell(i, j)`` giving the raw text of a cell of those records."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            yield next(reader, None)
+            for records in iter(lambda: list(islice(reader, _BLOCK)), []):
+                lengths = np.fromiter(map(len, records), np.intp,
+                                      len(records))
 
-            def columns(n, n_cols, records=records):
-                return list(zip(*records[:n]))
-            yield lengths, columns
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise DataError(f"{handle.name}:{reader.line_num}: {exc}") from None
+                def values(n, records=records):
+                    block = np.empty((n, len(lookups)))
+                    for j, column in enumerate(zip(*records[:n])):
+                        block[:, j] = np.fromiter(map(lookups[j].read, column),
+                                                  np.float64, n)
+                    return block
+                yield lengths, values, lambda i, j, records=records: \
+                    records[i][j]
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _plain_blocks(handle):
-    """:func:`_csv_blocks` for a file :func:`_is_plain` accepts: a record is
-    a line without its line end split at commas, and an empty line is a
-    record of no fields."""
-    lines = map(str.rstrip, handle, repeat("\r\n"))
-    first = next(lines, None)
-    yield None if first is None else first.split(",") if first else []
-    for records in iter(lambda: list(islice(lines, _BLOCK)), []):
-        n = len(records)
-        # commas plus one, or no field at all for an empty line
-        commas = np.fromiter(map(str.count, records, repeat(",")), np.intp, n)
-        lengths = commas + np.fromiter(map(bool, records), bool, n)
+def _line_bounds(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line of ``raw`` starts, and where its line end begins.
 
-        def columns(n, n_cols, records=records):
-            cells = ",".join(records[:n]).split(",") if n else []
-            return [cells[j::n_cols] for j in range(n_cols)]
-        yield lengths, columns
+    A line ends at LF, CR LF or a lone CR, as universal newlines read it; a
+    last line without a line end counts, an empty tail does not.
+    """
+    buf = np.frombuffer(raw, np.uint8)
+    breaks = np.flatnonzero((buf == 10) | (buf == 13))
+    # a CR right before an LF opens a line end that the LF closes
+    pair = ((np.diff(breaks) == 1) & (buf[breaks[:-1]] == 13)
+            & (buf[breaks[1:]] == 10))
+    opens = np.ones(len(breaks), bool)
+    opens[1:] = ~pair
+    closes = np.ones(len(breaks), bool)
+    closes[:-1] = ~pair
+    ends = breaks[opens]
+    starts = np.append(0, breaks[closes] + 1)
+    if starts[-1] < len(raw):
+        ends = np.append(ends, len(raw))
+    else:
+        starts = starts[:-1]
+    return starts, ends
+
+
+def _plain_blocks(raw: bytes, starts: np.ndarray, ends: np.ndarray,
+                  lookups: list[_CellLookup]):
+    """:func:`_csv_blocks` for a file :func:`_is_plain` accepts, from what
+    it returns: a record is a line without its line end split at commas,
+    and an empty line is a record of no fields."""
+    header = raw[starts[0]:ends[0]].decode("ascii")
+    yield header.split(",") if header else []
+    tokens = _TokenTable(lookups)
+    for first in range(1, len(starts), _BLOCK):
+        lines = slice(first, first + _BLOCK)
+        lo = starts[first]
+        yield _split_block(raw[lo:ends[lines][-1]], starts[lines] - lo,
+                           ends[lines] - lo, tokens)
+
+
+def _split_block(chunk: bytes, starts: np.ndarray, ends: np.ndarray,
+                 tokens: _TokenTable):
+    """One block of :func:`_plain_blocks`: the bytes ``chunk`` of whole
+    lines, and where each line starts and its line end begins in it."""
+    commas = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord(","))
+    # commas plus one, or no field at all for an empty line
+    lengths = (np.diff(np.searchsorted(commas, ends), prepend=0)
+               + (ends > starts))
+    width = len(tokens.lookups) - 1
+
+    def separators(first: int, stop: int) -> np.ndarray:
+        """The byte before and the byte after each field of the lines
+        ``first:stop``, all with one field per column; row ``i`` holds the
+        bounds of field ``j`` as ``[i, j] + 1`` and ``[i, j + 1]``."""
+        bounds = np.empty((stop - first, width + 2), np.intp)
+        bounds[:, 0] = starts[first:stop] - 1
+        bounds[:, 1:-1] = commas[first * width:stop * width].reshape(
+            stop - first, width)
+        bounds[:, -1] = ends[first:stop]
+        return bounds
+
+    def cell(i: int, j: int) -> str:
+        before, after = separators(i, i + 1)[0, j:j + 2]
+        return chunk[before + 1:after].decode("ascii")
+    return lengths, lambda n: tokens.values(chunk, separators(0, n)), cell
+
+
+class _TokenTable:
+    """The cell values of short tokens, for the columns of ``lookups``.
+
+    Each token of up to 7 bytes that a column's lookup reads without error
+    (its labels and missing tokens) has a key: its bytes as a little-endian
+    ``uint64``.  A plain file holds no NUL, so the key tells tokens of
+    different lengths apart, and a longer token's first 8 bytes never equal
+    a key.  :meth:`values` finds the key of every cell of a block by a
+    multiplicative hash; each other short token (and a key whose hash slot
+    another key took) is read by its column's lookup once per block, and
+    each longer token once per cell.
+    """
+
+    # the bits of a token of k bytes in its first 8 bytes; all of them for
+    # a token of 8 bytes or more
+    _MASKS = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1],
+                      np.uint64)
+    # 2**64 over the golden ratio, odd
+    _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self, lookups: list[_CellLookup]) -> None:
+        self.lookups = lookups
+        known = {}
+        for j, lookup in enumerate(lookups):
+            for token in (*(lookup.codes or ()), *lookup.missing):
+                value = lookup.parse(token)
+                if token.isascii() and len(token) < 8 and value == value:
+                    known[j, int.from_bytes(token.encode(), "little")] = value
+        # the last key, which no token has, marks a token with no entry
+        keys = sorted({key for _, key in known}) + [2**64 - 1]
+        self.keys = np.array(keys, np.uint64)
+        self.table = np.full((len(lookups), len(keys)), np.nan)
+        for (j, key), value in known.items():
+            self.table[j, keys.index(key)] = value
+        self.offsets = np.arange(len(lookups)) * len(keys)
+        # at least 8 slots per key
+        bits = len(keys).bit_length() + 3
+        self.shift = np.uint64(64 - bits)
+        self.slots = np.full(2**bits, len(keys) - 1)
+        self.slots[self._slot(self.keys[:-1])] = np.arange(len(keys) - 1)
+
+    def _slot(self, keys: np.ndarray) -> np.ndarray:
+        return (keys * self._MULTIPLIER) >> self.shift
+
+    def values(self, chunk: bytes, separators: np.ndarray) -> np.ndarray:
+        """The cell values of the fields within ``separators`` (see
+        :func:`_split_block`) of ``chunk``, NaN for a bad cell."""
+        words = np.ndarray((len(chunk) + 1,), "<u8", chunk + bytes(8), 0,
+                           (1,))
+        starts = separators[:, :-1] + 1
+        sizes = separators[:, 1:] - starts
+        keys = words.take(starts)
+        keys &= self._MASKS.take(sizes, mode="clip")
+        index = self.slots.take(self._slot(keys))
+        index[self.keys.take(index) != keys] = len(self.keys) - 1
+        index += self.offsets
+        block = self.table.take(index)
+        unread = np.isnan(block)
+        if not unread.any():
+            return block
+        text = chunk.decode("ascii")
+        for j in np.flatnonzero(unread.any(axis=0)):
+            def read(rows: np.ndarray, j: int = j) -> np.ndarray:
+                """Column ``j``'s lookup of the cells in ``rows``."""
+                cells = map(text.__getitem__, map(
+                    slice, starts[rows, j].tolist(),
+                    separators[rows, j + 1].tolist()))
+                return np.fromiter(map(self.lookups[j].read, cells),
+                                   np.float64, len(rows))
+
+            rows = np.flatnonzero(unread[:, j])
+            short = rows[sizes[rows, j] < 8]
+            _, first, inverse = np.unique(keys[short, j], return_index=True,
+                                          return_inverse=True)
+            block[short, j] = read(short[first])[inverse]
+            wide = rows[sizes[rows, j] >= 8]
+            block[wide, j] = read(wide)
+        return block
 
 
 class _CellLookup(dict):
     """Raw token -> cell value of one column, NaN for a bad token.
 
     Indexing caches each distinct token, so a categorical column parses it
-    once; continuous columns call :meth:`parse` directly, since their tokens
-    rarely repeat.
+    once; :meth:`read` is that for a categorical column and :meth:`parse`
+    for a continuous one, whose tokens rarely repeat.
     """
 
     def __init__(self, schema: ColumnSchema, missing: frozenset) -> None:
@@ -427,6 +575,7 @@ class _CellLookup(dict):
             if label in missing:
                 raise DataError(f"column {schema.name!r}: label {label!r} "
                                 "is a missing token")
+        self.read = self.__getitem__ if self.codes is not None else self.parse
 
     def value(self, text: str, where: str = "") -> float:
         """One raw cell's value, or the error for it that names ``where``."""

@@ -769,7 +769,8 @@ def _maps(points: dict, grid: QuadratureGrid, e_steps: dict | None = None
 
 
 def _squarem(runs: list[_Run], grid: QuadratureGrid) -> None:
-    """A SQUAREM cycle but its closing map, every run in each phase.
+    """A SQUAREM cycle but its closing map, in each phase every run before
+    the first failed one.
 
     Two maps, x1 = F(x0) and x2 = F(x1), then each run moves to the map of
     its extrapolated point x0 - 2 alpha r + alpha^2 v when that point's
@@ -777,10 +778,10 @@ def _squarem(runs: list[_Run], grid: QuadratureGrid) -> None:
     """
     x0 = {run: run.items for run in runs}
     x1 = _maps(x0, grid)
-    x2 = _maps(x1, grid)
+    x2 = _maps({run: x1[run] for run in _before_failure(runs)}, grid)
     trials, e_steps = {}, {}
-    for run, two in x2.items():
-        start, one = _stacked_x(x0[run]), _stacked_x(x1[run])
+    for run in list(_before_failure(runs)):
+        start, one, two = _stacked_x(x0[run]), _stacked_x(x1[run]), x2[run]
         r, v = one - start, _stacked_x(two) - 2.0 * one + start
         alpha = _step_length(r, v)
         trial = _at_stacked_x(x0[run], start - 2.0 * alpha * r

@@ -530,6 +530,104 @@ class TestPlainCsv:
                            match=r"q\.csv:2: field larger than field limit"):
             load_csv(path, PLAIN_SCHEMAS)
 
+    @staticmethod
+    def split_equals_reader(path, schemas, monkeypatch):
+        """Load ``path`` split and through csv.reader, assert the outcomes
+        equal (cells, or exception class and message), return it."""
+        split = _loaded(path, schemas)
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "_is_plain", lambda path: False)
+            expected = _loaded(path, schemas)
+        if isinstance(expected, tuple):
+            assert split == expected
+        else:
+            assert_array_equal(split, expected)
+        return split
+
+    def test_non_ascii_label_goes_through_csv(self, tmp_path, monkeypatch):
+        schemas = (ColumnSchema("c", "nominal", labels=("café", "b")),
+                   ColumnSchema("x", "continuous"))
+        path = tmp_path / "u.csv"
+        path.write_bytes("c,x\ncafé,1.5\nb,\n café ,-2\n".encode())
+        assert not data_module._is_plain(path)
+        cells = self.split_equals_reader(path, schemas, monkeypatch)
+        assert_array_equal(cells, [[0, 1.5], [1, MISSING], [0, -2]])
+
+    LONG_SCHEMAS = (
+        ColumnSchema("s", "nominal",
+                     labels=("a", "abcdefg", "abcdefgh", "a longer label")),
+        ColumnSchema("b", "binary", labels=("n", "y")),
+        ColumnSchema("x", "continuous"),
+    )
+
+    def test_long_labels_beside_short_ones(self, tmp_path, monkeypatch):
+        # 7 bytes is the longest token the split looks up by its key
+        rng = np.random.default_rng(5)
+        good = (["a", "abcdefg", "abcdefgh", "a longer label", " a ",
+                 " abcdefgh", "", "NA"],
+                ["n", "y", " y", "", "-1"],
+                ["1.5", " 7 ", "-0.123456789", "12345.678901", "", "1e-300"])
+        bad = (["abcdefgz", "abcdef", "abcdefghi"], ["nn"],
+               ["-1.0", "abcdefghi", "inf"])
+        seen = set()
+        for trial in range(40):
+            lines = ["s,b,x"]
+            for _ in range(int(rng.integers(1, 30))):
+                # a bad token in about one file of five
+                cells = [str(rng.choice(ok if rng.uniform() < 0.98
+                                        else ok + no))
+                         for ok, no in zip(good, bad)]
+                lines.append(",".join(cells))
+            path = tmp_path / f"l{trial}.csv"
+            path.write_bytes(("\n".join(lines) + "\n").encode())
+            assert data_module._is_plain(path)
+            outcome = self.split_equals_reader(path, self.LONG_SCHEMAS,
+                                               monkeypatch)
+            seen.add(isinstance(outcome, tuple))
+        assert seen == {False, True}
+
+    def test_repeated_bad_token_names_its_first_row(self, tmp_path,
+                                                    monkeypatch):
+        rows = [["abcdefgh", "y", "0.5"] for _ in range(30)]
+        for i in (7, 12, 23):   # in the second, third and fifth blocks
+            rows[i][1] = " maybe"
+        path = tmp_path / "r.csv"
+        path.write_bytes("".join(",".join(row) + "\n"
+                                 for row in [["s", "b", "x"], *rows])
+                         .encode())
+        outcome = self.split_equals_reader(path, self.LONG_SCHEMAS,
+                                           monkeypatch)
+        assert outcome == (UnknownLabel, f"{path}:9: 'maybe' is not a label "
+                                         "of column 'b'")
+
+    @pytest.mark.parametrize("block", [5, data_module._BLOCK])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("line_end", ["\n", ""],
+                             ids=["final-line-end", "none"])
+    def test_files_of_one_block_and_one_more_row(self, tmp_path, monkeypatch,
+                                                 block, extra, line_end):
+        monkeypatch.setattr(data_module, "_BLOCK", block)
+        rng = np.random.default_rng(block + extra)
+        labels = np.array(["no", "yes", ""])[rng.integers(3, size=block
+                                                          + extra)]
+        text = "u,w,x\n" + "\n".join(f"{label},a,{k}"
+                                     for k, label in enumerate(labels))
+        path = tmp_path / "b.csv"
+        path.write_bytes((text + line_end).encode())
+        cells = self.split_equals_reader(path, PLAIN_SCHEMAS, monkeypatch)
+        assert cells.shape == (block + extra, 3)
+        assert_array_equal(cells[:, 2], np.arange(block + extra))
+
+    def test_lone_carriage_returns(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        for trial in range(10):
+            text = _plain_text(rng, int(rng.integers(1, 30)))
+            path = tmp_path / f"cr{trial}.csv"
+            path.write_bytes(text.replace("\r\n", "\n").replace("\n", "\r")
+                             .encode())
+            assert data_module._is_plain(path)
+            self.split_equals_reader(path, PLAIN_SCHEMAS, monkeypatch)
+
 
 def test_one_column_file_quotes_empty_records(tmp_path):
     data = CategoricalDataset((ColumnSchema("u", "binary"),),

@@ -1045,10 +1045,11 @@ class TestFitMany:
             next(fits)
         assert list(fits) == []
 
-    @pytest.mark.parametrize("failing", [4, 8])
+    @pytest.mark.parametrize("failing", [1, 2, 3, 4, 5, 8])
     def test_no_later_fit_steps_after_a_failure(self, failing, monkeypatch):
-        # a cycle's fourth E-step is its closing map's: the second of three
-        # fits fails there, and the third takes none after that phase
+        # a cycle's E-steps are x1's, x2's, the trial point's and the closing
+        # map's: the second of three fits fails at one of them, in the first
+        # cycle or the second, and the third takes none after that phase
         datasets = _lockstep_corpora()[:3]
         second, third = (data.n_rows for data in datasets[1:])
         calls = {second: 0, third: 0}

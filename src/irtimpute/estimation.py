@@ -29,18 +29,20 @@ log-likelihood never falls.  A plain map ends each cycle; near the
 iteration cap, which counts maps, only plain maps run.
 
 :func:`fit_many` runs several fits in lockstep, and :func:`fit` is its
-one-fit case.  Every active fit takes each phase of a cycle together: x1,
-x2, the guarded extrapolation, the map of each kept trial point, and the
-closing map.  Each fit keeps its own trace, clamp events, convergence test
-and iteration cap.  The E-steps stay per fit, but each phase's M-steps are
-one stacked call over the items of every fit, so a kernel's Newton runs
-once per phase, not once per fit.  No item's update depends on the other
-rows of its stack, so each fit gets the bits it gets alone.  A failure
-takes one path, whatever step failed: a dataset that cannot start, an
-E-step or an M-step records its error on its fit's run, and the error is
-raised once the models of the fits before it are out.  The datasets are
-read in groups whose designs stay within ``DESIGN_BUDGET`` bytes, so a
-group of large fits holds about what one fit holds.
+one-fit case.  One fit's EM is one generator, :func:`_em`, which yields
+each point it needs and is sent back its map or its E-step, so it keeps
+its own cycle, trace, clamp events, convergence test and iteration cap.
+A driver takes the fits round by round: each fit steps to its next
+point, the E-steps stay per fit, and the round's M-steps are one stacked
+call over the items of every fit, so a kernel's Newton runs once per
+round, not once per fit.  No item's update depends on the other rows of
+its stack, so each fit gets the bits it gets alone.  A failure takes one
+path, whatever step failed: a dataset that cannot start, an E-step, an
+M-step or the generator records its error on its fit's run, no later fit
+steps after it, and the error is raised once the models of the fits
+before it are out.  The datasets are read in groups whose designs stay
+within ``DESIGN_BUDGET`` bytes, so a group of large fits holds about what
+one fit holds.
 
 The E-step is two sparse products per block of cases.  The code matrix is
 encoded once per fit as CSR designs, one per ``_JOINT_BLOCK`` cases, of
@@ -82,7 +84,7 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -371,9 +373,10 @@ def _e_step_core(blocks: tuple[csr_array, ...], items: tuple[ItemModel, ...],
         stop = start + item.n_categories
         counts.append(np.ascontiguousarray(totals[start:stop].T))
         start = stop
+    # a copy: a held result does not keep the whole of ``totals``
     return EStepResult(
         expected_counts=tuple(counts),
-        node_masses=totals[0],
+        node_masses=totals[0].copy(),
         marginal_loglik=float(np.concatenate(case_logliks).sum()),
     )
 
@@ -713,10 +716,11 @@ def _step_length(r: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class _Run:
-    """One fit in a lockstep group: its design, its point and its record.
+    """One fit in a lockstep group: its design, and its point and record,
+    which its :func:`_em` and :func:`_fit_group` write.
 
     ``trace`` gets each map's log-likelihood, so its length counts the
-    maps; ``clamp_events`` are the last M-step's.
+    maps, then the final E-step's; ``clamp_events`` are the last M-step's.
     """
 
     design: tuple[csr_array, ...] | None   # dropped after the final E-step
@@ -732,117 +736,85 @@ class _Run:
                    for x in self.design)
 
 
-def _e_step(run: _Run, items: tuple[ItemModel, ...], grid: QuadratureGrid
-            ) -> tuple[tuple[np.ndarray, ...], float] | None:
-    """The expected counts and log-likelihood of ``run`` at ``items``, or
-    None when the E-step fails, which records the run's error."""
-    try:
-        es = _e_step_core(run.design, items, grid)
-    except IrtImputeError as exc:
-        run.error = exc
-        return None
-    return es.expected_counts, es.marginal_loglik
+def _em(run: _Run, config: FitConfig) -> Generator[tuple, object, None]:
+    """One fit's SQUAREM cycles, from ``run.items`` to its final E-step.
 
-
-def _maps(points: dict, grid: QuadratureGrid, e_steps: dict | None = None
-          ) -> dict:
-    """One EM map from each run's point, ``{run: items}``; the M-steps of
-    all the runs are one :func:`_m_steps` call.  ``e_steps`` holds the
-    E-step of a point that has had one.  Returns ``{run: items}`` for the
-    runs whose map succeeds; a failed run records its error."""
-    e_steps = e_steps or {}
-    taken = {}
-    for run, items in points.items():
-        es = e_steps.get(run) or _e_step(run, items, grid)
-        if es is not None:
-            run.trace.append(es[1])
-            taken[run] = es[0]
-    outcomes = _m_steps([(points[run], counts)
-                         for run, counts in taken.items()], grid)
-    mapped = {}
-    for run, outcome in zip(taken, outcomes):
-        if isinstance(outcome, IrtImputeError):
-            run.error = outcome
-        else:
-            mapped[run], run.clamp_events = outcome
-    return mapped
-
-
-def _squarem(runs: list[_Run], grid: QuadratureGrid) -> None:
-    """A SQUAREM cycle but its closing map, in each phase every run before
-    the first failed one.
-
-    Two maps, x1 = F(x0) and x2 = F(x1), then each run moves to the map of
-    its extrapolated point x0 - 2 alpha r + alpha^2 v when that point's
-    log-likelihood is at least x1's, else to x2 (the monotone guard).
+    Yields each point it needs as ``(point, e_step, to_map)``, with the
+    point's E-step if it has had one, else None, and is sent back the
+    point's map when ``to_map`` is true, else its E-step.
     """
-    x0 = {run: run.items for run in runs}
-    x1 = _maps(x0, grid)
-    x2 = _maps({run: x1[run] for run in _before_failure(runs)}, grid)
-    trials, e_steps = {}, {}
-    for run in list(_before_failure(runs)):
-        start, one, two = _stacked_x(x0[run]), _stacked_x(x1[run]), x2[run]
-        r, v = one - start, _stacked_x(two) - 2.0 * one + start
-        alpha = _step_length(r, v)
-        trial = _at_stacked_x(x0[run], start - 2.0 * alpha * r
-                              + alpha**2 * v)
-        es = _e_step(run, trial, grid)
-        if es is None:
-            continue
-        kept = es[1] >= run.trace[-1]
-        logger.debug("squarem: alpha %.6g, extrapolation %s, loglik %.6f "
-                     "(%.6f at x1)", alpha, "kept" if kept else "rejected",
-                     es[1], run.trace[-1])
-        if kept:
-            trials[run], e_steps[run] = trial, es
-        else:
-            run.items = two
-    for run, items in _maps(trials, grid, e_steps).items():
-        run.items = items
-
-
-def _before_failure(runs: list[_Run]) -> Iterator[_Run]:
-    """The runs up to the first failed one: no later run's model is ever
-    yielded."""
-    return itertools.takewhile(lambda run: run.error is None, runs)
+    while not run.converged and len(run.trace) < config.max_iter:
+        # a cycle takes up to four maps; nearer the cap, plain maps
+        if config.max_iter - len(run.trace) >= 4:
+            x0 = run.items
+            x1 = yield x0, None, True
+            x2 = yield x1, None, True
+            start, one = _stacked_x(x0), _stacked_x(x1)
+            r, v = one - start, _stacked_x(x2) - 2.0 * one + start
+            alpha = _step_length(r, v)
+            trial = _at_stacked_x(x0, start - 2.0 * alpha * r
+                                  + alpha**2 * v)
+            es = yield trial, None, False
+            kept = es.marginal_loglik >= run.trace[-1]
+            logger.debug("squarem: alpha %.6g, extrapolation %s, loglik %.6f "
+                         "(%.6f at x1)", alpha, "kept" if kept else "rejected",
+                         es.marginal_loglik, run.trace[-1])
+            run.items = (yield trial, es, True) if kept else x2
+        old = run.items
+        run.items = yield old, None, True
+        delta = max(float(np.max(np.abs(new.vector() - prior.vector())))
+                    for new, prior in zip(run.items, old))
+        run.converged = delta < config.tol
+    run.items = _canonicalize_orientation(run.items)
+    final = yield run.items, None, False
+    run.trace.append(final.marginal_loglik)
 
 
 def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
                ) -> Iterator[FittedModel]:
-    """Run the EM of every run in lockstep, then yield their models in
-    order up to the first failed run, whose error is raised then."""
-    while active := [run for run in _before_failure(runs) if not run.converged
-                     and len(run.trace) < config.max_iter]:
-        # a cycle takes up to four maps; nearer the cap, plain maps
-        _squarem([run for run in active
-                  if config.max_iter - len(run.trace) >= 4], grid)
-        old = {run: run.items for run in _before_failure(active)}
-        for run, items in _maps(old, grid).items():
-            delta = max(float(np.max(np.abs(new.vector() - prior.vector())))
-                        for new, prior in zip(items, old[run]))
-            run.items, run.converged = items, delta < config.tol
-    models = []
-    for run in _before_failure(runs):
-        iterations = len(run.trace)
-        items = _canonicalize_orientation(run.items)
-        final = _e_step(run, items, grid)
-        run.design = None
-        if final is None:
-            break
-        run.trace.append(final[1])
-        models.append(FittedModel(
-            items=items,
-            grid=grid,
-            converged=run.converged,
-            iterations=iterations,
-            final_loglik=final[1],
-            loglik_trace=tuple(run.trace),
-            clamp_events=tuple(run.clamp_events),
-        ))
-    yield from models
+    """Drive the :func:`_em` of every run round by round, then yield their
+    models in order up to the first failed run, whose error is raised then.
+
+    Each round sends every run before the first failed one its reply and
+    takes the E-steps of the points they yield; the round's maps then take
+    their M-steps in one :func:`_m_steps` call.  A package error from an
+    E-step, an M-step or the generator fails its run.
+    """
+    ems = {run: _em(run, config) for run in runs}
+    replies: dict = {}
+    while live := [run for run in itertools.takewhile(
+            lambda run: run.error is None, runs) if run in ems]:
+        maps = []
+        for run in live:
+            try:
+                point, es, to_map = ems[run].send(replies.pop(run, None))
+                es = es or _e_step_core(run.design, point, grid)
+            except StopIteration:
+                del ems[run]
+                run.design = None
+                continue
+            except IrtImputeError as exc:
+                run.error = exc
+                continue
+            if to_map:
+                run.trace.append(es.marginal_loglik)
+                maps.append((run, point, es.expected_counts))
+            else:
+                replies[run] = es
+        if maps:
+            outcomes = _m_steps([(point, counts)
+                                 for _, point, counts in maps], grid)
+            for (run, _, _), outcome in zip(maps, outcomes):
+                if isinstance(outcome, IrtImputeError):
+                    run.error = outcome
+                else:
+                    replies[run], run.clamp_events = outcome
     for run in runs:
         if run.error is not None:
             raise run.error
+        yield FittedModel(run.items, grid, run.converged, len(run.trace) - 1,
+                          run.trace[-1], tuple(run.trace),
+                          tuple(run.clamp_events))
 
 
 def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig
@@ -864,11 +836,13 @@ def fit_many(datasets: Iterable[CategoricalDataset],
 
     The same models and errors as ``(fit(d, config) for d in datasets)``.
     A failed fit is a failed run, whichever step failed: its set-up, an
-    E-step or an M-step (whose error is its first failed item's), or a
-    package error raised by ``datasets`` itself.  Its error comes after
-    the models of the datasets before it, and no later dataset is read.
-    The datasets are read in groups, whose fits run in lockstep; see
-    ``DESIGN_BUDGET``.
+    E-step, an M-step (whose error is its first failed item's), building
+    a trial point, or a package error raised by ``datasets`` itself.  Its
+    error comes after the models of the datasets before it, and no later
+    dataset is read.  The datasets are read in groups (see
+    ``DESIGN_BUDGET``); each fit's EM is one :func:`_em` generator, and
+    :func:`_fit_group` batches the M-steps of each round of a group's
+    fits into one stacked call.
     """
     config = config or FitConfig()
     grid = build_grid(config.grid_size, config.grid_range)

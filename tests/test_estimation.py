@@ -1070,6 +1070,46 @@ class TestFitMany:
             next(fits)
         assert calls[third] == failing
 
+    def test_a_failure_building_a_trial_point_fails_its_fit_alone(
+            self, monkeypatch):
+        # the second call is the second fit's first extrapolation: a NaN
+        # step length gives a trial point no item can take
+        step_length = estimation._step_length
+        calls = []
+
+        def nan_second(r, v):
+            calls.append(1)
+            return np.nan if len(calls) == 2 else step_length(r, v)
+
+        monkeypatch.setattr(estimation, "_step_length", nan_second)
+        fits = fit_many(_lockstep_corpora()[:2], FitConfig(seed=0))
+        assert next(fits).iterations == 12
+        with pytest.raises(DataError, match="^2PL parameters must be finite$"):
+            next(fits)
+
+    def test_m_steps_stay_stacked_across_the_fits(self, monkeypatch):
+        # each round's maps share one M-step call, whichever phase of its
+        # cycle each fit is in
+        sizes = []
+        m_steps = estimation._m_steps
+        newton = estimation._newton_maximize
+        newton_calls = []
+
+        def counted_m_steps(fits, grid):
+            sizes.append(len(fits))
+            return m_steps(fits, grid)
+
+        def counted_newton(*args):
+            newton_calls.append(1)
+            return newton(*args)
+
+        monkeypatch.setattr(estimation, "_m_steps", counted_m_steps)
+        monkeypatch.setattr(estimation, "_newton_maximize", counted_newton)
+        list(fit_many(_lockstep_corpora(), FitConfig(seed=0)))
+        assert sizes[0] == 4
+        assert 0 not in sizes
+        assert len(newton_calls) <= 60
+
 
 def dense_grid_eap(pattern, items, size=10001, lo=-6.0, hi=6.0):
     """Reference EAP on a dense grid, computed from first principles."""

@@ -41,15 +41,23 @@ row = big.cells[:1].copy()
 row[0, 0] = MISSING
 emit_csv(big.with_cells(row), "one.csv")
 emit_csv(big.with_cells(np.vstack([cells, row])), "many.csv")
-# corpus.csv with \n line ends, with \r\n ones, and with a quoted header
-# field, which sends it through csv.reader instead of the numpy split
-with open("corpus.csv", newline="") as handle:
+# corpus.csv with \n line ends, with \r\n ones, with one quoted header
+# name, with every header name quoted, with a UTF-8 byte order mark, and
+# with a UTF-8 label (item00's 2 written as groß, in corpus-utf8.cols too)
+with open("corpus.csv", newline="", encoding="utf-8") as handle:
     text = handle.read().replace("\r\n", "\n")
+header, rest = text.split("\n", 1)
+names = ",".join(f'"{name}"' for name in header.split(","))
 variants = {"lf": text, "crlf": text.replace("\n", "\r\n"),
-            "quoted": '"' + text.replace(",", '",', 1)}
+            "quoted": '"' + text.replace(",", '",', 1),
+            "names": names + "\n" + rest, "bom": "\ufeff" + text,
+            "utf8": text.replace("\n2,", "\ngroß,")}
 for name, variant in variants.items():
-    with open(f"corpus-{name}.csv", "w", newline="") as handle:
-        handle.write(variant)
+    with open(f"corpus-{name}.csv", "w", newline="", encoding="utf-8") as f:
+        f.write(variant)
+with open("corpus-utf8.cols", "w", encoding="utf-8") as handle:
+    handle.write(format_schema(data.schemas).replace(
+        "item00: ordinal arity=3", "item00: ordinal arity=3 labels=0|1|groß"))
 EOF
 $irtimpute fit --data corpus.csv --schema corpus.cols --out model.json
 $irtimpute mcar-test --data corpus.csv --schema corpus.cols
@@ -63,14 +71,24 @@ without_scipy evaluate --truth truth.csv --with-missing corpus.csv \
   --imputed filled.csv --schema corpus.cols > /dev/null
 without_scipy mcar-test --data corpus.csv --schema corpus.cols > /dev/null
 
-# line ends and quoting do not change what a file reads as
-for variant in lf crlf quoted; do
-  $irtimpute impute --data corpus-$variant.csv --schema corpus.cols \
+# line ends, quoting, a byte order mark and UTF-8 labels do not change
+# what a file reads as, nor does a locale whose encoding is ASCII
+for variant in lf crlf quoted names bom utf8; do
+  schema=corpus.cols
+  test $variant != utf8 || schema=corpus-utf8.cols
+  $irtimpute impute --data corpus-$variant.csv --schema $schema \
     --model model.json --out filled-$variant.csv \
     --probabilities probs-$variant.csv > /dev/null
 done
-for variant in crlf quoted; do
+LC_ALL=C PYTHONCOERCECLOCALE=0 PYTHONUTF8=0 $irtimpute impute \
+  --data corpus-utf8.csv --schema corpus-utf8.cols --model model.json \
+  --out filled-c.csv --probabilities probs-c.csv > /dev/null
+for variant in crlf quoted names bom; do
   cmp filled-lf.csv filled-$variant.csv
+done
+sed 's/^groß,/2,/' filled-utf8.csv | cmp filled-lf.csv -
+cmp filled-utf8.csv filled-c.csv
+for variant in crlf quoted names bom utf8 c; do
   cmp probs-lf.csv probs-$variant.csv
 done
 

@@ -25,7 +25,6 @@ import logging
 import os
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .data import (
     emit_probabilities,
     load_csv,
     load_schema,
+    read_text,
     replaced_together,
 )
 from .errors import DataError, IrtImputeError, UsageError
@@ -84,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path: str) -> list[str]:
     """Turn ``key = value`` lines into ``--key=value`` tokens."""
     try:
-        text = Path(path).read_text()
+        text = read_text(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     tokens: list[str] = []
@@ -594,6 +594,11 @@ def main(argv=None) -> int:
     # a warning prints as one line, without the source line that raised it
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    # a report prints what the locale's encoding lacks as escapes
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure:
+        errors = sys.stdout.errors
+        reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(_expand_config(raw))
         return _COMMANDS[args.command](args)
@@ -605,6 +610,8 @@ def main(argv=None) -> int:
         return DataError.exit_code
     finally:
         warnings.formatwarning = formatwarning
+        if reconfigure:
+            reconfigure(errors=errors)
 
 
 if __name__ == "__main__":

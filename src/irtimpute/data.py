@@ -7,20 +7,24 @@ sentinel ``-1`` in every column.  Because the sentinel lives in-band, a
 continuous column may not contain a legitimate value of exactly ``-1``; the
 loader rejects such files rather than corrupt them silently.
 
-CSV files are read and written in blocks of ``_BLOCK`` rows.  A plain file
-(not empty, ASCII only, no quote and no NUL, every line within
-``csv.field_size_limit()``) is split in numpy at its line ends and commas,
-and each distinct token of up to 7 bytes in a column is looked up once per
-block (a longer one, such as most continuous values, once per cell); every
-other file reads the same through ``csv.reader``, a column at a time.  Labels
-are written by indexing an array of them with the codes.  On bad input the
-loader raises the first error in row-major order; a row with the wrong number
-of fields fails before any of its cells is read.  Every file is written to a
-temporary file first and then moved over its target.
+Every file the package reads or writes is UTF-8: a leading byte order mark
+is skipped on input and none is written.  CSV files are read and written in
+blocks of ``_BLOCK`` rows.  The data rows of a plain file (see
+:func:`_is_plain`) are split in numpy at their line ends and commas, and
+each distinct token of up to 7 bytes in a column is looked up once per block
+(a longer one, such as most continuous values, once per cell); every other
+file (quoted data rows, a header whose quotes span a line break, a NUL, an
+over-long line, bytes that are not UTF-8) reads the same through
+``csv.reader``, a column at a time.  Labels are written by indexing an array
+of them with the codes.  On bad input the loader raises the first error in
+row-major order; a row with the wrong number of fields fails before any of
+its cells is read.  Every file is written to a temporary file first and then
+moved over its target.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -39,6 +43,11 @@ from .errors import (
     DegenerateColumn,
     UnknownLabel,
 )
+
+__all__ = ["MISSING", "CategoricalDataset", "ColumnSchema",
+           "DiscretizationMap", "apply_discretization", "discretize",
+           "discretize_dataset", "emit_csv", "format_schema", "load_csv",
+           "load_schema", "parse_schema"]
 
 MISSING = -1
 
@@ -301,7 +310,12 @@ def format_schema(schemas: tuple[ColumnSchema, ...]) -> str:
 
 
 def load_schema(path: str | Path) -> tuple[ColumnSchema, ...]:
-    return parse_schema(Path(path).read_text())
+    return parse_schema(read_text(path))
+
+
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 file's text, without a leading byte order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +336,11 @@ def load_csv(
 
     Records are read in blocks of ``_BLOCK`` rows; the first error in
     row-major order is raised, and a row with the wrong number of fields
-    fails before any cell of that row is read.  A plain file (see
-    :func:`_is_plain`) is split in numpy at line ends and commas, and each
-    distinct token of up to 7 bytes in a column is looked up once per block
-    (a longer one once per cell); every other file reads the same through
-    ``csv.reader``, a column at a time.
+    fails before any cell of that row is read.  The data rows of a plain
+    file (see :func:`_is_plain`) are split in numpy at line ends and commas,
+    and each distinct token of up to 7 bytes in a column is looked up once
+    per block (a longer one once per cell); every other file reads the same
+    through ``csv.reader``, a column at a time.
     """
     lookups = [_CellLookup(schema, frozenset(missing_tokens))
                for schema in schemas]
@@ -368,21 +382,35 @@ def load_csv(
 
 
 def _is_plain(path: str | Path
-              ) -> tuple[bytes, np.ndarray, np.ndarray] | None:
-    """The file's bytes and the bounds of its lines (see
-    :func:`_line_bounds`) if it is plain, else None.
+              ) -> tuple[list[str], bytes, np.ndarray, np.ndarray] | None:
+    """The header record, the file's bytes after a leading UTF-8 byte order
+    mark, and the bounds of their lines (see :func:`_line_bounds`) if the
+    file is plain, else None: the file then reads through ``csv.reader``.
 
-    A plain file is not empty, is ASCII only, holds no quote and no NUL,
-    and has no line longer than ``csv.field_size_limit()`` bytes; split at
-    its line ends and commas, it gives the records ``csv.reader`` gives.
+    A plain file is not empty once the mark is skipped, is valid UTF-8,
+    holds no NUL and no quote after its header line, has no line longer
+    than ``csv.field_size_limit()`` bytes, and its header line, read alone
+    by ``csv.reader``, ends outside quotes; its data rows, split at their
+    line ends and commas, give the records ``csv.reader`` gives.
     """
-    raw = Path(path).read_bytes()
-    if not raw or not raw.isascii() or b'"' in raw or b"\0" in raw:
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    if not raw or b"\0" in raw:
         return None
+    if not raw.isascii():
+        try:
+            raw.decode()
+        except UnicodeDecodeError:
+            return None
     starts, ends = _line_bounds(raw)
-    if (ends - starts).max() > csv.field_size_limit():
+    if (ends - starts).max() > csv.field_size_limit() \
+            or raw.find(b'"', ends[0]) >= 0:
         return None
-    return raw, starts, ends
+    line = raw[:starts[1]] if len(starts) > 1 else raw
+    header = next(csv.reader([line.decode()]), [])
+    # a line end inside a field is a quote left open at the line's end
+    if any("\n" in name or "\r" in name for name in header):
+        return None
+    return header, raw, starts, ends
 
 
 def _csv_blocks(path: str | Path, lookups: list[_CellLookup]):
@@ -390,7 +418,7 @@ def _csv_blocks(path: str | Path, lookups: list[_CellLookup]):
     records: their field counts, a function ``values(n)`` giving the cell
     values of the first ``n`` records (NaN for a bad cell), and a function
     ``cell(i, j)`` giving the raw text of a cell of those records."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             yield next(reader, None)
@@ -434,13 +462,12 @@ def _line_bounds(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _plain_blocks(raw: bytes, starts: np.ndarray, ends: np.ndarray,
-                  lookups: list[_CellLookup]):
+def _plain_blocks(header: list[str], raw: bytes, starts: np.ndarray,
+                  ends: np.ndarray, lookups: list[_CellLookup]):
     """:func:`_csv_blocks` for a file :func:`_is_plain` accepts, from what
-    it returns: a record is a line without its line end split at commas,
-    and an empty line is a record of no fields."""
-    header = raw[starts[0]:ends[0]].decode("ascii")
-    yield header.split(",") if header else []
+    it returns: a data record is a line without its line end split at
+    commas, and an empty line is a record of no fields."""
+    yield header
     tokens = _TokenTable(lookups)
     for first in range(1, len(starts), _BLOCK):
         lines = slice(first, first + _BLOCK)
@@ -472,7 +499,7 @@ def _split_block(chunk: bytes, starts: np.ndarray, ends: np.ndarray,
 
     def cell(i: int, j: int) -> str:
         before, after = separators(i, i + 1)[0, j:j + 2]
-        return chunk[before + 1:after].decode("ascii")
+        return chunk[before + 1:after].decode()
     return lengths, lambda n: tokens.values(chunk, separators(0, n)), cell
 
 
@@ -480,13 +507,13 @@ class _TokenTable:
     """The cell values of short tokens, for the columns of ``lookups``.
 
     Each token of up to 7 bytes that a column's lookup reads without error
-    (its labels and missing tokens) has a key: its bytes as a little-endian
-    ``uint64``.  A plain file holds no NUL, so the key tells tokens of
-    different lengths apart, and a longer token's first 8 bytes never equal
-    a key.  :meth:`values` finds the key of every cell of a block by a
-    multiplicative hash; each other short token (and a key whose hash slot
-    another key took) is read by its column's lookup once per block, and
-    each longer token once per cell.
+    (its labels and missing tokens) has a key: its UTF-8 bytes as a
+    little-endian ``uint64``.  A plain file holds no NUL, so the key tells
+    tokens of different lengths apart, and a longer token's first 8 bytes
+    never equal a key.  :meth:`values` finds the key of every cell of a
+    block by a multiplicative hash; each other short token (and a key whose
+    hash slot another key took) is read by its column's lookup once per
+    block, and each longer token once per cell.
     """
 
     # the bits of a token of k bytes in its first 8 bytes; all of them for
@@ -502,8 +529,9 @@ class _TokenTable:
         for j, lookup in enumerate(lookups):
             for token in (*(lookup.codes or ()), *lookup.missing):
                 value = lookup.parse(token)
-                if token.isascii() and len(token) < 8 and value == value:
-                    known[j, int.from_bytes(token.encode(), "little")] = value
+                encoded = token.encode()
+                if len(encoded) < 8 and value == value:
+                    known[j, int.from_bytes(encoded, "little")] = value
         # the last key, which no token has, marks a token with no entry
         keys = sorted({key for _, key in known}) + [2**64 - 1]
         self.keys = np.array(keys, np.uint64)
@@ -536,13 +564,12 @@ class _TokenTable:
         unread = np.isnan(block)
         if not unread.any():
             return block
-        text = chunk.decode("ascii")
         for j in np.flatnonzero(unread.any(axis=0)):
             def read(rows: np.ndarray, j: int = j) -> np.ndarray:
                 """Column ``j``'s lookup of the cells in ``rows``."""
-                cells = map(text.__getitem__, map(
+                cells = map(bytes.decode, map(chunk.__getitem__, map(
                     slice, starts[rows, j].tolist(),
-                    separators[rows, j + 1].tolist()))
+                    separators[rows, j + 1].tolist())))
                 return np.fromiter(map(self.lookups[j].read, cells),
                                    np.float64, len(rows))
 
@@ -694,7 +721,7 @@ def atomic_write(path: str | Path, newline: str | None = None):
     """Open a text file that replaces ``path`` only once it is complete
     (see :func:`replaced_together`)."""
     with replaced_together(path) as (temporary,), \
-            open(temporary, "w", newline=newline) as handle:
+            open(temporary, "w", encoding="utf-8", newline=newline) as handle:
         yield handle
 
 

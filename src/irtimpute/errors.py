@@ -7,6 +7,11 @@ and numerical failures (``numerical``, 3).
 
 from __future__ import annotations
 
+__all__ = ["CodeOutOfRange", "DataError", "DegenerateColumn", "EmptyCategory",
+           "InsufficientData", "IrtImputeError", "NewtonDiverged",
+           "NumericalFailure", "SingularCovariance", "UnknownLabel",
+           "UnobservedCategory", "UsageError"]
+
 
 class IrtImputeError(Exception):
     """Base class for all package errors: a data error unless narrower."""

@@ -88,7 +88,8 @@ from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 import numpy as np
 
-from .data import CategoricalDataset, DiscretizationMap, atomic_write
+from .data import (CategoricalDataset, DiscretizationMap, atomic_write,
+                   read_text)
 from .errors import (
     DataError,
     EmptyCategory,
@@ -112,6 +113,11 @@ from .models import (
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
+
+__all__ = ["EStepResult", "FitConfig", "FittedModel", "QuadratureGrid",
+           "ThetaEstimate", "build_grid", "diagnostics_report", "e_step",
+           "eap_score", "eap_scores", "fit", "fit_many", "load_model",
+           "m_step_item", "save_model"]
 
 COUNT_FLOOR = 1e-10
 
@@ -953,7 +959,7 @@ def load_model(path: str | Path) -> FittedModel:
     """Read a :func:`save_model` file, each field as its annotation
     declares (a field with a default may be left out)."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(read_text(path))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:

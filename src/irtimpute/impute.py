@@ -120,7 +120,7 @@ def impute_dataset(data: CategoricalDataset, model: FittedModel
     items = dict(zip(data.feature_indices, model.items))
     cells = np.array(data.cells, copy=True)
     mask = np.argwhere(data.filled_mask)
-    filled = np.unique(mask[:, 1]).tolist()
+    filled = np.flatnonzero(np.bincount(mask[:, 1])).tolist()
     width = max((items[j].n_categories for j in filled), default=0)
     probabilities = np.full((len(mask), width), np.nan)
     for j in filled:

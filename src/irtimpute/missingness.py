@@ -176,7 +176,7 @@ def _groups(patterns: np.ndarray, counts: np.ndarray
     starts = np.concatenate(([0], np.cumsum(counts)))
     skip = starts[np.searchsorted(n_missing, 1)]
     groups = []
-    for k in np.unique(n_missing[n_missing > 0]):
+    for k in np.flatnonzero(np.bincount(n_missing[n_missing > 0])):
         first, stop = np.searchsorted(n_missing, [k, k + 1])
         step = max(1, _GROUP_ENTRIES // (k * k))
         for lo in range(first, stop, step):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -418,9 +419,9 @@ def test_cli_import_leaves_out_scipy():
     assert out.stdout == "[]\n"
 
 
-def scipy_loaded_by(argv) -> tuple[list[str], list[str]]:
+def loaded_by(argv, package="scipy") -> tuple[list[str], list[str]]:
     """Run ``main(argv)`` in a child process, which must exit 0; return its
-    stdout lines and the scipy modules it loaded."""
+    stdout lines and the modules of ``package`` it loaded."""
     src = str(Path(irtimpute.__file__).resolve().parents[1])
     argv = [str(token) for token in argv]
     out = subprocess.run(
@@ -428,7 +429,7 @@ def scipy_loaded_by(argv) -> tuple[list[str], list[str]]:
          "import sys; from irtimpute.cli import main; "
          f"rc = main({argv!r}); "
          "print(rc, sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         f"if (m + '.').startswith({package + '.'!r})))"],
         env=dict(os.environ, PYTHONPATH=src), check=True,
         capture_output=True, text=True, timeout=60)
     lines = out.stdout.splitlines()
@@ -451,7 +452,7 @@ class TestScipyImports:
                      ["evaluate", "--truth", corpus / "truth.csv",
                       "--with-missing", holed, "--imputed", filled,
                       "--schema", cols]):
-            _, loaded = scipy_loaded_by(argv)
+            _, loaded = loaded_by(argv)
             assert loaded == [], argv[0]
 
     def test_fitting_loads_only_scipy_sparse(self, corpus, holed, tmp_path):
@@ -463,10 +464,23 @@ class TestScipyImports:
                      ["bench", "--data", corpus / "truth.csv", "--schema", cols,
                       "--target", "item02", "--mechanisms", "mcar",
                       "--fractions", "0.2", "--out", tmp_path / "r.txt"]):
-            _, loaded = scipy_loaded_by(argv)
+            _, loaded = loaded_by(argv)
             assert "scipy.sparse" in loaded, argv[0]
             assert not [m for m in loaded if m.startswith("scipy.special")], \
                 argv[0]
+
+
+def test_applying_a_model_loads_no_numpy_ma(corpus, holed, tmp_path):
+    # np.unique without return_* loads numpy.ma, 15 ms of a start-up
+    cols = corpus / "truth.cols"
+    assert run(["fit", "--data", holed, "--schema", cols,
+                "--out", tmp_path / "model.json"]) == 0
+    for argv in (["impute", "--data", holed, "--schema", cols,
+                  "--model", tmp_path / "model.json",
+                  "--out", tmp_path / "filled.csv"],
+                 ["mcar-test", "--data", holed, "--schema", cols]):
+        _, loaded = loaded_by(argv, "numpy.ma")
+        assert loaded == [], argv[0]
 
 
 class TestDataErrorBoundary:
@@ -541,6 +555,19 @@ class TestDataErrorBoundary:
     def test_data_file_not_utf8(self, corpus, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes((corpus / "truth.csv").read_bytes() + b"\xff\xfe\n")
+        rc = run(["mcar-test", "--data", bad, "--schema", corpus / "truth.cols"])
+        self.assert_one_data_error(rc, capsys)
+
+    @pytest.mark.parametrize("row, field", [(0, 0), (1, 0), (1, 4)],
+                             ids=["header", "label", "continuous"])
+    def test_invalid_utf8_is_one_data_error(self, corpus, tmp_path, capsys,
+                                            row, field):
+        lines = (corpus / "truth.csv").read_bytes().split(b"\r\n")
+        fields = lines[row].split(b",")
+        fields[field] += b"\xc3"
+        lines[row] = b",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\r\n".join(lines))
         rc = run(["mcar-test", "--data", bad, "--schema", corpus / "truth.cols"])
         self.assert_one_data_error(rc, capsys)
 
@@ -946,7 +973,7 @@ class TestMcarTestCommand:
 
     def test_leaves_out_scipy_sparse(self, corpus, holed):
         # Little's test works on dense arrays and sums its own χ² tail
-        lines, loaded = scipy_loaded_by(
+        lines, loaded = loaded_by(
             ["mcar-test", "--data", holed, "--schema", corpus / "truth.cols"])
         assert lines[0] == "Little's MCAR test"
         assert loaded == []
@@ -1252,3 +1279,94 @@ class TestBenchCommand:
         filled = _majority_fill(view, "t")
         assert filled.cells.tolist() == [[2, MISSING], [2, 1], [2, 0],
                                          [0, MISSING]]
+
+
+@pytest.fixture(scope="module")
+def utf8_corpus(tmp_path_factory):
+    """A dataset whose schema holds UTF-8 labels and a UTF-8 column name:
+    complete (``t.csv``), with 10 % of its cells blanked (``d.csv``), and
+    its schema file."""
+    root = tmp_path_factory.mktemp("utf8")
+    items = simulate_items("grm", 4, np.random.default_rng(81),
+                           n_categories=3)
+    base = simulate_dataset(items, 200, seed=82)
+    schemas = (ColumnSchema("größe", "ordinal",
+                            labels=("klein", "mittel", "groß")),
+               ColumnSchema("item01", "ordinal", labels=("é", "€", "😀")),
+               *base.schemas[2:])
+    truth = CategoricalDataset(schemas, base.cells)
+    emit_csv(truth, root / "t.csv")
+    cells = base.cells.copy()
+    cells[np.random.default_rng(83).random(cells.shape) < 0.1] = MISSING
+    emit_csv(truth.with_cells(cells), root / "d.csv")
+    (root / "d.cols").write_bytes(format_schema(schemas).encode())
+    return root
+
+
+class TestUtf8Files:
+    """Every file is UTF-8, whatever the locale's encoding."""
+
+    @staticmethod
+    def fit_and_impute(corpus, out, env, python_flags=()):
+        src = str(Path(irtimpute.__file__).resolve().parents[1])
+        env = {key: value for key, value in env.items()
+               if key not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env["PYTHONPATH"] = src
+        out.mkdir()
+        for argv in (["fit", "--out", out / "model.json"],
+                     ["impute", "--model", out / "model.json",
+                      "--out", out / "filled.csv",
+                      "--probabilities", out / "probs.csv"]):
+            proc = subprocess.run(
+                [sys.executable, *python_flags, "-m", "irtimpute.cli",
+                 *map(str, argv), "--data", str(corpus / "d.csv"),
+                 "--schema", str(corpus / "d.cols")],
+                env=env, capture_output=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b""), argv[0]
+
+    def test_ascii_locale_writes_the_same_files(self, utf8_corpus,
+                                                tmp_path):
+        self.fit_and_impute(utf8_corpus, tmp_path / "default", os.environ)
+        ascii_locale = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        self.fit_and_impute(utf8_corpus, tmp_path / "ascii", ascii_locale,
+                            ("-X", "utf8=0"))
+        for name in ("model.json", "filled.csv", "probs.csv"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "ascii" / name).read_bytes()), name
+        filled = (tmp_path / "default" / "filled.csv").read_bytes()
+        assert filled.startswith("größe,".encode())
+        assert "groß".encode() in filled and "😀".encode() in filled
+
+    def test_report_escapes_what_stdout_cannot_encode(
+            self, utf8_corpus, tmp_path, monkeypatch):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii",
+                                  errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        rc = run(["inject", "--data", utf8_corpus / "t.csv",
+                  "--schema", utf8_corpus / "d.cols", "--target", "größe",
+                  "--fraction", "0.2", "--mechanism", "mcar", "--seed", "1",
+                  "--out", tmp_path / "injected.csv"])
+        assert rc == 0
+        assert stdout.errors == "strict"
+        stdout.flush()
+        assert re.fullmatch(rb"removed \d+ cells from column "
+                            rb"'gr\\xf6\\xdfe'\n",
+                            stdout.buffer.getvalue())
+
+    def test_byte_order_marks_are_skipped(self, utf8_corpus, tmp_path,
+                                          capsys):
+        bom = b"\xef\xbb\xbf"
+        for name in ("d.csv", "d.cols"):
+            (tmp_path / name).write_bytes(
+                bom + (utf8_corpus / name).read_bytes())
+        (tmp_path / "run.cfg").write_bytes(
+            bom + b"schema = " + bytes(tmp_path / "d.cols") + b"\n")
+        assert run(["fit", "--data", tmp_path / "d.csv", "--config",
+                    tmp_path / "run.cfg", "--out", tmp_path / "m.json"]) == 0
+        model = tmp_path / "m.json"
+        model.write_bytes(bom + model.read_bytes())
+        assert run(["impute", "--data", utf8_corpus / "d.csv",
+                    "--schema", utf8_corpus / "d.cols", "--model", model,
+                    "--out", tmp_path / "filled.csv"]) == 0
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "filled.csv").read_bytes().startswith(bom)

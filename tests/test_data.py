@@ -544,14 +544,94 @@ class TestPlainCsv:
             assert_array_equal(split, expected)
         return split
 
-    def test_non_ascii_label_goes_through_csv(self, tmp_path, monkeypatch):
+    def test_non_ascii_label_is_split(self, tmp_path, monkeypatch):
         schemas = (ColumnSchema("c", "nominal", labels=("café", "b")),
                    ColumnSchema("x", "continuous"))
         path = tmp_path / "u.csv"
         path.write_bytes("c,x\ncafé,1.5\nb,\n café ,-2\n".encode())
-        assert not data_module._is_plain(path)
+        assert data_module._is_plain(path)
         cells = self.split_equals_reader(path, schemas, monkeypatch)
         assert_array_equal(cells, [[0, 1.5], [1, MISSING], [0, -2]])
+
+    # labels of 2-, 3- and 4-byte characters ending at or across the 7th
+    # byte, the last one a key holds
+    UTF8_SCHEMAS = (
+        ColumnSchema("säule", "nominal",
+                     labels=("é", "€", "😀", "abcdeé", "abcdefé", "abcd€",
+                             "abcde€", "abc😀", "abcd😀", "ab😀cd", "😀😀")),
+        ColumnSchema("x", "continuous"),
+    )
+
+    def test_utf8_tokens_across_the_word_edge(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(17)
+        labels = list(self.UTF8_SCHEMAS[0].labels)
+        good = (labels + [" é", "abc😀 ", "\u00a0abcdeé", "\u3000😀😀",
+                          "\u2028€\x85", "", "NA"],
+                ["1.5", " -2e-3 ", "", "١٥", " ٣ "])
+        bad = (["abcdeè", "abcdefè", "ü", "😀😁", "abc😁"], ["١٥x", "€"])
+        seen = set()
+        for trial in range(40):
+            lines = ["säule,x"]
+            for _ in range(int(rng.integers(1, 30))):
+                cells = [str(rng.choice(ok if rng.uniform() < 0.98
+                                        else ok + no))
+                         for ok, no in zip(good, bad)]
+                lines.append(",".join(cells))
+            path = tmp_path / f"t{trial}.csv"
+            path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+            assert data_module._is_plain(path)
+            outcome = self.split_equals_reader(path, self.UTF8_SCHEMAS,
+                                               monkeypatch)
+            seen.add(isinstance(outcome, tuple))
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff", "\ufeff\n", "\ufeffu,w,x", "\ufeffu,w,x\nno,a,1\n",
+        '\ufeff"u",w,x\r\nyes,b c,\r\n', "\ufeff\ufeffu,w,x\nno,a,1\n",
+    ], ids=["alone", "blank-header", "header-only", "rows", "quoted-header",
+            "twice"])
+    def test_byte_order_mark(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode())
+        assert bool(data_module._is_plain(path)) == (len(text) > 1)
+        self.split_equals_reader(path, PLAIN_SCHEMAS, monkeypatch)
+
+    def test_quoted_header_names(self, tmp_path, monkeypatch):
+        schemas = (PLAIN_SCHEMAS[0], ColumnSchema('w"', "nominal",
+                                                  labels=("a", "b")))
+        path = tmp_path / "h.csv"
+        for header, expected in [('"u","w"""', [[0, 1], [1, MISSING]]),
+                                 ('u ,"w""" ', [[0, 1], [1, MISSING]]),
+                                 ('"u,w"""', None), ('"u"x,"w"""', None)]:
+            path.write_bytes(f"{header}\r\nno,b\r\nyes,\r\n".encode())
+            assert data_module._is_plain(path)
+            outcome = self.split_equals_reader(path, schemas, monkeypatch)
+            if expected is None:
+                assert outcome[0] is DataError
+                assert "does not match schema columns" in outcome[1]
+            else:
+                assert_array_equal(outcome, expected)
+
+    @pytest.mark.parametrize("text", [
+        'u,"w\nx",x\nno,a,1\n', 'u,"w,x\nno,a,1\n', 'u,w",",x\r\nno,a,1',
+        '"u\r",w,x\nno,a,1\n',
+    ], ids=["closed", "never-closed", "after-a-literal-quote", "lone-cr"])
+    def test_header_quote_across_a_line_end_goes_through_csv(
+            self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        assert not data_module._is_plain(path)
+
+    @pytest.mark.parametrize("text", [
+        b"u,w\xff,x\nno,a,1\n", b"u,w,x\nno,a\xc3,1\n",
+        b"u,w,x\nno,a,1.\xe2\x82\n",
+    ], ids=["header", "label", "continuous"])
+    def test_invalid_utf8_goes_through_csv(self, tmp_path, text):
+        path = tmp_path / "i.csv"
+        path.write_bytes(text)
+        assert not data_module._is_plain(path)
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(path, PLAIN_SCHEMAS)
 
     LONG_SCHEMAS = (
         ColumnSchema("s", "nominal",

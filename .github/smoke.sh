@@ -19,6 +19,9 @@ without_scipy() {
 
 $irtimpute --help > /dev/null
 python - <<'EOF'
+import csv
+import io
+
 import numpy as np
 from irtimpute.data import MISSING, emit_csv, format_schema
 from irtimpute.simulate import simulate_dataset, simulate_items
@@ -42,16 +45,24 @@ row[0, 0] = MISSING
 emit_csv(big.with_cells(row), "one.csv")
 emit_csv(big.with_cells(np.vstack([cells, row])), "many.csv")
 # corpus.csv with \n line ends, with \r\n ones, with one quoted header
-# name, with every header name quoted, with a UTF-8 byte order mark, and
-# with a UTF-8 label (item00's 2 written as groß, in corpus-utf8.cols too)
+# name, with every header name quoted, with every field quoted, R-style
+# (header names and labels quoted, as R's write.csv quotes factors), with a
+# UTF-8 byte order mark, and with a UTF-8 label (item00's 2 written as
+# groß, in corpus-utf8.cols too)
 with open("corpus.csv", newline="", encoding="utf-8") as handle:
     text = handle.read().replace("\r\n", "\n")
 header, rest = text.split("\n", 1)
 names = ",".join(f'"{name}"' for name in header.split(","))
+rows = [line.split(",") for line in text.splitlines()]
+quoted = io.StringIO()
+csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
 variants = {"lf": text, "crlf": text.replace("\n", "\r\n"),
             "quoted": '"' + text.replace(",", '",', 1),
-            "names": names + "\n" + rest, "bom": "\ufeff" + text,
-            "utf8": text.replace("\n2,", "\ngroß,")}
+            "names": names + "\n" + rest, "all": quoted.getvalue(),
+            "r": names + "\n" + "".join(
+                ",".join(f'"{field}"' if field else "" for field in row)
+                + "\n" for row in rows[1:]),
+            "bom": "\ufeff" + text, "utf8": text.replace("\n2,", "\ngroß,")}
 for name, variant in variants.items():
     with open(f"corpus-{name}.csv", "w", newline="", encoding="utf-8") as f:
         f.write(variant)
@@ -73,7 +84,7 @@ without_scipy mcar-test --data corpus.csv --schema corpus.cols > /dev/null
 
 # line ends, quoting, a byte order mark and UTF-8 labels do not change
 # what a file reads as, nor does a locale whose encoding is ASCII
-for variant in lf crlf quoted names bom utf8; do
+for variant in lf crlf quoted names all r bom utf8; do
   schema=corpus.cols
   test $variant != utf8 || schema=corpus-utf8.cols
   $irtimpute impute --data corpus-$variant.csv --schema $schema \
@@ -83,12 +94,12 @@ done
 LC_ALL=C PYTHONCOERCECLOCALE=0 PYTHONUTF8=0 $irtimpute impute \
   --data corpus-utf8.csv --schema corpus-utf8.cols --model model.json \
   --out filled-c.csv --probabilities probs-c.csv > /dev/null
-for variant in crlf quoted names bom; do
+for variant in crlf quoted names all r bom; do
   cmp filled-lf.csv filled-$variant.csv
 done
 sed 's/^groß,/2,/' filled-utf8.csv | cmp filled-lf.csv -
 cmp filled-utf8.csv filled-c.csv
-for variant in crlf quoted names bom utf8 c; do
+for variant in crlf quoted names all r bom utf8 c; do
   cmp probs-lf.csv probs-$variant.csv
 done
 

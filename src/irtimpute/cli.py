@@ -133,6 +133,15 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [plain[0], *config_tokens, *plain[1:]]
 
 
+def _utf8(text: str) -> str:
+    """A command-line value, with the bytes that the locale's encoding left
+    undecoded (as lone surrogates) read as UTF-8."""
+    try:
+        return text.encode("utf-8", "surrogateescape").decode()
+    except UnicodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8") from None
+
+
 def _add_io_options(parser, data_help="input CSV (header row required)"):
     if data_help is not None:
         parser.add_argument("--data", required=True, help=data_help)
@@ -140,7 +149,7 @@ def _add_io_options(parser, data_help="input CSV (header row required)"):
                         help="schema file (one 'name: kind ...' line per column)")
     parser.add_argument(
         "--missing-tokens", default=",".join(MISSING_TOKENS),
-        type=lambda text: tuple(text.split(",")), metavar="T1,T2,...",
+        type=lambda text: tuple(_utf8(text).split(",")), metavar="T1,T2,...",
         help="comma-separated cell values read as missing (default %(default)r)")
     parser.add_argument("--config", help="key = value file of defaults; "
                                          "explicit flags override")
@@ -169,8 +178,8 @@ def _add_fit_options(parser):
 
 
 def _add_injection_options(parser, target_help: str):
-    parser.add_argument("--target", required=True, help=target_help)
-    parser.add_argument("--conditional",
+    parser.add_argument("--target", required=True, type=_utf8, help=target_help)
+    parser.add_argument("--conditional", type=_utf8,
                         help="fully observed column driving deletion "
                              "(mar only)")
     parser.add_argument("--direction", choices=MAR_DIRECTIONS,
@@ -605,7 +614,7 @@ def main(argv=None) -> int:
     except IrtImputeError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable/unwritable file
+    except OSError as exc:  # unreadable/unwritable file
         print(f"error: {DataError.kind}: {exc}", file=sys.stderr)
         return DataError.exit_code
     finally:

@@ -8,18 +8,16 @@ continuous column may not contain a legitimate value of exactly ``-1``; the
 loader rejects such files rather than corrupt them silently.
 
 Every file the package reads or writes is UTF-8: a leading byte order mark
-is skipped on input and none is written.  CSV files are read and written in
-blocks of ``_BLOCK`` rows.  The data rows of a plain file (see
-:func:`_is_plain`) are split in numpy at their line ends and commas, and
-each distinct token of up to 7 bytes in a column is looked up once per block
-(a longer one, such as most continuous values, once per cell); every other
-file (quoted data rows, a header whose quotes span a line break, a NUL, an
-over-long line, bytes that are not UTF-8) reads the same through
-``csv.reader``, a column at a time.  Labels are written by indexing an array
-of them with the codes.  On bad input the loader raises the first error in
-row-major order; a row with the wrong number of fields fails before any of
-its cells is read.  Every file is written to a temporary file first and then
-moved over its target.
+is skipped on input and none is written, and bytes that are not UTF-8 are a
+data error naming the file (and the row of a CSV file).  A CSV file reads as
+the ``csv`` module's reader reads it, a NUL as a character on any Python
+version: its records are split in numpy at the line ends and commas outside
+quotes, in blocks of ``_BLOCK``, and each distinct token of up to 7 bytes in
+a column, bare or quoted, is looked up once per block (a longer one once per
+cell).  Labels are written by indexing an array of them with the codes.  On
+bad input the loader raises the first error in row-major order; a row with
+the wrong number of fields fails before any of its cells is read.  Every
+file is written to a temporary file first and then moved over its target.
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ import csv
 import io
 import math
 import os
+import re
 from collections.abc import Callable
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -314,8 +312,13 @@ def load_schema(path: str | Path) -> tuple[ColumnSchema, ...]:
 
 
 def read_text(path: str | Path) -> str:
-    """A whole UTF-8 file's text, without a leading byte order mark."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    """A whole UTF-8 file's text, without a leading byte order mark; bytes
+    that are not UTF-8 are a :class:`DataError` naming the file."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode().removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,192 +337,171 @@ def load_csv(
     equal, load as missing.  Categorical cells must match a declared label;
     continuous cells must be finite floats other than the -1 sentinel.
 
-    Records are read in blocks of ``_BLOCK`` rows; the first error in
-    row-major order is raised, and a row with the wrong number of fields
-    fails before any cell of that row is read.  The data rows of a plain
-    file (see :func:`_is_plain`) are split in numpy at line ends and commas,
-    and each distinct token of up to 7 bytes in a column is looked up once
-    per block (a longer one once per cell); every other file reads the same
-    through ``csv.reader``, a column at a time.
+    Records are read in blocks (see :func:`_records`), and each distinct
+    token of up to 7 bytes in a column is looked up once per block (a
+    longer one once per cell).  The first error in row-major order is
+    raised; a row with the wrong number of fields fails before its cells.
     """
     lookups = [_CellLookup(schema, frozenset(missing_tokens))
                for schema in schemas]
+    tokens = _TokenTable(lookups)
     n_cols = len(schemas)
     blocks = [np.empty((0, n_cols))]
-    plain = _is_plain(path)
-    records = _plain_blocks(*plain, lookups) if plain \
-        else _csv_blocks(path, lookups)
-    with closing(records):
-        header = next(records)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        expected = [s.name for s in schemas]
-        if [h.strip() for h in header] != expected:
-            raise DataError(
-                f"{path}: header {header!r} does not match schema columns "
-                f"{expected!r}"
-            )
-        first_row = 2
-        for lengths, values, cell in records:
-            ragged = np.flatnonzero(lengths != n_cols)
-            # the rows before the first one with a wrong field count
-            n = int(ragged[0]) if ragged.size else len(lengths)
-            block = values(n)
-            bad = np.argwhere(np.isnan(block))
-            if bad.size:
-                i, j = bad[0]
-                lookups[j].value(cell(i, j), f"{path}:{first_row + i}")
-            if ragged.size:
-                raise DataError(
-                    f"{path}:{first_row + n}: {lengths[n]} fields, expected "
-                    f"{n_cols}"
-                )
-            blocks.append(block)
-            first_row += len(lengths)
+    records = _records(path)
+    _, chunk, commas, begin, end = next(records)
+    header = _fields(chunk, commas, begin[0], end[0])
+    expected = [s.name for s in schemas]
+    if [h.strip() for h in header] != expected:
+        raise DataError(f"{path}: header {header!r} does not match schema "
+                        f"columns {expected!r}")
+    for first_row, chunk, commas, begin, end in records:
+        # commas plus one, or no field at all for an empty record
+        lengths = (np.diff(np.searchsorted(commas, end), prepend=0)
+                   + (end > begin))
+        ragged = np.flatnonzero(lengths != n_cols)
+        # the rows before the first one with a wrong field count
+        n = int(ragged[0]) if ragged.size else len(lengths)
+        # the byte before and the byte after each field of those rows: row
+        # i holds the bounds of field j as [i, j] + 1 and [i, j + 1]
+        separators = np.empty((n, n_cols + 1), np.intp)
+        separators[:, 0] = begin[:n] - 1
+        separators[:, 1:-1] = commas[:n * (n_cols - 1)].reshape(n, n_cols - 1)
+        separators[:, -1] = end[:n]
+        block = tokens.values(chunk, separators)
+        bad = np.argwhere(np.isnan(block))
+        if bad.size:
+            i, j = bad[0]
+            lookups[j].value(_fields(chunk, commas, begin[i], end[i])[j],
+                             f"{path}:{first_row + i}")
+        if ragged.size:
+            raise DataError(f"{path}:{first_row + n}: {lengths[n]} fields, "
+                            f"expected {n_cols}")
+        blocks.append(block)
     cells = np.concatenate(blocks)
     del blocks  # before the dataset copies the cells
     return CategoricalDataset(tuple(schemas), cells)
 
 
-def _is_plain(path: str | Path
-              ) -> tuple[list[str], bytes, np.ndarray, np.ndarray] | None:
-    """The header record, the file's bytes after a leading UTF-8 byte order
-    mark, and the bounds of their lines (see :func:`_line_bounds`) if the
-    file is plain, else None: the file then reads through ``csv.reader``.
+def _records(path: str | Path):
+    """A CSV file's records, the header alone and then blocks of
+    ``_BLOCK``: per block, the row number of its first record, the bytes of
+    its records, the commas outside quotes in them, and where each record
+    starts and its line end begins in them.
 
-    A plain file is not empty once the mark is skipped, is valid UTF-8,
-    holds no NUL and no quote after its header line, has no line longer
-    than ``csv.field_size_limit()`` bytes, and its header line, read alone
-    by ``csv.reader``, ends outside quotes; its data rows, split at their
-    line ends and commas, give the records ``csv.reader`` gives.
+    Bytes that are not UTF-8 fail first, then an empty file, then a field
+    longer than ``csv.field_size_limit()``, before its block is yielded.
     """
-    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    if not raw or b"\0" in raw:
-        return None
-    if not raw.isascii():
-        try:
-            raw.decode()
-        except UnicodeDecodeError:
-            return None
-    starts, ends = _line_bounds(raw)
-    if (ends - starts).max() > csv.field_size_limit() \
-            or raw.find(b'"', ends[0]) >= 0:
-        return None
-    line = raw[:starts[1]] if len(starts) > 1 else raw
-    header = next(csv.reader([line.decode()]), [])
-    # a line end inside a field is a quote left open at the line's end
-    if any("\n" in name or "\r" in name for name in header):
-        return None
-    return header, raw, starts, ends
-
-
-def _csv_blocks(path: str | Path, lookups: list[_CellLookup]):
-    """The header record (None for an empty file), then per block of
-    records: their field counts, a function ``values(n)`` giving the cell
-    values of the first ``n`` records (NaN for a bad cell), and a function
-    ``cell(i, j)`` giving the raw text of a cell of those records."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            yield next(reader, None)
-            for records in iter(lambda: list(islice(reader, _BLOCK)), []):
-                lengths = np.fromiter(map(len, records), np.intp,
-                                      len(records))
-
-                def values(n, records=records):
-                    block = np.empty((n, len(lookups)))
-                    for j, column in enumerate(zip(*records[:n])):
-                        block[:, j] = np.fromiter(map(lookups[j].read, column),
-                                                  np.float64, n)
-                    return block
-                yield lengths, values, lambda i, j, records=records: \
-                    records[i][j]
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _line_bounds(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Where each line of ``raw`` starts, and where its line end begins.
-
-    A line ends at LF, CR LF or a lone CR, as universal newlines read it; a
-    last line without a line end counts, an empty tail does not.
-    """
+    data = Path(path).read_bytes()
+    raw = data.removeprefix(codecs.BOM_UTF8)
     buf = np.frombuffer(raw, np.uint8)
+    bounds = _quote_bounds(buf)
+    starts, ends = _line_bounds(buf, bounds)
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            offset = exc.start - (len(data) - len(raw))
+            row = np.searchsorted(starts, offset, "right")
+            raise DataError(f"{path}:{row}: {exc}") from None
+    del data  # raw is a copy of it if the file had a byte order mark
+    if not len(starts):
+        raise DataError(f"{path}: empty file")
+    limit = csv.field_size_limit()
+    for first in (0, *range(1, len(starts), _BLOCK)):
+        rows = slice(first, first + _BLOCK if first else 1)
+        lo, hi = starts[first], ends[rows][-1]
+        begin, end = starts[rows] - lo, ends[rows] - lo
+        # a comma is in quotes from a quote bound to the next
+        commas = buf[lo:hi] == ord(",")
+        inside = bounds[slice(*np.searchsorted(bounds, (lo, hi)))]
+        if inside.size:
+            toggles = np.zeros(hi - lo, np.uint8)
+            toggles[inside - lo] = 1
+            commas &= np.bitwise_xor.accumulate(toggles) == 0
+        commas = np.flatnonzero(commas)
+        chunk = raw[lo:hi]
+        for i in np.flatnonzero(end - begin > limit):
+            if max(map(len, _fields(chunk, commas, begin[i], end[i]))) > limit:
+                raise DataError(f"{path}:{first + i + 1}: field larger than "
+                                f"field limit ({limit})")
+        yield first + 1, chunk, commas, begin, end
+
+
+def _quote_bounds(buf: np.ndarray) -> np.ndarray:
+    """Where the quoted stretches of the bytes ``buf`` open and close, in
+    turn, as the ``csv`` module reads quotes: of the runs of consecutive
+    quotes, one of odd length closes an open stretch, or else opens one if
+    it starts a field (at the start, or right after a comma, CR or LF); one
+    of even length changes nothing.  The last stretch may stay open."""
+    quotes = np.flatnonzero(buf == ord('"'))
+    heads = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
+    runs = quotes[heads[np.diff(heads, append=len(quotes)) & 1 == 1]]
+    before = buf.take(runs - 1)
+    opening = (before == ord(",")) | (before == 10) | (before == 13)
+    opening[:1] |= runs[:1] == 0
+    # of consecutive runs that start fields, the 1st, 3rd, ... open a
+    # stretch and the others close the one before
+    k = np.arange(len(runs))
+    after = np.maximum.accumulate(np.where(opening, -1, k))
+    opening &= (k - after) & 1 == 1
+    opening[1:] |= opening[:-1]  # and the runs that close those
+    return runs[opening]
+
+
+def _line_bounds(buf: np.ndarray, bounds: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Where each record of the bytes ``buf`` starts, and where its line end
+    begins: a record ends at an LF, CR LF or lone CR outside quotes (see
+    :func:`_quote_bounds`); a last record without a line end counts, an
+    empty tail does not."""
     breaks = np.flatnonzero((buf == 10) | (buf == 13))
-    # a CR right before an LF opens a line end that the LF closes
-    pair = ((np.diff(breaks) == 1) & (buf[breaks[:-1]] == 13)
-            & (buf[breaks[1:]] == 10))
-    opens = np.ones(len(breaks), bool)
-    opens[1:] = ~pair
-    closes = np.ones(len(breaks), bool)
-    closes[:-1] = ~pair
-    ends = breaks[opens]
-    starts = np.append(0, breaks[closes] + 1)
-    if starts[-1] < len(raw):
-        ends = np.append(ends, len(raw))
-    else:
-        starts = starts[:-1]
-    return starts, ends
+    breaks = breaks[np.searchsorted(bounds, breaks) & 1 == 0]
+    # the LF of a CR LF goes on with the CR's line end
+    lf = (buf[breaks] == 10) & (buf[breaks - 1] == 13) & (breaks > 0)
+    starts = np.append(0, breaks[~np.roll(lf, -1)] + 1)
+    ends = np.append(breaks[~lf], len(buf))
+    keep = starts < len(buf)  # an empty tail is no record
+    return starts[keep], ends[keep]
 
 
-def _plain_blocks(header: list[str], raw: bytes, starts: np.ndarray,
-                  ends: np.ndarray, lookups: list[_CellLookup]):
-    """:func:`_csv_blocks` for a file :func:`_is_plain` accepts, from what
-    it returns: a data record is a line without its line end split at
-    commas, and an empty line is a record of no fields."""
-    yield header
-    tokens = _TokenTable(lookups)
-    for first in range(1, len(starts), _BLOCK):
-        lines = slice(first, first + _BLOCK)
-        lo = starts[first]
-        yield _split_block(raw[lo:ends[lines][-1]], starts[lines] - lo,
-                           ends[lines] - lo, tokens)
+def _fields(chunk: bytes, commas: np.ndarray, begin: int, end: int
+            ) -> list[str]:
+    """The fields of the record ``chunk[begin:end]``, given the commas
+    outside quotes in ``chunk``; none for an empty record."""
+    inner = commas[np.searchsorted(commas, begin):np.searchsorted(commas, end)]
+    cuts = [begin - 1, *inner.tolist(), end]
+    return [_unquoted(chunk[a + 1:b].decode())
+            for a, b in zip(cuts, cuts[1:])] if end > begin else []
 
 
-def _split_block(chunk: bytes, starts: np.ndarray, ends: np.ndarray,
-                 tokens: _TokenTable):
-    """One block of :func:`_plain_blocks`: the bytes ``chunk`` of whole
-    lines, and where each line starts and its line end begins in it."""
-    commas = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord(","))
-    # commas plus one, or no field at all for an empty line
-    lengths = (np.diff(np.searchsorted(commas, ends), prepend=0)
-               + (ends > starts))
-    width = len(tokens.lookups) - 1
+_QUOTED = re.compile(r'"((?:[^"]|"")*)"?', re.DOTALL)
 
-    def separators(first: int, stop: int) -> np.ndarray:
-        """The byte before and the byte after each field of the lines
-        ``first:stop``, all with one field per column; row ``i`` holds the
-        bounds of field ``j`` as ``[i, j] + 1`` and ``[i, j + 1]``."""
-        bounds = np.empty((stop - first, width + 2), np.intp)
-        bounds[:, 0] = starts[first:stop] - 1
-        bounds[:, 1:-1] = commas[first * width:stop * width].reshape(
-            stop - first, width)
-        bounds[:, -1] = ends[first:stop]
-        return bounds
 
-    def cell(i: int, j: int) -> str:
-        before, after = separators(i, i + 1)[0, j:j + 2]
-        return chunk[before + 1:after].decode()
-    return lengths, lambda n: tokens.values(chunk, separators(0, n)), cell
+def _unquoted(field: str) -> str:
+    """A field's text: if it starts with a quote, the text up to the first
+    quote that is not doubled, with ``""`` read as ``"``, then the rest of
+    the field as written."""
+    match = _QUOTED.match(field)
+    if match is None:
+        return field
+    return match[1].replace('""', '"') + field[match.end():]
 
 
 class _TokenTable:
     """The cell values of short tokens, for the columns of ``lookups``.
 
-    Each token of up to 7 bytes that a column's lookup reads without error
-    (its labels and missing tokens) has a key: its UTF-8 bytes as a
-    little-endian ``uint64``.  A plain file holds no NUL, so the key tells
-    tokens of different lengths apart, and a longer token's first 8 bytes
-    never equal a key.  :meth:`values` finds the key of every cell of a
-    block by a multiplicative hash; each other short token (and a key whose
-    hash slot another key took) is read by its column's lookup once per
-    block, and each longer token once per cell.
+    Each token that a column's lookup reads without error (its labels and
+    missing tokens) has a key for its bare and its quoted form, each of up
+    to 7 bytes that reads as the token: the form's UTF-8 bytes, padded to 8
+    with 0xff, a byte that UTF-8 never holds, as a little-endian ``uint64``.
+    So the key tells forms of different lengths apart, and a longer field's
+    first 8 bytes never equal one.  :meth:`values` finds each cell's key
+    through a multiplicative hash; each other token of up to 7 bytes is read
+    by its column's lookup once per block, and each longer one once per cell.
     """
 
-    # the bits of a token of k bytes in its first 8 bytes; all of them for
-    # a token of 8 bytes or more
-    _MASKS = np.array([(1 << 8 * k) - 1 for k in range(8)] + [2**64 - 1],
-                      np.uint64)
+    # 0xff in the first 8 bytes past a token of k bytes; none past 8 or more
+    _PADS = np.array([2**64 - 2**(8 * k) for k in range(8)] + [0], np.uint64)
     # 2**64 over the golden ratio, odd
     _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
@@ -529,34 +511,42 @@ class _TokenTable:
         for j, lookup in enumerate(lookups):
             for token in (*(lookup.codes or ()), *lookup.missing):
                 value = lookup.parse(token)
-                encoded = token.encode()
-                if len(encoded) < 8 and value == value:
-                    known[j, int.from_bytes(encoded, "little")] = value
-        # the last key, which no token has, marks a token with no entry
-        keys = sorted({key for _, key in known}) + [2**64 - 1]
+                for form in (token, '"' + token.replace('"', '""') + '"'):
+                    encoded = form.encode()
+                    if (len(encoded) < 8 and value == value
+                            and _unquoted(form) == token):
+                        known[j, int.from_bytes(encoded.ljust(8, b"\xff"),
+                                                "little")] = value
+        # the last key, which no form has, marks a token with no entry
+        keys = sorted({key for _, key in known}) + [0]
         self.keys = np.array(keys, np.uint64)
         self.table = np.full((len(lookups), len(keys)), np.nan)
         for (j, key), value in known.items():
             self.table[j, keys.index(key)] = value
         self.offsets = np.arange(len(lookups)) * len(keys)
-        # at least 8 slots per key
-        bits = len(keys).bit_length() + 3
-        self.shift = np.uint64(64 - bits)
+        # the fewest of 8 to 64 slots per key that give each key its own;
+        # past 64, a key whose slot another took reads as having no entry
+        least = len(keys).bit_length() + 3
+        for bits in range(least, least + 4):
+            self.shift = np.uint64(64 - bits)
+            slots = self._slot(self.keys[:-1])
+            if len(set(slots.tolist())) == len(slots):
+                break
         self.slots = np.full(2**bits, len(keys) - 1)
-        self.slots[self._slot(self.keys[:-1])] = np.arange(len(keys) - 1)
+        self.slots[slots] = np.arange(len(keys) - 1)
 
     def _slot(self, keys: np.ndarray) -> np.ndarray:
         return (keys * self._MULTIPLIER) >> self.shift
 
     def values(self, chunk: bytes, separators: np.ndarray) -> np.ndarray:
         """The cell values of the fields within ``separators`` (see
-        :func:`_split_block`) of ``chunk``, NaN for a bad cell."""
+        :func:`load_csv`) of ``chunk``, NaN for a bad cell."""
         words = np.ndarray((len(chunk) + 1,), "<u8", chunk + bytes(8), 0,
                            (1,))
         starts = separators[:, :-1] + 1
         sizes = separators[:, 1:] - starts
         keys = words.take(starts)
-        keys &= self._MASKS.take(sizes, mode="clip")
+        keys |= self._PADS.take(sizes, mode="clip")
         index = self.slots.take(self._slot(keys))
         index[self.keys.take(index) != keys] = len(self.keys) - 1
         index += self.offsets
@@ -567,9 +557,9 @@ class _TokenTable:
         for j in np.flatnonzero(unread.any(axis=0)):
             def read(rows: np.ndarray, j: int = j) -> np.ndarray:
                 """Column ``j``'s lookup of the cells in ``rows``."""
-                cells = map(bytes.decode, map(chunk.__getitem__, map(
-                    slice, starts[rows, j].tolist(),
-                    separators[rows, j + 1].tolist())))
+                cells = map(_unquoted, map(bytes.decode, map(
+                    chunk.__getitem__, map(slice, starts[rows, j].tolist(),
+                                           separators[rows, j + 1].tolist()))))
                 return np.fromiter(map(self.lookups[j].read, cells),
                                    np.float64, len(rows))
 

@@ -960,7 +960,7 @@ def load_model(path: str | Path) -> FittedModel:
     declares (a field with a default may be left out)."""
     try:
         payload = json.loads(read_text(path))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except ValueError as exc:  # JSONDecodeError
         raise DataError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: not a model file")

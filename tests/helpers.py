@@ -396,7 +396,7 @@ def load_csv_loop(path, schemas, missing_tokens=("", "-1")):
     ]
     missing = frozenset(missing_tokens)
     rows: list[list[float]] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

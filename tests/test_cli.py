@@ -553,10 +553,15 @@ class TestDataErrorBoundary:
         assert rc == 2
 
     def test_data_file_not_utf8(self, corpus, tmp_path, capsys):
+        text = (corpus / "truth.csv").read_bytes()
         bad = tmp_path / "bad.csv"
-        bad.write_bytes((corpus / "truth.csv").read_bytes() + b"\xff\xfe\n")
+        bad.write_bytes(text + b"\xff\xfe\n")
         rc = run(["mcar-test", "--data", bad, "--schema", corpus / "truth.cols"])
-        self.assert_one_data_error(rc, capsys)
+        row = text.count(b"\n") + 1  # a record after the last line
+        assert capsys.readouterr().err == (
+            f"error: data: {bad}:{row}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(text)}: invalid start byte\n")
+        assert rc == 2
 
     @pytest.mark.parametrize("row, field", [(0, 0), (1, 0), (1, 4)],
                              ids=["header", "label", "continuous"])
@@ -568,8 +573,26 @@ class TestDataErrorBoundary:
         lines[row] = b",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
         rc = run(["mcar-test", "--data", bad, "--schema", corpus / "truth.cols"])
-        self.assert_one_data_error(rc, capsys)
+        assert capsys.readouterr().err.startswith(
+            f"error: data: {bad}:{row + 1}: 'utf-8' codec can't decode byte "
+            "0xc3 in position ")
+        assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--schema", "--config"])
+    def test_schema_or_config_not_utf8(self, corpus, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xef\xbb\xbf" + (corpus / "truth.cols").read_bytes()
+                        + b"\xff")
+        argv = ["mcar-test", "--data", corpus / "truth.csv",
+                "--schema", corpus / "truth.cols", flag, bad]
+        capsys.readouterr()
+        assert run(argv) == 2
+        # the position counts from the file's first byte
+        assert capsys.readouterr().err == (
+            f"error: data: {bad}: 'utf-8' codec can't decode byte 0xff in "
+            f"position {bad.stat().st_size - 1}: invalid start byte\n")
 
     def test_unwritable_model_out(self, corpus, holed, tmp_path, capsys):
         rc = run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
@@ -1306,36 +1329,80 @@ def utf8_corpus(tmp_path_factory):
 class TestUtf8Files:
     """Every file is UTF-8, whatever the locale's encoding."""
 
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
     @staticmethod
-    def fit_and_impute(corpus, out, env, python_flags=()):
+    def child(argv, locale=None):
+        """Run the command line in a child process, under an ASCII locale
+        if ``locale`` is given, and return its stdout; it must exit 0 with
+        nothing on stderr."""
         src = str(Path(irtimpute.__file__).resolve().parents[1])
-        env = {key: value for key, value in env.items()
+        env = {key: value for key, value in os.environ.items()
                if key not in ("PYTHONIOENCODING", "PYTHONUTF8")}
-        env["PYTHONPATH"] = src
+        env.update(locale or {}, PYTHONPATH=src)
+        flags = ("-X", "utf8=0") if locale else ()
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "irtimpute.cli", *map(str, argv)],
+            env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv[0]
+        return proc.stdout
+
+    def fit_and_impute(self, corpus, out, locale=None):
         out.mkdir()
         for argv in (["fit", "--out", out / "model.json"],
                      ["impute", "--model", out / "model.json",
                       "--out", out / "filled.csv",
                       "--probabilities", out / "probs.csv"]):
-            proc = subprocess.run(
-                [sys.executable, *python_flags, "-m", "irtimpute.cli",
-                 *map(str, argv), "--data", str(corpus / "d.csv"),
-                 "--schema", str(corpus / "d.cols")],
-                env=env, capture_output=True, timeout=120)
-            assert (proc.returncode, proc.stderr) == (0, b""), argv[0]
+            self.child([*argv, "--data", corpus / "d.csv",
+                        "--schema", corpus / "d.cols"], locale)
 
     def test_ascii_locale_writes_the_same_files(self, utf8_corpus,
                                                 tmp_path):
-        self.fit_and_impute(utf8_corpus, tmp_path / "default", os.environ)
-        ascii_locale = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0")
-        self.fit_and_impute(utf8_corpus, tmp_path / "ascii", ascii_locale,
-                            ("-X", "utf8=0"))
+        self.fit_and_impute(utf8_corpus, tmp_path / "default")
+        self.fit_and_impute(utf8_corpus, tmp_path / "ascii",
+                            self.ASCII_LOCALE)
         for name in ("model.json", "filled.csv", "probs.csv"):
             assert ((tmp_path / "default" / name).read_bytes()
                     == (tmp_path / "ascii" / name).read_bytes()), name
         filled = (tmp_path / "default" / "filled.csv").read_bytes()
         assert filled.startswith("größe,".encode())
         assert "groß".encode() in filled and "😀".encode() in filled
+
+    def test_ascii_locale_reads_arguments_as_utf8(self, utf8_corpus,
+                                                  tmp_path):
+        argv = ["inject", "--data", utf8_corpus / "t.csv",
+                "--schema", utf8_corpus / "d.cols", "--target", "größe",
+                "--fraction", "0.2", "--mechanism", "mcar", "--seed", "1"]
+        default = self.child([*argv, "--out", tmp_path / "default.csv"])
+        ascii = self.child([*argv, "--out", tmp_path / "ascii.csv"],
+                           self.ASCII_LOCALE)
+        assert ((tmp_path / "default.csv").read_bytes()
+                == (tmp_path / "ascii.csv").read_bytes())
+        assert default.decode() == ascii.decode("unicode_escape")
+        assert re.fullmatch(r"removed \d+ cells from column 'größe'\n",
+                            default.decode())
+
+    def test_undecoded_argument_bytes_read_as_utf8(self, utf8_corpus,
+                                                   tmp_path, capsys):
+        def undecoded(text):
+            """``text`` as an ASCII locale passes its UTF-8 bytes on."""
+            return text.encode().decode("ascii", "surrogateescape")
+
+        argv = ["inject", "--data", utf8_corpus / "t.csv",
+                "--schema", utf8_corpus / "d.cols", "--fraction", "0.2",
+                "--mechanism", "mar", "--out", tmp_path / "injected.csv"]
+        assert run([*argv, "--target", "item01",
+                    "--conditional", undecoded("größe")]) == 0
+        capsys.readouterr()
+        assert run([*argv, "--target", undecoded("größe"), "--conditional",
+                    "item01", "--missing-tokens", undecoded(",-1,groß")]) == 2
+        assert capsys.readouterr().err == ("error: data: column 'größe': "
+                                           "label 'groß' is a missing token\n")
+        # bytes that are not UTF-8 are a usage error
+        assert run([*argv, "--target", "gr\udcc3e",
+                    "--conditional", "item01"]) == 1
+        assert capsys.readouterr().err == (
+            "error: usage: argument --target: 'gr\\udcc3e' is not UTF-8\n")
 
     def test_report_escapes_what_stdout_cannot_encode(
             self, utf8_corpus, tmp_path, monkeypatch):

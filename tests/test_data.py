@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from irtimpute import data as data_module
 from irtimpute.data import (
     MISSING,
+    MISSING_TOKENS,
     CategoricalDataset,
     ColumnSchema,
     DiscretizationMap,
@@ -366,9 +367,9 @@ def _write_records(path, records, line_end):
             [[s.name for s in BLOCKED_SCHEMAS], *records])
 
 
-def _outcome(loader, path):
+def _outcome(loader, path, schemas=BLOCKED_SCHEMAS):
     try:
-        return loader(path, BLOCKED_SCHEMAS, BLOCKED_TOKENS).cells
+        return loader(path, schemas, BLOCKED_TOKENS).cells
     except DataError as exc:
         return type(exc), str(exc)
 
@@ -471,86 +472,67 @@ def _plain_text(rng, n_rows):
     return text if rng.uniform() < 0.5 else text.rstrip("\r\n")
 
 
-def _loaded(path, schemas):
-    try:
-        return load_csv(path, schemas, ("", "-1", "NA")).cells
-    except DataError as exc:
-        return type(exc), str(exc)
+def _matches_reference(path, schemas):
+    """Load ``path`` and assert that the outcome (cells, or exception class
+    and message) is the per-cell reference's; return it."""
+    got = _outcome(load_csv, path, schemas)
+    expected = _outcome(load_csv_loop, path, schemas)
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and got == expected
+    else:
+        assert_array_equal(got, expected)
+    return got
 
 
 class TestPlainCsv:
-    """A quote-free file split at line ends and commas reads as csv.reader
-    reads it."""
+    """Every file, quoted or not, reads as the per-cell reference reads it
+    through csv.reader."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(data_module, "_BLOCK", 5)
 
-    def test_split_matches_csv_reader(self, tmp_path, monkeypatch):
+    def test_split_matches_csv_reader(self, tmp_path):
         rng = np.random.default_rng(11)
         for trial in range(80):
             path = tmp_path / f"p{trial}.csv"
             path.write_bytes(_plain_text(rng, int(rng.integers(0, 30)))
                              .encode())
-            assert data_module._is_plain(path)
-            split = _loaded(path, PLAIN_SCHEMAS)
-            with monkeypatch.context() as patch:
-                patch.setattr(data_module, "_is_plain", lambda path: False)
-                expected = _loaded(path, PLAIN_SCHEMAS)
-            if isinstance(expected, tuple):
-                assert split == expected
-            else:
-                assert_array_equal(split, expected)
+            _matches_reference(path, PLAIN_SCHEMAS)
 
     @pytest.mark.parametrize("text", [
         "", "\n", "u,w,x", "u,w,x\r\n\r\n", "u,w\nno,a\n",
         "u,w,x\rno,a,1\r\n\nyes,d,2",
     ], ids=["empty", "blank-header", "header-only", "blank-row",
             "short-header", "mixed-ends"])
-    def test_edge_files(self, tmp_path, monkeypatch, text):
+    def test_edge_files(self, tmp_path, text):
         path = tmp_path / "e.csv"
         path.write_bytes(text.encode())
-        split = _loaded(path, PLAIN_SCHEMAS)
-        monkeypatch.setattr(data_module, "_is_plain", lambda path: False)
-        expected = _loaded(path, PLAIN_SCHEMAS)
-        if isinstance(expected, tuple):
-            assert split == expected
-        else:
-            assert_array_equal(split, expected)
+        _matches_reference(path, PLAIN_SCHEMAS)
 
     def test_quote_nul_or_long_line_goes_through_csv(self, tmp_path):
         path = tmp_path / "q.csv"
-        for text in ('u,w,x\nno,"a",1\n', "u,w,x\nno,a\x00,1\n"):
-            path.write_bytes(text.encode())
-            assert not data_module._is_plain(path)
+        path.write_bytes(b'u,w,x\nno,"a",1\n')
+        cells = _matches_reference(path, PLAIN_SCHEMAS)
+        assert_array_equal(cells, [[0, 0, 1]])
+        # csv.reader refuses a NUL before Python 3.11, so no reference
+        path.write_bytes(b"u,w,x\nno,a\x00,1\n")
+        with pytest.raises(UnknownLabel) as caught:
+            load_csv(path, PLAIN_SCHEMAS)
+        assert str(caught.value) == (f"{path}:2: 'a\\x00' is not a label of "
+                                     "column 'w'")
         path.write_bytes(b"u,w,x\nno,a,"
                          + b"1" * (csv.field_size_limit() + 1))
-        assert not data_module._is_plain(path)
         with pytest.raises(DataError,
                            match=r"q\.csv:2: field larger than field limit"):
             load_csv(path, PLAIN_SCHEMAS)
 
-    @staticmethod
-    def split_equals_reader(path, schemas, monkeypatch):
-        """Load ``path`` split and through csv.reader, assert the outcomes
-        equal (cells, or exception class and message), return it."""
-        split = _loaded(path, schemas)
-        with monkeypatch.context() as patch:
-            patch.setattr(data_module, "_is_plain", lambda path: False)
-            expected = _loaded(path, schemas)
-        if isinstance(expected, tuple):
-            assert split == expected
-        else:
-            assert_array_equal(split, expected)
-        return split
-
-    def test_non_ascii_label_is_split(self, tmp_path, monkeypatch):
+    def test_non_ascii_label_is_split(self, tmp_path):
         schemas = (ColumnSchema("c", "nominal", labels=("café", "b")),
                    ColumnSchema("x", "continuous"))
         path = tmp_path / "u.csv"
         path.write_bytes("c,x\ncafé,1.5\nb,\n café ,-2\n".encode())
-        assert data_module._is_plain(path)
-        cells = self.split_equals_reader(path, schemas, monkeypatch)
+        cells = _matches_reference(path, schemas)
         assert_array_equal(cells, [[0, 1.5], [1, MISSING], [0, -2]])
 
     # labels of 2-, 3- and 4-byte characters ending at or across the 7th
@@ -562,11 +544,11 @@ class TestPlainCsv:
         ColumnSchema("x", "continuous"),
     )
 
-    def test_utf8_tokens_across_the_word_edge(self, tmp_path, monkeypatch):
+    def test_utf8_tokens_across_the_word_edge(self, tmp_path):
         rng = np.random.default_rng(17)
         labels = list(self.UTF8_SCHEMAS[0].labels)
         good = (labels + [" é", "abc😀 ", "\u00a0abcdeé", "\u3000😀😀",
-                          "\u2028€\x85", "", "NA"],
+                          "\u2028€\x85", "", "NA", '"é"', '"😀😀"'],
                 ["1.5", " -2e-3 ", "", "١٥", " ٣ "])
         bad = (["abcdeè", "abcdefè", "ü", "😀😁", "abc😁"], ["١٥x", "€"])
         seen = set()
@@ -579,9 +561,7 @@ class TestPlainCsv:
                 lines.append(",".join(cells))
             path = tmp_path / f"t{trial}.csv"
             path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-            assert data_module._is_plain(path)
-            outcome = self.split_equals_reader(path, self.UTF8_SCHEMAS,
-                                               monkeypatch)
+            outcome = _matches_reference(path, self.UTF8_SCHEMAS)
             seen.add(isinstance(outcome, tuple))
         assert seen == {False, True}
 
@@ -590,13 +570,14 @@ class TestPlainCsv:
         '\ufeff"u",w,x\r\nyes,b c,\r\n', "\ufeff\ufeffu,w,x\nno,a,1\n",
     ], ids=["alone", "blank-header", "header-only", "rows", "quoted-header",
             "twice"])
-    def test_byte_order_mark(self, tmp_path, monkeypatch, text):
+    def test_byte_order_mark(self, tmp_path, text):
         path = tmp_path / "bom.csv"
         path.write_bytes(text.encode())
-        assert bool(data_module._is_plain(path)) == (len(text) > 1)
-        self.split_equals_reader(path, PLAIN_SCHEMAS, monkeypatch)
+        outcome = _matches_reference(path, PLAIN_SCHEMAS)
+        if text == "\ufeff":
+            assert outcome == (DataError, f"{path}: empty file")
 
-    def test_quoted_header_names(self, tmp_path, monkeypatch):
+    def test_quoted_header_names(self, tmp_path):
         schemas = (PLAIN_SCHEMAS[0], ColumnSchema('w"', "nominal",
                                                   labels=("a", "b")))
         path = tmp_path / "h.csv"
@@ -604,34 +585,49 @@ class TestPlainCsv:
                                  ('u ,"w""" ', [[0, 1], [1, MISSING]]),
                                  ('"u,w"""', None), ('"u"x,"w"""', None)]:
             path.write_bytes(f"{header}\r\nno,b\r\nyes,\r\n".encode())
-            assert data_module._is_plain(path)
-            outcome = self.split_equals_reader(path, schemas, monkeypatch)
+            outcome = _matches_reference(path, schemas)
             if expected is None:
                 assert outcome[0] is DataError
                 assert "does not match schema columns" in outcome[1]
             else:
                 assert_array_equal(outcome, expected)
 
-    @pytest.mark.parametrize("text", [
-        'u,"w\nx",x\nno,a,1\n', 'u,"w,x\nno,a,1\n', 'u,w",",x\r\nno,a,1',
-        '"u\r",w,x\nno,a,1\n',
+    @pytest.mark.parametrize("text, header", [
+        ('u,"w\nx",x\nno,a,1\n', ["u", "w\nx", "x"]),
+        ('u,"w,x\nno,a,1\n', ["u", "w,x\nno,a,1\n"]),
+        ('u,w",",x\r\nno,a,1', ["u", 'w"', ",x\r\nno,a,1"]),
+        ('"u\r",w,x\nno,a,1\n', ["u\r", "w", "x"]),
     ], ids=["closed", "never-closed", "after-a-literal-quote", "lone-cr"])
     def test_header_quote_across_a_line_end_goes_through_csv(
-            self, tmp_path, text):
+            self, tmp_path, text, header):
         path = tmp_path / "s.csv"
         path.write_bytes(text.encode())
-        assert not data_module._is_plain(path)
+        outcome = _matches_reference(path, PLAIN_SCHEMAS)
+        if header[1:] == ["w", "x"]:
+            assert_array_equal(outcome, [[0, 0, 1]])
+        else:
+            assert outcome == (DataError, f"{path}: header {header!r} does "
+                               "not match schema columns ['u', 'w', 'x']")
+        if header == ["u", "w\nx", "x"]:
+            schemas = (PLAIN_SCHEMAS[0],
+                       ColumnSchema("w\nx", "nominal", labels=("a", "b")),
+                       PLAIN_SCHEMAS[2])
+            assert_array_equal(_matches_reference(path, schemas), [[0, 0, 1]])
 
-    @pytest.mark.parametrize("text", [
-        b"u,w\xff,x\nno,a,1\n", b"u,w,x\nno,a\xc3,1\n",
-        b"u,w,x\nno,a,1.\xe2\x82\n",
+    @pytest.mark.parametrize("text, row", [
+        (b"u,w\xff,x\nno,a,1\n", 1), (b"u,w,x\nno,a\xc3,1\n", 2),
+        (b'\xef\xbb\xbfu,w,x\r\nno,a,"1\n\n.\xe2\x82"\n', 2),
     ], ids=["header", "label", "continuous"])
-    def test_invalid_utf8_goes_through_csv(self, tmp_path, text):
+    def test_invalid_utf8_goes_through_csv(self, tmp_path, text, row):
         path = tmp_path / "i.csv"
         path.write_bytes(text)
-        assert not data_module._is_plain(path)
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(UnicodeDecodeError) as bad:
+            text.decode()
+        with pytest.raises(DataError) as caught:
             load_csv(path, PLAIN_SCHEMAS)
+        assert type(caught.value) is DataError
+        # the position counts from the file's first byte
+        assert str(caught.value) == f"{path}:{row}: {bad.value}"
 
     LONG_SCHEMAS = (
         ColumnSchema("s", "nominal",
@@ -640,14 +636,14 @@ class TestPlainCsv:
         ColumnSchema("x", "continuous"),
     )
 
-    def test_long_labels_beside_short_ones(self, tmp_path, monkeypatch):
+    def test_long_labels_beside_short_ones(self, tmp_path):
         # 7 bytes is the longest token the split looks up by its key
         rng = np.random.default_rng(5)
         good = (["a", "abcdefg", "abcdefgh", "a longer label", " a ",
-                 " abcdefgh", "", "NA"],
+                 " abcdefgh", "", "NA", '"abcde"', '"abcdefg"'],
                 ["n", "y", " y", "", "-1"],
                 ["1.5", " 7 ", "-0.123456789", "12345.678901", "", "1e-300"])
-        bad = (["abcdefgz", "abcdef", "abcdefghi"], ["nn"],
+        bad = (["abcdefgz", "abcdef", "abcdefghi", '"abcdef"'], ["nn"],
                ["-1.0", "abcdefghi", "inf"])
         seen = set()
         for trial in range(40):
@@ -660,14 +656,11 @@ class TestPlainCsv:
                 lines.append(",".join(cells))
             path = tmp_path / f"l{trial}.csv"
             path.write_bytes(("\n".join(lines) + "\n").encode())
-            assert data_module._is_plain(path)
-            outcome = self.split_equals_reader(path, self.LONG_SCHEMAS,
-                                               monkeypatch)
+            outcome = _matches_reference(path, self.LONG_SCHEMAS)
             seen.add(isinstance(outcome, tuple))
         assert seen == {False, True}
 
-    def test_repeated_bad_token_names_its_first_row(self, tmp_path,
-                                                    monkeypatch):
+    def test_repeated_bad_token_names_its_first_row(self, tmp_path):
         rows = [["abcdefgh", "y", "0.5"] for _ in range(30)]
         for i in (7, 12, 23):   # in the second, third and fifth blocks
             rows[i][1] = " maybe"
@@ -675,8 +668,7 @@ class TestPlainCsv:
         path.write_bytes("".join(",".join(row) + "\n"
                                  for row in [["s", "b", "x"], *rows])
                          .encode())
-        outcome = self.split_equals_reader(path, self.LONG_SCHEMAS,
-                                           monkeypatch)
+        outcome = _matches_reference(path, self.LONG_SCHEMAS)
         assert outcome == (UnknownLabel, f"{path}:9: 'maybe' is not a label "
                                          "of column 'b'")
 
@@ -694,19 +686,143 @@ class TestPlainCsv:
                                      for k, label in enumerate(labels))
         path = tmp_path / "b.csv"
         path.write_bytes((text + line_end).encode())
-        cells = self.split_equals_reader(path, PLAIN_SCHEMAS, monkeypatch)
+        cells = _matches_reference(path, PLAIN_SCHEMAS)
         assert cells.shape == (block + extra, 3)
         assert_array_equal(cells[:, 2], np.arange(block + extra))
 
-    def test_lone_carriage_returns(self, tmp_path, monkeypatch):
+    def test_lone_carriage_returns(self, tmp_path):
         rng = np.random.default_rng(13)
         for trial in range(10):
             text = _plain_text(rng, int(rng.integers(1, 30)))
             path = tmp_path / f"cr{trial}.csv"
             path.write_bytes(text.replace("\r\n", "\n").replace("\n", "\r")
                              .encode())
-            assert data_module._is_plain(path)
-            self.split_equals_reader(path, PLAIN_SCHEMAS, monkeypatch)
+            _matches_reference(path, PLAIN_SCHEMAS)
+
+    # quoted and bare tokens of 1 to 8 bytes, "" escapes, commas and every
+    # kind of line end inside quotes, and the quirks x"y, "x"y and "a" "b"
+    QUOTED_SCHEMAS = (
+        ColumnSchema("u", "binary", labels=("no", "yes")),
+        ColumnSchema("w\r\nv", "nominal",
+                     labels=("a", "b c", 'q"', "x,y", "l\nm", "l\rm", "l\r\nm",
+                             "abcde", "abcdef", "abcdefgh", 'x"y', "xy")),
+        ColumnSchema("x", "continuous"),
+    )
+    QUOTED_HEADERS = ['u,"w\r\nv",x', '"u","w\r\nv","x"', 'u ,"w\r\nv" ,x',
+                      '"u",w\r\nv,x', 'u,"w\nv",x', '"u"x,"w\r\nv",x']
+    GOOD = (['no', ' yes', '"no"', '"yes" ', '""', '"NA"', 'NA', '-1', '',
+             '"n"o'],
+            ['a', '"a"', 'b c', '"b c"', '"q"""', 'q"', '"x,y"', '"l\nm"',
+             '"l\rm"', '"l\r\nm"', '"abcde"', '"abcdef"', 'abcdef',
+             '"abcdefgh"', 'x"y', '"x"y', '""', ' "a"'],
+            ['1.5', '"2.5"', ' -3 ', '""', '', '"-1"', '1e-300', '"1e3"'])
+    BAD = (['"no', ' "no"', '"n""o"', 'maybe'],
+           ['"a" "b"', '"', '""""', 'zz', '"a"""', 'a"'],
+           ['"1,5"', '"7"x', 'inf', '-1.0', '"1e\n3"'])
+
+    def quoted_text(self, rng):
+        """A random CSV text over ``QUOTED_SCHEMAS``: about one cell in 30
+        bad, one record in 30 ragged or blank, every kind of line end, and
+        now and then a byte order mark or an unclosed quote at the end."""
+        headers = self.QUOTED_HEADERS
+        lines = [headers[rng.integers(len(headers))] if rng.uniform() < 0.1
+                 else headers[0]]
+        for _ in range(int(rng.integers(0, 14))):
+            cells = [str(rng.choice(good if rng.uniform() < 0.97 else bad))
+                     for good, bad in zip(self.GOOD, self.BAD)]
+            if rng.uniform() < 0.03:
+                cells = cells[:int(rng.integers(3))] if rng.uniform() < 0.5 \
+                    else cells + ['"e"']
+            lines.append(",".join(cells) if rng.uniform() < 0.97 else "")
+        text = "".join(line + str(rng.choice(["\n", "\r\n", "\r"]))
+                       for line in lines)
+        tail = rng.uniform()
+        if tail < 0.3:
+            text = text.rstrip("\r\n")
+        elif tail < 0.4:
+            text += '"' + str(rng.choice(["abc", "a,b\n", "", "x\r\n"]))
+        return "\ufeff" + text if rng.uniform() < 0.1 else text
+
+    def test_quoted_files_match_csv_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(19)
+        seen = set()
+        for trial in range(400):
+            # records of several lines straddle blocks of 1 to 5
+            monkeypatch.setattr(data_module, "_BLOCK",
+                                int(rng.integers(1, 6)))
+            path = tmp_path / f"q{trial}.csv"
+            path.write_bytes(self.quoted_text(rng).encode())
+            outcome = _matches_reference(path, self.QUOTED_SCHEMAS)
+            seen.add(outcome[0] if isinstance(outcome, tuple) else "cells")
+        assert seen == {"cells", DataError, UnknownLabel}
+
+    def test_nul_is_a_character(self, tmp_path):
+        # csv.reader refuses a NUL before Python 3.11, so no reference
+        schemas = (ColumnSchema("n", "nominal", labels=("n\x00", "a")),)
+        path = tmp_path / "n.csv"
+        rows = b'n\nn\x00\n"n\x00"\n n\x00 \na\n'
+        path.write_bytes(rows)
+        assert_array_equal(load_csv(path, schemas).cells,
+                           [[0], [0], [0], [1]])
+        # a label with a NUL after it, or 8 NULs, is no label
+        for cell in (b"a\x00", b'"a\x00b,"', b"\x00" * 8):
+            path.write_bytes(rows + cell + b"\n")
+            with pytest.raises(UnknownLabel) as caught:
+                load_csv(path, schemas)
+            text = cell.strip(b'"').decode()
+            assert str(caught.value) == (f"{path}:6: {text!r} is not a "
+                                         "label of column 'n'")
+
+    def test_label_that_starts_with_a_quote(self, tmp_path):
+        schemas = (ColumnSchema("q", "nominal", labels=('"x', "x", 'x"')),)
+        path = tmp_path / "q.csv"
+        # an unclosed quote at the end reads as the text after it
+        path.write_bytes(b'q\n"""x"\nx\n"x"""\n"x')
+        cells = _matches_reference(path, schemas)
+        assert_array_equal(cells, [[0], [1], [2], [1]])
+
+    def test_field_over_the_limit_names_its_record(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK", 2)
+        limit = csv.field_size_limit()
+        path = tmp_path / "f.csv"
+        # a record of three lines, in the second block
+        path.write_bytes(b'u,w,x\nno,a,1\nyes,b c,2\nno,"a\n\n'
+                         + b"a" * limit + b'",3\n')
+        with pytest.raises(DataError) as caught:
+            load_csv(path, PLAIN_SCHEMAS)
+        assert str(caught.value) == (f"{path}:4: field larger than field "
+                                     f"limit ({limit})")
+        # before a bad cell earlier in its block, after one a block before
+        for rows, message in ((b"no,a,1\nno,zz,1\n", ":5: field larger"),
+                              (b"no,zz,1\nno,a,1\n", ":3: 'zz' is not")):
+            path.write_bytes(b"u,w,x\nno,a,1\n" + rows + b'no,"'
+                             + b"a" * (limit + 1) + b'",3\n')
+            with pytest.raises(DataError, match=message):
+                load_csv(path, PLAIN_SCHEMAS)
+        # the limit counts characters, after the quotes and escapes
+        path.write_bytes(b'u,w,x\nno,"' + "é".encode() * limit
+                         + b'",1\nno,"""' + b"a" * (limit - 1) + b'",1\n')
+        with pytest.raises(UnknownLabel, match=":2: "):
+            load_csv(path, PLAIN_SCHEMAS)
+        path.write_bytes(b"u,w,x\n" + b"a" * (limit + 1) + b",a,1\n")
+        with pytest.raises(DataError, match=r":2: field larger"):
+            load_csv(path, PLAIN_SCHEMAS)
+
+    def test_every_key_has_its_own_slot(self):
+        # the apply-mixed-50k schema: binary, ordinal and nominal labels
+        schemas = tuple(
+            ColumnSchema(f"c{j}", kind, labels=labels)
+            for j, (kind, labels) in enumerate(
+                [("binary", ("0", "1")), ("ordinal", tuple("01234")),
+                 ("nominal", ("n0", "n1", "n2", "n3"))]))
+        tokens = data_module._TokenTable(
+            [data_module._CellLookup(schema, frozenset(MISSING_TOKENS))
+             for schema in schemas])
+        keys = tokens.keys[:-1]
+        assert len(keys) == 22  # 11 bare tokens and their quoted forms
+        assert_array_equal(tokens.keys[tokens.slots[tokens._slot(keys)]],
+                           keys)
 
 
 def test_one_column_file_quotes_empty_records(tmp_path):

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke run of the command line on small generated corpora: every
 # subcommand, the apply path with scipy blocked, reruns that must repeat
-# byte for byte, and two usage errors.  Run it from an empty directory,
+# byte for byte, a continuous feature that the fit bins, and two usage
+# errors.  Run it from an empty directory,
 # where it writes its files.
 #
 # IRTIMPUTE names the command to run (default: the installed console
@@ -23,7 +24,8 @@ import csv
 import io
 
 import numpy as np
-from irtimpute.data import MISSING, emit_csv, format_schema
+from irtimpute.data import (MISSING, CategoricalDataset, ColumnSchema,
+                            emit_csv, format_schema)
 from irtimpute.simulate import simulate_dataset, simulate_items
 items = simulate_items("grm", 4, np.random.default_rng(1), n_categories=3)
 data = simulate_dataset(items, 300, seed=2)
@@ -44,6 +46,15 @@ row = big.cells[:1].copy()
 row[0, 0] = MISSING
 emit_csv(big.with_cells(row), "one.csv")
 emit_csv(big.with_cells(np.vstack([cells, row])), "many.csv")
+# corpus.csv's items and one continuous feature that follows their sum
+rng = np.random.default_rng(7)
+cells = np.column_stack([data.cells, data.cells.sum(axis=1)
+                         + rng.normal(0, 1, data.n_rows)])
+cells[rng.random(cells.shape) < 0.1] = MISSING
+schemas = (*data.schemas, ColumnSchema("x", "continuous"))
+emit_csv(CategoricalDataset(schemas, cells), "cont.csv")
+with open("cont.cols", "w") as handle:
+    handle.write(format_schema(schemas))
 # corpus.csv with \n line ends, with \r\n ones, with one quoted header
 # name, with every header name quoted, with every field quoted, R-style
 # (header names and labels quoted, as R's write.csv quotes factors), with a
@@ -118,6 +129,20 @@ for rows in one many; do
 done
 test "$(tail -n 1 one-probs.csv | cut -d, -f2-)" = \
   "$(tail -n 1 many-probs.csv | cut -d, -f2-)"
+
+# the fit bins the continuous feature and the model keeps the cuts: a
+# saved model and a fit on the fly give the same model and filled file,
+# and applying the model needs no scipy
+$irtimpute fit --data cont.csv --schema cont.cols --out cont.json > /dev/null
+$irtimpute impute --data cont.csv --schema cont.cols --model cont.json \
+  --out cont-filled.csv > /dev/null
+$irtimpute impute --data cont.csv --schema cont.cols \
+  --save-model cont-refit.json --out cont-refit.csv > /dev/null
+cmp cont.json cont-refit.json
+cmp cont-filled.csv cont-refit.csv
+without_scipy impute --data cont.csv --schema cont.cols --model cont.json \
+  --out cont-no-scipy.csv > /dev/null
+cmp cont-filled.csv cont-no-scipy.csv
 
 $irtimpute inject --data truth.csv --schema corpus.cols \
   --target item00 --fraction 0.2 --mechanism mcar --seed 4 \

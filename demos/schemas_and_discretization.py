@@ -5,8 +5,9 @@ Schemas, CSV round-trips, and quantile binning
 Datasets are described by a small schema file: one line per column giving
 its name, kind (binary / ordinal / nominal / continuous), category count,
 optional labels, and role.  Continuous columns cannot be modeled directly
-— they are quantile-binned into ordinal items first, exactly what the
-`fit` subcommand does automatically.
+— they are quantile-binned into ordinal items first.  `fit` does that
+itself on a raw dataset and keeps the cut points in the model, as the
+`fit` subcommand does.
 """
 
 import numpy as np
@@ -14,8 +15,10 @@ import numpy as np
 from irtimpute import (
     CategoricalDataset,
     ColumnSchema,
+    FitConfig,
     discretize,
     discretize_dataset,
+    fit,
     format_schema,
     parse_schema,
 )
@@ -66,3 +69,10 @@ for schema in converted.schemas:
     arity = schema.arity if schema.is_categorical else "-"
     print(f"  {schema.name:10s} kind={schema.kind:11s} arity={arity}")
 print("maps created for:", sorted(maps))
+print()
+
+# fit takes the raw dataset: it bins income with the same cuts, and the
+# model keeps them, so that scoring new data bins it the same way
+model = fit(data, FitConfig(bins=4))
+print("model.discretization:", model.discretization)
+assert model.discretization == (maps["income"],)

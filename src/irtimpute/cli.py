@@ -10,6 +10,9 @@ flags override, so a whole benchmark run can live in one text file::
     irtimpute impute --data d.csv --schema d.cols --model model.json \\
         --out completed.csv
 
+Commands pass raw data to the library: ``fit`` bins continuous features
+(``--bins``) and the model keeps the cut points that scoring bins with.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Failures print one ``error: <kind>: <message>`` line to stderr.  Set the
 ``IRTIMPUTE_LOG`` environment variable (e.g. ``INFO``) for progress detail.
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import itertools
 import logging
 import os
@@ -29,15 +31,11 @@ import warnings
 import numpy as np
 
 from .data import (
-    DEFAULT_BINS,
     MISSING,
     MISSING_TOKENS,
     CategoricalDataset,
     ColumnSchema,
-    DiscretizationMap,
-    apply_discretization,
     atomic_write,
-    discretize_dataset,
     emit_csv,
     emit_probabilities,
     load_csv,
@@ -55,7 +53,7 @@ from .estimation import (
     load_model,
     save_model,
 )
-from .impute import impute_dataset
+from .impute import ImputedDataset, impute_dataset
 from .metrics import report_text, score_cells
 from .missingness import (DEFAULT_DIRECTION, MAR_DIRECTIONS,
                           conditional_values, inject_mar, inject_mcar,
@@ -160,7 +158,7 @@ def _add_fit_options(parser):
     whether the user supplied them; see :func:`_fit_options`."""
     lo, hi = FitConfig.grid_range
     parser.add_argument("--bins", type=int, help="quantile bins for "
-                        f"continuous features (default {DEFAULT_BINS})")
+                        f"continuous features (default {FitConfig.bins})")
     parser.add_argument("--grid-size", type=int,
                         help=f"quadrature nodes (default {FitConfig.grid_size})")
     parser.add_argument("--grid-lo", type=float,
@@ -309,34 +307,30 @@ def _given_fit_flags(args: argparse.Namespace) -> dict:
             if getattr(args, key) is not None}
 
 
-def _fit_options(args: argparse.Namespace) -> tuple[int, FitConfig]:
-    """The bin count and fit configuration: the fit flags given, on top of
-    the library's defaults."""
+def _fit_options(args: argparse.Namespace) -> FitConfig:
+    """The fit configuration: the fit flags given, on top of the library's
+    defaults."""
     given = _given_fit_flags(args)
     lo, hi = FitConfig.grid_range
     grid_range = (given.pop("grid_lo", lo), given.pop("grid_hi", hi))
-    return (given.pop("bins", DEFAULT_BINS),
-            FitConfig(grid_range=grid_range, **given))
+    return FitConfig(grid_range=grid_range, **given)
 
 
-def _fit_input(data: CategoricalDataset, bins: int, config: FitConfig
-               ) -> tuple[CategoricalDataset, tuple[DiscretizationMap, ...]]:
-    """``data`` with its continuous features discretized, and the cut
-    points, in column-name order."""
-    data, maps = discretize_dataset(data, bins)
-    for mapping in maps.values():
+def _logged(model: FittedModel, n_rows: int, seed: int) -> FittedModel:
+    """``model``, once its cut points and its fit are logged."""
+    for mapping in model.discretization:
         logger.info("discretized %r into %d bins, cuts %s",
                     mapping.column, mapping.bins, list(mapping.cuts))
-    logger.info("fitting %d cases with seed %d", data.n_rows, config.seed)
-    return data, tuple(maps[column] for column in sorted(maps))
+    logger.info("fitting %d cases with seed %d", n_rows, seed)
+    return model
 
 
-def _fit_on(data: CategoricalDataset, bins: int, config: FitConfig
-            ) -> FittedModel:
-    """Discretize continuous features, then fit; the model keeps the cut
-    points."""
-    data, maps = _fit_input(data, bins, config)
-    return dataclasses.replace(fit(data, config), discretization=maps)
+def _written_back(data: CategoricalDataset, result: ImputedDataset
+                  ) -> CategoricalDataset:
+    """``data`` with the cells of its ``filled_mask`` taken from ``result``:
+    a binned continuous cell has no continuous value to restore."""
+    return data.with_cells(
+        np.where(data.filled_mask, result.completed.cells, data.cells))
 
 
 def _scored_cells(truth: CategoricalDataset, holed: CategoricalDataset
@@ -354,7 +348,8 @@ def _scored_cells(truth: CategoricalDataset, holed: CategoricalDataset
 
 def cmd_fit(args: argparse.Namespace) -> int:
     data = _load_inputs(args)
-    model = _fit_on(data, *_fit_options(args))
+    config = _fit_options(args)
+    model = _logged(fit(data, config), data.n_rows, config.seed)
     save_model(model, args.out)
     sys.stdout.write(diagnostics_report(model))
     return 0
@@ -377,15 +372,10 @@ def cmd_impute(args: argparse.Namespace) -> int:
     if args.model:
         model = load_model(args.model)
     else:
-        model = _fit_on(data, *_fit_options(args))
-    view = apply_discretization(data, model.discretization)
-    result = impute_dataset(view, model)
-
-    # bin codes for a discretized column have no continuous value to
-    # restore, so only the cells filled in the original columns are written
-    filled = data.filled_mask
-    out_cells = np.where(filled, result.completed.cells, data.cells)
-    unrestored = len(result.mask) - int(np.count_nonzero(filled))
+        config = _fit_options(args)
+        model = _logged(fit(data, config), data.n_rows, config.seed)
+    result = impute_dataset(data, model)
+    unrestored = len(result.mask) - int(np.count_nonzero(data.filled_mask))
     if unrestored:
         warnings.warn(
             f"{unrestored} missing continuous cells stay missing: the model "
@@ -394,9 +384,9 @@ def cmd_impute(args: argparse.Namespace) -> int:
         )
     # a failed output must not leave a new one of the others behind
     with replaced_together(*outputs) as temporaries:
-        emit_csv(data.with_cells(out_cells), temporaries[0])
+        emit_csv(_written_back(data, result), temporaries[0])
         if args.probabilities:
-            emit_probabilities(view, result.mask, result.probabilities,
+            emit_probabilities(data, result.mask, result.probabilities,
                                temporaries[1])
         if args.save_model:
             save_model(model, temporaries[-1])
@@ -468,32 +458,29 @@ def _parse_mechanisms(text: str) -> tuple[str, ...]:
     return mechanisms
 
 
-def _majority_fill(view: CategoricalDataset, target: str
+def _majority_fill(data: CategoricalDataset, target: str
                    ) -> CategoricalDataset:
     """Complete the target column with its observed modal code."""
-    codes = view.codes(target)
+    codes = data.codes(target)
     mode = np.argmax(np.bincount(codes[codes != MISSING]))
-    cells = np.array(view.cells, copy=True)
-    cells[codes == MISSING, view.column_index(target)] = mode
-    return view.with_cells(cells)
+    cells = np.array(data.cells, copy=True)
+    cells[codes == MISSING, data.column_index(target)] = mode
+    return data.with_cells(cells)
 
 
 def _bench_rows(truth: CategoricalDataset, target: str, model: FittedModel,
-                blanked: np.ndarray, little, maps, cell) -> tuple[str, str]:
+                blanked: np.ndarray, little, cell) -> tuple[str, str]:
     """One bench cell's rows of the Little's-test and F1 tables: impute the
     cell, ``truth`` with ``blanked`` as its target column, with ``model``
-    and score its blanked cells."""
+    and score its blanked cells as ``impute`` writes them."""
     mechanism, fraction = cell
     cells = np.array(truth.cells)
     cells[:, truth.column_index(target)] = blanked
     injected = truth.with_cells(cells)
-    model = dataclasses.replace(model, discretization=maps)
-    view = apply_discretization(injected, model.discretization)
-    result = impute_dataset(view, model)
-    truth_view = apply_discretization(truth, model.discretization)
+    filled = _written_back(injected, impute_dataset(injected, model))
     mask, _ = _scored_cells(truth, injected)
-    scored = score_cells(truth_view, result.completed, mask)
-    baseline = score_cells(truth_view, _majority_fill(view, target), mask)
+    scored = score_cells(truth, filled, mask)
+    baseline = score_cells(truth, _majority_fill(injected, target), mask)
     cells = len(mask)
     return (f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
             f"{little.statistic:<12.6f} {little.df:<4d} "
@@ -523,8 +510,7 @@ def _bench_setup(args: argparse.Namespace
 
 
 def _write_bench_report(args: argparse.Namespace, mechanisms, fractions,
-                        bins: int, config: FitConfig, little_rows, f1_rows
-                        ) -> None:
+                        config: FitConfig, little_rows, f1_rows) -> None:
     direction = ((args.direction or DEFAULT_DIRECTION)
                  if "mar" in mechanisms else "-")
     lines = [
@@ -535,7 +521,7 @@ def _write_bench_report(args: argparse.Namespace, mechanisms, fractions,
         f"mechanisms: {' '.join(mechanisms)}",
         f"fractions: {' '.join(f'{f:g}' for f in fractions)}",
         f"base seed: {config.seed}",
-        f"bins: {bins}",
+        f"bins: {config.bins}",
         "",
         "Little's MCAR test on each injected dataset",
         f"{'mechanism':<9} {'fraction':<8} {'cells':<6} "
@@ -558,7 +544,7 @@ def _write_bench_report(args: argparse.Namespace, mechanisms, fractions,
 
 def cmd_bench(args: argparse.Namespace) -> int:
     truth, mechanisms, fractions = _bench_setup(args)
-    bins, config = _fit_options(args)
+    config = _fit_options(args)
     sweep = list(itertools.product(mechanisms, fractions))
     prepared: collections.deque = collections.deque()
 
@@ -570,17 +556,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                config.seed + cell_index)
             little = littles_test(
                 injected.to_numeric(injected.feature_indices))
-            data, maps = _fit_input(injected, bins, config)
             # the cell differs from the truth in its target column alone
-            prepared.append((injected.column_values(args.target),
-                             little, maps))
-            yield data
+            prepared.append((injected.column_values(args.target), little))
+            yield injected
 
     # fit_many comes first: it prepares a cell before the cell is taken
-    rows = [_bench_rows(truth, args.target, model, *prepared.popleft(), cell)
+    rows = [_bench_rows(truth, args.target,
+                        _logged(model, truth.n_rows, config.seed),
+                        *prepared.popleft(), cell)
             for model, cell in zip(fit_many(fit_inputs(), config), sweep)]
-    _write_bench_report(args, mechanisms, fractions, bins, config,
-                        *zip(*rows))
+    _write_bench_report(args, mechanisms, fractions, config, *zip(*rows))
     return 0
 
 

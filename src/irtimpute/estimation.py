@@ -88,7 +88,8 @@ from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 import numpy as np
 
-from .data import (CategoricalDataset, DiscretizationMap, atomic_write,
+from .data import (DEFAULT_BINS, CategoricalDataset, DiscretizationMap,
+                   apply_discretization, atomic_write, discretize_dataset,
                    read_text)
 from .errors import (
     DataError,
@@ -184,6 +185,7 @@ class FitConfig:
     max_iter: int = 500
     tol: float = 1e-4
     seed: int = 0
+    bins: int = DEFAULT_BINS   # quantile bins per continuous feature
 
     def __post_init__(self) -> None:
         # the grid's size and range are checked by build_grid
@@ -193,6 +195,8 @@ class FitConfig:
             raise DataError("iteration cap must be at least 1")
         if self.seed < 0:
             raise DataError("seed must be nonnegative")
+        if self.bins < 2:
+            raise DataError("bins must be >= 2")
 
 
 def build_grid(size: int = FitConfig.grid_size,
@@ -731,6 +735,7 @@ class _Run:
 
     design: tuple[csr_array, ...] | None   # dropped after the final E-step
     items: tuple[ItemModel, ...]
+    discretization: tuple[DiscretizationMap, ...] = ()
     trace: list[float] = field(default_factory=list)
     clamp_events: list[str] = field(default_factory=list)
     converged: bool = False
@@ -820,18 +825,20 @@ def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
             raise run.error
         yield FittedModel(run.items, grid, run.converged, len(run.trace) - 1,
                           run.trace[-1], tuple(run.trace),
-                          tuple(run.clamp_events))
+                          tuple(run.clamp_events), run.discretization)
 
 
 def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig
           ) -> Iterator[_Run]:
-    """A run per dataset, in order, each at its starting items.  A dataset
-    that cannot start, or a package error raised by ``datasets``, gives a
-    failed run with no design and no items, the last."""
+    """A run per dataset, in order, binned and at its starting items.  A
+    dataset that cannot start, or a package error raised by ``datasets``,
+    gives a failed run with no design and no items, the last."""
     try:
         for data in datasets:
+            data, maps = discretize_dataset(data, config.bins)
             items = _initial_items(data, config)
-            yield _Run(_blocks(_codes_matrix(data, items), items), items)
+            yield _Run(_blocks(_codes_matrix(data, items), items), items,
+                       tuple(maps[column] for column in sorted(maps)))
     except IrtImputeError as exc:
         yield _Run((), (), error=exc)
 
@@ -840,15 +847,15 @@ def fit_many(datasets: Iterable[CategoricalDataset],
              config: FitConfig | None = None) -> Iterator[FittedModel]:
     """Fit each dataset as :func:`fit` does, yielding the models in order.
 
-    The same models and errors as ``(fit(d, config) for d in datasets)``.
-    A failed fit is a failed run, whichever step failed: its set-up, an
-    E-step, an M-step (whose error is its first failed item's), building
-    a trial point, or a package error raised by ``datasets`` itself.  Its
-    error comes after the models of the datasets before it, and no later
-    dataset is read.  The datasets are read in groups (see
-    ``DESIGN_BUDGET``); each fit's EM is one :func:`_em` generator, and
-    :func:`_fit_group` batches the M-steps of each round of a group's
-    fits into one stacked call.
+    The same models and errors as ``(fit(d, config) for d in datasets)``,
+    each model with its own dataset's cut points.  A failed fit is a failed
+    run, whichever step failed: its set-up, an E-step, an M-step (whose
+    error is its first failed item's), building a trial point, or a
+    package error raised by ``datasets`` itself.  Its error comes after
+    the models of the datasets before it, and no later dataset is read.
+    The datasets are read in groups (see ``DESIGN_BUDGET``); each fit's EM
+    is one :func:`_em` generator, and :func:`_fit_group` batches the
+    M-steps of each round of a group's fits into one stacked call.
     """
     config = config or FitConfig()
     grid = build_grid(config.grid_size, config.grid_range)
@@ -867,7 +874,9 @@ def fit_many(datasets: Iterable[CategoricalDataset],
 def fit(data: CategoricalDataset, config: FitConfig | None = None
         ) -> FittedModel:
     """Fit all feature columns by SQUAREM-accelerated EM over the grid;
-    ``config.max_iter`` caps the EM maps."""
+    ``config.max_iter`` caps the EM maps.  Each continuous feature is cut
+    into ``config.bins`` quantile bins first, and the model keeps the cut
+    points as its ``discretization``, in column-name order."""
     (model,) = fit_many([data], config)
     return model
 
@@ -937,7 +946,9 @@ def eap_score(pattern, model: FittedModel) -> ThetaEstimate:
 
 def eap_scores(data: CategoricalDataset, model: FittedModel
                ) -> tuple[np.ndarray, np.ndarray]:
-    """EAP mean and posterior SD for every case in the dataset."""
+    """EAP mean and posterior SD for every case in the dataset, once the
+    model's ``discretization`` bins it."""
+    data = apply_discretization(data, model.discretization)
     return _eap(_codes_matrix(data, model.items), model)
 
 

@@ -11,11 +11,12 @@ as two aligned arrays (see :class:`ImputedDataset`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import MISSING, CategoricalDataset, _fields_equal
+from .data import (MISSING, CategoricalDataset, _fields_equal,
+                   apply_discretization)
 from .errors import DataError
 from .estimation import FittedModel, eap_scores
 from .models import category_probs
@@ -107,16 +108,18 @@ class ImputedDataset:
 
 def impute_dataset(data: CategoricalDataset, model: FittedModel
                    ) -> ImputedDataset:
-    """Fill the cells of ``data.filled_mask``, the missing cells of its
-    feature columns.
+    """Fill the missing cells of the feature columns of ``data``, once the
+    model's ``discretization`` bins it; ``completed`` is the binned view.
 
-    The model's items must bind those columns, one to one and in column
-    order, with matching category counts; anything else is a
+    The model's items must bind the feature columns, one to one and in
+    column order, with matching category counts; anything else is a
     :class:`DataError`.  Cases with every feature cell missing are scored
     at the prior mean.  Other columns (ids, excluded columns) pass through
     untouched.
     """
-    means, _ = eap_scores(data, model)
+    data = apply_discretization(data, model.discretization)
+    # binned once: the scores take the view, not the cut points again
+    means, _ = eap_scores(data, replace(model, discretization=()))
     items = dict(zip(data.feature_indices, model.items))
     cells = np.array(data.cells, copy=True)
     mask = np.argwhere(data.filled_mask)

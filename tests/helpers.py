@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from irtimpute import cli
-from irtimpute.data import MISSING, CategoricalDataset, apply_discretization
+from irtimpute.data import MISSING, CategoricalDataset
 from irtimpute.errors import (
     DataError,
     IrtImputeError,
@@ -33,6 +33,7 @@ from irtimpute.estimation import (
     _m_step,
     _posteriors_and_loglik,
     build_grid,
+    fit,
 )
 from irtimpute.impute import impute_dataset
 from irtimpute.metrics import score_cells
@@ -490,21 +491,19 @@ def bench_loop(args) -> int:
     the cells that ``bench`` fits together).  Takes the place of
     ``cli.cmd_bench``."""
     truth, mechanisms, fractions = cli._bench_setup(args)
-    bins, config = cli._fit_options(args)
+    config = cli._fit_options(args)
     little_rows, f1_rows = [], []
     for cell_index, (mechanism, fraction) in enumerate(
             itertools.product(mechanisms, fractions)):
         injected = cli._inject(truth, args, mechanism, fraction,
                                config.seed + cell_index)
         little = littles_test(injected.to_numeric(injected.feature_indices))
-        model = cli._fit_on(injected, bins, config)
-        view = apply_discretization(injected, model.discretization)
-        result = impute_dataset(view, model)
-        truth_view = apply_discretization(truth, model.discretization)
+        result = impute_dataset(injected, fit(injected, config))
         mask, _ = cli._scored_cells(truth, injected)
-        scored = score_cells(truth_view, result.completed, mask)
+        scored = score_cells(
+            truth, cli._written_back(injected, result), mask)
         baseline = score_cells(
-            truth_view, cli._majority_fill(view, args.target), mask)
+            truth, cli._majority_fill(injected, args.target), mask)
         cells = len(mask)
         little_rows.append(
             f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
@@ -514,6 +513,6 @@ def bench_loop(args) -> int:
             f"{mechanism:<9} {fraction:<8g} {cells:<6d} "
             f"{scored.macro_f1:<12.6f} {scored.micro_f1:<12.6f} "
             f"{baseline.macro_f1:<15.6f} {baseline.micro_f1:.6f}")
-    cli._write_bench_report(args, mechanisms, fractions, bins, config,
+    cli._write_bench_report(args, mechanisms, fractions, config,
                             little_rows, f1_rows)
     return 0

@@ -1,7 +1,6 @@
 """End-to-end command-line runs: exit codes, files written, determinism."""
 
 import ast
-import dataclasses
 import io
 import json
 import logging
@@ -31,7 +30,6 @@ from irtimpute.data import (
     MISSING,
     CategoricalDataset,
     ColumnSchema,
-    discretize_dataset,
     emit_csv,
     emit_probabilities,
     format_schema,
@@ -343,13 +341,25 @@ class TestFitCommand:
         out = tmp_path / "cli.json"
         assert run(["fit", "--data", holed, "--schema", corpus / "truth.cols",
                     "--out", out]) == 0
-        data, maps = discretize_dataset(
-            load_csv(holed, load_schema(corpus / "truth.cols")))
-        model = dataclasses.replace(
-            fit(data, FitConfig()),
-            discretization=tuple(maps[column] for column in sorted(maps)))
-        save_model(model, tmp_path / "library.json")
+        save_model(fit(load_csv(holed, load_schema(corpus / "truth.cols")),
+                       FitConfig()), tmp_path / "library.json")
         assert (tmp_path / "library.json").read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    def test_bins_below_two_is_data_error(self, tmp_path, capsys, bins):
+        # refused even when no column is continuous
+        items = simulate_items("grm", 3, np.random.default_rng(5),
+                               n_categories=3)
+        data = simulate_dataset(items, 400, seed=6)
+        emit_csv(data, tmp_path / "d.csv")
+        (tmp_path / "d.cols").write_text(format_schema(data.schemas))
+        capsys.readouterr()
+        rc = run(["fit", "--data", tmp_path / "d.csv",
+                  "--schema", tmp_path / "d.cols", f"--bins={bins}",
+                  "--out", tmp_path / "m.json"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: data: bins must be >= 2\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_library_save_reproduces_cli_model_file(self, corpus, holed,
                                                    tmp_path):

@@ -39,6 +39,8 @@ from irtimpute.data import (
     CategoricalDataset,
     ColumnSchema,
     DiscretizationMap,
+    apply_discretization,
+    discretize_dataset,
 )
 from irtimpute.errors import (
     CodeOutOfRange,
@@ -788,6 +790,7 @@ class TestFit:
     @pytest.mark.parametrize("make, error, message", [
         (lambda: FitConfig(max_iter=0), DataError,
          "iteration cap must be at least 1"),
+        (lambda: FitConfig(bins=1), DataError, "bins must be >= 2"),
         (lambda: fit(CategoricalDataset(
             (ColumnSchema("u", "binary", role="excluded"),),
             np.array([[0.0], [1.0]] * 20))), DataError,
@@ -796,7 +799,8 @@ class TestFit:
             (ColumnSchema("u", "binary"), ColumnSchema("v", "binary")),
             np.column_stack([np.tile([0.0, 1.0], 20), np.full(40, -1.0)]))),
          UnobservedCategory, "column 'v' has no observed values"),
-    ], ids=["no-iterations", "no-features", "feature-never-observed"])
+    ], ids=["no-iterations", "one-bin", "no-features",
+            "feature-never-observed"])
     def test_input_checks(self, make, error, message):
         with pytest.raises(error) as caught:
             make()
@@ -804,16 +808,15 @@ class TestFit:
         assert str(caught.value) == message
 
     def test_continuous_feature_rejected(self):
-        # fit, e_step, eap_scores and impute_dataset read a column's codes
-        # through one rule
+        # e_step, and eap_scores and impute_dataset with a model that has no
+        # cut points, read a column's codes through one rule
         schemas = (ColumnSchema("u", "binary"), ColumnSchema("x", "continuous"))
         data = CategoricalDataset(schemas, np.column_stack([
             np.tile([0.0, 1.0], 15), np.linspace(0, 1, 30)]))
         items = (Binary2PL(1.0, 0.0, column="u"),
                  Binary2PL(1.0, 0.0, column="x"))
         model = FittedModel(items, build_grid(), True, 0, 0.0, (0.0,))
-        for call in (lambda: fit(data),
-                     lambda: e_step(data, items, build_grid()),
+        for call in (lambda: e_step(data, items, build_grid()),
                      lambda: eap_scores(data, model),
                      lambda: impute_dataset(data, model)):
             with pytest.raises(DataError) as caught:
@@ -903,6 +906,51 @@ class TestSquarem:
         (record,) = caplog.records
         assert record.levelname == "DEBUG"
         assert "alpha" in record.getMessage()
+
+
+def _continuous_corpus(seed: int, scale: float) -> CategoricalDataset:
+    """Graded items and two continuous features, ``z`` before ``w``, that
+    follow the items' sum times ``scale``; some cells of each are blank."""
+    rng = np.random.default_rng(seed)
+    items = simulate_items("grm", 4, rng, n_categories=3)
+    base = simulate_dataset(items, 300, seed=seed + 1)
+    total = base.cells.sum(axis=1)
+    cells = np.column_stack([base.cells,
+                             scale * (total + rng.normal(0, 1, 300)),
+                             scale * (total + rng.normal(0, 2, 300))])
+    cells[rng.random(cells.shape) < 0.05] = MISSING
+    return CategoricalDataset(
+        (*base.schemas, ColumnSchema("z", "continuous"),
+         ColumnSchema("w", "continuous")), cells)
+
+
+class TestContinuousFeatures:
+    """``fit`` bins continuous features and the model keeps the cuts."""
+
+    def test_each_fit_keeps_its_own_cut_points(self):
+        cells = [_continuous_corpus(151, 1.0), _continuous_corpus(151, 3.0)]
+        models = list(fit_many(cells, FitConfig(seed=0)))
+        for data, model in zip(cells, models):
+            _, maps = discretize_dataset(data)
+            assert model.discretization == (maps["w"], maps["z"])
+        assert models[0].discretization != models[1].discretization
+
+    def test_scoring_bins_raw_data_with_the_models_cuts(self):
+        model = fit(_continuous_corpus(153, 1.0), FitConfig(seed=0, bins=3))
+        assert [m.bins for m in model.discretization] == [3, 3]
+        raw = _continuous_corpus(155, 1.2)
+        view = apply_discretization(raw, model.discretization)
+        bare = dataclasses.replace(model, discretization=())
+        means, sds = eap_scores(raw, model)
+        want_means, want_sds = eap_scores(view, bare)
+        assert means.tobytes() == want_means.tobytes()
+        assert sds.tobytes() == want_sds.tobytes()
+        assert impute_dataset(raw, model) == impute_dataset(view, bare)
+        # data binned already does not take the cut points again
+        for call in (eap_scores, impute_dataset):
+            with pytest.raises(DataError, match="^column 'w' is ordinal, "
+                               "but the model discretized"):
+                call(view, model)
 
 
 def _lockstep_corpora():

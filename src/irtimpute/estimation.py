@@ -31,7 +31,7 @@ iteration cap, which counts maps, only plain maps run.
 :func:`fit_many` runs several fits in lockstep, and :func:`fit` is its
 one-fit case.  One fit's EM is one generator, :func:`_em`, which yields
 each point it needs and is sent back its map or its E-step, so it keeps
-its own cycle, trace, clamp events, convergence test and iteration cap.
+its own cycle, trace, convergence test and iteration cap.
 A driver takes the fits round by round: each fit steps to its next
 point, the E-steps stay per fit, and the round's M-steps are one stacked
 call over the items of every fit, so a kernel's Newton runs once per
@@ -548,16 +548,7 @@ def _at_bound(kernel, x: np.ndarray) -> bool:
     return bool(np.any(_held(kernel, x, ones) | _held(kernel, x, -ones)))
 
 
-def _floored_counts(item: ItemModel, expected_counts: np.ndarray,
-                    grid: QuadratureGrid) -> np.ndarray:
-    r = np.asarray(expected_counts, dtype=np.float64)
-    if r.shape != (grid.size, item.n_categories):
-        raise DataError(
-            f"expected counts for {item.column!r} must have shape "
-            f"{(grid.size, item.n_categories)}, got {r.shape}"
-        )
-    if not np.all(np.isfinite(r) & (r >= 0)):
-        raise DataError("expected counts must be finite and nonnegative")
+def _floored_counts(item: ItemModel, r: np.ndarray) -> np.ndarray:
     zeros = np.flatnonzero(~r.any(axis=0))
     if zeros.size:
         raise EmptyCategory(
@@ -571,19 +562,19 @@ def _m_steps(fits: list[tuple[tuple[ItemModel, ...], tuple]],
              grid: QuadratureGrid) -> list:
     """The M-steps of several fits, each given as (items, expected counts).
 
+    The counts are an E-step's, or ones :func:`m_step_item` has checked.
     Items of every fit that share a kernel and a category count take one
-    stacked Newton.  Returns per fit its updated items and the clamp
-    events of their parameters, or its error: a count error first, else
-    its first failed item's, in item order, as a loop over
-    :func:`m_step_item` raises.
+    stacked Newton.  Returns per fit its updated items or its error: an
+    empty category first, else its first failed item's, in item order, as
+    a loop over :func:`m_step_item` raises.
     """
     outcomes: list = [None] * len(fits)
     groups: dict = {}
     for k, (items, expected_counts) in enumerate(fits):
         try:
-            counts = [_floored_counts(item, r, grid)
+            counts = [_floored_counts(item, r)
                       for item, r in zip(items, expected_counts)]
-        except DataError as exc:
+        except EmptyCategory as exc:
             outcomes[k] = exc
             continue
         for i, (item, r) in enumerate(zip(items, counts)):
@@ -599,35 +590,28 @@ def _m_steps(fits: list[tuple[tuple[ItemModel, ...], tuple]],
         for row, ((k, i, _), point) in enumerate(zip(members, solved)):
             x[k][i] = failures.get(row, point)
     for k, (items, _) in enumerate(fits):
-        if outcomes[k] is not None:
-            continue
         failed = [row for row in x[k] if isinstance(row, IrtImputeError)]
-        if failed:
-            outcomes[k] = failed[0]
-            continue
-        updated = tuple(item.from_x(row) for item, row in zip(items, x[k]))
-        outcomes[k] = (updated, [event for item in updated
-                                 for event in item.bound_events()])
+        if outcomes[k] is None:
+            outcomes[k] = failed[0] if failed else tuple(
+                item.from_x(row) for item, row in zip(items, x[k]))
     return outcomes
-
-
-def _m_step(items: tuple[ItemModel, ...], expected_counts, grid: QuadratureGrid
-            ) -> tuple[tuple[ItemModel, ...], list[str]]:
-    """Improve every item against its expected counts.
-
-    Returns the updated items and the clamp events of their parameters.
-    """
-    (outcome,) = _m_steps([(items, expected_counts)], grid)
-    if isinstance(outcome, IrtImputeError):
-        raise outcome
-    return outcome
 
 
 def m_step_item(item: ItemModel, expected_counts: np.ndarray,
                 grid: QuadratureGrid) -> ItemModel:
     """Improve one item's parameters against its expected counts."""
-    (updated,), _ = _m_step((item,), (expected_counts,), grid)
-    return updated
+    r = np.asarray(expected_counts, dtype=np.float64)
+    if r.shape != (grid.size, item.n_categories):
+        raise DataError(
+            f"expected counts for {item.column!r} must have shape "
+            f"{(grid.size, item.n_categories)}, got {r.shape}"
+        )
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise DataError("expected counts must be finite and nonnegative")
+    (outcome,) = _m_steps([((item,), (r,))], grid)
+    if isinstance(outcome, IrtImputeError):
+        raise outcome
+    return outcome[0]
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +694,8 @@ def _at_stacked_x(items: tuple[ItemModel, ...], x: np.ndarray
                   ) -> tuple[ItemModel, ...]:
     """``items`` at the stacked point ``x``, each projected onto its box."""
     ends = np.cumsum([item.to_x().size for item in items])[:-1]
-    # a long step can overflow exp in the projection, which then puts the
-    # boundaries on the box edge
-    with np.errstate(over="ignore"):
-        return tuple(item.from_x(item.kernel.clamp(part))
-                     for item, part in zip(items, np.split(x, ends)))
+    return tuple(item.from_x(item.kernel.clamp(part))
+                 for item, part in zip(items, np.split(x, ends)))
 
 
 def _step_length(r: np.ndarray, v: np.ndarray) -> float:
@@ -730,14 +711,13 @@ class _Run:
     which its :func:`_em` and :func:`_fit_group` write.
 
     ``trace`` gets each map's log-likelihood, so its length counts the
-    maps, then the final E-step's; ``clamp_events`` are the last M-step's.
+    maps, then the final E-step's.
     """
 
     design: tuple[csr_array, ...] | None   # dropped after the final E-step
     items: tuple[ItemModel, ...]
     discretization: tuple[DiscretizationMap, ...] = ()
     trace: list[float] = field(default_factory=list)
-    clamp_events: list[str] = field(default_factory=list)
     converged: bool = False
     error: IrtImputeError | None = None
 
@@ -819,13 +799,15 @@ def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
                 if isinstance(outcome, IrtImputeError):
                     run.error = outcome
                 else:
-                    replies[run], run.clamp_events = outcome
+                    replies[run] = outcome
     for run in runs:
         if run.error is not None:
             raise run.error
         yield FittedModel(run.items, grid, run.converged, len(run.trace) - 1,
                           run.trace[-1], tuple(run.trace),
-                          tuple(run.clamp_events), run.discretization)
+                          tuple(event for item in run.items
+                                for event in item.bound_events()),
+                          run.discretization)
 
 
 def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig

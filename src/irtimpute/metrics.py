@@ -53,9 +53,13 @@ def score_cells(truth: CategoricalDataset, completed: CategoricalDataset,
     """Score a completed dataset against truth over the given cells.
 
     ``mask`` holds the (row, column) positions: a sequence of pairs or an
-    ``(n, 2)`` integer array.
+    ``(n, 2)`` integer array.  The datasets name the same columns, each
+    categorical one in ``truth`` with its schema; a continuous one may be
+    binned in ``completed``.
     """
-    if truth.schemas != completed.schemas:
+    if ([s.name for s in truth.schemas] != [s.name for s in completed.schemas]
+            or any(t != c for t, c in zip(truth.schemas, completed.schemas)
+                   if t.is_categorical)):
         raise DataError("truth and completed datasets have different schemas")
     if truth.n_rows != completed.n_rows:
         raise DataError("truth and completed datasets have different sizes")
@@ -94,8 +98,13 @@ def score_cells(truth: CategoricalDataset, completed: CategoricalDataset,
 
 def score(truth: CategoricalDataset, imputed: ImputedDataset
           ) -> ImputationReport:
-    """Score an imputation result against the complete ground truth."""
-    return score_cells(truth, imputed.completed, imputed.mask)
+    """Score an imputation result against the complete ground truth over
+    its cells in the columns categorical in ``truth``, as ``evaluate``
+    scores the file ``impute`` writes: a filled bin of a continuous column
+    has no code in the truth."""
+    categorical = [j for j, s in enumerate(truth.schemas) if s.is_categorical]
+    mask = imputed.mask[np.isin(imputed.mask[:, 1], categorical)]
+    return score_cells(truth, imputed.completed, mask)
 
 
 def report_text(report: ImputationReport) -> str:

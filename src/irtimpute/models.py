@@ -217,9 +217,12 @@ class _Cumulative:
         X = np.array(X, dtype=np.float64)
         X[..., 0] = np.clip(X[..., 0], np.log(SLOPE_BOUNDS[0]),
                             np.log(SLOPE_BOUNDS[1]))
-        # clipping can collapse neighbors; restore a strict minimal gap
-        bs = _separate(np.clip(cls.boundaries(X), -LOCATION_BOUND,
-                               LOCATION_BOUND), _GAP_MIN)
+        # a long step can overflow exp, and the clip puts those boundaries
+        # on the box edge; clipping can collapse neighbors, so restore a
+        # strict minimal gap
+        with np.errstate(over="ignore"):
+            bs = _separate(np.clip(cls.boundaries(X), -LOCATION_BOUND,
+                                   LOCATION_BOUND), _GAP_MIN)
         X[..., 1] = bs[..., 0]
         X[..., 2:] = np.log(np.diff(bs, axis=-1))
         return X

@@ -30,7 +30,7 @@ from irtimpute.estimation import (
     _e_step_core,
     _floored_counts,
     _initial_items,
-    _m_step,
+    _m_steps,
     _posteriors_and_loglik,
     build_grid,
     fit,
@@ -242,19 +242,19 @@ def reference_newton(fg, clamp, x0, max_iter, tol, context):
 def reference_m_step(items, expected_counts, grid):
     """The finite-difference Newton M-step, one item at a time (reference).
 
-    Same signature and result shape as ``estimation._m_step``.
+    Returns the updated items, or raises the error that
+    ``estimation._m_steps`` returns for the same fit.
     """
     nodes = grid.node_array()
     updated = []
     for item, counts in zip(items, expected_counts):
-        r = _floored_counts(item, counts, grid)
+        r = _floored_counts(item, np.asarray(counts, dtype=np.float64))
         x = reference_newton(
             reference_objective(item, r, nodes), item.kernel.clamp,
             item.to_x(), NEWTON_MAX_ITER, NEWTON_TOL,
             context=f"item {item.column!r}")
         updated.append(item.from_x(x))
-    events = [event for item in updated for event in item.bound_events()]
-    return tuple(updated), events
+    return tuple(updated)
 
 
 def reference_m_steps(fits, grid):
@@ -279,14 +279,16 @@ def em_loop_fit(data, config=None):
     grid = build_grid(config.grid_size, config.grid_range)
     items = _initial_items(data, config)
     x = _blocks(_codes_matrix(data, items), items)
-    trace, clamp_events = [], []
+    trace = []
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
         iterations += 1
         es = _e_step_core(x, items, grid)
         trace.append(es.marginal_loglik)
-        new_items, clamp_events = _m_step(items, es.expected_counts, grid)
+        (new_items,) = _m_steps([(items, es.expected_counts)], grid)
+        if isinstance(new_items, IrtImputeError):
+            raise new_items
         delta = max(
             float(np.max(np.abs(new.vector() - old.vector())))
             for new, old in zip(new_items, items)
@@ -302,7 +304,8 @@ def em_loop_fit(data, config=None):
                        iterations=iterations,
                        final_loglik=final.marginal_loglik,
                        loglik_trace=tuple(trace),
-                       clamp_events=tuple(clamp_events))
+                       clamp_events=tuple(event for item in items
+                                          for event in item.bound_events()))
 
 
 def _em_normal_loop(y, tol, max_iter, patterns):

@@ -38,6 +38,8 @@ from irtimpute.data import (
 )
 from irtimpute.errors import NumericalFailure, UsageError
 from irtimpute.estimation import FitConfig, fit, load_model, save_model
+from irtimpute.impute import impute_dataset
+from irtimpute.metrics import report_text, score
 from irtimpute.simulate import simulate_dataset, simulate_items
 
 from helpers import bench_loop, design_entries, write_probabilities_loop
@@ -990,6 +992,34 @@ class TestEvaluateCommand:
             capsys)
         assert rc == 0
         assert "imputed cells: 60" in out
+
+    def test_library_score_matches_evaluate(self, corpus, holed, tmp_path,
+                                            capsys):
+        # the model also fills the binned view of the 24 blanked continuous
+        # cells, which the truth has no code for: ``score`` leaves them
+        # out, as ``evaluate`` does on the file ``impute`` writes
+        schema = corpus / "truth.cols"
+        both = tmp_path / "both.csv"
+        assert run(["inject", "--data", holed, "--schema", schema,
+                    "--target", "wear", "--fraction", "0.1",
+                    "--mechanism", "mcar", "--seed", "2", "--out", both]) == 0
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", both, "--schema", schema,
+                    "--out", model]) == 0
+        completed = tmp_path / "completed.csv"
+        with pytest.warns(UserWarning, match="stay missing"):
+            assert run(["impute", "--data", both, "--schema", schema,
+                        "--model", model, "--out", completed]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--truth", corpus / "truth.csv",
+                    "--with-missing", both, "--imputed", completed,
+                    "--schema", schema]) == 0
+        schemas = load_schema(schema)
+        result = impute_dataset(load_csv(both, schemas), load_model(model))
+        assert len(result.mask) == 84
+        report = score(load_csv(corpus / "truth.csv", schemas), result)
+        assert report.cell_count == 60
+        assert capsys.readouterr().out == report_text(report)
 
 
 class TestMcarTestCommand:

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Smoke run of the command line on small generated corpora: every
-# subcommand, the apply path with scipy blocked, reruns that must repeat
-# byte for byte, a continuous feature that the fit bins, and two usage
-# errors.  Run it from an empty directory,
-# where it writes its files.
+# subcommand, the apply path with scipy blocked, a fit with the
+# scipy.sparse package blocked, reruns that must repeat byte for byte, a
+# continuous feature that the fit bins, and two usage errors.  Run it from
+# an empty directory, where it writes its files.
 #
 # IRTIMPUTE names the command to run (default: the installed console
 # script).  From a checkout, without installing:
@@ -16,6 +16,10 @@ irtimpute=${IRTIMPUTE:-irtimpute}
 # applying a model, scoring it and Little's test need no scipy
 without_scipy() {
   python -c "import sys; sys.modules['scipy'] = None; from irtimpute.cli import main; sys.exit(main(sys.argv[1:]))" "$@"
+}
+# a fit needs scipy's sparse kernels, but not the scipy.sparse package
+without_scipy_sparse() {
+  python -c "import sys; sys.modules['scipy.sparse'] = None; from irtimpute.cli import main; sys.exit(main(sys.argv[1:]))" "$@"
 }
 
 $irtimpute --help > /dev/null
@@ -119,6 +123,11 @@ for run in 1 2; do
   $irtimpute fit --data big.csv --schema corpus.cols --out big$run.json > /dev/null
 done
 cmp big1.json big2.json
+# the kernels' file is found in this scipy's layout: the same model with
+# the scipy.sparse package blocked
+without_scipy_sparse fit --data big.csv --schema corpus.cols \
+  --out big-no-sparse.json > /dev/null
+cmp big1.json big-no-sparse.json
 without_scipy impute --data big.csv --schema corpus.cols --model big1.json \
   --out big-filled.csv --probabilities big-probs.csv > /dev/null
 # a case's probabilities do not depend on the cases scored with it

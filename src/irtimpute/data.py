@@ -40,6 +40,7 @@ from .errors import (
     DataError,
     DegenerateColumn,
     UnknownLabel,
+    UsageError,
 )
 
 __all__ = ["MISSING", "CategoricalDataset", "ColumnSchema",
@@ -719,17 +720,24 @@ def atomic_write(path: str | Path, newline: str | None = None):
 def replaced_together(*paths: str | Path):
     """Temporary paths beside ``paths`` that replace them only together.
 
-    The block writes every temporary path; when it exits normally,
-    ``os.replace`` moves each over its target, so only a failing rename
-    can leave the targets from different runs.  On an error in the block
-    the temporary files are removed, every target is left as it was, and
-    an ``OSError`` names the target where it named its temporary path.
+    Each path is resolved first, so a symbolic link keeps pointing to the
+    file it names, which is replaced; a path that exists and is not a
+    regular file (a directory, a pipe) is a ``UsageError`` before anything
+    is written.  The block writes every temporary path; when it exits
+    normally, ``os.replace`` moves each over its target, so only a failing
+    rename can leave the targets from different runs.  On an error in the
+    block the temporary files are removed, every target is left as it was,
+    and an ``OSError`` names the path given where it named a temporary one.
     """
-    temporaries = [f"{os.fspath(path)}.{os.getpid()}.tmp" for path in paths]
+    targets = [os.path.realpath(path) for path in paths]
+    for path, target in zip(paths, targets):
+        if os.path.exists(target) and not os.path.isfile(target):
+            raise UsageError(f"{os.fspath(path)}: not a regular file")
+    temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
     try:
         yield temporaries
-        for temporary, path in zip(temporaries, paths):
-            os.replace(temporary, path)
+        for temporary, target in zip(temporaries, targets):
+            os.replace(temporary, target)
     except OSError as exc:
         if exc.filename in temporaries:
             exc.filename = os.fspath(paths[temporaries.index(exc.filename)])

@@ -52,18 +52,18 @@ block.  Stacking the log prior weights on the transposed per-item
 log-probability tables gives ``L`` of shape (1 + ΣK) × nodes, so ``X @ L``
 is every case's log prior plus log pattern likelihood, and ``X.T @
 posterior`` holds every item's expected counts (block by block) with the
-node masses in row 0.  Scipy adds each output row's terms one at a time in
-index order, starting from zero: the prior first and then the items in
-order, or the cases in order.  That is the order of a plain per-item loop,
-so the products match such a loop bit for bit, and no BLAS thread count
-can change them.  An absent entry is never multiplied, so a
-log-probability of ``-inf`` on a category a case did not give cannot turn
-into ``0 × -inf = nan``.  Each block's design leads with the 1 + ΣK rows of
-the identity, its carry rows.  The E-step writes the earlier blocks'
-totals into the carry rows of the block's posterior, so ``X.T @
-posterior`` adds them first and then the block's cases: the totals of one
-product over all the cases, bit for bit, while only one block's posterior
-is held.
+node masses in row 0.  Both products are scipy's compiled kernels,
+``csr_matvecs`` and its CSC twin over the same arrays, which add each
+output row's terms one at a time in index order onto the output they are
+given: the prior first and then the items in order, or the cases in order.
+That is the order of a plain per-item loop, so the products match such a
+loop bit for bit, and no BLAS thread count can change them.  An absent
+entry is never multiplied, so a log-probability of ``-inf`` on a category
+a case did not give cannot turn into ``0 × -inf = nan``.  The counts'
+kernel adds each block's cases onto the earlier blocks' totals, so the
+totals are those of one product over all the cases, bit for bit, while
+only one block's posterior is held.  The kernels are loaded from their
+file in scipy's tree, so no process imports the ``scipy`` package.
 
 Convergence is declared when a cycle's closing map changes no parameter by
 more than the tolerance, not on the log-likelihood change.  Scoring is the
@@ -74,17 +74,20 @@ prior and gathers its items' rows of ``L`` in item order, the same
 additions in the same order, so it matches the product bit for bit and
 needs no scipy.  The moments are ``einsum`` sums over each case's row, not
 BLAS products, so a case's score depends neither on the cases scored with
-it nor on the BLAS thread count.  Only the fit imports ``scipy.sparse``.
+it nor on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Generator, Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -112,9 +115,6 @@ from .models import (
     log_category_probs,
 )
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
-
 __all__ = ["EStepResult", "FitConfig", "FittedModel", "QuadratureGrid",
            "ThetaEstimate", "build_grid", "diagnostics_report", "e_step",
            "eap_score", "eap_scores", "fit", "fit_many", "load_model",
@@ -128,9 +128,8 @@ NEWTON_MAX_ITER = 20
 NEWTON_TOL = 1e-8
 
 # Bytes of design that :func:`fit_many` holds in one lockstep group.  At
-# 1 500 cases of 13 items a design takes 0.26 MB in two blocks, carry rows
-# included, so a six-cell bench is one group; a design over half of this
-# runs alone.
+# 1 500 cases of 13 items a design takes 0.20 MB in two blocks, so a
+# six-cell bench is one group; a design over half of this runs alone.
 DESIGN_BUDGET = 4 * 2**20
 
 MODEL_FORMAT = "irtimpute-model"
@@ -243,44 +242,121 @@ class ThetaEstimate:
 # hold one block's log joint and posterior at a time.  At 61 nodes a block
 # and its gathered item rows take 0.5 MB each, so both stay in a core's L2
 # cache.  The cuts change no bit: scoring sums within each case's row, and
-# the E-step carries its totals across them.
+# the E-step adds each block's counts onto the earlier blocks' totals.
 _JOINT_BLOCK = 1024
 
 
-def _design(codes: np.ndarray, items: tuple[ItemModel, ...]) -> csr_array:
-    """One-hot design matrix, (1 + ΣK + cases) × (1 + ΣK) for ΣK total
-    categories: the rows of the identity, which are the carry rows of
-    :func:`_e_step_core`, then one row per case.
+# scipy's compiled sparse kernels, the only part of scipy the fit uses
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _sparsetools_file() -> str | None:
+    """The file of scipy's ``_sparsetools`` extension, or None.
+
+    A ``find_spec`` of the top-level package tells where scipy lies
+    without running its ``__init__``; one of a submodule would run it.
+    """
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import find_spec
+    spec = find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _kernels():
+    """scipy's ``_sparsetools``, loaded from its file, so that neither
+    ``scipy/__init__`` nor ``scipy/sparse/__init__`` runs; imported through
+    ``scipy.sparse`` where the file is not found."""
+    path = _sparsetools_file()
+    if path is None:
+        from scipy.sparse import _sparsetools
+        return _sparsetools
+    from importlib.machinery import ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_loader
+    loader = ExtensionFileLoader(_SPARSETOOLS, path)
+    held = sys.modules.get(_SPARSETOOLS)
+    module = module_from_spec(spec_from_loader(_SPARSETOOLS, loader))
+    loader.exec_module(module)
+    # an extension may enter itself in sys.modules; leave them as they
+    # were, so that scipy.sparse, imported before or after, keeps its own
+    sys.modules.pop(_SPARSETOOLS, None)
+    if held is not None:
+        sys.modules[_SPARSETOOLS] = held
+    return module
+
+
+def _design(codes: np.ndarray, items: tuple[ItemModel, ...]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot design matrix, cases × (1 + ΣK) for ΣK total categories, as
+    the row pointers and int32 column indices of a CSR matrix whose every
+    value is 1.
 
     ``codes`` is an integer matrix aligned with ``items``; -1 marks a
     missing cell, which gets no entry.  Each row's column indices increase,
     so products add the prior first and then the items in order.
     """
-    from scipy.sparse import csr_array
-    sizes = [item.n_categories for item in items]
-    starts = np.cumsum([1, *sizes])
-    width = int(starts[-1])
+    starts = np.cumsum([1, *(item.n_categories for item in items)])
     n, k = codes.shape
     # int32 indices take half the bytes of int64; a block of at most
     # _JOINT_BLOCK cases is far below 2**31 entries
     columns = np.zeros((n, 1 + k), np.int32)
     np.add(codes, starts[:-1], out=columns[:, 1:], casting="unsafe")
     present = np.column_stack([np.ones(n, bool), codes >= 0])
-    indices = np.concatenate([np.arange(width, dtype=np.int32),
-                              columns[present]])
-    indptr = np.arange(width + n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[width + 1:])
-    indptr[width + 1:] += width
-    return csr_array((np.ones(indices.size), indices, indptr),
-                     shape=(width + n, width))
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return indptr, columns[present]
 
 
-def _blocks(codes: np.ndarray, items: tuple[ItemModel, ...]
-            ) -> tuple[csr_array, ...]:
-    """The design of each ``_JOINT_BLOCK`` cases, in case order; an empty
-    ``codes`` gets one block with no cases."""
-    return tuple(_design(codes[lo:lo + _JOINT_BLOCK], items)
-                 for lo in range(0, max(len(codes), 1), _JOINT_BLOCK))
+@dataclass(frozen=True)
+class _Design:
+    """A fit's design: the :func:`_design` of each ``_JOINT_BLOCK`` cases,
+    in case order, and the ones that are every block's values, as many as
+    its largest block has entries."""
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    ones: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.ones.nbytes + sum(indptr.nbytes + indices.nbytes
+                                      for indptr, indices in self.blocks)
+
+
+def _blocks(codes: np.ndarray, items: tuple[ItemModel, ...]) -> _Design:
+    """The design of ``codes``, block by block; an empty ``codes`` gets one
+    block with no cases."""
+    blocks = tuple(_design(codes[lo:lo + _JOINT_BLOCK], items)
+                   for lo in range(0, max(len(codes), 1), _JOINT_BLOCK))
+    return _Design(blocks, np.ones(max(len(indices) for _, indices in blocks)))
+
+
+def _log_joint(block: tuple[np.ndarray, np.ndarray], ones: np.ndarray,
+               table: np.ndarray) -> np.ndarray:
+    """``X @ table`` for the design block ``X``: each case's row adds the
+    table rows of its entries in column order, starting from zero."""
+    indptr, indices = block
+    n = len(indptr) - 1
+    joint = np.zeros((n, table.shape[1]))
+    _kernels().csr_matvecs(n, table.shape[0], table.shape[1], indptr,
+                           indices, ones[:len(indices)], table, joint)
+    return joint
+
+
+def _add_counts(block: tuple[np.ndarray, np.ndarray], ones: np.ndarray,
+                posterior: np.ndarray, totals: np.ndarray) -> None:
+    """Add ``X.T @ posterior`` onto ``totals`` for the design block ``X``:
+    the kernel of ``X.T``, the CSC view of the same arrays, adds onto each
+    row of ``totals`` the posterior rows of its column's cases, in case
+    order."""
+    indptr, indices = block
+    _kernels().csc_matvecs(totals.shape[0], len(indptr) - 1,
+                           totals.shape[1], indptr, indices,
+                           ones[:len(indices)], posterior, totals)
 
 
 def _log_table(items: tuple[ItemModel, ...], grid: QuadratureGrid
@@ -358,24 +434,20 @@ def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
                         grid)
 
 
-def _e_step_core(blocks: tuple[csr_array, ...], items: tuple[ItemModel, ...],
+def _e_step_core(design: _Design, items: tuple[ItemModel, ...],
                  grid: QuadratureGrid) -> EStepResult:
     """The E-step over the :func:`_blocks` of a design, one block's
     posterior at a time."""
     table = _log_table(items, grid)
-    carry = table.shape[0]
     totals = np.zeros_like(table)
     case_logliks = []
-    for x in blocks:
-        joint = x @ table
-        # the case rows become the block's posterior in place
-        _, case_loglik = _posteriors_and_loglik(joint[carry:])
-        joint[:carry] = totals
-        # x.T is the CSC view of the same arrays; its product adds each
-        # output row's terms in row order, starting from zero, so the carry
-        # row puts the earlier blocks' total first and then the cases in
-        # order: the bits of one product over all the cases
-        totals = x.T @ joint
+    for block in design.blocks:
+        # the log joint becomes the block's posterior in place
+        posterior, case_loglik = _posteriors_and_loglik(
+            _log_joint(block, design.ones, table))
+        # onto the earlier blocks' totals, the cases in order: the bits of
+        # one product over all the cases
+        _add_counts(block, design.ones, posterior, totals)
         case_logliks.append(case_loglik)
     counts = []
     start = 1
@@ -714,7 +786,7 @@ class _Run:
     maps, then the final E-step's.
     """
 
-    design: tuple[csr_array, ...] | None   # dropped after the final E-step
+    design: _Design | None   # dropped after the final E-step
     items: tuple[ItemModel, ...]
     discretization: tuple[DiscretizationMap, ...] = ()
     trace: list[float] = field(default_factory=list)
@@ -723,8 +795,7 @@ class _Run:
 
     @property
     def design_bytes(self) -> int:
-        return sum(x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
-                   for x in self.design)
+        return 0 if self.design is None else self.design.nbytes
 
 
 def _em(run: _Run, config: FitConfig) -> Generator[tuple, object, None]:
@@ -822,7 +893,7 @@ def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig
             yield _Run(_blocks(_codes_matrix(data, items), items), items,
                        tuple(maps[column] for column in sorted(maps)))
     except IrtImputeError as exc:
-        yield _Run((), (), error=exc)
+        yield _Run(None, (), error=exc)
 
 
 def fit_many(datasets: Iterable[CategoricalDataset],
@@ -872,9 +943,9 @@ def _log_joints(codes: np.ndarray, items: tuple[ItemModel, ...],
     """Each block's log prior plus log pattern likelihood, cases × nodes,
     for the blocks of ``_JOINT_BLOCK`` cases in order.
 
-    The bits of the case rows of ``_design(codes, items) @ _log_table(items,
-    grid)``: each row starts from the log prior and adds the items' rows in
-    item order.  A missing cell adds a zero row, which changes no sum.
+    The bits of :func:`_log_joint` over the design of ``codes``: each row
+    starts from the log prior and adds the items' rows in item order.  A
+    missing cell adds a zero row, which changes no sum.
     Every block is written into the same buffer, so the caller is done with
     one block before it asks for the next.
     """

@@ -8,6 +8,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.stats import chi2
 
 from irtimpute import cli
@@ -154,14 +155,23 @@ def dense_e_step(codes, items, grid):
     return posterior, counts, posterior.sum(axis=0), float(case_loglik.sum())
 
 
-def design_cases(blocks):
-    """The cases of a fit's block design: its rows less the carry rows."""
-    return sum(x.shape[0] - x.shape[1] for x in blocks)
+def as_csr(block, width=None):
+    """A design block's row pointers and indices as scipy's ``csr_array``,
+    every value 1: the oracle of the E-step's kernels.  It has ``width``
+    columns, or as many as its largest index needs."""
+    indptr, indices = block
+    shape = None if width is None else (len(indptr) - 1, width)
+    return csr_array((np.ones(indices.size), indices, indptr), shape=shape)
 
 
-def design_entries(blocks):
-    """The stored entries of a fit's block design, less the carry rows'."""
-    return sum(x.nnz - x.shape[1] for x in blocks)
+def design_cases(design):
+    """The cases of a fit's block design: its rows."""
+    return sum(as_csr(block).shape[0] for block in design.blocks)
+
+
+def design_entries(design):
+    """The stored entries of a fit's block design."""
+    return sum(as_csr(block).nnz for block in design.blocks)
 
 
 def reference_objective(item, r, nodes):

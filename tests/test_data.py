@@ -1,6 +1,7 @@
 """Schema parsing, dataset validation, CSV round trips, discretization."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from irtimpute.errors import (
     DataError,
     DegenerateColumn,
     UnknownLabel,
+    UsageError,
 )
 
 from helpers import emit_csv_loop, load_csv_loop
@@ -846,6 +848,29 @@ class TestAtomicWrite:
                 raise RuntimeError("interrupted")
         assert target.read_text() == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_symlink_keeps_pointing_to_the_replaced_file(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        with atomic_write(link) as handle:
+            handle.write("new")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.json", "target.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_is_refused_before_anything_is_written(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        with pytest.raises(UsageError) as refused:
+            with atomic_write(pipe) as handle:
+                handle.write("new")
+        assert str(refused.value) == f"{pipe}: not a regular file"
+        assert pipe.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
 
     def test_emit_failing_mid_file(self, tmp_path, monkeypatch):
         blocks = []

@@ -23,6 +23,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from helpers import (
+    as_csr,
     dense_e_step,
     design_cases,
     em_loop_fit,
@@ -58,7 +59,9 @@ from irtimpute.estimation import (
     _blocks,
     _codes_matrix,
     _design,
+    _add_counts,
     _e_step_core,
+    _log_joint,
     _log_table,
     _m_steps,
     _objective,
@@ -262,8 +265,8 @@ def mixed_codes(seed):
 
 
 def whole_log_joint(codes, items, table):
-    """``X @ table`` over one design of every case, less the carry rows."""
-    return (_design(codes, items) @ table)[len(table):]
+    """``X @ table`` over one design of every case."""
+    return as_csr(_design(codes, items), len(table)) @ table
 
 
 MIXED_SCHEMAS = (ColumnSchema("u", "binary"),
@@ -335,6 +338,124 @@ class TestSparseEStep:
         with pytest.raises(NumericalFailure):
             self.posterior_with_impossible_categories(
                 np.array([[1, 0], [0, 1]]))
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture
+def fresh_kernels():
+    """The E-step's kernels load anew in the test, and again after it."""
+    estimation._kernels.cache_clear()
+    yield
+    estimation._kernels.cache_clear()
+
+
+class TestKernels:
+    """The E-step's two products are scipy's compiled kernels on the design's
+    own arrays; scipy's ``csr_array`` products are their oracle, bit for
+    bit."""
+
+    @staticmethod
+    def assert_products_match(codes, items):
+        grid = build_grid()
+        table = _log_table(items, grid)
+        block = _design(codes, items)
+        x = as_csr(block, len(table))
+        # more ones than the block has entries, as a fit shares them
+        ones = np.ones(len(block[1]) + 5)
+        joint = _log_joint(block, ones, table)
+        same_bits(joint, x @ table)
+        posterior = np.random.default_rng(len(codes)).random(joint.shape)
+        totals = np.zeros_like(table)
+        _add_counts(block, ones, posterior, totals)
+        same_bits(totals, x.T @ posterior)
+
+    @pytest.mark.parametrize("seed", [17, 19, 23])
+    def test_random_designs(self, seed):
+        items, codes = mixed_codes(seed)
+        self.assert_products_match(codes, items)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_a_block_of_no_case_or_one(self, rows):
+        items, codes = mixed_codes(17)
+        self.assert_products_match(codes[:rows], items)
+
+    def test_all_missing_rows(self):
+        items, codes = mixed_codes(17)
+        codes[:50] = MISSING
+        self.assert_products_match(codes[:50], items)
+        self.assert_products_match(codes[:100], items)
+
+    def test_totals_carry_over_blocks(self, monkeypatch):
+        # blocks of 7 rows: seams inside the 2000 rows and a short last one
+        monkeypatch.setattr(estimation, "_JOINT_BLOCK", 7)
+        items, codes = mixed_codes(19)
+        grid = build_grid()
+        table = _log_table(items, grid)
+        design = _blocks(codes, items)
+        assert len(design.blocks) == 286
+        assert design.ones.size == max(indices.size
+                                       for _, indices in design.blocks)
+        posterior = np.random.default_rng(5).random((len(codes), grid.size))
+        totals = np.zeros_like(table)
+        for lo, block in zip(range(0, len(codes), 7), design.blocks):
+            _add_counts(block, design.ones, posterior[lo:lo + 7], totals)
+        same_bits(totals, as_csr(_design(codes, items), len(table)).T
+                  @ posterior)
+
+    def test_loads_without_touching_sys_modules(self, fresh_kernels):
+        from scipy.sparse import _sparsetools
+        assert estimation._sparsetools_file() is not None
+        kernels = estimation._kernels()
+        assert sys.modules["scipy.sparse._sparsetools"] is _sparsetools
+        assert kernels.__file__ == _sparsetools.__file__
+
+    def test_fallback_import_writes_the_same_model(self, fresh_kernels,
+                                                   monkeypatch, tmp_path):
+        from scipy.sparse import _sparsetools
+        items = simulate_items("grm", 4, np.random.default_rng(43),
+                               n_categories=3)
+        # three blocks, the last short
+        data = simulate_dataset(items, 2500, seed=44)
+        save_model(fit(data), tmp_path / "direct.json")
+        monkeypatch.setattr(estimation, "_sparsetools_file", lambda: None)
+        estimation._kernels.cache_clear()
+        save_model(fit(data), tmp_path / "fallback.json")
+        assert estimation._kernels() is _sparsetools
+        assert ((tmp_path / "direct.json").read_bytes()
+                == (tmp_path / "fallback.json").read_bytes())
+
+    def test_scipy_sparse_imports_after_the_kernels_load(self):
+        # a fresh process: the kernels load with scipy.sparse blocked, which
+        # then imports as its own package, with the same products
+        script = (
+            "import sys\n"
+            "sys.modules['scipy.sparse'] = None\n"
+            "import numpy as np\n"
+            "from irtimpute import estimation\n"
+            "from irtimpute.simulate import simulate_items\n"
+            "items = simulate_items('grm', 3, np.random.default_rng(1), "
+            "n_categories=3)\n"
+            "codes = np.random.default_rng(2).integers(-1, 3, (500, 3))\n"
+            "table = estimation._log_table(items, estimation.build_grid())\n"
+            "block = estimation._design(codes, items)\n"
+            "joint = estimation._log_joint(block, np.ones(2000), table)\n"
+            "assert [m for m in sys.modules if m.startswith('scipy')] == "
+            "['scipy.sparse']\n"
+            "del sys.modules['scipy.sparse']\n"
+            "import scipy.sparse\n"
+            "x = scipy.sparse.csr_array((np.ones(block[1].size), block[1], "
+            "block[0]), shape=(500, len(table)))\n"
+            "assert (x @ table).tobytes() == joint.tobytes()\n"
+            "assert scipy.sparse._sparsetools.csr_matvecs\n")
+        src = str(Path(estimation.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 def whole_moments(codes, items, grid):

@@ -2,8 +2,9 @@
 # Smoke run of the command line on small generated corpora: every
 # subcommand, the apply path with scipy blocked, a fit with the
 # scipy.sparse package blocked, reruns that must repeat byte for byte, a
-# continuous feature that the fit bins, and two usage errors.  Run it from
-# an empty directory, where it writes its files.
+# continuous feature that the fit bins, and three usage errors, one of them
+# a fit with scipy blocked.  Run it from an empty directory, where it writes
+# its files.
 #
 # IRTIMPUTE names the command to run (default: the installed console
 # script).  From a checkout, without installing:
@@ -171,6 +172,15 @@ $irtimpute impute --data corpus.csv --schema corpus.cols \
 $irtimpute inject --data truth.csv --schema corpus.cols \
   --target item00 --fraction 0.2 --mechanism mar \
   --conditional item01 --out mar.csv
+
+# a fit without scipy is one usage error line, exit code 1, and no model
+rc=0
+without_scipy fit --data corpus.csv --schema corpus.cols \
+  --out no-scipy.json 2> no-scipy.err || rc=$?
+test "$rc" -eq 1
+test "$(grep -c '' no-scipy.err)" = 1
+test "$(grep -c '^error: usage: ' no-scipy.err)" = 1
+test ! -e no-scipy.json
 
 # a fraction outside (0, 1) is a usage error, exit code 1
 rc=0

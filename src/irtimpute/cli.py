@@ -40,6 +40,7 @@ from .data import (
     emit_probabilities,
     load_csv,
     load_schema,
+    output_targets,
     read_text,
     replaced_together,
 )
@@ -595,6 +596,9 @@ def main(argv=None) -> int:
         reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(_expand_config(raw))
+        # every output is checked before any input is read
+        output_targets(*filter(None, (getattr(args, name, None) for name in
+                                      ("out", "probabilities", "save_model"))))
         return _COMMANDS[args.command](args)
     except IrtImputeError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)

@@ -716,23 +716,30 @@ def atomic_write(path: str | Path, newline: str | None = None):
         yield handle
 
 
-@contextmanager
-def replaced_together(*paths: str | Path):
-    """Temporary paths beside ``paths`` that replace them only together.
-
-    Each path is resolved first, so a symbolic link keeps pointing to the
-    file it names, which is replaced; a path that exists and is not a
-    regular file (a directory, a pipe) is a ``UsageError`` before anything
-    is written.  The block writes every temporary path; when it exits
-    normally, ``os.replace`` moves each over its target, so only a failing
-    rename can leave the targets from different runs.  On an error in the
-    block the temporary files are removed, every target is left as it was,
-    and an ``OSError`` names the path given where it named a temporary one.
-    """
+def output_targets(*paths: str | Path) -> list[str]:
+    """Each output path resolved, so that a symbolic link keeps pointing to
+    the file it names; a path that exists and is not a regular file (a
+    directory, a pipe) is a ``UsageError``."""
     targets = [os.path.realpath(path) for path in paths]
     for path, target in zip(paths, targets):
         if os.path.exists(target) and not os.path.isfile(target):
             raise UsageError(f"{os.fspath(path)}: not a regular file")
+    return targets
+
+
+@contextmanager
+def replaced_together(*paths: str | Path):
+    """Temporary paths beside ``paths`` that replace them only together.
+
+    Each path is checked and resolved by :func:`output_targets` before
+    anything is written, so a symbolic link's file is replaced.  The block
+    writes every temporary path; when it exits normally, ``os.replace``
+    moves each over its target, so only a failing rename can leave the
+    targets from different runs.  On an error in the block the temporary
+    files are removed, every target is left as it was, and an ``OSError``
+    names the path given where it named a temporary one.
+    """
+    targets = output_targets(*paths)
     temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
     try:
         yield temporaries

@@ -7,74 +7,64 @@ grid carrying standard-normal prior weights.  One EM map is:
   pattern likelihood, normalized), accumulated into expected response
   counts per item, node, and category;
 * M-step: projected Fisher scoring with step-halving on the expected
-  complete-data log-likelihood, in a parameterization where the structural
-  constraints (positive slopes, ordered boundaries, anchored zero category)
+  complete-data log-likelihood, in a parameterization ("x-space") where
+  positive slopes, ordered boundaries and the anchored zero category
   cannot be violated.  The Newton matrix is the expected information
   (Bock & Aitkin 1981); coordinates pressed out of the parameter box are
-  held, as in Bertsekas's projected Newton.  Items that share a kernel and
-  a category count take one stacked Newton, but every item converges,
-  halves its step and fails on its own: a failed item is reported, not
-  raised, and its fit's error is that of its first failed item in item
-  order, as a loop over the items would raise.  An item whose trial step
-  rounds back to its point leaves the step-halving, since every shorter
-  step would repeat that trial.
+  held, as in Bertsekas's projected Newton.  Each item converges, halves
+  its step and fails on its own, and a fit's error is that of its first
+  failed item in item order, as a loop over the items would raise.
+
+A fit holds its point as arrays: the items that share a kernel and a
+category count form a group, laid out once per fit, and between maps the
+point is each group's natural parameters, the floats its items would hold.
+The E-step's log table takes one kernel call per group, the M-step solves
+each group's rows in one stacked Newton, and SQUAREM and the convergence
+test read the same arrays.  Items are built only where they leave the fit:
+the model, and the error of a trial point that is not finite.
 
 The fit runs the map in SQUAREM cycles (Varadhan & Roland 2008, step length
-S3) over the stacked x-space vector of all items.  Two maps x1 = F(x0) and
-x2 = F(x1) give r = x1 - x0 and v = x2 - 2 x1 + x0; the point
-x0 - 2 alpha r + alpha^2 v, with alpha = min(-|r|/|v|, -1), is projected onto
-the parameter boxes and one map is taken from it.  A monotone guard keeps
-x2 instead when the projected point's log-likelihood is below x1's, so the
-log-likelihood never falls.  A plain map ends each cycle; near the
-iteration cap, which counts maps, only plain maps run.
+S3) over every item's x-space point, concatenated in item order.  Two maps
+x1 = F(x0) and x2 = F(x1) give r = x1 - x0 and v = x2 - 2 x1 + x0; the
+point x0 - 2 alpha r + alpha^2 v, with alpha = min(-|r|/|v|, -1), is
+projected onto the parameter boxes and one map is taken from it.  A
+monotone guard keeps x2 instead when the projected point's log-likelihood
+is below x1's, so the log-likelihood never falls.  A plain map ends each
+cycle, and convergence is declared when it changes no parameter by more
+than the tolerance; near the iteration cap, which counts maps, only plain
+maps run.
 
 :func:`fit_many` runs several fits in lockstep, and :func:`fit` is its
-one-fit case.  One fit's EM is one generator, :func:`_em`, which yields
-each point it needs and is sent back its map or its E-step, so it keeps
-its own cycle, trace, convergence test and iteration cap.
-A driver takes the fits round by round: each fit steps to its next
-point, the E-steps stay per fit, and the round's M-steps are one stacked
-call over the items of every fit, so a kernel's Newton runs once per
-round, not once per fit.  No item's update depends on the other rows of
-its stack, so each fit gets the bits it gets alone.  A failure takes one
-path, whatever step failed: a dataset that cannot start, an E-step, an
-M-step or the generator records its error on its fit's run, no later fit
-steps after it, and the error is raised once the models of the fits
-before it are out.  The datasets are read in groups whose designs stay
-within ``DESIGN_BUDGET`` bytes, so a group of large fits holds about what
-one fit holds.
+one-fit case.  One fit's EM is one generator, :func:`_em`, which keeps its
+own cycle, trace, convergence test and iteration cap; :func:`_fit_group`
+takes the fits round by round, with one stacked M-step call per round over
+the groups of every fit.  No item's update depends on the other rows of
+its stack, so each fit gets the bits it gets alone.  A failed step fails
+its own fit, no later fit steps after it, and the error is raised once
+the models of the fits before it are out.  The datasets are read in
+groups whose designs stay within ``DESIGN_BUDGET`` bytes.
 
-The E-step is two sparse products per block of cases.  The code matrix is
-encoded once per fit as CSR designs, one per ``_JOINT_BLOCK`` cases, of
-1 + ΣK columns: column 0 holds ones, then each item has a block of one-hot
-columns, one per category, and a missing cell has no entry in its item's
-block.  Stacking the log prior weights on the transposed per-item
-log-probability tables gives ``L`` of shape (1 + ΣK) × nodes, so ``X @ L``
-is every case's log prior plus log pattern likelihood, and ``X.T @
-posterior`` holds every item's expected counts (block by block) with the
-node masses in row 0.  Both products are scipy's compiled kernels,
-``csr_matvecs`` and its CSC twin over the same arrays, which add each
-output row's terms one at a time in index order onto the output they are
-given: the prior first and then the items in order, or the cases in order.
-That is the order of a plain per-item loop, so the products match such a
-loop bit for bit, and no BLAS thread count can change them.  An absent
-entry is never multiplied, so a log-probability of ``-inf`` on a category
-a case did not give cannot turn into ``0 × -inf = nan``.  The counts'
-kernel adds each block's cases onto the earlier blocks' totals, so the
-totals are those of one product over all the cases, bit for bit, while
-only one block's posterior is held.  The kernels are loaded from their
-file in scipy's tree, so no process imports the ``scipy`` package.
+The E-step is two sparse products per block of ``_JOINT_BLOCK`` cases.  A
+case's row of the design ``X`` has a one in column 0 and one in its
+category's column of each item it answered, and the log table ``L`` stacks
+the log prior weights on the items' transposed log-probability tables, so
+``X @ L`` is every case's log prior plus log pattern likelihood, and
+``X.T @ posterior`` holds the expected counts with the node masses in row
+0.  Both products are scipy's compiled kernels, loaded from their file
+without importing the ``scipy`` package; they add each output row's terms
+one at a time in index order, the order of a plain per-item loop, so no
+BLAS thread count can change them, and an absent entry is never
+multiplied, so a log-probability of ``-inf`` cannot give ``0 × -inf``.
+The counts of each block are added onto the earlier blocks' totals, the
+bits of one product over all the cases, while one block's posterior is
+held.
 
-Convergence is declared when a cycle's closing map changes no parameter by
-more than the tolerance, not on the log-likelihood change.  Scoring is the
-posterior mean (and SD) of the trait on the same grid; missing cells simply
-drop out of the pattern likelihood.  Scoring walks the same blocks and
-builds ``X @ L`` without the design: each case's row starts from the log
-prior and gathers its items' rows of ``L`` in item order, the same
-additions in the same order, so it matches the product bit for bit and
-needs no scipy.  The moments are ``einsum`` sums over each case's row, not
-BLAS products, so a case's score depends neither on the cases scored with
-it nor on the BLAS thread count.
+Scoring is the posterior mean (and SD) of the trait on the same grid;
+missing cells drop out of the pattern likelihood.  It builds ``X @ L``
+block by block without the design or scipy, by the same additions in the
+same order, and takes the moments as ``einsum`` sums over each case's row,
+so a case's score depends neither on the cases scored with it nor on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -102,6 +92,7 @@ from .errors import (
     NewtonDiverged,
     NumericalFailure,
     UnobservedCategory,
+    UsageError,
 )
 from .models import (
     Binary2PL,
@@ -112,7 +103,6 @@ from .models import (
     _check_code,
     _from_json,
     _separate,
-    log_category_probs,
 )
 
 __all__ = ["EStepResult", "FitConfig", "FittedModel", "QuadratureGrid",
@@ -274,7 +264,12 @@ def _kernels():
     ``scipy.sparse`` where the file is not found."""
     path = _sparsetools_file()
     if path is None:
-        from scipy.sparse import _sparsetools
+        try:
+            from scipy.sparse import _sparsetools
+        except ImportError:
+            raise UsageError("fitting needs scipy, which cannot be imported: "
+                             "fit, bench and impute without --model use it"
+                             ) from None
         return _sparsetools
     from importlib.machinery import ExtensionFileLoader
     from importlib.util import module_from_spec, spec_from_loader
@@ -359,16 +354,95 @@ def _add_counts(block: tuple[np.ndarray, np.ndarray], ones: np.ndarray,
                            ones[:len(indices)], posterior, totals)
 
 
-def _log_table(items: tuple[ItemModel, ...], grid: QuadratureGrid
-               ) -> np.ndarray:
-    """Log prior weights over the items' transposed log-probability tables.
+@dataclass(frozen=True)
+class _Group:
+    """Items of a fit that share a kernel and a category count: their places
+    in item order, and, members first, their categories' rows of the log
+    table and their coordinates' places in the stacked x-space vector."""
+
+    kernel: type
+    members: tuple[int, ...]
+    rows: np.ndarray
+    coordinates: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A fit's point between EM maps: per :class:`_Group` of ``items``, in
+    order of each group's first item, the members' natural parameters as
+    the kernel's stacked arrays.  ``items`` are the items last read into
+    it, which give each member its family and column; ``starts`` are each
+    item's first row of the log table, then the table's size."""
+
+    items: tuple[ItemModel, ...]
+    groups: tuple[_Group, ...]
+    starts: np.ndarray
+    natural: tuple[tuple[np.ndarray, ...], ...] = ()
+
+    def built(self) -> tuple[ItemModel, ...]:
+        """The items at this point, built in item order: the first that
+        cannot be built raises its family's error."""
+        rows: dict = {}
+        for group, natural in zip(self.groups, self.natural):
+            rows.update(zip(group.members, zip(*natural)))
+        return tuple(item.with_natural(*rows[i])
+                     for i, item in enumerate(self.items))
+
+    def x(self) -> np.ndarray:
+        """Every item's x-space point, concatenated in item order."""
+        x = np.empty(sum(group.coordinates.size for group in self.groups))
+        for group, natural in zip(self.groups, self.natural):
+            x[group.coordinates] = group.kernel.to_x(*natural)
+        return x
+
+    def at_x(self, x: np.ndarray) -> _Point:
+        """The point at the stacked vector ``x``, each item projected onto
+        its box; a point that is not finite raises its first item's error."""
+        point = replace(self, natural=tuple(
+            group.kernel.natural(group.kernel.clamp(x[group.coordinates]))
+            for group in self.groups))
+        if not all(np.isfinite(v).all() for natural in point.natural
+                   for v in natural):
+            point.built()
+        return point
+
+
+def _point(items: tuple[ItemModel, ...], like: _Point | None = None
+           ) -> _Point:
+    """``items`` as a point, laid out as ``like`` or in their own groups."""
+    if like is None:
+        places: dict = {}
+        for i, item in enumerate(items):
+            places.setdefault((item.kernel, item.n_categories), []).append(i)
+        starts = np.cumsum([1, *(item.n_categories for item in items)])
+        ends = np.cumsum([0, *(item.vector().size for item in items)])
+        like = _Point(items, tuple(
+            _Group(kernel, tuple(members), starts[members, None] + np.arange(m),
+                   ends[members, None]
+                   + np.arange(items[members[0]].vector().size))
+            for (kernel, m), members in places.items()), starts)
+    return replace(like, items=tuple(items), natural=tuple(
+        tuple(np.array(v) for v in zip(*(items[i].natural
+                                         for i in group.members)))
+        for group in like.groups))
+
+
+def _log_table(point: _Point, grid: QuadratureGrid) -> np.ndarray:
+    """Log prior weights over the items' transposed log-probability tables,
+    one kernel call per group.
 
     Shape (1 + total categories, nodes), matching the columns of
     :func:`_design`.
     """
     nodes = grid.node_array()
-    return np.vstack([np.log(grid.weight_array())[None, :],
-                      *(log_category_probs(nodes, item).T for item in items)])
+    table = np.empty((point.starts[-1], grid.size))
+    table[0] = np.log(grid.weight_array())
+    for group, natural in zip(point.groups, point.natural):
+        # members on the first axis, nodes on the second
+        table[group.rows] = group.kernel.log_probs(
+            *(v.reshape(len(v), 1, -1) for v in natural),
+            nodes).transpose(0, 2, 1)
+    return table
 
 
 def _posteriors_and_loglik(log_joint: np.ndarray
@@ -429,16 +503,20 @@ def e_step(data: CategoricalDataset, items: tuple[ItemModel, ...],
            grid: QuadratureGrid) -> EStepResult:
     """Posterior-weighted response counts r[i][node, category]; ``items``
     bind the feature columns of ``data`` (see :func:`_codes_matrix`)."""
-    items = tuple(items)
-    return _e_step_core(_blocks(_codes_matrix(data, items), items), items,
-                        grid)
+    point = _point(tuple(items))
+    totals, loglik = _e_step_core(
+        _blocks(_codes_matrix(data, point.items), point.items), point, grid)
+    # copies: a held result does not keep the whole of ``totals``
+    return EStepResult(tuple(r.T.copy() for r in np.split(
+        totals[1:], point.starts[1:-1] - 1)), totals[0].copy(), loglik)
 
 
-def _e_step_core(design: _Design, items: tuple[ItemModel, ...],
-                 grid: QuadratureGrid) -> EStepResult:
+def _e_step_core(design: _Design, point: _Point, grid: QuadratureGrid
+                 ) -> tuple[np.ndarray, float]:
     """The E-step over the :func:`_blocks` of a design, one block's
-    posterior at a time."""
-    table = _log_table(items, grid)
+    posterior at a time: the counts, shaped as the log table, with the node
+    masses in row 0, and the marginal log-likelihood."""
+    table = _log_table(point, grid)
     totals = np.zeros_like(table)
     case_logliks = []
     for block in design.blocks:
@@ -449,18 +527,7 @@ def _e_step_core(design: _Design, items: tuple[ItemModel, ...],
         # one product over all the cases
         _add_counts(block, design.ones, posterior, totals)
         case_logliks.append(case_loglik)
-    counts = []
-    start = 1
-    for item in items:
-        stop = start + item.n_categories
-        counts.append(np.ascontiguousarray(totals[start:stop].T))
-        start = stop
-    # a copy: a held result does not keep the whole of ``totals``
-    return EStepResult(
-        expected_counts=tuple(counts),
-        node_masses=totals[0].copy(),
-        marginal_loglik=float(np.concatenate(case_logliks).sum()),
-    )
+    return totals, float(np.concatenate(case_logliks).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -620,52 +687,54 @@ def _at_bound(kernel, x: np.ndarray) -> bool:
     return bool(np.any(_held(kernel, x, ones) | _held(kernel, x, -ones)))
 
 
-def _floored_counts(item: ItemModel, r: np.ndarray) -> np.ndarray:
-    zeros = np.flatnonzero(~r.any(axis=0))
-    if zeros.size:
-        raise EmptyCategory(
-            f"column {item.column!r}: category {int(zeros[0])} has zero "
-            "expected count"
-        )
-    return np.maximum(r, COUNT_FLOOR)
-
-
-def _m_steps(fits: list[tuple[tuple[ItemModel, ...], tuple]],
-             grid: QuadratureGrid) -> list:
-    """The M-steps of several fits, each given as (items, expected counts).
+def _m_steps(fits: list[tuple[_Point, np.ndarray]], grid: QuadratureGrid
+             ) -> list:
+    """The M-steps of several fits, each given as its point and its
+    expected counts, shaped as its log table (row 0 is not read).
 
     The counts are an E-step's, or ones :func:`m_step_item` has checked.
-    Items of every fit that share a kernel and a category count take one
-    stacked Newton.  Returns per fit its updated items or its error: an
+    The groups of every fit that share a kernel and a category count take
+    one stacked Newton.  Returns per fit its new point or its error: an
     empty category first, else its first failed item's, in item order, as
     a loop over :func:`m_step_item` raises.
     """
     outcomes: list = [None] * len(fits)
-    groups: dict = {}
-    for k, (items, expected_counts) in enumerate(fits):
-        try:
-            counts = [_floored_counts(item, r)
-                      for item, r in zip(items, expected_counts)]
-        except EmptyCategory as exc:
-            outcomes[k] = exc
+    stacks: dict = {}
+    for k, (point, totals) in enumerate(fits):
+        # the table's rows run through the items' categories in item order
+        empty = 1 + np.flatnonzero(~totals[1:].any(axis=1))
+        if empty.size:
+            i = np.searchsorted(point.starts, empty[0], "right") - 1
+            outcomes[k] = EmptyCategory(
+                f"column {point.items[i].column!r}: category "
+                f"{empty[0] - point.starts[i]} has zero expected count")
             continue
-        for i, (item, r) in enumerate(zip(items, counts)):
-            groups.setdefault((item.kernel, item.n_categories),
-                              []).append((k, i, r))
-    # per fit and item, its solved point or its error
-    x = [[None] * len(items) for items, _ in fits]
-    for key, members in groups.items():
-        solved, failures = _newton_maximize(
-            key[0], np.array([fits[k][0][i].to_x() for k, i, _ in members]),
-            np.array([r for _, _, r in members]), grid.node_array(),
-            [fits[k][0][i].column for k, i, _ in members])
-        for row, ((k, i, _), point) in enumerate(zip(members, solved)):
-            x[k][i] = failures.get(row, point)
-    for k, (items, _) in enumerate(fits):
-        failed = [row for row in x[k] if isinstance(row, IrtImputeError)]
+        for g, (group, natural) in enumerate(zip(point.groups,
+                                                 point.natural)):
+            stacks.setdefault((group.kernel, group.rows.shape[1]), []).append(
+                (k, g, group, natural, totals[group.rows].transpose(0, 2, 1)))
+    # per fit, its groups' solved parameters and its failed items' errors
+    solved = [list(point.natural) for point, _ in fits]
+    failed: list = [{} for _ in fits]
+    for (kernel, _), members in stacks.items():
+        x, failures = _newton_maximize(
+            kernel, np.concatenate([kernel.to_x(*natural)
+                                    for *_, natural, _ in members]),
+            np.maximum(np.concatenate([np.ascontiguousarray(r)
+                                       for *_, r in members]), COUNT_FLOOR),
+            grid.node_array(), [fits[k][0].items[i].column
+                                for k, _, group, *_ in members
+                                for i in group.members])
+        row = 0
+        for k, g, group, *_ in members:
+            solved[k][g] = kernel.natural(x[row:row + len(group.members)])
+            failed[k].update((i, failures[j]) for j, i in
+                             enumerate(group.members, row) if j in failures)
+            row += len(group.members)
+    for k, (point, _) in enumerate(fits):
         if outcomes[k] is None:
-            outcomes[k] = failed[0] if failed else tuple(
-                item.from_x(row) for item, row in zip(items, x[k]))
+            outcomes[k] = (failed[k][min(failed[k])] if failed[k]
+                           else replace(point, natural=tuple(solved[k])))
     return outcomes
 
 
@@ -680,10 +749,11 @@ def m_step_item(item: ItemModel, expected_counts: np.ndarray,
         )
     if not np.all(np.isfinite(r) & (r >= 0)):
         raise DataError("expected counts must be finite and nonnegative")
-    (outcome,) = _m_steps([((item,), (r,))], grid)
+    (outcome,) = _m_steps([(_point((item,)),
+                            np.vstack([np.zeros(grid.size), r.T]))], grid)
     if isinstance(outcome, IrtImputeError):
         raise outcome
-    return outcome[0]
+    return outcome.built()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -757,19 +827,6 @@ def _canonicalize_orientation(items: tuple[ItemModel, ...]
                  for item in items)
 
 
-def _stacked_x(items: tuple[ItemModel, ...]) -> np.ndarray:
-    """Every item's x-space point, concatenated in item order."""
-    return np.concatenate([item.to_x() for item in items])
-
-
-def _at_stacked_x(items: tuple[ItemModel, ...], x: np.ndarray
-                  ) -> tuple[ItemModel, ...]:
-    """``items`` at the stacked point ``x``, each projected onto its box."""
-    ends = np.cumsum([item.to_x().size for item in items])[:-1]
-    return tuple(item.from_x(item.kernel.clamp(part))
-                 for item, part in zip(items, np.split(x, ends)))
-
-
 def _step_length(r: np.ndarray, v: np.ndarray) -> float:
     """SQUAREM's S3 step length -|r|/|v|, at most -1 (no extrapolation)."""
     # sums, not BLAS dot products, which may depend on the thread count
@@ -787,7 +844,7 @@ class _Run:
     """
 
     design: _Design | None   # dropped after the final E-step
-    items: tuple[ItemModel, ...]
+    point: _Point | None     # None for a dataset that could not start
     discretization: tuple[DiscretizationMap, ...] = ()
     trace: list[float] = field(default_factory=list)
     converged: bool = False
@@ -799,7 +856,7 @@ class _Run:
 
 
 def _em(run: _Run, config: FitConfig) -> Generator[tuple, object, None]:
-    """One fit's SQUAREM cycles, from ``run.items`` to its final E-step.
+    """One fit's SQUAREM cycles, from ``run.point`` to its final E-step.
 
     Yields each point it needs as ``(point, e_step, to_map)``, with the
     point's E-step if it has had one, else None, and is sent back the
@@ -808,28 +865,30 @@ def _em(run: _Run, config: FitConfig) -> Generator[tuple, object, None]:
     while not run.converged and len(run.trace) < config.max_iter:
         # a cycle takes up to four maps; nearer the cap, plain maps
         if config.max_iter - len(run.trace) >= 4:
-            x0 = run.items
+            x0 = run.point
             x1 = yield x0, None, True
             x2 = yield x1, None, True
-            start, one = _stacked_x(x0), _stacked_x(x1)
-            r, v = one - start, _stacked_x(x2) - 2.0 * one + start
+            start, one = x0.x(), x1.x()
+            r, v = one - start, x2.x() - 2.0 * one + start
             alpha = _step_length(r, v)
-            trial = _at_stacked_x(x0, start - 2.0 * alpha * r
-                                  + alpha**2 * v)
+            trial = x0.at_x(start - 2.0 * alpha * r + alpha**2 * v)
             es = yield trial, None, False
-            kept = es.marginal_loglik >= run.trace[-1]
+            kept = es[1] >= run.trace[-1]
             logger.debug("squarem: alpha %.6g, extrapolation %s, loglik %.6f "
                          "(%.6f at x1)", alpha, "kept" if kept else "rejected",
-                         es.marginal_loglik, run.trace[-1])
-            run.items = (yield trial, es, True) if kept else x2
-        old = run.items
-        run.items = yield old, None, True
-        delta = max(float(np.max(np.abs(new.vector() - prior.vector())))
-                    for new, prior in zip(run.items, old))
-        run.converged = delta < config.tol
-    run.items = _canonicalize_orientation(run.items)
-    final = yield run.items, None, False
-    run.trace.append(final.marginal_loglik)
+                         es[1], run.trace[-1])
+            run.point = (yield trial, es, True) if kept else x2
+        old = run.point
+        run.point = yield old, None, True
+        # a cycle's closing map against its start, parameter by parameter
+        run.converged = max(
+            float(np.max(np.abs(new - prior)))
+            for olds, news in zip(old.natural, run.point.natural)
+            for prior, new in zip(olds, news)) < config.tol
+    run.point = _point(_canonicalize_orientation(run.point.built()),
+                       run.point)
+    _, loglik = yield run.point, None, False
+    run.trace.append(loglik)
 
 
 def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
@@ -859,13 +918,14 @@ def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
                 run.error = exc
                 continue
             if to_map:
-                run.trace.append(es.marginal_loglik)
-                maps.append((run, point, es.expected_counts))
+                totals, loglik = es
+                run.trace.append(loglik)
+                maps.append((run, point, totals))
             else:
                 replies[run] = es
         if maps:
-            outcomes = _m_steps([(point, counts)
-                                 for _, point, counts in maps], grid)
+            outcomes = _m_steps([(point, totals)
+                                 for _, point, totals in maps], grid)
             for (run, _, _), outcome in zip(maps, outcomes):
                 if isinstance(outcome, IrtImputeError):
                     run.error = outcome
@@ -874,9 +934,10 @@ def _fit_group(runs: list[_Run], grid: QuadratureGrid, config: FitConfig
     for run in runs:
         if run.error is not None:
             raise run.error
-        yield FittedModel(run.items, grid, run.converged, len(run.trace) - 1,
+        items = run.point.items
+        yield FittedModel(items, grid, run.converged, len(run.trace) - 1,
                           run.trace[-1], tuple(run.trace),
-                          tuple(event for item in run.items
+                          tuple(event for item in items
                                 for event in item.bound_events()),
                           run.discretization)
 
@@ -890,10 +951,11 @@ def _runs(datasets: Iterable[CategoricalDataset], config: FitConfig
         for data in datasets:
             data, maps = discretize_dataset(data, config.bins)
             items = _initial_items(data, config)
-            yield _Run(_blocks(_codes_matrix(data, items), items), items,
+            yield _Run(_blocks(_codes_matrix(data, items), items),
+                       _point(items),
                        tuple(maps[column] for column in sorted(maps)))
     except IrtImputeError as exc:
-        yield _Run(None, (), error=exc)
+        yield _Run(None, None, error=exc)
 
 
 def fit_many(datasets: Iterable[CategoricalDataset],
@@ -949,8 +1011,8 @@ def _log_joints(codes: np.ndarray, items: tuple[ItemModel, ...],
     Every block is written into the same buffer, so the caller is done with
     one block before it asks for the next.
     """
-    table = _log_table(items, grid)
-    starts = np.cumsum([1, *(item.n_categories for item in items)])
+    point = _point(items)
+    table, starts = _log_table(point, grid), point.starts
     # codes are in range, and "wrap" sends code -1 to the zero row appended
     # to each item's table; it skips the bounds check "raise" makes
     tables = [np.vstack([table[lo:hi], np.zeros((1, grid.size))])

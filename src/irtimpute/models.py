@@ -13,25 +13,28 @@ constant anywhere):
 
 An item is its family's frozen instance, an :class:`ItemModel` holding
 the keyword ``column``; the family owns every rule differing by family:
-``family``/``kind``/``n_categories``; ``log_probs`` and their derivatives
-``grad``; the flat ``vector``/``with_vector``; the M-step's coordinates
-``to_x``/``from_x``; ``bound_events`` for parameters resting on a box
-edge; and ``describe``.  A binary item is a graded item with one boundary,
-so those two share one body for all but ``describe``, through a ``bounds``
-view and ``from_bounds(a, bounds)``.  The E-step, EAP scoring, the M-step
-and the imputed cells' probability vectors all read one likelihood,
-``log_probs``: :func:`log_category_probs` calls it, and
+``family``/``kind``/``n_categories``; its ``natural`` parameters and
+``with_natural``; ``log_probs``; the flat ``vector``/``with_vector``;
+``bound_events`` for parameters resting on a box edge; and ``describe``.
+A binary item is a graded item with one boundary, so those two share one
+body for all but ``describe``, through a ``bounds`` view and
+``from_bounds(a, bounds)``.  The E-step, EAP scoring, the M-step and the
+imputed cells' probability vectors all read one likelihood, the kernel's
+``log_probs``: an item's ``log_probs`` (and so :func:`log_category_probs`)
+is a one-item call of it, the fit's log table one call per group, and
 :func:`category_probs` is its exponential.  :func:`prob_2pl` is the plain
 binary curve.
 
-Each family also names its ``kernel``, the M-step's rules on stacked arrays
-(items on the leading axes, x-space coordinates on the last): ``natural``
-parameters; ``derivatives(*natural, theta)``, the log-probabilities
+Each family names its ``kernel``, which owns the rules on stacked arrays
+(items on the leading axes) that the fit runs on: ``log_probs(*natural,
+theta)``; the M-step's coordinates, x-space, as ``to_x(*natural)`` and
+``natural(x)``; ``derivatives(*natural, theta)``, the log-probabilities
 (n, T, m) of ``n`` items at ``T`` points with their derivatives in theta,
 (n, T, m), and in the flat parameters, (n, T, m, P); ``chain``, which
 carries those to x-space; and ``clamp``, the projection onto the parameter
-boxes.  Binary and graded items share the cumulative kernel, nominal items
-use the softmax one.
+boxes.  An item's ``to_x``, ``from_x`` and ``grad`` are one-row calls of
+its kernel too, so each rule is written once.  Binary and graded items
+share the cumulative kernel, nominal items use the softmax one.
 
 Log-probabilities are computed directly in log space (``_log_expit``, a
 max-subtracted log-softmax), so they cannot overflow and tail categories
@@ -177,6 +180,16 @@ class _Cumulative:
         return np.exp(X[..., 0]), cls.boundaries(X)
 
     @staticmethod
+    def to_x(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.log(a[..., None]), bs[..., :1],
+                               np.log(np.diff(bs, axis=-1))], axis=-1)
+
+    @staticmethod
+    def log_probs(a: np.ndarray, bs: np.ndarray, theta: np.ndarray
+                  ) -> np.ndarray:
+        return _cumulative_log_probs(a * (theta[..., None] - bs))
+
+    @staticmethod
     def derivatives(a: np.ndarray, bs: np.ndarray, theta: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = theta[None, :, None] - bs[:, None, :]
@@ -242,12 +255,20 @@ class _Softmax:
                 np.concatenate([zero, X[..., half:]], axis=-1))
 
     @staticmethod
-    def derivatives(slopes: np.ndarray, intercepts: np.ndarray,
+    def to_x(slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+        return np.concatenate([slopes[..., 1:], intercepts[..., 1:]], axis=-1)
+
+    @staticmethod
+    def log_probs(slopes: np.ndarray, intercepts: np.ndarray,
+                  theta: np.ndarray) -> np.ndarray:
+        return _log_softmax(theta[..., None] * slopes + intercepts)
+
+    @classmethod
+    def derivatives(cls, slopes: np.ndarray, intercepts: np.ndarray,
                     theta: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         slopes = slopes[:, None, :]
-        log_pi = _log_softmax(theta[None, :, None] * slopes
-                              + intercepts[:, None, :])
+        log_pi = cls.log_probs(slopes, intercepts[:, None, :], theta)
         pi = np.exp(log_pi)
         d_theta = slopes - (pi * slopes).sum(axis=-1, keepdims=True)
         m = log_pi.shape[-1]
@@ -264,15 +285,6 @@ class _Softmax:
     def clamp(X: np.ndarray) -> np.ndarray:
         return np.clip(np.array(X, dtype=np.float64),
                        -LOCATION_BOUND, LOCATION_BOUND)
-
-
-def _grad(kernel, natural: tuple, theta
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """One item's ``grad``: a one-row call of its kernel's derivatives."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    _, d_theta, d_params = kernel.derivatives(
-        *(np.asarray(v, dtype=np.float64)[None] for v in natural), theta)
-    return d_theta[0], d_params[0]
 
 
 def _as_json(value):
@@ -322,6 +334,21 @@ class ItemModel:
 
     column: str = field(default="", kw_only=True)
 
+    # one-row calls of the family's kernel, so that each rule is written once
+    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+        _, d_theta, d_params = self.kernel.derivatives(
+            *(np.asarray(v, dtype=np.float64)[None] for v in self.natural),
+            theta)
+        return d_theta[0], d_params[0]
+
+    def to_x(self) -> np.ndarray:
+        return self.kernel.to_x(*(np.asarray(v, dtype=np.float64)
+                                  for v in self.natural))
+
+    def from_x(self, x: np.ndarray):
+        return self.with_natural(*self.kernel.natural(np.asarray(x)))
+
 
 class _CumulativeFamily(ItemModel):
     """Rules of the binary and graded families, read through ``a`` and the
@@ -346,26 +373,21 @@ class _CumulativeFamily(ItemModel):
         return len(self.bounds) + 1
 
     def log_probs(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        bs = np.asarray(self.bounds)
-        return _cumulative_log_probs(self.a * (theta[..., None] - bs))
+        return self.kernel.log_probs(self.a, np.asarray(self.bounds),
+                                     np.asarray(theta, dtype=np.float64))
 
-    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        return _grad(self.kernel, (self.a, self.bounds), theta)
+    @property
+    def natural(self) -> tuple:
+        return self.a, self.bounds
+
+    def with_natural(self, a, bounds):
+        return self.from_bounds(float(a), bounds, self.column)
 
     def vector(self) -> np.ndarray:
         return np.array([self.a, *self.bounds])
 
     def with_vector(self, vector: np.ndarray):
         return self.from_bounds(float(vector[0]), vector[1:], self.column)
-
-    def to_x(self) -> np.ndarray:
-        bs = np.asarray(self.bounds)
-        return np.concatenate([[np.log(self.a), bs[0]], np.log(np.diff(bs))])
-
-    def from_x(self, x: np.ndarray):
-        return self.from_bounds(float(np.exp(x[0])), self.kernel.boundaries(x),
-                                self.column)
 
     def bound_events(self) -> list[str]:
         return _bound_events(self.column, self.a, self.bounds)
@@ -456,23 +478,24 @@ class NominalItem(ItemModel):
         return len(self.slopes)
 
     def log_probs(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        return _log_softmax(theta[..., None] * np.asarray(self.slopes)
-                            + np.asarray(self.intercepts))
+        return self.kernel.log_probs(np.asarray(self.slopes),
+                                     np.asarray(self.intercepts),
+                                     np.asarray(theta, dtype=np.float64))
 
-    def grad(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        return _grad(self.kernel, (self.slopes, self.intercepts), theta)
+    @property
+    def natural(self) -> tuple:
+        return self.slopes, self.intercepts
+
+    def with_natural(self, slopes, intercepts) -> NominalItem:
+        return NominalItem(slopes, intercepts, column=self.column)
 
     def vector(self) -> np.ndarray:
         return np.array([*self.slopes[1:], *self.intercepts[1:]])
 
+    # nominal parameters are unconstrained: x-space is the flat vector
     def with_vector(self, vector: np.ndarray) -> NominalItem:
         return NominalItem(*self.kernel.natural(np.asarray(vector)),
                            column=self.column)
-
-    # nominal parameters are unconstrained: x-space is the flat vector
-    to_x = vector
-    from_x = with_vector
 
     def bound_events(self) -> list[str]:
         return _bound_events(self.column, None, self.vector())
@@ -545,7 +568,7 @@ def pattern_loglik(pattern, items: tuple[ItemModel, ...], theta: float) -> float
         code = _check_code(code, item)
         if code == -1:
             continue
-        total += float(log_category_probs(theta, item)[code])
+        total += float(item.log_probs(theta)[code])
     return total
 
 

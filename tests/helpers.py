@@ -15,12 +15,14 @@ from irtimpute import cli
 from irtimpute.data import MISSING, CategoricalDataset
 from irtimpute.errors import (
     DataError,
+    EmptyCategory,
     IrtImputeError,
     NewtonDiverged,
     NumericalFailure,
     UnknownLabel,
 )
 from irtimpute.estimation import (
+    COUNT_FLOOR,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     FitConfig,
@@ -29,9 +31,9 @@ from irtimpute.estimation import (
     _canonicalize_orientation,
     _codes_matrix,
     _e_step_core,
-    _floored_counts,
     _initial_items,
     _m_steps,
+    _point,
     _posteriors_and_loglik,
     build_grid,
     fit,
@@ -249,6 +251,18 @@ def reference_newton(fg, clamp, x0, max_iter, tol, context):
     return x
 
 
+def floored_counts(item, r):
+    """``r`` floored at ``COUNT_FLOOR``; a category with no count is an
+    ``EmptyCategory`` (reference)."""
+    zeros = np.flatnonzero(~r.any(axis=0))
+    if zeros.size:
+        raise EmptyCategory(
+            f"column {item.column!r}: category {int(zeros[0])} has zero "
+            "expected count"
+        )
+    return np.maximum(r, COUNT_FLOOR)
+
+
 def reference_m_step(items, expected_counts, grid):
     """The finite-difference Newton M-step, one item at a time (reference).
 
@@ -258,7 +272,7 @@ def reference_m_step(items, expected_counts, grid):
     nodes = grid.node_array()
     updated = []
     for item, counts in zip(items, expected_counts):
-        r = _floored_counts(item, np.asarray(counts, dtype=np.float64))
+        r = floored_counts(item, np.asarray(counts, dtype=np.float64))
         x = reference_newton(
             reference_objective(item, r, nodes), item.kernel.clamp,
             item.to_x(), NEWTON_MAX_ITER, NEWTON_TOL,
@@ -267,16 +281,35 @@ def reference_m_step(items, expected_counts, grid):
     return tuple(updated)
 
 
+def item_counts(point, totals):
+    """Per item of ``point``, its rows of an E-step's ``totals``, nodes ×
+    categories."""
+    starts = point.starts
+    return [totals[lo:hi].T for lo, hi in zip(starts[:-1], starts[1:])]
+
+
 def reference_m_steps(fits, grid):
     """``estimation._m_steps`` with each fit's M-step taken alone by
     :func:`reference_m_step` (reference)."""
     outcomes = []
-    for items, expected_counts in fits:
+    for point, totals in fits:
         try:
-            outcomes.append(reference_m_step(items, expected_counts, grid))
+            outcomes.append(_point(reference_m_step(
+                point.built(), item_counts(point, totals), grid),
+                point))
         except IrtImputeError as exc:
             outcomes.append(exc)
     return outcomes
+
+
+def item_m_steps(fits, grid):
+    """``estimation._m_steps`` on fits given as (items, expected counts per
+    item); each outcome is the updated items or the error."""
+    outcomes = _m_steps([(_point(tuple(items)), np.vstack(
+        [np.zeros(grid.size), *(np.asarray(r).T for r in counts)]))
+        for items, counts in fits], grid)
+    return [outcome if isinstance(outcome, IrtImputeError)
+            else outcome.built() for outcome in outcomes]
 
 
 def em_loop_fit(data, config=None):
@@ -294,11 +327,12 @@ def em_loop_fit(data, config=None):
     iterations = 0
     for _ in range(config.max_iter):
         iterations += 1
-        es = _e_step_core(x, items, grid)
-        trace.append(es.marginal_loglik)
-        (new_items,) = _m_steps([(items, es.expected_counts)], grid)
-        if isinstance(new_items, IrtImputeError):
-            raise new_items
+        totals, loglik = _e_step_core(x, _point(items), grid)
+        trace.append(loglik)
+        (new_point,) = _m_steps([(_point(items), totals)], grid)
+        if isinstance(new_point, IrtImputeError):
+            raise new_point
+        new_items = new_point.built()
         delta = max(
             float(np.max(np.abs(new.vector() - old.vector())))
             for new, old in zip(new_items, items)
@@ -308,11 +342,11 @@ def em_loop_fit(data, config=None):
             converged = True
             break
     items = _canonicalize_orientation(items)
-    final = _e_step_core(x, items, grid)
-    trace.append(final.marginal_loglik)
+    _, final_loglik = _e_step_core(x, _point(items), grid)
+    trace.append(final_loglik)
     return FittedModel(items=items, grid=grid, converged=converged,
                        iterations=iterations,
-                       final_loglik=final.marginal_loglik,
+                       final_loglik=final_loglik,
                        loglik_trace=tuple(trace),
                        clamp_events=tuple(event for item in items
                                           for event in item.bound_events()))

@@ -185,6 +185,30 @@ class TestExitCodes:
             assert pipe.is_fifo()
             assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
+    def test_output_directory_is_refused_before_the_data_is_read(
+            self, corpus, tmp_path, capsys):
+        # the data has a bad cell, which reading it would report first
+        lines = (corpus / "truth.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(lines[0] + "zz" + lines[1][lines[1].index(","):]
+                       + "".join(lines[2:]))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        cols = corpus / "truth.cols"
+        capsys.readouterr()
+        for argv in (["fit", "--out", folder],
+                     ["impute", "--out", tmp_path / "out.csv",
+                      "--probabilities", folder],
+                     ["bench", "--target", "item02", "--mechanisms", "mcar",
+                      "--fractions", "0.2", "--out", folder]):
+            rc = run([*argv, "--data", bad, "--schema", cols])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: usage: {folder}: not a regular file\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "bad.csv", "folder"]
+            assert not list(folder.iterdir())
+
     def test_config_value_with_nul_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 3\nout = m\0.json\n")
@@ -497,6 +521,31 @@ class TestScipyImports:
                       "--fractions", "0.2", "--out", tmp_path / "r.txt"]):
             _, loaded = loaded_by(argv)
             assert loaded == [], argv[0]
+
+
+def test_fitting_without_scipy_is_one_usage_error(corpus, holed, tmp_path):
+    # fit, bench and impute without --model need scipy's sparse kernels;
+    # without scipy each ends in one usage line and writes nothing
+    src = str(Path(irtimpute.__file__).resolve().parents[1])
+    cols = corpus / "truth.cols"
+    for argv in (["fit", "--data", holed, "--schema", cols,
+                  "--out", tmp_path / "model.json"],
+                 ["impute", "--data", holed, "--schema", cols,
+                  "--out", tmp_path / "filled.csv"],
+                 ["bench", "--data", corpus / "truth.csv", "--schema", cols,
+                  "--target", "item02", "--mechanisms", "mcar",
+                  "--fractions", "0.2", "--out", tmp_path / "r.txt"]):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.modules['scipy'] = None; "
+             "from irtimpute.cli import main; sys.exit(main(sys.argv[1:]))",
+             *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 1, argv[0]
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: usage: fitting needs scipy")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_applying_a_model_loads_no_numpy_ma(corpus, holed, tmp_path):

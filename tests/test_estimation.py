@@ -27,6 +27,7 @@ from helpers import (
     dense_e_step,
     design_cases,
     em_loop_fit,
+    item_m_steps,
     fd_hessian,
     random_item,
     reference_m_step,
@@ -65,6 +66,7 @@ from irtimpute.estimation import (
     _log_table,
     _m_steps,
     _objective,
+    _point,
     _posteriors_and_loglik,
     _solve_free,
     build_grid,
@@ -79,6 +81,7 @@ from irtimpute.estimation import (
     save_model,
 )
 from irtimpute.impute import impute_dataset
+from irtimpute import models
 from irtimpute.models import (
     Binary2PL,
     GradedItem,
@@ -322,7 +325,7 @@ class TestSparseEStep:
             monkeypatch.setattr(estimation, "_JOINT_BLOCK", block)
         items, codes = mixed_codes(seed)
         grid = build_grid()
-        want = whole_log_joint(codes, items, _log_table(items, grid))
+        want = whole_log_joint(codes, items, _log_table(_point(items), grid))
         got = np.concatenate([joint.copy() for joint in
                               estimation._log_joints(codes, items, grid)])
         assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -361,7 +364,7 @@ class TestKernels:
     @staticmethod
     def assert_products_match(codes, items):
         grid = build_grid()
-        table = _log_table(items, grid)
+        table = _log_table(_point(items), grid)
         block = _design(codes, items)
         x = as_csr(block, len(table))
         # more ones than the block has entries, as a fit shares them
@@ -394,7 +397,7 @@ class TestKernels:
         monkeypatch.setattr(estimation, "_JOINT_BLOCK", 7)
         items, codes = mixed_codes(19)
         grid = build_grid()
-        table = _log_table(items, grid)
+        table = _log_table(_point(items), grid)
         design = _blocks(codes, items)
         assert len(design.blocks) == 286
         assert design.ones.size == max(indices.size
@@ -440,7 +443,8 @@ class TestKernels:
             "items = simulate_items('grm', 3, np.random.default_rng(1), "
             "n_categories=3)\n"
             "codes = np.random.default_rng(2).integers(-1, 3, (500, 3))\n"
-            "table = estimation._log_table(items, estimation.build_grid())\n"
+            "table = estimation._log_table(estimation._point(items), "
+            "estimation.build_grid())\n"
             "block = estimation._design(codes, items)\n"
             "joint = estimation._log_joint(block, np.ones(2000), table)\n"
             "assert [m for m in sys.modules if m.startswith('scipy')] == "
@@ -458,11 +462,67 @@ class TestKernels:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestGroupTable:
+    """The fit holds its point as one array per kernel and category count;
+    the log table it builds from them is the items' own."""
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_group_table_is_the_items_log_probs(self, seed):
+        # 2PL, graded (3 to 5 categories) and nominal items interleaved, so
+        # that each group's rows are scattered over the table
+        rng = np.random.default_rng(seed)
+        items = []
+        for i in range(30):
+            family = ("2pl", "grm", "nrm")[int(rng.integers(3))]
+            m = 2 if family == "2pl" else int(rng.integers(3, 6))
+            items.append(dataclasses.replace(random_item(rng, family, m=m),
+                                             column=f"i{i:02d}"))
+        grid = build_grid()
+        want = np.vstack([np.log(grid.weight_array())[None, :],
+                          *(log_category_probs(grid.node_array(), item).T
+                            for item in items)])
+        same_bits(_log_table(_point(tuple(items)), grid), want)
+
+    def test_a_fit_builds_each_item_at_most_twice(self, monkeypatch):
+        # six bench-like fits: every item is built at the start and at the
+        # end, and once more where the trait's sign is flipped
+        rng = np.random.default_rng(223)
+        items = (simulate_items("2pl", 4, rng, name_prefix="b")
+                 + simulate_items("grm", 4, rng, name_prefix="g")
+                 + simulate_items("nrm", 4, rng, name_prefix="n"))
+        full = simulate_dataset(items, 600, seed=224)
+        datasets = []
+        for cell in range(6):
+            cells = np.array(full.cells)
+            cells[rng.random(600) < 0.1 * (cell + 1), 4] = MISSING
+            datasets.append(full.with_cells(cells))
+        built = []
+        for family in (models._CumulativeFamily, NominalItem):
+            def counted(item, post_init=family.__post_init__):
+                built.append(type(item))
+                post_init(item)
+            monkeypatch.setattr(family, "__post_init__", counted)
+        canonicalize = estimation._canonicalize_orientation
+        flipped = []
+
+        def counted_flips(items):
+            out = canonicalize(items)
+            flipped.append(sum(a is not b for a, b in zip(out, items)))
+            return out
+
+        monkeypatch.setattr(estimation, "_canonicalize_orientation",
+                            counted_flips)
+        fitted = list(fit_many(datasets, FitConfig(seed=0)))
+        assert len(built) <= 2 * sum(len(m.items) for m in fitted) + sum(
+            flipped)
+        assert all(model.iterations > 4 for model in fitted)
+
+
 def whole_moments(codes, items, grid):
     """EAP means and SDs from one product and one ``einsum`` over all the
     cases."""
     posterior, _ = _posteriors_and_loglik(
-        whole_log_joint(codes, items, _log_table(items, grid)))
+        whole_log_joint(codes, items, _log_table(_point(items), grid)))
     nodes = grid.node_array()
     means = np.einsum("qn,n->q", posterior, nodes)
     second = np.einsum("qn,n->q", posterior, nodes**2)
@@ -556,7 +616,7 @@ class TestBlocks:
         model = FittedModel(items, grid, True, 0, 0.0, (0.0,))
         blocks = _blocks(_codes_matrix(data, items), items)
         bound = rows * grid.size * 8 / 2
-        for call in (lambda: _e_step_core(blocks, items, grid),
+        for call in (lambda: _e_step_core(blocks, _point(items), grid),
                      lambda: eap_scores(data, model)):
             tracemalloc.start()
             try:
@@ -680,6 +740,24 @@ class TestMStep:
         with pytest.raises(EmptyCategory):
             m_step_item(Binary2PL(1.0, 0.0, column="u"), counts, grid)
 
+    def test_empty_category_names_the_first_item_in_item_order(self):
+        # a graded item and a later binary item of another group both have
+        # an empty category: the fit's error names the graded one, as a
+        # loop over the items meets it first
+        grid = build_grid()
+        items = (Binary2PL(1.0, 0.0, column="a"),
+                 GradedItem(1.0, (-1.0, 1.0), column="g"),
+                 Binary2PL(1.0, 0.5, column="b"))
+        counts = [np.ones((grid.size, item.n_categories)) for item in items]
+        counts[1][:, 2] = 0.0
+        counts[2][:, 0] = 0.0
+        with pytest.raises(EmptyCategory) as want:
+            reference_m_step(items, counts, grid)
+        (got,) = item_m_steps([(items, counts)], grid)
+        assert type(got) is EmptyCategory
+        assert str(got) == str(want.value) == (
+            "column 'g': category 2 has zero expected count")
+
     def test_shape_mismatch_rejected(self):
         grid = build_grid()
         with pytest.raises(DataError):
@@ -765,10 +843,10 @@ class TestMStep:
         for item, r in zip(fit_items[1:], fit_counts[1:]):
             with pytest.raises(NewtonDiverged):
                 m_step_item(item, r, grid)
-        (alone,) = _m_steps([(fit_items, fit_counts)], grid)
+        (alone,) = item_m_steps([(fit_items, fit_counts)], grid)
         # stacked after a fit of C alone, C's row comes first in its group
-        c_alone, together = _m_steps([((c,), (graded,)),
-                                      (fit_items, fit_counts)], grid)
+        c_alone, together = item_m_steps([((c,), (graded,)),
+                                          (fit_items, fit_counts)], grid)
         assert str(c_alone).startswith("item 'C': ")
         for got in (alone, together):
             assert type(got) is NewtonDiverged
@@ -789,9 +867,9 @@ class TestMStep:
                 ((Binary2PL(1.0, 0.0, column="w"),), (empty,))]
         monkeypatch.setattr(estimation, "_projected_direction",
                             lambda kernel, x, info, g, held: -g)
-        together = _m_steps(fits, grid)
+        together = item_m_steps(fits, grid)
         for one, got in zip(fits, together):
-            (want,) = _m_steps([one], grid)
+            (want,) = item_m_steps([one], grid)
             if isinstance(want, Exception):
                 assert type(got) is type(want)
                 assert str(got) == str(want)
@@ -813,6 +891,22 @@ class TestMStep:
         for i in (0, 2):
             assert_array_equal(delta[i], np.linalg.solve(info[i], g[i]))
 
+    def test_fits_whose_groups_come_in_other_orders_stack_apart(self):
+        # the second fit meets the kernels in the other order, and has a
+        # group of its own; each fit gets what it gets alone
+        grid = build_grid()
+        rng = np.random.default_rng(131)
+        fits = []
+        for families in (("grm", "nrm", "grm"), ("nrm", "2pl", "grm", "nrm")):
+            items = tuple(dataclasses.replace(
+                random_item(rng, family, m=2 if family == "2pl" else 3),
+                column=f"i{i}") for i, family in enumerate(families))
+            fits.append((items, [rng.gamma(1.0, 5.0, size=(
+                grid.size, item.n_categories)) for item in items]))
+        for got, one in zip(item_m_steps(fits, grid), fits):
+            (want,) = item_m_steps([one], grid)
+            assert got == want
+
     def test_stacked_items_update_as_if_alone(self):
         # every family and category count, several items per group; one
         # item has all its count mass at one node
@@ -827,7 +921,7 @@ class TestMStep:
             counts.append(rng.gamma(1.0, 5.0, size=(grid.size, m)))
         counts[7] = np.zeros_like(counts[7])
         counts[7][40] = rng.uniform(1.0, 20.0, size=items[7].n_categories)
-        (together,) = _m_steps([(tuple(items), counts)], grid)
+        (together,) = item_m_steps([(tuple(items), counts)], grid)
         for item, r, got in zip(items, counts, together):
             alone = m_step_item(item, r, grid)
             assert_array_equal(got.vector(), alone.vector())
@@ -1203,9 +1297,9 @@ class TestFitMany:
 
         def m_step(fits, grid):
             return [NumericalFailure(f"{step} of the second fit")
-                    if items[0].column == datasets[1].schemas[0].name
-                    else outcome
-                    for (items, _), outcome in zip(fits, m_steps(fits, grid))]
+                    if point.items[0].column
+                    == datasets[1].schemas[0].name else outcome
+                    for (point, _), outcome in zip(fits, m_steps(fits, grid))]
 
         if step == "m-step":
             monkeypatch.setattr(estimation, "_m_steps", m_step)
